@@ -26,6 +26,7 @@ from .matrix_models import (
     odot,
 )
 from .morphisms import BallMap, MapClassification, classify_endomorphism
+from .sampling import json_ready
 from .verifier import registered_names, run_suite
 
 DEFAULT_SEED = 7
@@ -41,18 +42,8 @@ def _fmt_vector(coords) -> str:
     return ",".join(_fmt(c) for c in coords)
 
 
-def _round_floats(value):
-    if isinstance(value, float):
-        return float(_fmt(value)) + 0.0  # + 0.0 folds negative zero
-    if isinstance(value, dict):
-        return {k: _round_floats(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_round_floats(v) for v in value]
-    return value
-
-
 def _print_json(obj) -> None:
-    print(json.dumps(_round_floats(obj)))
+    print(json.dumps(json_ready(obj)))
 
 
 def _parse_vector(text: str) -> GyroVector:
@@ -138,26 +129,26 @@ def _cmd_collinear(args: argparse.Namespace) -> int:
 
 
 def _cmd_bloch(args: argparse.Namespace) -> int:
-    _print_json(bloch_to_density(_parse_vector(args.v)).to_json_dict())
+    _print_json(bloch_to_density(_parse_vector(args.v)))
     return 0
 
 
 def _cmd_odot(args: argparse.Namespace) -> int:
     a = _load_hermitian(args.a, DensityMatrix2)
     b = _load_hermitian(args.b, DensityMatrix2)
-    _print_json(odot(a, b).to_json_dict())
+    _print_json(odot(a, b))
     return 0
 
 
 def _cmd_boxdot(args: argparse.Namespace) -> int:
     a = _load_hermitian(args.a, PosDef2Det1)
     b = _load_hermitian(args.b, PosDef2Det1)
-    _print_json(boxdot(a, b).to_json_dict())
+    _print_json(boxdot(a, b))
     return 0
 
 
 def _cmd_normdet(args: argparse.Namespace) -> int:
-    _print_json(normalize_det(_load_hermitian(args.a, DensityMatrix2)).to_json_dict())
+    _print_json(normalize_det(_load_hermitian(args.a, DensityMatrix2)))
     return 0
 
 
@@ -165,7 +156,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     outcome = classify_endomorphism(
         _load_map(args), args.samples, _resolve_seed(args)
     )
-    _print_json(outcome.to_json_dict())
+    _print_json(outcome)
     return 0 if outcome.verdict != MapClassification.NOT_ENDOMORPHISM else 1
 
 

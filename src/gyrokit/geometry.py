@@ -39,21 +39,20 @@ def commutes(u: GyroVector, v: GyroVector, tol: ToleranceConfig = DEFAULT_TOL) -
     return approx_eq(einstein_add(u, v), einstein_add(v, u), tol)
 
 
-def gram_determinant(a: np.ndarray, b: np.ndarray) -> float:
-    """|a|^2 |b|^2 - (a, b)^2, the squared area spanned by a and b."""
+def gram_band(
+    a: np.ndarray, b: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL
+) -> tuple[float, float]:
+    """Gram determinant |a|^2 |b|^2 - (a, b)^2 of two coordinate vectors,
+    the squared area they span, and the band abs_tol * (1 + |a|^2 |b|^2)
+    at or below which it counts as zero.
+
+    The band is scale-aware: exact dependence gives a determinant that is
+    pure rounding noise relative to 1 + |a|^2 |b|^2.
+    """
     a2 = float(a @ a)
     b2 = float(b @ b)
     ab = float(a @ b)
-    return a2 * b2 - ab * ab
-
-
-def _gram_dependent(a: np.ndarray, b: np.ndarray, abs_tol: float) -> bool:
-    a2 = float(a @ a)
-    b2 = float(b @ b)
-    ab = float(a @ b)
-    # scale-aware cutoff: exact dependence gives a determinant that is pure
-    # rounding noise relative to 1 + |a|^2 |b|^2
-    return a2 * b2 - ab * ab <= abs_tol * (1.0 + a2 * b2)
+    return a2 * b2 - ab * ab, tol.abs_tol * (1.0 + a2 * b2)
 
 
 def linearly_dependent(u: GyroVector, v: GyroVector, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -63,7 +62,8 @@ def linearly_dependent(u: GyroVector, v: GyroVector, tol: ToleranceConfig = DEFA
     the operands, so this is the oracle side of the commutes check.
     """
     _check_same_dim(u, v)
-    return _gram_dependent(u.coords, v.coords, tol.abs_tol)
+    det, band = gram_band(u.coords, v.coords, tol)
+    return det <= band
 
 
 def collinear_gyro(
@@ -91,4 +91,5 @@ def collinear_direct(
     """
     _check_same_dim(x, y)
     _check_same_dim(x, z)
-    return _gram_dependent(y.coords - x.coords, z.coords - x.coords, tol.abs_tol)
+    det, band = gram_band(y.coords - x.coords, z.coords - x.coords, tol)
+    return det <= band

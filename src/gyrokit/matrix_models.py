@@ -32,7 +32,8 @@ class Hermitian2:
     """Hermitian 2x2 matrix [[a, b], [conj(b), d]] stored as four reals.
 
     The four-real layout keeps construction, JSON round-trips, and equality
-    exact; complex arrays appear only transiently inside products.
+    exact; products are written out over the fields, so complex arrays
+    appear only in to_array, for callers that want plain matrix arithmetic.
     """
 
     a: float
@@ -59,27 +60,6 @@ class Hermitian2:
     def to_array(self) -> np.ndarray:
         b = complex(self.re_b, self.im_b)
         return np.array([[self.a, b], [b.conjugate(), self.d]], dtype=complex)
-
-    @classmethod
-    def from_array(cls, m: np.ndarray, asym_tol: float = 1e-8) -> "Hermitian2":
-        """Read a (numerically) Hermitian 2x2 complex array back into fields.
-
-        Symmetrizes rounding-level asymmetry and rejects anything beyond
-        asym_tol relative to the matrix scale.
-        """
-        m = np.asarray(m, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValueError(f"expected a 2x2 array, got shape {m.shape}")
-        scale = 1.0 + float(np.max(np.abs(m)))
-        asym = max(
-            abs(m[0, 1] - m[1, 0].conjugate()),
-            abs(m[0, 0].imag),
-            abs(m[1, 1].imag),
-        )
-        if asym > asym_tol * scale:
-            raise ValueError(f"array is not Hermitian (asymmetry {asym:.3g})")
-        b = 0.5 * (m[0, 1] + m[1, 0].conjugate())
-        return cls(float(m[0, 0].real), float(m[1, 1].real), float(b.real), float(b.imag))
 
     def to_json_dict(self) -> dict:
         return {"a": self.a, "d": self.d, "re_b": self.re_b, "im_b": self.im_b}
@@ -130,9 +110,27 @@ def sqrt_posdef2(h: Hermitian2) -> Hermitian2:
 
 
 def sqrt_congruence(a: Hermitian2, b: Hermitian2) -> Hermitian2:
-    """sqrt(a) b sqrt(a), the congruence underlying both matrix products."""
-    r = sqrt_posdef2(a).to_array()
-    return Hermitian2.from_array(r @ b.to_array() @ r)
+    """sqrt(a) b sqrt(a), the congruence underlying both matrix products.
+
+    With sqrt(a) = [[p, w], [conj(w), q]] and b = [[x, z], [conj(z), y]],
+    the product is [[p^2 x + 2p Re(w conj(z)) + |w|^2 y, w (px + qy) +
+    pq z + w^2 conj(z)], [.., |w|^2 x + 2q Re(w conj(z)) + q^2 y]],
+    evaluated here in real arithmetic.
+    """
+    r = sqrt_posdef2(a)
+    p, q, wr, wi = r.a, r.d, r.re_b, r.im_b
+    x, y, zr, zi = b.a, b.d, b.re_b, b.im_b
+    cross = wr * zr + wi * zi  # Re(w conj(z))
+    w_abs2 = wr * wr + wi * wi
+    w_sq_re, w_sq_im = wr * wr - wi * wi, 2.0 * wr * wi  # w^2
+    diag = p * x + q * y
+    pq = p * q
+    return Hermitian2(
+        p * p * x + 2.0 * p * cross + w_abs2 * y,
+        w_abs2 * x + 2.0 * q * cross + q * q * y,
+        wr * diag + pq * zr + w_sq_re * zr + w_sq_im * zi,
+        wi * diag + pq * zi + w_sq_im * zr - w_sq_re * zi,
+    )
 
 
 def odot(a: DensityMatrix2, b: DensityMatrix2) -> DensityMatrix2:

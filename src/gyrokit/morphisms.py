@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .ball import (
     einstein_add,
     line_param,
 )
-from .sampling import BallSampler, PropertyReport, derive_seed
+from .sampling import BallSampler, PropertyReport, derive_seed, seeded_scan
 
 
 class UnsupportedDimensionError(GyroError):
@@ -78,22 +78,11 @@ def is_orthogonal(q, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
 
 
 def random_orthogonal(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Random orthogonal matrix: composed plane rotations, then a coin-flip
-    reflection so both determinant signs occur."""
-    q = np.eye(dim)
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            theta = rng.uniform(0.0, 2.0 * math.pi)
-            c, s = math.cos(theta), math.sin(theta)
-            g = np.eye(dim)
-            g[i, i] = c
-            g[j, j] = c
-            g[i, j] = -s
-            g[j, i] = s
-            q = g @ q
-    if rng.uniform() < 0.5:
-        q[0] = -q[0]
-    return q
+    """Haar-random orthogonal matrix: the Q factor of a Gaussian matrix with
+    its columns scaled by the signs of diag(R) (Mezzadri, arXiv:math-ph/0609050),
+    so both determinant signs occur."""
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
+    return q * np.copysign(1.0, np.diag(r))
 
 
 class BallMap:
@@ -150,49 +139,38 @@ def endomorphism_residual(f: BallMap, u: GyroVector, v: GyroVector) -> float:
     return float(np.linalg.norm(lhs.coords - rhs.coords))
 
 
-class _ScanResult(NamedTuple):
-    max_residual: float
-    worst_u: GyroVector
-    worst_v: GyroVector
-    first_bad: dict | None
+def _draw_pair(sampler: BallSampler) -> tuple[GyroVector, GyroVector]:
+    return sampler.sample(), sampler.sample()
 
 
-def _endomorphism_scan(
-    f: BallMap, n_samples: int, seed: int, tol: ToleranceConfig
-) -> _ScanResult:
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    threshold = decision_threshold(tol)
-    sampler = BallSampler(seed, f.dim, tol.sample_rmax)
-    max_residual = -1.0
-    worst_u = worst_v = None
-    first_bad = None
-    for _ in range(n_samples):
-        u = sampler.sample()
-        v = sampler.sample()
-        r = endomorphism_residual(f, u, v)
-        if r > max_residual:
-            max_residual = r
-            worst_u, worst_v = u, v
-        if first_bad is None and r > threshold:
-            first_bad = {"u": u.tolist(), "v": v.tolist(), "residual": r}
-    return _ScanResult(max_residual, worst_u, worst_v, first_bad)
+def _law_scan(f: BallMap, n_samples: int, seed: int, tol: ToleranceConfig) -> tuple:
+    """Seeded scan of f(u (+) v) = f(u) (+) f(v) over random pairs."""
+    return seeded_scan(
+        BallSampler(seed, f.dim, tol.sample_rmax),
+        n_samples,
+        _draw_pair,
+        lambda pair: endomorphism_residual(f, *pair),
+        decision_threshold(tol),
+    )
 
 
-def test_endomorphism(
+def check_endomorphism(
     f: BallMap, n_samples: int, seed: int, tol: ToleranceConfig = DEFAULT_TOL
 ) -> PropertyReport:
     """Check f(u (+) v) = f(u) (+) f(v) on seeded random pairs.
 
     Passes when every residual stays at or below the decision threshold.
     """
-    scan = _endomorphism_scan(f, n_samples, seed, tol)
+    max_residual, _, first = _law_scan(f, n_samples, seed, tol)
+    if first is not None:
+        (u, v), r = first
+        first = {"u": u.tolist(), "v": v.tolist(), "residual": r}
     return PropertyReport(
         name="endomorphism",
         samples_run=n_samples,
-        passed=scan.first_bad is None,
-        max_residual=scan.max_residual,
-        first_counterexample=scan.first_bad,
+        passed=first is None,
+        max_residual=max_residual,
+        first_counterexample=first,
         seed=seed,
     )
 
@@ -261,8 +239,8 @@ def classify_endomorphism(
     orthogonal or zero.
     """
     threshold = decision_threshold(tol)
-    scan = _endomorphism_scan(f, n_samples, derive_seed(seed, "endo"), tol)
-    law_holds = scan.max_residual <= threshold
+    max_residual, worst, _ = _law_scan(f, n_samples, derive_seed(seed, "endo"), tol)
+    law_holds = max_residual <= threshold
 
     basis = np.eye(f.dim)
     probes = [f(GyroVector(0.5 * basis[i])) for i in range(f.dim)]
@@ -283,7 +261,7 @@ def classify_endomorphism(
             ):
                 return MapClassification.orthogonal(LinearMap(candidate))
 
-    return MapClassification.not_endomorphism(scan.worst_u, scan.worst_v, scan.max_residual)
+    return MapClassification.not_endomorphism(*worst, max_residual)
 
 
 def zero_propagation_check(
@@ -304,7 +282,7 @@ def zero_propagation_check(
 
     Preconditions enforced here: x != 0 and |f(x)| at most the decision
     threshold.  That f respects the addition on sampled pairs is the
-    caller's contract (see test_endomorphism); it is deliberately not
+    caller's contract (see check_endomorphism); it is deliberately not
     re-verified, so maps violating it simply fail with a large deviation.
 
     Diameter parameters mix every rational p/q with p, q <= 20 (both

@@ -1,7 +1,8 @@
-"""Seeded sampling inside the ball and the record type for property runs.
+"""Seeded sampling inside the ball, the residual scan over those samples,
+and the report type and JSON formatting for property runs.
 
-Shared by the verifier harness and the randomized morphism tests; kept in
-its own module so both can import it without cycles.
+Shared by the verifier harness, the morphism checks and the CLI; kept in
+its own module so all of them can import it without cycles.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -53,27 +54,53 @@ class BallSampler:
         return GyroVector((radius / length) * direction)
 
 
-def sample_ball(sampler: BallSampler) -> GyroVector:
-    """Draw the sampler's next point."""
-    return sampler.sample()
+def seeded_scan(
+    sampler: BallSampler,
+    n_samples: int,
+    draw: Callable[[BallSampler], Any],
+    residual: Callable[[Any], float],
+    cutoff: float,
+) -> tuple[float, Any, tuple[Any, float] | None]:
+    """Draw n_samples inputs from the sampler and evaluate each residual.
+
+    Returns the largest residual, the inputs that gave it, and the first
+    (inputs, residual) pair over the cutoff, or None when none exceeds it.
+    Errors raised by draw or residual propagate.
+    """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    max_residual = -math.inf
+    worst = first = None
+    for _ in range(n_samples):
+        inputs = draw(sampler)
+        r = residual(inputs)
+        if r > max_residual:
+            max_residual, worst = r, inputs
+        if first is None and r > cutoff:
+            first = (inputs, r)
+    return max_residual, worst, first
 
 
-def _jsonable(value: Any) -> Any:
-    if isinstance(value, GyroVector):
-        value = value.tolist()
-    elif isinstance(value, np.ndarray):
+def json_ready(value: Any) -> Any:
+    """Copy of value that json.dumps accepts, with numbers fixed for output.
+
+    Vectors and arrays become lists, objects with to_json_dict become dicts
+    and numpy scalars Python numbers.  Floats keep 15 significant digits
+    with negative zero folded to 0.0; JSON has no inf/nan, so non-finite
+    floats are spelled out by repr rather than crash the report.
+    """
+    if isinstance(value, (GyroVector, np.ndarray)):
         value = value.tolist()
     elif hasattr(value, "to_json_dict"):
         value = value.to_json_dict()
     elif isinstance(value, (np.floating, np.integer)):
         value = value.item()
     if isinstance(value, float):
-        # JSON has no inf/nan; spell them out rather than crash the report
-        return value if math.isfinite(value) else repr(value)
+        return float(f"{value:.15g}") + 0.0 if math.isfinite(value) else repr(value)
     if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
+        return {k: json_ready(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+        return [json_ready(v) for v in value]
     return value
 
 
@@ -99,10 +126,8 @@ class PropertyReport:
             "name": self.name,
             "samples_run": self.samples_run,
             "passed": self.passed,
-            "max_residual": _jsonable(float(f"{self.max_residual:.15g}"))
-            if math.isfinite(self.max_residual)
-            else repr(self.max_residual),
-            "first_counterexample": _jsonable(self.first_counterexample),
+            "max_residual": json_ready(self.max_residual),
+            "first_counterexample": json_ready(self.first_counterexample),
             "seed": self.seed,
         }
 

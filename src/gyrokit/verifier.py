@@ -37,6 +37,8 @@ gyrocommutativity form).  Pairs so close to the boundary that an
 intermediate would leave the guarded ball are rejected at draw time and
 redrawn: strict construction makes such inputs non-evaluable, which is a
 domain condition of the composed expression, not a weakening of the law.
+The collinearity draws apply the same rule to the translated pair
+(-x) (+) y, (-x) (+) z, whose commutation test adds the two.
 
 Matrix-model sampling note: Bloch points for the matrix properties are
 drawn at rmax = 0.99 rather than sample_rmax.  Floating-point evaluation
@@ -74,7 +76,7 @@ from .geometry import (
     collinear_direct,
     collinear_gyro,
     commutes,
-    gram_determinant,
+    gram_band,
     klein_distance,
     linearly_dependent,
 )
@@ -96,23 +98,14 @@ from .morphisms import (
     endomorphism_residual,
     random_orthogonal,
 )
-from .sampling import BallSampler, PropertyReport, _jsonable, derive_seed, sample_ball
-
-__all__ = [
-    "BallSampler",
-    "PropertyReport",
-    "UnknownPropertyError",
-    "derive_seed",
-    "registered_names",
-    "run_suite",
-    "sample_ball",
-]
+from .sampling import BallSampler, PropertyReport, derive_seed, json_ready, seeded_scan
 
 _EPS = float(np.finfo(float).eps)
 _CORE_DIMS = (2, 3, 5)
 _PLANE_DIMS = (2, 3)
 _MODEL_DIMS = (3,)
 _MODEL_RMAX = 0.99
+_IDENTITY2 = Hermitian2(1.0, 1.0, 0.0, 0.0)
 
 
 class UnknownPropertyError(GyroError):
@@ -126,9 +119,7 @@ class Check:
 
 
 def _describe(inputs: dict, residual: float) -> dict:
-    out = {key: _jsonable(value) for key, value in inputs.items()}
-    out["residual"] = _jsonable(residual)
-    return out
+    return json_ready({**inputs, "residual": residual})
 
 
 def _scaled(inputs: dict, factor: float) -> dict:
@@ -155,37 +146,37 @@ def _sampled_check(
     rmax: float | None = None,
 ) -> Check:
     def run(n_samples: int, seed: int, tol: ToleranceConfig) -> PropertyReport:
-        if n_samples < 1:
-            raise ValueError(f"n_samples must be >= 1, got {n_samples}")
         cutoff = threshold(tol)
         max_residual = 0.0
         first = None
-        total = 0
         for dim in dims:
             sampler = BallSampler(
                 derive_seed(seed, f"{name}/{dim}"), dim, rmax if rmax is not None else tol.sample_rmax
             )
-            for _ in range(n_samples):
-                inputs = draw(sampler, tol)
-                r = _safe_residual(residual, inputs, tol)
-                total += 1
-                if r > max_residual:
-                    max_residual = r
-                if first is None and r > cutoff:
-                    best, best_r = inputs, r
-                    if shrink:
-                        current = inputs
-                        for _ in range(60):
-                            current = _scaled(current, 0.5)
-                            rr = _safe_residual(residual, current, tol)
-                            if rr > cutoff:
-                                best, best_r = current, rr
-                            else:
-                                break
-                    first = _describe(best, best_r)
+            dim_max, _, dim_first = seeded_scan(
+                sampler,
+                n_samples,
+                lambda s: draw(s, tol),
+                lambda inputs: _safe_residual(residual, inputs, tol),
+                cutoff,
+            )
+            max_residual = max(max_residual, dim_max)
+            first = first or dim_first
+        if first is not None:
+            best, best_r = first
+            if shrink:
+                current = best
+                for _ in range(60):
+                    current = _scaled(current, 0.5)
+                    rr = _safe_residual(residual, current, tol)
+                    if rr > cutoff:
+                        best, best_r = current, rr
+                    else:
+                        break
+            first = _describe(best, best_r)
         return PropertyReport(
             name=name,
-            samples_run=total,
+            samples_run=n_samples * len(dims),
             passed=first is None,
             max_residual=max_residual,
             first_counterexample=first,
@@ -306,8 +297,10 @@ def _one_parameter_residual(inputs: dict, tol: ToleranceConfig) -> float:
 # ----------------------------------------------------------------- geometry
 
 
-def _dependence_band(u: GyroVector, v: GyroVector, tol: ToleranceConfig) -> float:
-    return tol.abs_tol * (1.0 + u.norm2 * v.norm2)
+def _general_position(a: np.ndarray, b: np.ndarray, tol: ToleranceConfig) -> bool:
+    # three orders of magnitude clear of the dependence band
+    det, band = gram_band(a, b, tol)
+    return det > 1e3 * band
 
 
 def _draw_commutation_inputs(s: BallSampler, tol: ToleranceConfig) -> dict:
@@ -318,7 +311,7 @@ def _draw_commutation_inputs(s: BallSampler, tol: ToleranceConfig) -> dict:
     for _ in range(10_000):
         ind_u = s.sample()
         ind_v = s.sample()
-        if gram_determinant(ind_u.coords, ind_v.coords) > 1e3 * _dependence_band(ind_u, ind_v, tol):
+        if _general_position(ind_u.coords, ind_v.coords, tol):
             return {"dep_u": dep_u, "dep_v": dep_v, "ind_u": ind_u, "ind_v": ind_v}
     raise RuntimeError("failed to draw an independent pair")
 
@@ -333,26 +326,42 @@ def _commutes_iff_dependent_residual(inputs: dict, tol: ToleranceConfig) -> floa
     return 0.0 if ok else 1.0
 
 
+def _translated_pair(
+    x: GyroVector, y: GyroVector, z: GyroVector, tol: ToleranceConfig
+) -> tuple[GyroVector, GyroVector] | None:
+    # collinear_gyro tests (-x) (+) y and (-x) (+) z for commutation, whose
+    # sums reach the two rapidities added; None when that could leave the
+    # guarded ball (same evaluability rule as the gyration draws)
+    a = einstein_add(neg(x), y)
+    b = einstein_add(neg(x), z)
+    if _rapidity(a) + _rapidity(b) > _evaluability_bound(tol):
+        return None
+    return a, b
+
+
 def _draw_collinearity_inputs(s: BallSampler, tol: ToleranceConfig) -> dict:
     def unit() -> np.ndarray:
         g = s.rng.standard_normal(s.dim)
         return g / float(np.linalg.norm(g))
 
-    p = s.rmax * unit()
-    q = s.rmax * unit()
-    weights = s.rng.uniform(0.0, 1.0, size=3)
-    on_x, on_y, on_z = (GyroVector(p + w * (q - p)) for w in weights)
+    for _ in range(10_000):
+        p = s.rmax * unit()
+        q = s.rmax * unit()
+        weights = s.rng.uniform(0.0, 1.0, size=3)
+        on_x, on_y, on_z = (GyroVector(p + w * (q - p)) for w in weights)
+        if _translated_pair(on_x, on_y, on_z, tol) is not None:
+            break
+    else:
+        raise RuntimeError("failed to draw an evaluable collinear triple")
 
     for _ in range(10_000):
         x, y, z = s.sample(), s.sample(), s.sample()
-        chord_a = y.coords - x.coords
-        chord_b = z.coords - x.coords
-        band_e = tol.abs_tol * (1.0 + float(chord_a @ chord_a) * float(chord_b @ chord_b))
-        if gram_determinant(chord_a, chord_b) <= 1e3 * band_e:
+        if not _general_position(y.coords - x.coords, z.coords - x.coords, tol):
             continue
-        ta = einstein_add(neg(x), y)
-        tb = einstein_add(neg(x), z)
-        if gram_determinant(ta.coords, tb.coords) > 1e3 * _dependence_band(ta, tb, tol):
+        translated = _translated_pair(x, y, z, tol)
+        if translated is not None and _general_position(
+            translated[0].coords, translated[1].coords, tol
+        ):
             return {
                 "on_x": on_x, "on_y": on_y, "on_z": on_z,
                 "off_x": x, "off_y": y, "off_z": z,
@@ -566,8 +575,7 @@ def _sqrt_squares_back_residual(inputs: dict, tol: ToleranceConfig) -> float:
     root = sqrt_posdef2(h)
     if not is_positive_definite(root):
         return math.inf
-    arr = root.to_array()
-    squared = Hermitian2.from_array(arr @ arr)
+    squared = sqrt_congruence(h, _IDENTITY2)
     scale = 1.0 + max(abs(h.a), abs(h.d), abs(h.re_b), abs(h.im_b))
     return _hermitian_maxdiff(squared, h) / scale
 

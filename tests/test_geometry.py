@@ -9,7 +9,7 @@ from gyrokit import (
     collinear_gyro,
     commutes,
     einstein_add,
-    gram_determinant,
+    gram_band,
     klein_distance,
     linearly_dependent,
     neg,
@@ -91,8 +91,10 @@ class TestLinearlyDependent:
         a = np.array([0.3, 0.0])
         b = np.array([0.0, 0.4])
         # 2-D oracle: gram det equals the squared cross product
-        assert gram_determinant(a, b) == pytest.approx((0.3 * 0.4) ** 2, rel=1e-15)
-        assert gram_determinant(a, 2.0 * a) == pytest.approx(0.0, abs=1e-18)
+        det, band = gram_band(a, b)
+        assert det == pytest.approx((0.3 * 0.4) ** 2, rel=1e-15)
+        assert band == pytest.approx(1e-9 * (1.0 + 0.09 * 0.16), rel=1e-15)
+        assert gram_band(a, 2.0 * a)[0] == pytest.approx(0.0, abs=1e-18)
 
 
 class TestCollinearity:

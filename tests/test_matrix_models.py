@@ -34,26 +34,11 @@ def as_array(a, d, b):
 
 
 class TestHermitian2:
-    def test_round_trip_through_array(self):
-        h = Hermitian2(2.0, 1.0, 0.3, -0.4)
-        back = Hermitian2.from_array(h.to_array())
-        assert back == h
-
     def test_trace_and_det_match_numpy(self):
         h = Hermitian2(2.0, 1.5, 0.3, -0.4)
         m = h.to_array()
         assert h.trace == pytest.approx(np.trace(m).real, rel=1e-15)
         assert h.det == pytest.approx(np.linalg.det(m).real, rel=1e-14)
-
-    def test_from_array_rejects_non_hermitian(self):
-        m = np.array([[1.0, 0.5], [0.2, 1.0]], dtype=complex)
-        with pytest.raises(ValueError):
-            Hermitian2.from_array(m)
-
-    def test_from_array_rejects_complex_diagonal(self):
-        m = np.array([[1.0 + 0.1j, 0.0], [0.0, 1.0]], dtype=complex)
-        with pytest.raises(ValueError):
-            Hermitian2.from_array(m)
 
     def test_rejects_non_finite_entries(self):
         with pytest.raises(ValueError):

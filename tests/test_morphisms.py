@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import gyrokit
 from gyrokit import (
     BallDomainError,
     BallMap,
@@ -12,6 +13,7 @@ from gyrokit import (
     MapClassification,
     PreconditionError,
     UnsupportedDimensionError,
+    check_endomorphism,
     classify_endomorphism,
     decision_threshold,
     einstein_add,
@@ -20,7 +22,6 @@ from gyrokit import (
     random_orthogonal,
     zero_propagation_check,
 )
-from gyrokit import test_endomorphism as run_endomorphism_check
 from gyrokit.ball import ToleranceConfig
 
 
@@ -35,6 +36,10 @@ def rotation(theta):
 
 ROT90 = np.array([[0.0, -1.0], [1.0, 0.0]])
 HALVING = np.array([[0.5, 0.0], [0.0, 0.5]])
+
+
+def test_no_public_name_is_collected_as_a_test():
+    assert [name for name in gyrokit.__all__ if name.startswith("test_")] == []
 
 
 class TestLinearMap:
@@ -142,7 +147,7 @@ class TestEndomorphismResidual:
 
 class TestTestEndomorphism:
     def test_zero_map_passes_exactly(self):
-        rep = run_endomorphism_check(BallMap.zero(2), n_samples=200, seed=7)
+        rep = check_endomorphism(BallMap.zero(2), n_samples=200, seed=7)
         assert rep.name == "endomorphism"
         assert rep.passed
         assert rep.max_residual == 0.0
@@ -150,12 +155,12 @@ class TestTestEndomorphism:
         assert rep.samples_run == 200
 
     def test_rotation_passes(self):
-        rep = run_endomorphism_check(BallMap.from_matrix(rotation(1.1)), n_samples=500, seed=3)
+        rep = check_endomorphism(BallMap.from_matrix(rotation(1.1)), n_samples=500, seed=3)
         assert rep.passed
         assert rep.max_residual < 1e-9
 
     def test_halving_fails_with_counterexample(self):
-        rep = run_endomorphism_check(BallMap.from_matrix(HALVING), n_samples=200, seed=7)
+        rep = check_endomorphism(BallMap.from_matrix(HALVING), n_samples=200, seed=7)
         assert not rep.passed
         assert rep.max_residual > 1e-6
         ce = rep.first_counterexample
@@ -168,8 +173,8 @@ class TestTestEndomorphism:
 
     def test_deterministic_across_runs(self):
         f = BallMap.from_matrix(rotation(0.3))
-        a = run_endomorphism_check(f, n_samples=100, seed=11)
-        b = run_endomorphism_check(f, n_samples=100, seed=11)
+        a = check_endomorphism(f, n_samples=100, seed=11)
+        b = check_endomorphism(f, n_samples=100, seed=11)
         assert a.to_json_line() == b.to_json_line()
 
 
