@@ -36,9 +36,10 @@ class DimensionMismatchError(GyroError):
 class ToleranceConfig:
     """Numeric policy shared across the package.
 
-    abs_tol and rel_tol drive approximate comparisons, boundary_margin is
-    the construction guard below the unit sphere, and sample_rmax caps the
-    norm of randomly drawn vectors.
+    abs_tol and rel_tol drive approximate comparisons and sample_rmax caps
+    the norm of randomly drawn vectors.  boundary_margin sets the verifier's
+    closure cutoff and its evaluability bound on composed draws; vector
+    construction always guards at DEFAULT_BOUNDARY_MARGIN.
     """
 
     abs_tol: float = DEFAULT_ABS_TOL
@@ -61,15 +62,15 @@ DEFAULT_TOL = ToleranceConfig()
 class GyroVector:
     """A point strictly inside the unit ball.
 
-    Construction is strict: anything with norm >= 1 - boundary_margin is
-    rejected rather than clamped, so no operation can silently leave the
+    Construction is strict: anything with norm >= 1 - DEFAULT_BOUNDARY_MARGIN
+    is rejected rather than clamped, so no operation can silently leave the
     domain.  The squared norm and norm are computed once and cached since
     every operation needs them.
     """
 
     __slots__ = ("coords", "norm2", "norm")
 
-    def __init__(self, coords, boundary_margin: float = DEFAULT_BOUNDARY_MARGIN):
+    def __init__(self, coords):
         try:
             v = np.asarray(coords, dtype=float)
         except (TypeError, ValueError) as exc:
@@ -81,10 +82,10 @@ class GyroVector:
         if not math.isfinite(norm2):
             raise BallDomainError("coords must be finite")
         norm = math.sqrt(norm2)
-        if norm >= 1.0 - boundary_margin:
+        if norm >= 1.0 - DEFAULT_BOUNDARY_MARGIN:
             raise BallDomainError(
                 f"|v| = {norm!r} is not strictly inside the unit ball "
-                f"(boundary margin {boundary_margin:g})"
+                f"(boundary margin {DEFAULT_BOUNDARY_MARGIN:g})"
             )
         if isinstance(coords, np.ndarray) and np.shares_memory(v, coords):
             v = v.copy()
@@ -135,8 +136,8 @@ def einstein_add(u: GyroVector, v: GyroVector) -> GyroVector:
 def gamma(u: GyroVector) -> float:
     """Lorentz factor 1 / sqrt(1 - |u|^2).
 
-    Strict construction keeps |u| <= 1 - boundary_margin, so the result is
-    finite (at most ~22360 at the default margin).
+    Strict construction keeps |u| < 1 - DEFAULT_BOUNDARY_MARGIN, so the
+    result is finite (at most ~22360).
     """
     return 1.0 / math.sqrt(1.0 - u.norm2)
 

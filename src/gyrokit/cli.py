@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -68,7 +69,7 @@ def _load_hermitian(path: str, cls):
         raise GyroError(f"{path}: missing fields {missing}")
     try:
         fields = {field: float(data[field]) for field in _HERMITIAN_FIELDS}
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise GyroError(f"{path}: fields must be numbers: {exc}") from exc
     return cls(**fields)
 
@@ -81,7 +82,7 @@ def _load_map(args: argparse.Namespace) -> BallMap:
     data = _load_json(args.map)
     try:
         matrix = np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise GyroError(f"{args.map}: expected a JSON square matrix: {exc}") from exc
     return BallMap.from_matrix(matrix)
 
@@ -183,8 +184,21 @@ def _add_seeded_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Parser that reads a token such as -0.5,0.1 as a value, not an option.
+
+    argparse accepts only plain negative numbers as values.  Every option
+    here is a long --name, so a dash followed by a digit or a point always
+    starts a value.  Subcommand parsers inherit the class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gyrokit",
         description="Velocity addition on the unit ball: arithmetic, geometry predicates, "
         "map classification, 2x2 matrix models, and a seeded property verifier.",

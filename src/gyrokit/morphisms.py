@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable
 
 import numpy as np
@@ -65,9 +66,6 @@ class LinearMap:
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
-
-    def __call__(self, w: np.ndarray) -> np.ndarray:
-        return self.entries @ np.asarray(w, dtype=float)
 
 
 def is_orthogonal(q, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -139,16 +137,11 @@ def endomorphism_residual(f: BallMap, u: GyroVector, v: GyroVector) -> float:
     return float(np.linalg.norm(lhs.coords - rhs.coords))
 
 
-def _draw_pair(sampler: BallSampler) -> tuple[GyroVector, GyroVector]:
-    return sampler.sample(), sampler.sample()
-
-
 def _law_scan(f: BallMap, n_samples: int, seed: int, tol: ToleranceConfig) -> tuple:
     """Seeded scan of f(u (+) v) = f(u) (+) f(v) over random pairs."""
+    sampler = BallSampler(seed, f.dim, tol.sample_rmax)
     return seeded_scan(
-        BallSampler(seed, f.dim, tol.sample_rmax),
-        n_samples,
-        _draw_pair,
+        ((sampler.sample(), sampler.sample()) for _ in range(n_samples)),
         lambda pair: endomorphism_residual(f, *pair),
         decision_threshold(tol),
     )
@@ -314,51 +307,37 @@ def zero_propagation_check(
     )
     rng = np.random.default_rng(derive_seed(seed, "zero_prop"))
     params = [0.0] + rationals + list(rng.uniform(-t_max, t_max, size=100))
-
-    evaluations = 0
-    worst = {"deviation": -1.0}
-
-    def consider(deviation: float, part: str, t: float, base: GyroVector | None) -> None:
-        if deviation > worst["deviation"]:
-            worst.update(
-                deviation=deviation,
-                part=part,
-                t=t,
-                base=None if base is None else base.tolist(),
-            )
-
-    for t in params:
-        value = f(line_param(x, t))
-        evaluations += 1
-        consider(value.norm, "diameter", float(t), None)
-
-    point_sampler = BallSampler(derive_seed(seed, "zero_prop_base"), x.dim, tol.sample_rmax)
     n_translates = max(1, n_samples // 20)
-    for _ in range(n_translates):
-        a = point_sampler.sample()
-        reference = f(a)
-        evaluations += 1
-        for t in rng.uniform(-t_max, t_max, size=20):
-            value = f(einstein_add(a, line_param(x, t)))
-            evaluations += 1
-            consider(float(np.linalg.norm(value.coords - reference.coords)), "chord", float(t), a)
 
-        b = point_sampler.sample()
-        reference = f(b)
-        evaluations += 1
-        for t in rng.uniform(-t_max, t_max, size=20):
-            value = f(einstein_add(line_param(x, t), b))
-            evaluations += 1
-            consider(
-                float(np.linalg.norm(value.coords - reference.coords)), "half_ellipse", float(t), b
-            )
+    def deviations():
+        # one item per evaluation of f on a line or translate: its distance
+        # from the value the zero at x forces there
+        for t in params:
+            value = f(line_param(x, t))
+            yield {"deviation": value.norm, "part": "diameter", "t": float(t), "base": None}
+        point_sampler = BallSampler(derive_seed(seed, "zero_prop_base"), x.dim, tol.sample_rmax)
+        for _ in range(n_translates):
+            for part in ("chord", "half_ellipse"):
+                base = point_sampler.sample()
+                reference = f(base).coords
+                for t in rng.uniform(-t_max, t_max, size=20):
+                    p = line_param(x, t)
+                    value = f(einstein_add(base, p) if part == "chord" else einstein_add(p, base))
+                    yield {
+                        "deviation": float(np.linalg.norm(value.coords - reference)),
+                        "part": part,
+                        "t": float(t),
+                        "base": base.tolist(),
+                    }
 
-    passed = worst["deviation"] <= threshold
+    max_deviation, worst, first = seeded_scan(deviations(), itemgetter("deviation"), threshold)
     return PropertyReport(
         name="zero_propagation",
-        samples_run=evaluations,
-        passed=passed,
-        max_residual=worst["deviation"],
-        first_counterexample=None if passed else dict(worst),
+        # every evaluation of f: the diameter, then per translate pair two
+        # reference values and 20 line points each
+        samples_run=len(params) + 42 * n_translates,
+        passed=first is None,
+        max_residual=max_deviation,
+        first_counterexample=None if first is None else worst,
         seed=seed,
     )

@@ -1,5 +1,5 @@
-"""Seeded sampling inside the ball, the residual scan over those samples,
-and the report type and JSON formatting for property runs.
+"""Seeded sampling inside the ball, the one residual scan loop, and the
+report type and JSON formatting for property runs.
 
 Shared by the verifier harness, the morphism checks and the CLI; kept in
 its own module so all of them can import it without cycles.
@@ -11,7 +11,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -55,29 +55,29 @@ class BallSampler:
 
 
 def seeded_scan(
-    sampler: BallSampler,
-    n_samples: int,
-    draw: Callable[[BallSampler], Any],
+    inputs: Iterable[Any],
     residual: Callable[[Any], float],
     cutoff: float,
 ) -> tuple[float, Any, tuple[Any, float] | None]:
-    """Draw n_samples inputs from the sampler and evaluate each residual.
+    """Evaluate the residual of each input, in order.
 
-    Returns the largest residual, the inputs that gave it, and the first
-    (inputs, residual) pair over the cutoff, or None when none exceeds it.
-    Errors raised by draw or residual propagate.
+    Returns the largest residual, the input that gave it, and the first
+    (input, residual) pair over the cutoff, or None when none exceeds it.
+    Errors raised while drawing an input or evaluating its residual
+    propagate.  An empty scan would pass vacuously, so it is rejected.
     """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     max_residual = -math.inf
     worst = first = None
-    for _ in range(n_samples):
-        inputs = draw(sampler)
-        r = residual(inputs)
+    scanned = False
+    for item in inputs:
+        scanned = True
+        r = residual(item)
         if r > max_residual:
-            max_residual, worst = r, inputs
+            max_residual, worst = r, item
         if first is None and r > cutoff:
-            first = (inputs, r)
+            first = (item, r)
+    if not scanned:
+        raise ValueError("n_samples must be >= 1: nothing to scan")
     return max_residual, worst, first
 
 

@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -136,6 +136,18 @@ def _safe_residual(residual, inputs, tol) -> float:
         return math.inf
 
 
+def _redraw(draw: Callable[[], Any], accept: Callable[[Any], bool], what: str) -> Any:
+    """Return the first draw() that accept() takes, out of 10_000 tries.
+
+    Draws are rejected for evaluability or general position, never for
+    their residual.  Raises RuntimeError("failed to draw <what>")."""
+    for _ in range(10_000):
+        candidate = draw()
+        if accept(candidate):
+            return candidate
+    raise RuntimeError(f"failed to draw {what}")
+
+
 def _sampled_check(
     name: str,
     dims: tuple[int, ...],
@@ -147,21 +159,13 @@ def _sampled_check(
 ) -> Check:
     def run(n_samples: int, seed: int, tol: ToleranceConfig) -> PropertyReport:
         cutoff = threshold(tol)
-        max_residual = 0.0
-        first = None
-        for dim in dims:
-            sampler = BallSampler(
-                derive_seed(seed, f"{name}/{dim}"), dim, rmax if rmax is not None else tol.sample_rmax
-            )
-            dim_max, _, dim_first = seeded_scan(
-                sampler,
-                n_samples,
-                lambda s: draw(s, tol),
-                lambda inputs: _safe_residual(residual, inputs, tol),
-                cutoff,
-            )
-            max_residual = max(max_residual, dim_max)
-            first = first or dim_first
+        radius = rmax if rmax is not None else tol.sample_rmax
+        samplers = [BallSampler(derive_seed(seed, f"{name}/{dim}"), dim, radius) for dim in dims]
+        max_residual, _, first = seeded_scan(
+            (draw(sampler, tol) for sampler in samplers for _ in range(n_samples)),
+            lambda inputs: _safe_residual(residual, inputs, tol),
+            cutoff,
+        )
         if first is not None:
             best, best_r = first
             if shrink:
@@ -243,23 +247,27 @@ def _draw_gyration_inputs(s: BallSampler, tol: ToleranceConfig) -> dict:
     # whose intermediates could leave the guarded ball (evaluability of
     # the defining composition, not a weakening of the law)
     bound = _evaluability_bound(tol)
-    for _ in range(10_000):
-        u, v, w1, w2 = s.sample(), s.sample(), s.sample(), s.sample()
-        peak = _rapidity(u) + _rapidity(v) + max(_rapidity(w1), _rapidity(w2))
-        if peak <= bound:
-            return {"u": u, "v": v, "w1": w1, "w2": w2}
-    raise RuntimeError("failed to draw an evaluable gyration input")
+
+    def evaluable(d: dict) -> bool:
+        peak = _rapidity(d["u"]) + _rapidity(d["v"]) + max(_rapidity(d["w1"]), _rapidity(d["w2"]))
+        return peak <= bound
+
+    return _redraw(
+        lambda: {"u": s.sample(), "v": s.sample(), "w1": s.sample(), "w2": s.sample()},
+        evaluable,
+        "an evaluable gyration input",
+    )
 
 
 def _draw_gyrocommutativity_inputs(s: BallSampler, tol: ToleranceConfig) -> dict:
     # the composition applies each operand twice, peaking at 2(|u| + |v|)
     # in rapidity; same evaluability rejection as the gyration draw
     bound = _evaluability_bound(tol)
-    for _ in range(10_000):
-        u, v = s.sample(), s.sample()
-        if 2.0 * (_rapidity(u) + _rapidity(v)) <= bound:
-            return {"u": u, "v": v}
-    raise RuntimeError("failed to draw an evaluable pair")
+    return _redraw(
+        lambda: _draw_pair(s, tol),
+        lambda d: 2.0 * (_rapidity(d["u"]) + _rapidity(d["v"])) <= bound,
+        "an evaluable pair",
+    )
 
 
 def _gyration_orthogonality_residual(inputs: dict, tol: ToleranceConfig) -> float:
@@ -308,12 +316,12 @@ def _draw_commutation_inputs(s: BallSampler, tol: ToleranceConfig) -> dict:
     # scalar multiple with |dep_v| <= rmax, allowing factors above 1
     scale = float(s.rng.uniform(-1.0, 1.0))
     dep_v = GyroVector(scale * s.rmax / max(dep_u.norm, 1e-12) * dep_u.coords)
-    for _ in range(10_000):
-        ind_u = s.sample()
-        ind_v = s.sample()
-        if _general_position(ind_u.coords, ind_v.coords, tol):
-            return {"dep_u": dep_u, "dep_v": dep_v, "ind_u": ind_u, "ind_v": ind_v}
-    raise RuntimeError("failed to draw an independent pair")
+    ind = _redraw(
+        lambda: _draw_pair(s, tol),
+        lambda d: _general_position(d["u"].coords, d["v"].coords, tol),
+        "an independent pair",
+    )
+    return {"dep_u": dep_u, "dep_v": dep_v, "ind_u": ind["u"], "ind_v": ind["v"]}
 
 
 def _commutes_iff_dependent_residual(inputs: dict, tol: ToleranceConfig) -> float:
@@ -344,29 +352,29 @@ def _draw_collinearity_inputs(s: BallSampler, tol: ToleranceConfig) -> dict:
         g = s.rng.standard_normal(s.dim)
         return g / float(np.linalg.norm(g))
 
-    for _ in range(10_000):
-        p = s.rmax * unit()
-        q = s.rmax * unit()
-        weights = s.rng.uniform(0.0, 1.0, size=3)
-        on_x, on_y, on_z = (GyroVector(p + w * (q - p)) for w in weights)
-        if _translated_pair(on_x, on_y, on_z, tol) is not None:
-            break
-    else:
-        raise RuntimeError("failed to draw an evaluable collinear triple")
+    def on_line() -> tuple[GyroVector, ...]:
+        p, q = s.rmax * unit(), s.rmax * unit()
+        return tuple(GyroVector(p + w * (q - p)) for w in s.rng.uniform(0.0, 1.0, size=3))
 
-    for _ in range(10_000):
-        x, y, z = s.sample(), s.sample(), s.sample()
+    def in_general_position(triple: tuple[GyroVector, ...]) -> bool:
+        x, y, z = triple
         if not _general_position(y.coords - x.coords, z.coords - x.coords, tol):
-            continue
+            return False
         translated = _translated_pair(x, y, z, tol)
-        if translated is not None and _general_position(
-            translated[0].coords, translated[1].coords, tol
-        ):
-            return {
-                "on_x": on_x, "on_y": on_y, "on_z": on_z,
-                "off_x": x, "off_y": y, "off_z": z,
-            }
-    raise RuntimeError("failed to draw a general-position triple")
+        return translated is not None and _general_position(*(t.coords for t in translated), tol)
+
+    on_x, on_y, on_z = _redraw(
+        on_line, lambda t: _translated_pair(*t, tol) is not None, "an evaluable collinear triple"
+    )
+    off_x, off_y, off_z = _redraw(
+        lambda: (s.sample(), s.sample(), s.sample()),
+        in_general_position,
+        "a general-position triple",
+    )
+    return {
+        "on_x": on_x, "on_y": on_y, "on_z": on_z,
+        "off_x": off_x, "off_y": off_y, "off_z": off_z,
+    }
 
 
 def _collinearity_residual(inputs: dict, tol: ToleranceConfig) -> float:
@@ -449,64 +457,59 @@ def _random_contraction(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 
 def _classifier_check(name: str, reconstruct: bool) -> Check:
-    def run(n_samples: int, seed: int, tol: ToleranceConfig) -> PropertyReport:
-        if n_samples < 1:
-            raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-        instances = max(1, n_samples // 10)
+    # soundness classifies an orthogonal, the zero and a contraction map per
+    # instance and scores a wrong verdict 1; reconstruction classifies the
+    # orthogonal map and scores its matrix error in units of 10 * abs_tol
+    def trials(instances: int, seed: int, tol: ToleranceConfig):
         inner = 64
         rng = np.random.default_rng(derive_seed(seed, name))
         dims = (2, 3, 4, 5)
-        max_residual = 0.0
-        first = None
-        total = 0
         for k in range(instances):
             dim = dims[k % len(dims)]
             q = random_orthogonal(rng, dim)
             child = int(rng.integers(2**62))
             if reconstruct:
                 outcome = classify_endomorphism(BallMap.from_matrix(q), inner, child, tol)
-                total += 1
                 if outcome.verdict != MapClassification.ORTHOGONAL:
-                    r = math.inf
-                    detail = {"dim": dim, "expected": "orthogonal", "got": outcome.verdict}
+                    yield {"dim": dim, "expected": "orthogonal", "got": outcome.verdict}
                 else:
-                    r = float(np.max(np.abs(outcome.matrix.entries - q))) / (10.0 * tol.abs_tol)
-                    detail = {"dim": dim, "matrix": q, "max_entry_error": r * 10.0 * tol.abs_tol}
-                if r > max_residual:
-                    max_residual = r
-                if first is None and r > 1.0:
-                    first = _describe(detail, r)
-            else:
-                cases = (
-                    ("orthogonal", BallMap.from_matrix(q), MapClassification.ORTHOGONAL),
-                    ("zero", BallMap.zero(dim), MapClassification.ZERO),
-                    (
-                        "contraction",
-                        BallMap.from_matrix(_random_contraction(rng, dim)),
-                        MapClassification.NOT_ENDOMORPHISM,
-                    ),
-                )
-                for label, ball_map, expected in cases:
-                    child = int(rng.integers(2**62))
-                    verdict = classify_endomorphism(ball_map, inner, child, tol).verdict
-                    total += 1
-                    if verdict != expected:
-                        max_residual = 1.0
-                        if first is None:
-                            first = {
-                                "family": label,
-                                "dim": dim,
-                                "expected": expected,
-                                "got": verdict,
-                                "residual": 1.0,
-                            }
-        passed = first is None
+                    error = float(np.max(np.abs(outcome.matrix.entries - q)))
+                    yield {"dim": dim, "matrix": q, "max_entry_error": error}
+                continue
+            cases = (
+                ("orthogonal", BallMap.from_matrix(q), MapClassification.ORTHOGONAL),
+                ("zero", BallMap.zero(dim), MapClassification.ZERO),
+                (
+                    "contraction",
+                    BallMap.from_matrix(_random_contraction(rng, dim)),
+                    MapClassification.NOT_ENDOMORPHISM,
+                ),
+            )
+            for family, ball_map, expected in cases:
+                child = int(rng.integers(2**62))
+                verdict = classify_endomorphism(ball_map, inner, child, tol).verdict
+                yield {"family": family, "dim": dim, "expected": expected, "got": verdict}
+
+    def residual(trial: dict, tol: ToleranceConfig) -> float:
+        if reconstruct:
+            return trial.get("max_entry_error", math.inf) / (10.0 * tol.abs_tol)
+        return 0.0 if trial["got"] == trial["expected"] else 1.0
+
+    def run(n_samples: int, seed: int, tol: ToleranceConfig) -> PropertyReport:
+        if n_samples < 1:
+            raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+        instances = max(1, n_samples // 10)
+        max_residual, _, first = seeded_scan(
+            trials(instances, seed, tol),
+            lambda trial: residual(trial, tol),
+            1.0 if reconstruct else _indicator(tol),
+        )
         return PropertyReport(
             name=name,
-            samples_run=total,
-            passed=passed,
+            samples_run=instances if reconstruct else 3 * instances,
+            passed=first is None,
             max_residual=max_residual,
-            first_counterexample=first,
+            first_counterexample=None if first is None else _describe(*first),
             seed=seed,
         )
 
@@ -589,10 +592,6 @@ def _boxdot_det_residual(inputs: dict, tol: ToleranceConfig) -> float:
     product = sqrt_congruence(h1, h2)
     expected = h1.det * h2.det
     return abs(product.det - expected) / expected
-
-
-def _draw_bloch_pair_with_rotation(s: BallSampler, tol: ToleranceConfig) -> dict:
-    return {"q": random_orthogonal(s.rng, 3), "u": s.sample(), "v": s.sample()}
 
 
 # ----------------------------------------------------------------- registry
@@ -682,7 +681,7 @@ def _build_registry() -> dict[str, Check]:
             shrink=False,
         ),
         _sampled_check(
-            "transported_automorphism", _MODEL_DIMS, _draw_bloch_pair_with_rotation,
+            "transported_automorphism", _MODEL_DIMS, _draw_orthogonal_pair,
             _transported_automorphism_residual, _rel_tol, rmax=_MODEL_RMAX,
         ),
     ]

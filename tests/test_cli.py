@@ -169,6 +169,16 @@ class TestMatrixCommands:
         assert code == 2
         assert err != ""
 
+    @pytest.mark.parametrize("command", ["odot", "boxdot", "normdet"])
+    def test_oversized_integer_field_exits_2(self, capsys, herm_file, command):
+        # float() of a 400-digit integer raises OverflowError, not ValueError
+        huge = herm_file("huge.json", {"a": 10**400, "d": 0.5, "re_b": 0.0, "im_b": 0.0})
+        args = ["--a", huge] if command == "normdet" else ["--a", huge, "--b", huge]
+        code, out, err = run_cli(capsys, command, *args)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
 
 class TestClassify:
     def test_rotation_is_orthogonal(self, capsys, herm_file):
@@ -207,6 +217,13 @@ class TestClassify:
         code, _, err = run_cli(capsys, "classify", "--map", bad)
         assert code == 2
         assert err != ""
+
+    def test_oversized_integer_entry_exits_2(self, capsys, herm_file):
+        huge = herm_file("huge.json", [[10**400, 0.0], [0.0, 1.0]])
+        code, out, err = run_cli(capsys, "classify", "--map", huge)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
 
 
 class TestVerify:
@@ -249,6 +266,12 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--only", "bogus", "--samples", "10")
         assert code == 2
         assert "bogus" in err
+
+    def test_zero_samples_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--only", "closure", "--samples", "0")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
 
     def test_requires_a_selection(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--samples", "10")
@@ -298,6 +321,26 @@ class TestArgparseBehavior:
     def test_unknown_subcommand_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "frobnicate")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "command, options",
+        [
+            ("add", {"--u": "-0.5,0.1", "--v": "0.2,0"}),
+            ("gamma", {"--u": "-0.5,0.1"}),
+            ("gyr", {"--u": "-0.5,0.1", "--v": "0.2,0", "--w": "-.3,0.1"}),
+            ("dist", {"--x": "-0.5,0.1", "--y": "-0.2,0"}),
+            ("collinear", {"--x": "-0.5,0", "--y": "-0.2,0", "--z": "0.3,0"}),
+            ("bloch", {"--v": "-0.5,0.1,-0.2"}),
+        ],
+    )
+    def test_vector_starting_with_minus_is_a_value(self, capsys, command, options):
+        spaced = [token for option, value in options.items() for token in (option, value)]
+        joined = [f"{option}={value}" for option, value in options.items()]
+        code, out, err = run_cli(capsys, command, *spaced)
+        assert (code, out, err) == run_cli(capsys, command, *joined)
+        assert code == 0
+        if command == "add":
+            assert out == "-0.334527927122186,0.105138142166849\n"
 
 
 class TestSubprocess:

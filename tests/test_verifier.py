@@ -6,15 +6,19 @@ import numpy as np
 import pytest
 
 from gyrokit import (
+    BallMap,
     BallSampler,
     GyroVector,
     Hermitian2,
     PropertyReport,
     ToleranceConfig,
     UnknownPropertyError,
+    check_endomorphism,
+    classify_endomorphism,
     derive_seed,
     registered_names,
     run_suite,
+    zero_propagation_check,
 )
 from gyrokit.sampling import json_ready
 
@@ -225,10 +229,52 @@ class TestRunSuite:
         for rep in run_suite(names, n_samples=50, seed=3):
             assert rep.passed, rep.to_json_line()
 
+    def test_classifier_failure_reports(self):
+        # below any rounding noise no probed matrix counts as orthogonal, so
+        # the first instance of each check fails with the verdict it got
+        tol = ToleranceConfig(abs_tol=1e-30)
+        names = ["classifier_soundness", "classifier_reconstruction"]
+        lines = [r.to_json_line() for r in run_suite(names, 40, 7, tol)]
+        assert lines == [
+            '{"name": "classifier_soundness", "samples_run": 12, "passed": false, '
+            '"max_residual": 1.0, "first_counterexample": {"family": "orthogonal", '
+            '"dim": 2, "expected": "orthogonal", "got": "not_endomorphism", '
+            '"residual": 1.0}, "seed": 7}',
+            '{"name": "classifier_reconstruction", "samples_run": 4, "passed": false, '
+            '"max_residual": "inf", "first_counterexample": {"dim": 2, '
+            '"expected": "orthogonal", "got": "not_endomorphism", "residual": "inf"}, '
+            '"seed": 7}',
+        ]
+
     def test_samples_run_scales_with_dimension_coverage(self):
         rep = run_suite(["left_cancellation"], n_samples=40, seed=1)[0]
         # core laws run the budget once per ambient dimension
         assert rep.samples_run == 40 * 3
+
+
+@pytest.mark.parametrize("n_samples", [0, -1])
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda n: run_suite(["closure"], n, 1),
+        lambda n: run_suite(["classifier_soundness"], n, 1),
+        lambda n: run_suite(["classifier_reconstruction"], n, 1),
+        lambda n: check_endomorphism(BallMap.zero(2), n, 1),
+        lambda n: classify_endomorphism(BallMap.zero(2), n, 1),
+        lambda n: zero_propagation_check(BallMap.zero(2), GyroVector([0.5, 0.0]), n, 1),
+    ],
+    ids=[
+        "closure",
+        "classifier_soundness",
+        "classifier_reconstruction",
+        "check_endomorphism",
+        "classify_endomorphism",
+        "zero_propagation_check",
+    ],
+)
+def test_sample_budget_below_one_is_rejected(run, n_samples):
+    with pytest.raises(ValueError):
+        run(n_samples)
 
 
 class TestShrinking:
