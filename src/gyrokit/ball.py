@@ -59,6 +59,12 @@ class ToleranceConfig:
 DEFAULT_TOL = ToleranceConfig()
 
 
+def _norm(x: np.ndarray) -> float:
+    """Euclidean norm of a real 1-D array: the sqrt(x . x) that
+    np.linalg.norm evaluates for it, bit for bit, without its dispatch."""
+    return math.sqrt(x.dot(x))
+
+
 class GyroVector:
     """A point strictly inside the unit ball.
 
@@ -77,8 +83,22 @@ class GyroVector:
             raise BallDomainError(f"coords are not real numbers: {exc}") from exc
         if v.ndim != 1 or v.size == 0:
             raise BallDomainError("coords must be a non-empty 1-D sequence")
-        norm2 = float(v @ v)
-        # norm2 finite implies every component is finite; NaN/inf both fail here.
+        if isinstance(coords, np.ndarray) and np.shares_memory(v, coords):
+            v = v.copy()
+        self._guard(v)
+
+    @classmethod
+    def _owned(cls, v: np.ndarray) -> "GyroVector":
+        """Point with coords v, a fresh 1-D float64 array that no caller
+        holds: guarded like outside input, but neither parsed nor copied."""
+        out = cls.__new__(cls)
+        out._guard(v)
+        return out
+
+    def _guard(self, v: np.ndarray) -> None:
+        # v.dot(v) is the same ddot as v @ v, without the matmul dispatch;
+        # norm2 finite implies every component is finite, NaN/inf both fail
+        norm2 = float(v.dot(v))
         if not math.isfinite(norm2):
             raise BallDomainError("coords must be finite")
         norm = math.sqrt(norm2)
@@ -87,9 +107,7 @@ class GyroVector:
                 f"|v| = {norm!r} is not strictly inside the unit ball "
                 f"(boundary margin {DEFAULT_BOUNDARY_MARGIN:g})"
             )
-        if isinstance(coords, np.ndarray) and np.shares_memory(v, coords):
-            v = v.copy()
-        v.flags.writeable = False
+        v.setflags(write=False)
         self.coords = v
         self.norm2 = norm2
         self.norm = norm
@@ -127,10 +145,15 @@ def einstein_add(u: GyroVector, v: GyroVector) -> GyroVector:
     identity, so implementation and check cannot share a bug.
     """
     _check_same_dim(u, v)
-    duv = float(u.coords @ v.coords)
+    duv = float(u.coords.dot(v.coords))
     s = math.sqrt(1.0 - u.norm2)
-    out = (u.coords + s * v.coords + (duv / (1.0 + s)) * u.coords) / (1.0 + duv)
-    return GyroVector(out)
+    # the textbook expression term by term in one buffer: IEEE addition is
+    # commutative, so every step rounds as the one-line form does
+    out = s * v.coords
+    out += u.coords
+    out += (duv / (1.0 + s)) * u.coords
+    out /= 1.0 + duv
+    return GyroVector._owned(out)
 
 
 def gamma(u: GyroVector) -> float:
@@ -143,8 +166,16 @@ def gamma(u: GyroVector) -> float:
 
 
 def neg(u: GyroVector) -> GyroVector:
-    """Additive inverse; plain componentwise negation."""
-    return GyroVector(-u.coords)
+    """Additive inverse; plain componentwise negation.
+
+    Negation is exact, so -u keeps the norms of u, and with them its place
+    inside the guarded ball.
+    """
+    coords = -u.coords
+    coords.setflags(write=False)
+    out = GyroVector.__new__(GyroVector)
+    out.coords, out.norm2, out.norm = coords, u.norm2, u.norm
+    return out
 
 
 def gyration(u: GyroVector, v: GyroVector, w: GyroVector) -> GyroVector:
@@ -172,7 +203,7 @@ def line_param(x: GyroVector, t: float) -> GyroVector:
     if x.norm == 0.0:
         raise BallDomainError("line_param requires a nonzero direction")
     radius = math.tanh(t * math.atanh(x.norm))
-    return GyroVector((radius / x.norm) * x.coords)
+    return GyroVector._owned((radius / x.norm) * x.coords)
 
 
 def approx_eq(a: GyroVector, b: GyroVector, tol: ToleranceConfig = DEFAULT_TOL) -> bool:

@@ -22,6 +22,7 @@ from .ball import (
     GyroError,
     GyroVector,
     ToleranceConfig,
+    _norm,
     einstein_add,
     line_param,
 )
@@ -134,7 +135,7 @@ def endomorphism_residual(f: BallMap, u: GyroVector, v: GyroVector) -> float:
     """Euclidean norm of f(u (+) v) - (f(u) (+) f(v))."""
     lhs = f(einstein_add(u, v))
     rhs = einstein_add(f(u), f(v))
-    return float(np.linalg.norm(lhs.coords - rhs.coords))
+    return _norm(lhs.coords - rhs.coords)
 
 
 def _law_scan(f: BallMap, n_samples: int, seed: int, tol: ToleranceConfig) -> tuple:
@@ -249,7 +250,7 @@ def classify_endomorphism(
             agree_sampler = BallSampler(derive_seed(seed, "agree"), f.dim, tol.sample_rmax)
             agreement = 10.0 * tol.abs_tol
             if all(
-                float(np.linalg.norm(f(w).coords - candidate @ w.coords)) <= agreement
+                _norm(f(w).coords - candidate @ w.coords) <= agreement
                 for w in (agree_sampler.sample() for _ in range(n_samples))
             ):
                 return MapClassification.orthogonal(LinearMap(candidate))
@@ -324,7 +325,7 @@ def zero_propagation_check(
                     p = line_param(x, t)
                     value = f(einstein_add(base, p) if part == "chord" else einstein_add(p, base))
                     yield {
-                        "deviation": float(np.linalg.norm(value.coords - reference)),
+                        "deviation": _norm(value.coords - reference),
                         "part": part,
                         "t": float(t),
                         "base": base.tolist(),

@@ -15,7 +15,7 @@ from typing import Any, Callable, Iterable
 
 import numpy as np
 
-from .ball import DEFAULT_SAMPLE_RMAX, GyroVector
+from .ball import DEFAULT_SAMPLE_RMAX, GyroVector, _norm
 
 
 def derive_seed(master: int, label: str) -> int:
@@ -46,12 +46,13 @@ class BallSampler:
 
     def sample(self) -> GyroVector:
         direction = self.rng.standard_normal(self.dim)
-        length = float(np.linalg.norm(direction))
+        length = _norm(direction)
         while length == 0.0:  # probability zero, but never divide by it
             direction = self.rng.standard_normal(self.dim)
-            length = float(np.linalg.norm(direction))
-        radius = self.rmax * float(self.rng.uniform()) ** (1.0 / self.dim)
-        return GyroVector((radius / length) * direction)
+            length = _norm(direction)
+        # random() is the draw uniform() would make, without its 0 + 1 * x
+        radius = self.rmax * self.rng.random() ** (1.0 / self.dim)
+        return GyroVector._owned((radius / length) * direction)
 
 
 def seeded_scan(
@@ -63,6 +64,8 @@ def seeded_scan(
 
     Returns the largest residual, the input that gave it, and the first
     (input, residual) pair over the cutoff, or None when none exceeds it.
+    A NaN residual counts as over the cutoff and as the largest; the first
+    one seen stays the maximum.
     Errors raised while drawing an input or evaluating its residual
     propagate.  An empty scan would pass vacuously, so it is rejected.
     """
@@ -72,9 +75,9 @@ def seeded_scan(
     for item in inputs:
         scanned = True
         r = residual(item)
-        if r > max_residual:
+        if r > max_residual or (math.isnan(r) and not math.isnan(max_residual)):
             max_residual, worst = r, item
-        if first is None and r > cutoff:
+        if first is None and not r <= cutoff:
             first = (item, r)
     if not scanned:
         raise ValueError("n_samples must be >= 1: nothing to scan")

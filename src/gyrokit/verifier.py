@@ -65,6 +65,7 @@ from .ball import (
     GyroError,
     GyroVector,
     ToleranceConfig,
+    _norm,
     approx_eq,
     einstein_add,
     gamma,
@@ -124,7 +125,7 @@ def _describe(inputs: dict, residual: float) -> dict:
 
 def _scaled(inputs: dict, factor: float) -> dict:
     return {
-        key: GyroVector(factor * value.coords) if isinstance(value, GyroVector) else value
+        key: GyroVector._owned(factor * value.coords) if isinstance(value, GyroVector) else value
         for key, value in inputs.items()
     }
 
@@ -173,7 +174,7 @@ def _sampled_check(
                 for _ in range(60):
                     current = _scaled(current, 0.5)
                     rr = _safe_residual(residual, current, tol)
-                    if rr > cutoff:
+                    if not rr <= cutoff:  # NaN fails, as in seeded_scan
                         best, best_r = current, rr
                     else:
                         break
@@ -208,8 +209,8 @@ def _closure_residual(inputs: dict, tol: ToleranceConfig) -> float:
 def _identity_residual(inputs: dict, tol: ToleranceConfig) -> float:
     u = inputs["u"]
     zero = GyroVector.zero(u.dim)
-    left = float(np.linalg.norm(einstein_add(zero, u).coords - u.coords))
-    right = float(np.linalg.norm(einstein_add(u, zero).coords - u.coords))
+    left = _norm(einstein_add(zero, u).coords - u.coords)
+    right = _norm(einstein_add(u, zero).coords - u.coords)
     return max(left, right)
 
 
@@ -221,7 +222,7 @@ def _left_inverse_residual(inputs: dict, tol: ToleranceConfig) -> float:
 def _left_cancellation_residual(inputs: dict, tol: ToleranceConfig) -> float:
     u, v = inputs["u"], inputs["v"]
     recovered = einstein_add(neg(u), einstein_add(u, v))
-    return float(np.linalg.norm(recovered.coords - v.coords)) / gamma(u) ** 2
+    return _norm(recovered.coords - v.coords) / gamma(u) ** 2
 
 
 def _gamma_identity_residual(inputs: dict, tol: ToleranceConfig) -> float:
@@ -285,7 +286,7 @@ def _gyrocommutativity_residual(inputs: dict, tol: ToleranceConfig) -> float:
     lhs = einstein_add(u, v)
     rhs = gyration(u, v, einstein_add(v, u))
     scale = (gamma(u) * gamma(v)) ** 2
-    return float(np.linalg.norm(lhs.coords - rhs.coords)) / scale
+    return _norm(lhs.coords - rhs.coords) / scale
 
 
 def _draw_line_params(s: BallSampler, tol: ToleranceConfig) -> dict:
@@ -299,7 +300,7 @@ def _one_parameter_residual(inputs: dict, tol: ToleranceConfig) -> float:
     x, s_par, t_par = inputs["x"], inputs["s"], inputs["t"]
     combined = einstein_add(line_param(x, s_par), line_param(x, t_par))
     direct = line_param(x, s_par + t_par)
-    return float(np.linalg.norm(combined.coords - direct.coords)) / gamma(combined) ** 2
+    return _norm(combined.coords - direct.coords) / gamma(combined) ** 2
 
 
 # ----------------------------------------------------------------- geometry
@@ -350,7 +351,7 @@ def _translated_pair(
 def _draw_collinearity_inputs(s: BallSampler, tol: ToleranceConfig) -> dict:
     def unit() -> np.ndarray:
         g = s.rng.standard_normal(s.dim)
-        return g / float(np.linalg.norm(g))
+        return g / _norm(g)
 
     def on_line() -> tuple[GyroVector, ...]:
         p, q = s.rmax * unit(), s.rmax * unit()

@@ -1,5 +1,7 @@
 """Tests for linear maps on the ball, the endomorphism check, and the classifier."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -119,7 +121,7 @@ class TestBallMap:
         f = BallMap.from_matrix(2.0 * np.eye(2))
         with pytest.raises(BallDomainError) as exc:
             f(GyroVector([0.6, 0.0]))
-        assert "0.6" in str(exc.value)
+        assert str(exc.value).startswith("map output is not a ball point at input [0.6, 0.0]: ")
 
 
 class TestEndomorphismResidual:
@@ -179,6 +181,12 @@ class TestTestEndomorphism:
 
 
 class TestClassifier:
+    def test_nan_law_residual_is_not_an_endomorphism(self, monkeypatch):
+        monkeypatch.setattr(gyrokit.morphisms, "endomorphism_residual", lambda f, u, v: math.nan)
+        res = classify_endomorphism(BallMap.from_matrix(np.eye(2)), n_samples=20, seed=7)
+        assert res.verdict == MapClassification.NOT_ENDOMORPHISM
+        assert math.isnan(res.residual)
+
     def test_identity_is_orthogonal(self):
         res = classify_endomorphism(BallMap.from_matrix(np.eye(2)), n_samples=200, seed=7)
         assert res.verdict == MapClassification.ORTHOGONAL

@@ -1,6 +1,7 @@
 """Tests for the property verifier: sampling, the registry, and report behavior."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from gyrokit import (
     run_suite,
     zero_propagation_check,
 )
-from gyrokit.sampling import json_ready
+from gyrokit.sampling import json_ready, seeded_scan
+from gyrokit.verifier import _sampled_check
 
 ALL_NAMES = (
     "closure",
@@ -275,6 +277,35 @@ class TestRunSuite:
 def test_sample_budget_below_one_is_rejected(run, n_samples):
     with pytest.raises(ValueError):
         run(n_samples)
+
+
+@pytest.mark.parametrize(
+    "residuals, worst, first",
+    [
+        ([math.nan, math.nan], 0, 0),
+        ([0.1, math.nan, 3.0, math.nan, math.inf], 1, 1),
+        ([0.1, 3.0, math.nan], 2, 1),
+    ],
+)
+def test_nan_residual_fails_the_scan(residuals, worst, first):
+    # a NaN compares false with everything, so it must not pass as "not over"
+    max_residual, worst_item, first_failure = seeded_scan(
+        range(len(residuals)), residuals.__getitem__, 0.5
+    )
+    assert math.isnan(max_residual)
+    assert worst_item == worst
+    assert first_failure[0] == first
+
+
+def test_nan_residual_fails_the_report():
+    check = _sampled_check(
+        "nan_probe", (2,), lambda s, tol: {"u": s.sample()}, lambda inputs, tol: math.nan,
+        lambda tol: 1.0,
+    )
+    report = json.loads(check.run(5, 7, ToleranceConfig()).to_json_line())
+    assert report["passed"] is False
+    assert report["max_residual"] == "nan"
+    assert report["first_counterexample"]["residual"] == "nan"
 
 
 class TestShrinking:
