@@ -37,23 +37,24 @@ class ToleranceConfig:
     """Numeric policy shared across the package.
 
     abs_tol and rel_tol drive approximate comparisons and sample_rmax caps
-    the norm of randomly drawn vectors.  boundary_margin sets the verifier's
-    closure cutoff and its evaluability bound on composed draws; vector
-    construction always guards at DEFAULT_BOUNDARY_MARGIN.
+    the norm of randomly drawn vectors, which must lie inside the guard.
+    The guard itself is fixed: construction, the verifier's closure cutoff
+    and its evaluability bound on composed draws all read
+    DEFAULT_BOUNDARY_MARGIN.
     """
 
     abs_tol: float = DEFAULT_ABS_TOL
     rel_tol: float = DEFAULT_REL_TOL
-    boundary_margin: float = DEFAULT_BOUNDARY_MARGIN
     sample_rmax: float = DEFAULT_SAMPLE_RMAX
 
     def __post_init__(self) -> None:
-        for field in ("abs_tol", "rel_tol", "boundary_margin", "sample_rmax"):
+        for field in ("abs_tol", "rel_tol", "sample_rmax"):
             value = getattr(self, field)
             if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{field} must be a finite positive number, got {value!r}")
-        if not self.sample_rmax < 1.0:
-            raise ValueError(f"sample_rmax must be < 1, got {self.sample_rmax!r}")
+        if not self.sample_rmax < 1.0 - DEFAULT_BOUNDARY_MARGIN:
+            guard = f"1 - {DEFAULT_BOUNDARY_MARGIN:g}"
+            raise ValueError(f"sample_rmax must be < {guard}, got {self.sample_rmax!r}")
 
 
 DEFAULT_TOL = ToleranceConfig()
@@ -78,13 +79,12 @@ class GyroVector:
 
     def __init__(self, coords):
         try:
-            v = np.asarray(coords, dtype=float)
-        except (TypeError, ValueError) as exc:
+            # always a fresh copy, so no caller can write to a guarded point
+            v = np.array(coords, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
             raise BallDomainError(f"coords are not real numbers: {exc}") from exc
         if v.ndim != 1 or v.size == 0:
             raise BallDomainError("coords must be a non-empty 1-D sequence")
-        if isinstance(coords, np.ndarray) and np.shares_memory(v, coords):
-            v = v.copy()
         self._guard(v)
 
     @classmethod
@@ -129,7 +129,7 @@ class GyroVector:
 
 
 def _check_same_dim(u: GyroVector, v: GyroVector) -> None:
-    if u.dim != v.dim:
+    if len(u.coords) != len(v.coords):
         raise DimensionMismatchError(f"dimension mismatch: {u.dim} vs {v.dim}")
 
 

@@ -30,7 +30,7 @@ def klein_distance(x: GyroVector, y: GyroVector) -> float:
     below 1 for nearly equal points, so it is clamped from below at 1.
     """
     _check_same_dim(x, y)
-    arg = (1.0 - float(x.coords @ y.coords)) / math.sqrt((1.0 - x.norm2) * (1.0 - y.norm2))
+    arg = (1.0 - float(x.coords.dot(y.coords))) / math.sqrt((1.0 - x.norm2) * (1.0 - y.norm2))
     return math.acosh(max(arg, 1.0))
 
 
@@ -49,9 +49,9 @@ def gram_band(
     The band is scale-aware: exact dependence gives a determinant that is
     pure rounding noise relative to 1 + |a|^2 |b|^2.
     """
-    a2 = float(a @ a)
-    b2 = float(b @ b)
-    ab = float(a @ b)
+    a2 = float(a.dot(a))
+    b2 = float(b.dot(b))
+    ab = float(a.dot(b))
     return a2 * b2 - ab * ab, tol.abs_tol * (1.0 + a2 * b2)
 
 

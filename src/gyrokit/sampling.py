@@ -15,7 +15,7 @@ from typing import Any, Callable, Iterable
 
 import numpy as np
 
-from .ball import DEFAULT_SAMPLE_RMAX, GyroVector, _norm
+from .ball import DEFAULT_BOUNDARY_MARGIN, DEFAULT_SAMPLE_RMAX, GyroVector, _norm
 
 
 def derive_seed(master: int, label: str) -> int:
@@ -37,8 +37,9 @@ class BallSampler:
         dim = int(dim)
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
-        if not 0.0 < rmax < 1.0:
-            raise ValueError(f"rmax must be in (0, 1), got {rmax!r}")
+        # a radius at or past the guard would draw points that it refuses
+        if not 0.0 < rmax < 1.0 - DEFAULT_BOUNDARY_MARGIN:
+            raise ValueError(f"rmax must be in (0, 1 - {DEFAULT_BOUNDARY_MARGIN:g}), got {rmax!r}")
         self.seed = int(seed)
         self.dim = dim
         self.rmax = float(rmax)

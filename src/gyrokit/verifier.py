@@ -61,6 +61,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .ball import (
+    DEFAULT_BOUNDARY_MARGIN,
     DEFAULT_TOL,
     GyroError,
     GyroVector,
@@ -229,7 +230,7 @@ def _gamma_identity_residual(inputs: dict, tol: ToleranceConfig) -> float:
     u, v = inputs["u"], inputs["v"]
     w = einstein_add(u, v)
     lhs = gamma(w)
-    rhs = gamma(u) * gamma(v) * (1.0 + float(u.coords @ v.coords))
+    rhs = gamma(u) * gamma(v) * (1.0 + float(u.coords.dot(v.coords)))
     return abs(lhs - rhs) / (rhs * gamma(w) ** 2)
 
 
@@ -237,21 +238,18 @@ def _rapidity(u: GyroVector) -> float:
     return math.atanh(u.norm)
 
 
-def _evaluability_bound(tol: ToleranceConfig) -> float:
-    # largest rapidity any intermediate of a composed expression may reach
-    # while staying 100 margins below the construction guard
-    return math.atanh(1.0 - 100.0 * tol.boundary_margin)
+# largest rapidity any intermediate of a composed expression may reach
+# while staying 100 margins below the construction guard
+_EVALUABILITY_BOUND = math.atanh(1.0 - 100.0 * DEFAULT_BOUNDARY_MARGIN)
 
 
 def _draw_gyration_inputs(s: BallSampler, tol: ToleranceConfig) -> dict:
     # the gyration chain peaks at rapidity |u| + |v| + |w|; reject draws
     # whose intermediates could leave the guarded ball (evaluability of
     # the defining composition, not a weakening of the law)
-    bound = _evaluability_bound(tol)
-
     def evaluable(d: dict) -> bool:
         peak = _rapidity(d["u"]) + _rapidity(d["v"]) + max(_rapidity(d["w1"]), _rapidity(d["w2"]))
-        return peak <= bound
+        return peak <= _EVALUABILITY_BOUND
 
     return _redraw(
         lambda: {"u": s.sample(), "v": s.sample(), "w1": s.sample(), "w2": s.sample()},
@@ -263,10 +261,9 @@ def _draw_gyration_inputs(s: BallSampler, tol: ToleranceConfig) -> dict:
 def _draw_gyrocommutativity_inputs(s: BallSampler, tol: ToleranceConfig) -> dict:
     # the composition applies each operand twice, peaking at 2(|u| + |v|)
     # in rapidity; same evaluability rejection as the gyration draw
-    bound = _evaluability_bound(tol)
     return _redraw(
         lambda: _draw_pair(s, tol),
-        lambda d: 2.0 * (_rapidity(d["u"]) + _rapidity(d["v"])) <= bound,
+        lambda d: 2.0 * (_rapidity(d["u"]) + _rapidity(d["v"])) <= _EVALUABILITY_BOUND,
         "an evaluable pair",
     )
 
@@ -276,7 +273,7 @@ def _gyration_orthogonality_residual(inputs: dict, tol: ToleranceConfig) -> floa
     g1 = gyration(u, v, w1)
     g2 = gyration(u, v, w2)
     scale = (gamma(u) * gamma(v)) ** 2
-    pairing = abs(float(g1.coords @ g2.coords) - float(w1.coords @ w2.coords))
+    pairing = abs(float(g1.coords.dot(g2.coords)) - float(w1.coords.dot(w2.coords)))
     length = abs(g1.norm2 - w1.norm2)
     return max(pairing, length) / scale
 
@@ -336,14 +333,14 @@ def _commutes_iff_dependent_residual(inputs: dict, tol: ToleranceConfig) -> floa
 
 
 def _translated_pair(
-    x: GyroVector, y: GyroVector, z: GyroVector, tol: ToleranceConfig
+    x: GyroVector, y: GyroVector, z: GyroVector
 ) -> tuple[GyroVector, GyroVector] | None:
     # collinear_gyro tests (-x) (+) y and (-x) (+) z for commutation, whose
     # sums reach the two rapidities added; None when that could leave the
     # guarded ball (same evaluability rule as the gyration draws)
     a = einstein_add(neg(x), y)
     b = einstein_add(neg(x), z)
-    if _rapidity(a) + _rapidity(b) > _evaluability_bound(tol):
+    if _rapidity(a) + _rapidity(b) > _EVALUABILITY_BOUND:
         return None
     return a, b
 
@@ -361,11 +358,11 @@ def _draw_collinearity_inputs(s: BallSampler, tol: ToleranceConfig) -> dict:
         x, y, z = triple
         if not _general_position(y.coords - x.coords, z.coords - x.coords, tol):
             return False
-        translated = _translated_pair(x, y, z, tol)
+        translated = _translated_pair(x, y, z)
         return translated is not None and _general_position(*(t.coords for t in translated), tol)
 
     on_x, on_y, on_z = _redraw(
-        on_line, lambda t: _translated_pair(*t, tol) is not None, "an evaluable collinear triple"
+        on_line, lambda t: _translated_pair(*t) is not None, "an evaluable collinear triple"
     )
     off_x, off_y, off_z = _redraw(
         lambda: (s.sample(), s.sample(), s.sample()),
@@ -614,7 +611,7 @@ def _build_registry() -> dict[str, Check]:
     checks = [
         _sampled_check(
             "closure", _CORE_DIMS, _draw_pair, _closure_residual,
-            lambda tol: 1.0 - tol.boundary_margin, shrink=False,
+            lambda tol: 1.0 - DEFAULT_BOUNDARY_MARGIN, shrink=False,
         ),
         _sampled_check("identity", _CORE_DIMS, _draw_single, _identity_residual, _abs_tol),
         _sampled_check("left_inverse", _CORE_DIMS, _draw_single, _left_inverse_residual, _abs_tol),

@@ -55,7 +55,9 @@ class TestGyroVector:
         with pytest.raises(BallDomainError):
             GyroVector(bad)
 
-    @pytest.mark.parametrize("bad", [[], [float("nan"), 0.0], [float("inf")], ["x", "y"]])
+    @pytest.mark.parametrize(
+        "bad", [[], [float("nan"), 0.0], [float("inf")], ["x", "y"], [10**400]]
+    )
     def test_rejects_malformed(self, bad):
         with pytest.raises(BallDomainError):
             GyroVector(bad)
@@ -232,16 +234,21 @@ class TestToleranceConfig:
         tol = ToleranceConfig()
         assert tol.abs_tol == 1e-9
         assert tol.rel_tol == 1e-9
-        assert tol.boundary_margin == 1e-9
         assert tol.sample_rmax == 0.999
+
+    def test_boundary_margin_is_not_a_field(self):
+        # the guard is fixed at DEFAULT_BOUNDARY_MARGIN, not configurable
+        with pytest.raises(TypeError):
+            ToleranceConfig(boundary_margin=1e-3)
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"abs_tol": 0.0},
             {"rel_tol": -1e-9},
-            {"boundary_margin": float("nan")},
             {"sample_rmax": 1.0},
+            # inside the unit ball but past the guard
+            {"sample_rmax": 1 - 1e-10},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

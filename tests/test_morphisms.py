@@ -123,6 +123,13 @@ class TestBallMap:
             f(GyroVector([0.6, 0.0]))
         assert str(exc.value).startswith("map output is not a ball point at input [0.6, 0.0]: ")
 
+    def test_unconvertible_output_reports_the_input(self):
+        # an int too large for a float overflows during conversion
+        f = BallMap(lambda u: [10**400, 0.0], 2)
+        with pytest.raises(BallDomainError) as exc:
+            f(GyroVector([0.1, 0.0]))
+        assert str(exc.value).startswith("map output is not a ball point at input [0.1, 0.0]: ")
+
 
 class TestEndomorphismResidual:
     def test_identity_map_is_exact(self):

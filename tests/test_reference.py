@@ -102,6 +102,9 @@ def test_norm_matches_numpy(dim):
         assert type(_norm(x)) is float
         # the guard's dot is the same ddot as the matmul form
         assert float(x.dot(x)) == float(x @ x)
+    # so is every inner product of two distinct points or differences
+    for a, b in zip(arrays, arrays[1:]):
+        assert float(a.dot(b)) == float(a @ b)
 
 
 @pytest.mark.parametrize("dim", DIMS)

@@ -95,6 +95,9 @@ class TestBallSampler:
             BallSampler(seed=1, dim=2, rmax=1.0)
         with pytest.raises(ValueError):
             BallSampler(seed=1, dim=2, rmax=0.0)
+        # inside the unit ball but past the guard, so draws could be refused
+        with pytest.raises(ValueError):
+            BallSampler(seed=1, dim=2, rmax=1 - 1e-10)
 
 
 class TestPropertyReport:
