@@ -57,7 +57,18 @@ def _parse_vector(text: str) -> GyroVector:
 
 def _load_json(path: str):
     with open(path, encoding="utf-8") as handle:
-        return json.load(handle)
+        data = json.load(handle)
+    # float(True) is 1.0, so a JSON true would otherwise pass as the number 1
+    pending = [data]
+    while pending:
+        value = pending.pop()
+        if isinstance(value, bool):
+            raise GyroError(f"{path}: true and false are not numbers")
+        if isinstance(value, dict):
+            pending.extend(value.values())
+        elif isinstance(value, list):
+            pending.extend(value)
+    return data
 
 
 def _load_hermitian(path: str, cls):

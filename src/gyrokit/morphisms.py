@@ -155,13 +155,13 @@ def check_endomorphism(
 
     Passes when every residual stays at or below the decision threshold.
     """
-    max_residual, _, first = _law_scan(f, n_samples, seed, tol)
+    max_residual, _, first, scanned = _law_scan(f, n_samples, seed, tol)
     if first is not None:
         (u, v), r = first
         first = {"u": u.tolist(), "v": v.tolist(), "residual": r}
     return PropertyReport(
         name="endomorphism",
-        samples_run=n_samples,
+        samples_run=scanned,
         passed=first is None,
         max_residual=max_residual,
         first_counterexample=first,
@@ -233,7 +233,7 @@ def classify_endomorphism(
     orthogonal or zero.
     """
     threshold = decision_threshold(tol)
-    max_residual, worst, _ = _law_scan(f, n_samples, derive_seed(seed, "endo"), tol)
+    max_residual, worst, _, _ = _law_scan(f, n_samples, derive_seed(seed, "endo"), tol)
     law_holds = max_residual <= threshold
 
     basis = np.eye(f.dim)
@@ -331,7 +331,7 @@ def zero_propagation_check(
                         "base": base.tolist(),
                     }
 
-    max_deviation, worst, first = seeded_scan(deviations(), itemgetter("deviation"), threshold)
+    max_deviation, worst, first, _ = seeded_scan(deviations(), itemgetter("deviation"), threshold)
     return PropertyReport(
         name="zero_propagation",
         # every evaluation of f: the diameter, then per translate pair two

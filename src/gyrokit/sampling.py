@@ -60,11 +60,12 @@ def seeded_scan(
     inputs: Iterable[Any],
     residual: Callable[[Any], float],
     cutoff: float,
-) -> tuple[float, Any, tuple[Any, float] | None]:
+) -> tuple[float, Any, tuple[Any, float] | None, int]:
     """Evaluate the residual of each input, in order.
 
-    Returns the largest residual, the input that gave it, and the first
-    (input, residual) pair over the cutoff, or None when none exceeds it.
+    Returns the largest residual, the input that gave it, the first
+    (input, residual) pair over the cutoff, or None when none exceeds it,
+    and the number of inputs scanned.
     A NaN residual counts as over the cutoff and as the largest; the first
     one seen stays the maximum.
     Errors raised while drawing an input or evaluating its residual
@@ -72,9 +73,9 @@ def seeded_scan(
     """
     max_residual = -math.inf
     worst = first = None
-    scanned = False
+    scanned = 0
     for item in inputs:
-        scanned = True
+        scanned += 1
         r = residual(item)
         if r > max_residual or (math.isnan(r) and not math.isnan(max_residual)):
             max_residual, worst = r, item
@@ -82,7 +83,7 @@ def seeded_scan(
             first = (item, r)
     if not scanned:
         raise ValueError("n_samples must be >= 1: nothing to scan")
-    return max_residual, worst, first
+    return max_residual, worst, first, scanned
 
 
 def json_ready(value: Any) -> Any:

@@ -3,8 +3,9 @@
 Each registered property draws reproducible inputs (child seed derived
 from the master seed, property name, and dimension), evaluates a residual,
 and compares it against a threshold from the tolerance config.  A failing
-sample is shrunk by halving all ball points while the failure persists,
-and the smallest still-failing instance is reported.
+sample is shrunk by halving all its ball points while the failure persists,
+and the smallest still-failing instance is reported; matrix and classifier
+inputs hold no ball point and are reported as drawn.
 
 Residual normalization.  Raw floating-point residuals of ball operations
 grow with the Lorentz factor of the operands (coordinate noise is
@@ -55,7 +56,6 @@ whose residual has no det cancellation).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
@@ -114,28 +114,11 @@ class UnknownPropertyError(GyroError):
     """A property name is not in the registry."""
 
 
-@dataclass(frozen=True)
-class Check:
-    name: str
-    run: Callable[[int, int, ToleranceConfig], PropertyReport]
-
-
-def _describe(inputs: dict, residual: float) -> dict:
-    return json_ready({**inputs, "residual": residual})
-
-
 def _scaled(inputs: dict, factor: float) -> dict:
     return {
         key: GyroVector._owned(factor * value.coords) if isinstance(value, GyroVector) else value
         for key, value in inputs.items()
     }
-
-
-def _safe_residual(residual, inputs, tol) -> float:
-    try:
-        return float(residual(inputs, tol))
-    except GyroError:
-        return math.inf
 
 
 def _redraw(draw: Callable[[], Any], accept: Callable[[Any], bool], what: str) -> Any:
@@ -150,46 +133,64 @@ def _redraw(draw: Callable[[], Any], accept: Callable[[Any], bool], what: str) -
     raise RuntimeError(f"failed to draw {what}")
 
 
-def _sampled_check(
-    name: str,
-    dims: tuple[int, ...],
-    draw: Callable,
-    residual: Callable,
-    threshold: Callable[[ToleranceConfig], float],
-    shrink: bool = True,
-    rmax: float | None = None,
-) -> Check:
+def _property(name: str, inputs: Callable, residual: Callable, threshold: Callable) -> Callable:
+    """Run function of one property, with `name` as its __name__.
+
+    The one place a report is built.  It scans inputs(n_samples, seed, tol)
+    against the cutoff threshold(tol); a residual(item, tol) that raises
+    GyroError scores inf.  The first failing item is halved while it keeps
+    failing, if it holds ball points.
+    """
+
+    def score(item: dict, tol: ToleranceConfig) -> float:
+        try:
+            return float(residual(item, tol))
+        except GyroError:
+            return math.inf
+
     def run(n_samples: int, seed: int, tol: ToleranceConfig) -> PropertyReport:
         cutoff = threshold(tol)
-        radius = rmax if rmax is not None else tol.sample_rmax
-        samplers = [BallSampler(derive_seed(seed, f"{name}/{dim}"), dim, radius) for dim in dims]
-        max_residual, _, first = seeded_scan(
-            (draw(sampler, tol) for sampler in samplers for _ in range(n_samples)),
-            lambda inputs: _safe_residual(residual, inputs, tol),
-            cutoff,
+        max_residual, _, first, scanned = seeded_scan(
+            inputs(n_samples, seed, tol), lambda item: score(item, tol), cutoff
         )
         if first is not None:
             best, best_r = first
-            if shrink:
-                current = best
+            if any(isinstance(value, GyroVector) for value in best.values()):
                 for _ in range(60):
-                    current = _scaled(current, 0.5)
-                    rr = _safe_residual(residual, current, tol)
-                    if not rr <= cutoff:  # NaN fails, as in seeded_scan
-                        best, best_r = current, rr
-                    else:
+                    halved = _scaled(best, 0.5)
+                    r = score(halved, tol)
+                    if r <= cutoff:  # NaN fails, as in seeded_scan
                         break
-            first = _describe(best, best_r)
+                    best, best_r = halved, r
+            first = json_ready({**best, "residual": best_r})
         return PropertyReport(
             name=name,
-            samples_run=n_samples * len(dims),
+            samples_run=scanned,
             passed=first is None,
             max_residual=max_residual,
             first_counterexample=first,
             seed=seed,
         )
 
-    return Check(name=name, run=run)
+    run.__name__ = name
+    return run
+
+
+def _sampled_check(
+    name: str,
+    dims: tuple[int, ...],
+    draw: Callable,
+    residual: Callable,
+    threshold: Callable[[ToleranceConfig], float],
+    rmax: float | None = None,
+) -> Callable:
+    # n_samples draws in each dimension, from one child-seeded sampler each
+    def inputs(n_samples: int, seed: int, tol: ToleranceConfig):
+        radius = rmax if rmax is not None else tol.sample_rmax
+        samplers = [BallSampler(derive_seed(seed, f"{name}/{dim}"), dim, radius) for dim in dims]
+        return (draw(sampler, tol) for sampler in samplers for _ in range(n_samples))
+
+    return _property(name, inputs, residual, threshold)
 
 
 # ---------------------------------------------------------------- gyro core
@@ -454,15 +455,17 @@ def _random_contraction(rng: np.random.Generator, dim: int) -> np.ndarray:
     return m * (target / float(np.linalg.norm(m, 2)))
 
 
-def _classifier_check(name: str, reconstruct: bool) -> Check:
+def _classifier_check(name: str, reconstruct: bool) -> Callable:
     # soundness classifies an orthogonal, the zero and a contraction map per
     # instance and scores a wrong verdict 1; reconstruction classifies the
     # orthogonal map and scores its matrix error in units of 10 * abs_tol
-    def trials(instances: int, seed: int, tol: ToleranceConfig):
+    def trials(n_samples: int, seed: int, tol: ToleranceConfig):
+        if n_samples < 1:
+            raise ValueError(f"n_samples must be >= 1, got {n_samples}")
         inner = 64
         rng = np.random.default_rng(derive_seed(seed, name))
         dims = (2, 3, 4, 5)
-        for k in range(instances):
+        for k in range(max(1, n_samples // 10)):
             dim = dims[k % len(dims)]
             q = random_orthogonal(rng, dim)
             child = int(rng.integers(2**62))
@@ -493,25 +496,7 @@ def _classifier_check(name: str, reconstruct: bool) -> Check:
             return trial.get("max_entry_error", math.inf) / (10.0 * tol.abs_tol)
         return 0.0 if trial["got"] == trial["expected"] else 1.0
 
-    def run(n_samples: int, seed: int, tol: ToleranceConfig) -> PropertyReport:
-        if n_samples < 1:
-            raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-        instances = max(1, n_samples // 10)
-        max_residual, _, first = seeded_scan(
-            trials(instances, seed, tol),
-            lambda trial: residual(trial, tol),
-            1.0 if reconstruct else _indicator(tol),
-        )
-        return PropertyReport(
-            name=name,
-            samples_run=instances if reconstruct else 3 * instances,
-            passed=first is None,
-            max_residual=max_residual,
-            first_counterexample=None if first is None else _describe(*first),
-            seed=seed,
-        )
-
-    return Check(name=name, run=run)
+    return _property(name, trials, residual, (lambda tol: 1.0) if reconstruct else _indicator)
 
 
 # ------------------------------------------------------------ matrix models
@@ -607,11 +592,11 @@ def _indicator(tol: ToleranceConfig) -> float:
     return 0.5
 
 
-def _build_registry() -> dict[str, Check]:
-    checks = [
+def _build_registry() -> dict[str, Callable]:
+    runs = [
         _sampled_check(
             "closure", _CORE_DIMS, _draw_pair, _closure_residual,
-            lambda tol: 1.0 - DEFAULT_BOUNDARY_MARGIN, shrink=False,
+            lambda tol: 1.0 - DEFAULT_BOUNDARY_MARGIN,
         ),
         _sampled_check("identity", _CORE_DIMS, _draw_single, _identity_residual, _abs_tol),
         _sampled_check("left_inverse", _CORE_DIMS, _draw_single, _left_inverse_residual, _abs_tol),
@@ -633,11 +618,11 @@ def _build_registry() -> dict[str, Check]:
         ),
         _sampled_check(
             "commutes_iff_dependent", _CORE_DIMS, _draw_commutation_inputs,
-            _commutes_iff_dependent_residual, _indicator, shrink=False,
+            _commutes_iff_dependent_residual, _indicator,
         ),
         _sampled_check(
             "collinearity_equivalence", _PLANE_DIMS, _draw_collinearity_inputs,
-            _collinearity_residual, _indicator, shrink=False,
+            _collinearity_residual, _indicator,
         ),
         _sampled_check(
             "left_translation_isometry", _CORE_DIMS, _draw_triple, _isometry_residual,
@@ -650,7 +635,7 @@ def _build_registry() -> dict[str, Check]:
         ),
         _sampled_check(
             "endomorphism_fixes_zero", _CORE_DIMS, _draw_orthogonal_pair, _fixes_zero_residual,
-            _abs_tol, shrink=False,
+            _abs_tol,
         ),
         _sampled_check(
             "orthogonal_endomorphism", _CORE_DIMS, _draw_orthogonal_pair,
@@ -671,12 +656,10 @@ def _build_registry() -> dict[str, Check]:
             _det_normalization_residual, _rel_tol, rmax=_MODEL_RMAX,
         ),
         _sampled_check(
-            "sqrt_squares_back", (2,), _draw_posdef, _sqrt_squares_back_residual, _rel_tol,
-            shrink=False,
+            "sqrt_squares_back", (2,), _draw_posdef, _sqrt_squares_back_residual, _rel_tol
         ),
         _sampled_check(
-            "boxdot_det_multiplicative", (2,), _draw_posdef_pair, _boxdot_det_residual, _rel_tol,
-            shrink=False,
+            "boxdot_det_multiplicative", (2,), _draw_posdef_pair, _boxdot_det_residual, _rel_tol
         ),
         _sampled_check(
             "transported_automorphism", _MODEL_DIMS, _draw_orthogonal_pair,
@@ -684,10 +667,10 @@ def _build_registry() -> dict[str, Check]:
         ),
     ]
     registry = {}
-    for check in checks:
-        if check.name in registry:
-            raise RuntimeError(f"duplicate property name {check.name!r}")
-        registry[check.name] = check
+    for run in runs:
+        if run.__name__ in registry:
+            raise RuntimeError(f"duplicate property name {run.__name__!r}")
+        registry[run.__name__] = run
     return registry
 
 
@@ -712,4 +695,4 @@ def run_suite(
         raise UnknownPropertyError(
             f"unknown properties {unknown!r}; registered: {', '.join(_REGISTRY)}"
         )
-    return [_REGISTRY[name].run(n_samples, seed, tol) for name in names]
+    return [_REGISTRY[name](n_samples, seed, tol) for name in names]

@@ -179,6 +179,21 @@ class TestMatrixCommands:
         assert out == ""
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "command, document",
+        [
+            ("boxdot", {"a": True, "d": True, "re_b": False, "im_b": 0}),
+            ("normdet", {"a": 0.8, "d": 0.2, "re_b": 0.0, "im_b": False}),
+        ],
+    )
+    def test_boolean_field_exits_2(self, capsys, herm_file, command, document):
+        path = herm_file("bool.json", document)
+        args = ["--a", path] if command == "normdet" else ["--a", path, "--b", path]
+        code, out, err = run_cli(capsys, command, *args)
+        assert code == 2
+        assert out == ""
+        assert "not numbers" in err
+
 
 class TestClassify:
     def test_rotation_is_orthogonal(self, capsys, herm_file):
@@ -224,6 +239,13 @@ class TestClassify:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+
+    def test_boolean_entry_exits_2(self, capsys, herm_file):
+        identity = herm_file("bool.json", [[True, False], [False, True]])
+        code, out, err = run_cli(capsys, "classify", "--map", identity)
+        assert code == 2
+        assert out == ""
+        assert "not numbers" in err
 
 
 class TestVerify:

@@ -292,37 +292,43 @@ def test_sample_budget_below_one_is_rejected(run, n_samples):
 )
 def test_nan_residual_fails_the_scan(residuals, worst, first):
     # a NaN compares false with everything, so it must not pass as "not over"
-    max_residual, worst_item, first_failure = seeded_scan(
+    max_residual, worst_item, first_failure, scanned = seeded_scan(
         range(len(residuals)), residuals.__getitem__, 0.5
     )
     assert math.isnan(max_residual)
     assert worst_item == worst
     assert first_failure[0] == first
+    assert scanned == len(residuals)
 
 
 def test_nan_residual_fails_the_report():
-    check = _sampled_check(
+    run = _sampled_check(
         "nan_probe", (2,), lambda s, tol: {"u": s.sample()}, lambda inputs, tol: math.nan,
         lambda tol: 1.0,
     )
-    report = json.loads(check.run(5, 7, ToleranceConfig()).to_json_line())
+    report = json.loads(run(5, 7, ToleranceConfig()).to_json_line())
     assert report["passed"] is False
     assert report["max_residual"] == "nan"
     assert report["first_counterexample"]["residual"] == "nan"
 
 
 class TestShrinking:
-    def test_counterexample_is_shrunk_toward_the_origin(self):
+    @pytest.mark.parametrize(
+        "name", ["left_cancellation", "commutes_iff_dependent", "collinearity_equivalence"]
+    )
+    def test_counterexample_is_shrunk_toward_the_origin(self, name):
         # impossible tolerance forces a failure on the first draw, then the
-        # shrinker halves the inputs while they keep failing
+        # shrinker halves every ball point while the inputs keep failing
         tol = ToleranceConfig(abs_tol=1e-30)
-        rep = run_suite(["left_cancellation"], n_samples=5, seed=1, tol=tol)[0]
+        rep = run_suite([name], n_samples=5, seed=1, tol=tol)[0]
         assert not rep.passed
         ce = rep.first_counterexample
         assert ce is not None
         assert ce["residual"] > 1e-30
-        for key in ("u", "v"):
-            assert float(np.linalg.norm(np.asarray(ce[key]))) < 0.5
+        points = [value for key, value in ce.items() if key != "residual"]
+        assert points
+        for point in points:
+            assert float(np.linalg.norm(np.asarray(point))) < 0.01
 
     def test_passing_run_has_no_counterexample(self):
         rep = run_suite(["left_cancellation"], n_samples=20, seed=1)[0]
