@@ -47,27 +47,32 @@ def _print_json(obj) -> None:
     print(json.dumps(json_ready(obj)))
 
 
+# a decimal as written; float() alone also reads 1_0, inf, nan and non-ASCII digits
+_DECIMAL = re.compile(r"\s*[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?\s*")
+
+
 def _parse_vector(text: str) -> GyroVector:
-    try:
-        values = [float(token) for token in text.split(",")]
-    except ValueError as exc:
-        raise BallDomainError(f"cannot parse vector {text!r}: {exc}") from exc
-    return GyroVector(values)
+    tokens = text.split(",")
+    bad = [token for token in tokens if not _DECIMAL.fullmatch(token)]
+    if bad:
+        raise BallDomainError(f"cannot parse vector {text!r}: {bad[0]!r} is not a decimal")
+    return GyroVector([float(token) for token in tokens])
 
 
 def _load_json(path: str):
     with open(path, encoding="utf-8") as handle:
         data = json.load(handle)
-    # float(True) is 1.0, so a JSON true would otherwise pass as the number 1
+    # float() reads True as 1.0 and "0.5" as 0.5, so only JSON numbers may
+    # reach it: every leaf must be an int or a float, and bool is an int
     pending = [data]
     while pending:
         value = pending.pop()
-        if isinstance(value, bool):
-            raise GyroError(f"{path}: true and false are not numbers")
         if isinstance(value, dict):
             pending.extend(value.values())
         elif isinstance(value, list):
             pending.extend(value)
+        elif isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise GyroError(f"{path}: strings, null, true and false are not numbers: {value!r}")
     return data
 
 
@@ -80,7 +85,7 @@ def _load_hermitian(path: str, cls):
         raise GyroError(f"{path}: missing fields {missing}")
     try:
         fields = {field: float(data[field]) for field in _HERMITIAN_FIELDS}
-    except (TypeError, ValueError, OverflowError) as exc:
+    except OverflowError as exc:  # the leaves are JSON numbers, but may be huge ints
         raise GyroError(f"{path}: fields must be numbers: {exc}") from exc
     return cls(**fields)
 

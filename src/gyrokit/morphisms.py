@@ -26,7 +26,7 @@ from .ball import (
     einstein_add,
     line_param,
 )
-from .sampling import BallSampler, PropertyReport, derive_seed, seeded_scan
+from .sampling import BallSampler, PropertyReport, derive_seed, scan_report, seeded_scan
 
 
 class UnsupportedDimensionError(GyroError):
@@ -138,14 +138,10 @@ def endomorphism_residual(f: BallMap, u: GyroVector, v: GyroVector) -> float:
     return _norm(lhs.coords - rhs.coords)
 
 
-def _law_scan(f: BallMap, n_samples: int, seed: int, tol: ToleranceConfig) -> tuple:
-    """Seeded scan of f(u (+) v) = f(u) (+) f(v) over random pairs."""
-    sampler = BallSampler(seed, f.dim, tol.sample_rmax)
-    return seeded_scan(
-        ((sampler.sample(), sampler.sample()) for _ in range(n_samples)),
-        lambda pair: endomorphism_residual(f, *pair),
-        decision_threshold(tol),
-    )
+def _pairs(dim: int, n_samples: int, seed: int, tol: ToleranceConfig):
+    """n_samples seeded pairs {"u", "v"} of ball points, u drawn first."""
+    sampler = BallSampler(seed, dim, tol.sample_rmax)
+    return ({"u": sampler.sample(), "v": sampler.sample()} for _ in range(n_samples))
 
 
 def check_endomorphism(
@@ -153,19 +149,12 @@ def check_endomorphism(
 ) -> PropertyReport:
     """Check f(u (+) v) = f(u) (+) f(v) on seeded random pairs.
 
-    Passes when every residual stays at or below the decision threshold.
+    Passes when every residual stays at or below the decision threshold; a
+    pair whose output leaves the ball scores inf.
     """
-    max_residual, _, first, scanned = _law_scan(f, n_samples, seed, tol)
-    if first is not None:
-        (u, v), r = first
-        first = {"u": u.tolist(), "v": v.tolist(), "residual": r}
-    return PropertyReport(
-        name="endomorphism",
-        samples_run=scanned,
-        passed=first is None,
-        max_residual=max_residual,
-        first_counterexample=first,
-        seed=seed,
+    return scan_report(
+        "endomorphism", _pairs(f.dim, n_samples, seed, tol),
+        lambda pair: endomorphism_residual(f, pair["u"], pair["v"]), decision_threshold(tol), seed,
     )
 
 
@@ -220,11 +209,12 @@ def classify_endomorphism(
     """Decide whether f is an orthogonal restriction, the zero map, or
     neither, from evaluations alone.
 
-    Probes f at half the basis vectors to form a candidate, then
-    corroborates it: a randomized residual scan of the defining equation,
-    plus (zero candidate) fresh samples staying at zero, or (orthogonal
-    candidate) sampled agreement with the probed matrix.  Any failed
-    corroboration yields NOT_ENDOMORPHISM with the worst sampled pair.
+    Scans the defining equation on random pairs first; a failure, an
+    output leaving the ball included, yields NOT_ENDOMORPHISM with the
+    worst pair before f is probed.  Otherwise f is probed at half the
+    basis vectors to form a candidate matrix (zero when every probe
+    vanishes) and corroborated by sampled agreement with it.  A failed
+    corroboration yields NOT_ENDOMORPHISM with the same worst pair.
 
     The verdict is a decision at the configured sampling budget: a map
     agreeing with an orthogonal restriction on every sampled point is
@@ -233,29 +223,31 @@ def classify_endomorphism(
     orthogonal or zero.
     """
     threshold = decision_threshold(tol)
-    max_residual, worst, _, _ = _law_scan(f, n_samples, derive_seed(seed, "endo"), tol)
-    law_holds = max_residual <= threshold
+    max_residual, worst, first, _ = seeded_scan(
+        _pairs(f.dim, n_samples, derive_seed(seed, "endo"), tol),
+        lambda pair: endomorphism_residual(f, pair["u"], pair["v"]), threshold,
+    )
+    refuted = MapClassification.not_endomorphism(worst["u"], worst["v"], max_residual)
+    if first is not None:
+        return refuted
 
     basis = np.eye(f.dim)
     probes = [f(GyroVector(0.5 * basis[i])) for i in range(f.dim)]
-
     if all(p.norm <= tol.abs_tol for p in probes):
-        if law_holds:
-            zero_sampler = BallSampler(derive_seed(seed, "zero"), f.dim, tol.sample_rmax)
-            if all(f(zero_sampler.sample()).norm <= threshold for _ in range(n_samples)):
-                return MapClassification.zero()
+        candidate, stream, cutoff = np.zeros((f.dim, f.dim)), "zero", threshold
+        verdict = MapClassification.zero()
     else:
         candidate = np.column_stack([2.0 * p.coords for p in probes])
-        if is_orthogonal(candidate, tol) and law_holds:
-            agree_sampler = BallSampler(derive_seed(seed, "agree"), f.dim, tol.sample_rmax)
-            agreement = 10.0 * tol.abs_tol
-            if all(
-                _norm(f(w).coords - candidate @ w.coords) <= agreement
-                for w in (agree_sampler.sample() for _ in range(n_samples))
-            ):
-                return MapClassification.orthogonal(LinearMap(candidate))
-
-    return MapClassification.not_endomorphism(*worst, max_residual)
+        if not is_orthogonal(candidate, tol):
+            return refuted
+        stream, cutoff = "agree", 10.0 * tol.abs_tol
+        verdict = MapClassification.orthogonal(LinearMap(candidate))
+    sampler = BallSampler(derive_seed(seed, stream), f.dim, tol.sample_rmax)
+    _, _, disagreement, _ = seeded_scan(
+        (sampler.sample() for _ in range(n_samples)),
+        lambda w: _norm(f(w).coords - candidate @ w.coords), cutoff,
+    )
+    return verdict if disagreement is None else refuted
 
 
 def zero_propagation_check(
@@ -272,7 +264,8 @@ def zero_propagation_check(
     diameter through x, and must be constant both on each left translate
     a (+) L of that diameter (a chord of the ball) and on each right
     translate L (+) b (a half-ellipse).  The check samples all three
-    families and reports the largest deviation.
+    families and reports, per evaluation of f, its distance from the
+    forced value as the residual; samples_run counts these evaluations.
 
     Preconditions enforced here: x != 0 and |f(x)| at most the decision
     threshold.  That f respects the addition on sampled pairs is the
@@ -310,12 +303,12 @@ def zero_propagation_check(
     params = [0.0] + rationals + list(rng.uniform(-t_max, t_max, size=100))
     n_translates = max(1, n_samples // 20)
 
-    def deviations():
-        # one item per evaluation of f on a line or translate: its distance
-        # from the value the zero at x forces there
+    def evaluations():
+        # one item per evaluation of f on a line or translate; its residual
+        # is the distance from the value the zero at x forces there
         for t in params:
             value = f(line_param(x, t))
-            yield {"deviation": value.norm, "part": "diameter", "t": float(t), "base": None}
+            yield {"part": "diameter", "t": float(t), "base": None, "residual": value.norm}
         point_sampler = BallSampler(derive_seed(seed, "zero_prop_base"), x.dim, tol.sample_rmax)
         for _ in range(n_translates):
             for part in ("chord", "half_ellipse"):
@@ -325,20 +318,10 @@ def zero_propagation_check(
                     p = line_param(x, t)
                     value = f(einstein_add(base, p) if part == "chord" else einstein_add(p, base))
                     yield {
-                        "deviation": _norm(value.coords - reference),
                         "part": part,
                         "t": float(t),
                         "base": base.tolist(),
+                        "residual": _norm(value.coords - reference),
                     }
 
-    max_deviation, worst, first, _ = seeded_scan(deviations(), itemgetter("deviation"), threshold)
-    return PropertyReport(
-        name="zero_propagation",
-        # every evaluation of f: the diameter, then per translate pair two
-        # reference values and 20 line points each
-        samples_run=len(params) + 42 * n_translates,
-        passed=first is None,
-        max_residual=max_deviation,
-        first_counterexample=None if first is None else worst,
-        seed=seed,
-    )
+    return scan_report("zero_propagation", evaluations(), itemgetter("residual"), threshold, seed)

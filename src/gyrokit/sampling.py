@@ -1,5 +1,5 @@
-"""Seeded sampling inside the ball, the one residual scan loop, and the
-report type and JSON formatting for property runs.
+"""Seeded sampling inside the ball, the one residual scan loop, the one
+report builder, and the report type and JSON formatting for property runs.
 
 Shared by the verifier harness, the morphism checks and the CLI; kept in
 its own module so all of them can import it without cycles.
@@ -15,7 +15,7 @@ from typing import Any, Callable, Iterable
 
 import numpy as np
 
-from .ball import DEFAULT_BOUNDARY_MARGIN, DEFAULT_SAMPLE_RMAX, GyroVector, _norm
+from .ball import DEFAULT_BOUNDARY_MARGIN, DEFAULT_SAMPLE_RMAX, GyroError, GyroVector, _norm
 
 
 def derive_seed(master: int, label: str) -> int:
@@ -56,6 +56,14 @@ class BallSampler:
         return GyroVector._owned((radius / length) * direction)
 
 
+def _score(residual: Callable[[Any], float], item: Any) -> float:
+    # an input whose residual leaves the ball fails: every scan's one error policy
+    try:
+        return float(residual(item))
+    except GyroError:
+        return math.inf
+
+
 def seeded_scan(
     inputs: Iterable[Any],
     residual: Callable[[Any], float],
@@ -66,9 +74,9 @@ def seeded_scan(
     Returns the largest residual, the input that gave it, the first
     (input, residual) pair over the cutoff, or None when none exceeds it,
     and the number of inputs scanned.
-    A NaN residual counts as over the cutoff and as the largest; the first
-    one seen stays the maximum.
-    Errors raised while drawing an input or evaluating its residual
+    A residual that raises GyroError scores inf.  A NaN residual counts as
+    over the cutoff and as the largest; the first one seen stays the
+    maximum.  Other errors, and any raised while drawing an input,
     propagate.  An empty scan would pass vacuously, so it is rejected.
     """
     max_residual = -math.inf
@@ -76,7 +84,7 @@ def seeded_scan(
     scanned = 0
     for item in inputs:
         scanned += 1
-        r = residual(item)
+        r = _score(residual, item)
         if r > max_residual or (math.isnan(r) and not math.isnan(max_residual)):
             max_residual, worst = r, item
         if first is None and not r <= cutoff:
@@ -84,6 +92,43 @@ def seeded_scan(
     if not scanned:
         raise ValueError("n_samples must be >= 1: nothing to scan")
     return max_residual, worst, first, scanned
+
+
+def _scaled(inputs: dict, factor: float) -> dict:
+    return {
+        key: GyroVector._owned(factor * value.coords) if isinstance(value, GyroVector) else value
+        for key, value in inputs.items()
+    }
+
+
+def scan_report(
+    name: str, inputs: Iterable[dict], residual: Callable[[dict], float], cutoff: float, seed: int
+) -> PropertyReport:
+    """Scan the input dicts against the cutoff and report the outcome.
+
+    The one place a report is built.  The first failing input is halved
+    while it keeps failing, if it holds ball points, and reported with its
+    residual under the key "residual".
+    """
+    max_residual, _, first, scanned = seeded_scan(inputs, residual, cutoff)
+    if first is not None:
+        best, best_r = first
+        if any(isinstance(value, GyroVector) for value in best.values()):
+            for _ in range(60):
+                halved = _scaled(best, 0.5)
+                r = _score(residual, halved)
+                if r <= cutoff:  # NaN fails, as in seeded_scan
+                    break
+                best, best_r = halved, r
+        first = json_ready({**best, "residual": best_r})
+    return PropertyReport(
+        name=name,
+        samples_run=scanned,
+        passed=first is None,
+        max_residual=max_residual,
+        first_counterexample=first,
+        seed=seed,
+    )
 
 
 def json_ready(value: Any) -> Any:

@@ -100,7 +100,7 @@ from .morphisms import (
     endomorphism_residual,
     random_orthogonal,
 )
-from .sampling import BallSampler, PropertyReport, derive_seed, json_ready, seeded_scan
+from .sampling import BallSampler, PropertyReport, derive_seed, scan_report
 
 _EPS = float(np.finfo(float).eps)
 _CORE_DIMS = (2, 3, 5)
@@ -112,13 +112,6 @@ _IDENTITY2 = Hermitian2(1.0, 1.0, 0.0, 0.0)
 
 class UnknownPropertyError(GyroError):
     """A property name is not in the registry."""
-
-
-def _scaled(inputs: dict, factor: float) -> dict:
-    return {
-        key: GyroVector._owned(factor * value.coords) if isinstance(value, GyroVector) else value
-        for key, value in inputs.items()
-    }
 
 
 def _redraw(draw: Callable[[], Any], accept: Callable[[Any], bool], what: str) -> Any:
@@ -134,42 +127,14 @@ def _redraw(draw: Callable[[], Any], accept: Callable[[Any], bool], what: str) -
 
 
 def _property(name: str, inputs: Callable, residual: Callable, threshold: Callable) -> Callable:
-    """Run function of one property, with `name` as its __name__.
-
-    The one place a report is built.  It scans inputs(n_samples, seed, tol)
-    against the cutoff threshold(tol); a residual(item, tol) that raises
-    GyroError scores inf.  The first failing item is halved while it keeps
-    failing, if it holds ball points.
-    """
-
-    def score(item: dict, tol: ToleranceConfig) -> float:
-        try:
-            return float(residual(item, tol))
-        except GyroError:
-            return math.inf
+    """Run function of one property, with `name` as its __name__: the
+    report of inputs(n_samples, seed, tol) scanned by residual(item, tol)
+    against the cutoff threshold(tol)."""
 
     def run(n_samples: int, seed: int, tol: ToleranceConfig) -> PropertyReport:
-        cutoff = threshold(tol)
-        max_residual, _, first, scanned = seeded_scan(
-            inputs(n_samples, seed, tol), lambda item: score(item, tol), cutoff
-        )
-        if first is not None:
-            best, best_r = first
-            if any(isinstance(value, GyroVector) for value in best.values()):
-                for _ in range(60):
-                    halved = _scaled(best, 0.5)
-                    r = score(halved, tol)
-                    if r <= cutoff:  # NaN fails, as in seeded_scan
-                        break
-                    best, best_r = halved, r
-            first = json_ready({**best, "residual": best_r})
-        return PropertyReport(
-            name=name,
-            samples_run=scanned,
-            passed=first is None,
-            max_residual=max_residual,
-            first_counterexample=first,
-            seed=seed,
+        return scan_report(
+            name, inputs(n_samples, seed, tol), lambda item: residual(item, tol),
+            threshold(tol), seed,
         )
 
     run.__name__ = name

@@ -63,6 +63,12 @@ class TestAdd:
         assert code == 2
         assert "abc" in err
 
+    def test_token_float_reads_but_not_a_decimal_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "add", "--u", "0.1_2,0", "--v", "0,0")
+        assert code == 2
+        assert out == ""
+        assert "0.1_2" in err
+
     def test_boundary_vector_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "add", "--u", "1,0", "--v", "0,0")
         assert code == 2
@@ -194,6 +200,13 @@ class TestMatrixCommands:
         assert out == ""
         assert "not numbers" in err
 
+    def test_string_field_exits_2(self, capsys, herm_file):
+        path = herm_file("str.json", {"a": "0.5", "d": "0.5", "re_b": "0.1", "im_b": "0"})
+        code, out, err = run_cli(capsys, "odot", "--a", path, "--b", path)
+        assert code == 2
+        assert out == ""
+        assert "not numbers" in err
+
 
 class TestClassify:
     def test_rotation_is_orthogonal(self, capsys, herm_file):
@@ -221,6 +234,21 @@ class TestClassify:
         assert d["verdict"] == "not_endomorphism"
         assert set(d) == {"verdict", "witness_u", "witness_v", "residual"}
         assert d["residual"] > 1e-6
+
+    def test_map_leaving_the_ball_exits_1_with_inf_residual(self, capsys, herm_file):
+        doubling = herm_file("double.json", [[2.0, 0.0], [0.0, 2.0]])
+        code, out, _ = run_cli(capsys, "classify", "--map", doubling, "--samples", "50")
+        assert code == 1
+        d = json.loads(out)
+        assert d["verdict"] == "not_endomorphism"
+        assert d["residual"] == "inf"
+
+    def test_string_entry_exits_2(self, capsys, herm_file):
+        rot = herm_file("str.json", [["0", "-1"], ["1", "0"]])
+        code, out, err = run_cli(capsys, "classify", "--map", rot)
+        assert code == 2
+        assert out == ""
+        assert "not numbers" in err
 
     def test_zero_requires_dim(self, capsys):
         code, _, err = run_cli(capsys, "classify", "--map", "zero")

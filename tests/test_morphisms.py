@@ -21,6 +21,7 @@ from gyrokit import (
     einstein_add,
     endomorphism_residual,
     is_orthogonal,
+    line_param,
     random_orthogonal,
     zero_propagation_check,
 )
@@ -180,6 +181,18 @@ class TestTestEndomorphism:
         # counterexample must reproduce independently
         assert endomorphism_residual(f, u, v) > 1e-6
 
+    def test_failure_is_shrunk_toward_the_origin(self):
+        rep = check_endomorphism(BallMap.from_matrix(HALVING), n_samples=200, seed=7)
+        ce = rep.first_counterexample
+        assert ce["residual"] > decision_threshold()
+        assert all(GyroVector(ce[key]).norm < 0.05 for key in ("u", "v"))
+
+    def test_output_leaving_the_ball_fails_instead_of_raising(self):
+        rep = check_endomorphism(BallMap.from_matrix(2.0 * np.eye(2)), n_samples=50, seed=1)
+        assert not rep.passed
+        assert rep.max_residual == math.inf
+        assert rep.first_counterexample["residual"] > decision_threshold()
+
     def test_deterministic_across_runs(self):
         f = BallMap.from_matrix(rotation(0.3))
         a = check_endomorphism(f, n_samples=100, seed=11)
@@ -251,10 +264,21 @@ class TestClassifier:
         d = bad.to_json_dict()
         assert set(d) == {"verdict", "witness_u", "witness_v", "residual"}
 
-    def test_map_that_escapes_the_ball_raises(self):
-        f = BallMap.from_matrix(2.0 * np.eye(2))
-        with pytest.raises(BallDomainError):
-            classify_endomorphism(f, n_samples=50, seed=1)
+    @pytest.mark.parametrize("family", ["doubling", "radial"])
+    def test_map_that_escapes_the_ball_is_not_an_endomorphism(self, family):
+        # an output that leaves the ball scores inf, as in the verifier
+        def radial(u):
+            # |u| -> tanh(2 artanh|u|) leaves the guarded ball once 1 - |u|
+            # drops below about 4.5e-5, which sums of samples reach
+            if u.norm == 0.0:
+                return np.zeros(3)
+            return math.tanh(2.0 * math.atanh(u.norm)) * u.coords / u.norm
+
+        doubling = BallMap.from_matrix(2.0 * np.eye(3))
+        f = doubling if family == "doubling" else BallMap(radial, dim=3)
+        res = classify_endomorphism(f, n_samples=200, seed=1)
+        assert res.verdict == MapClassification.NOT_ENDOMORPHISM
+        assert res.residual == math.inf
 
 
 class TestZeroPropagation:
@@ -289,6 +313,32 @@ class TestZeroPropagation:
         ce = rep.first_counterexample
         assert ce is not None
         assert ce["part"] in ("diameter", "chord", "half_ellipse")
+
+    def test_reports_first_failing_evaluation_and_counts_evaluations(self):
+        calls = []
+
+        def broken(w):
+            out = np.asarray(w.coords) if w.norm > 0.9 else np.zeros(w.dim)
+            calls.append((w, out))
+            return out
+
+        x = GyroVector([0.5, 0.0])
+        rep = zero_propagation_check(BallMap(broken, dim=2), x, n_samples=200, seed=7)
+        n_translates = 200 // 20
+        # calls: f(x), the diameter, then per translate pair two references
+        # and 20 line points each; the references are not scanned
+        n_params = len(calls) - 1 - 42 * n_translates
+        assert rep.samples_run == n_params + 40 * n_translates
+        # the diameter is scanned first, and its residual is |f(w)|
+        diameter = calls[1 : 1 + n_params]
+        first = next(i for i, (_, out) in enumerate(diameter) if np.linalg.norm(out) > 1e-6)
+        ce = rep.first_counterexample
+        assert ce["part"] == "diameter"
+        assert ce["residual"] == pytest.approx(np.linalg.norm(diameter[first][1]), rel=1e-14)
+        assert ce["residual"] < rep.max_residual
+        np.testing.assert_allclose(
+            line_param(x, ce["t"]).coords, diameter[first][0].coords, rtol=1e-13
+        )
 
     def test_rejects_zero_base_point(self):
         with pytest.raises(PreconditionError):

@@ -25,7 +25,7 @@ from gyrokit import (
     neg,
 )
 from gyrokit.ball import _norm
-from gyrokit.verifier import _scaled
+from gyrokit.sampling import _scaled
 
 DIMS = (1, 2, 3, 5, 64)
 
