@@ -156,6 +156,50 @@ def einstein_add(u: GyroVector, v: GyroVector) -> GyroVector:
     return GyroVector._owned(out)
 
 
+# Row kernels.  Each takes points as the rows of an (n, d) array and equals
+# its scalar twin above bit for bit: np.vecdot is the same ddot as
+# ndarray.dot, np.sqrt is correctly rounded like math.sqrt, and the rest is
+# elementwise IEEE arithmetic in the scalar term order.  Transcendentals
+# other than sqrt stay on math, whose results numpy's ufuncs do not match.
+
+
+def _guard_rows(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Squared norms of the rows of w, and which rows the GyroVector guard
+    accepts: finite, with norm below 1 - DEFAULT_BOUNDARY_MARGIN."""
+    norm2 = np.vecdot(w, w)
+    return norm2, np.sqrt(norm2) < 1.0 - DEFAULT_BOUNDARY_MARGIN
+
+
+def _checked_rows(w: np.ndarray) -> np.ndarray:
+    """w, once the guard accepts every row; otherwise the constructor's
+    error for the first row it refuses."""
+    ok = _guard_rows(w)[1]
+    if not ok.all():
+        GyroVector._owned(w[np.argmin(ok)].copy())
+    return w
+
+
+def _add_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """einstein_add of the rows of u and v, unguarded."""
+    duv = np.vecdot(u, v)
+    s = np.sqrt(1.0 - np.vecdot(u, u))
+    out = s[:, None] * v
+    out += u
+    out += (duv / (1.0 + s))[:, None] * u
+    out /= (1.0 + duv)[:, None]
+    return out
+
+
+def _gamma_rows(u: np.ndarray) -> np.ndarray:
+    """gamma of each row of u."""
+    return 1.0 / np.sqrt(1.0 - np.vecdot(u, u))
+
+
+def _norm_rows(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of x: _norm row by row."""
+    return np.sqrt(np.vecdot(x, x))
+
+
 def gamma(u: GyroVector) -> float:
     """Lorentz factor 1 / sqrt(1 - |u|^2).
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Callable
 
 import numpy as np
@@ -22,11 +21,23 @@ from .ball import (
     GyroError,
     GyroVector,
     ToleranceConfig,
+    _add_rows,
+    _check_same_dim,
+    _guard_rows,
     _norm,
+    _norm_rows,
     einstein_add,
     line_param,
 )
-from .sampling import BallSampler, PropertyReport, derive_seed, scan_report, seeded_scan
+from .sampling import (
+    BallSampler,
+    PropertyReport,
+    Rows,
+    _block_sizes,
+    derive_seed,
+    scan_report,
+    seeded_scan,
+)
 
 
 class UnsupportedDimensionError(GyroError):
@@ -76,12 +87,32 @@ def is_orthogonal(q, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     return float(np.max(np.abs(deviation))) <= tol.abs_tol
 
 
+def _haar(g: np.ndarray) -> np.ndarray:
+    """Haar-random orthogonal matrices from Gaussian ones, one matrix or a
+    stack: the Q factor of each with its columns scaled by the signs of
+    diag(R) (Mezzadri, arXiv:math-ph/0609050), so both determinant signs
+    occur.  A stacked QR equals the one-matrix call on every matrix."""
+    q, r = np.linalg.qr(g)
+    return q * np.copysign(1.0, np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
+
+
 def random_orthogonal(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Haar-random orthogonal matrix: the Q factor of a Gaussian matrix with
-    its columns scaled by the signs of diag(R) (Mezzadri, arXiv:math-ph/0609050),
-    so both determinant signs occur."""
-    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
-    return q * np.copysign(1.0, np.diag(r))
+    """Haar-random orthogonal matrix of a Gaussian draw (see _haar)."""
+    return _haar(rng.standard_normal((dim, dim)))
+
+
+def _guarded(image: np.ndarray, ok: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # ok narrowed to the rows of image that are ball points; the others are
+    # zeroed, so arithmetic on them stays finite and warning-free
+    ok = ok & _guard_rows(image)[1]
+    image[~ok] = 0.0
+    return image, ok
+
+
+def _linear_image(m: np.ndarray) -> Callable:
+    """Row evaluation (see BallMap._image_rows) of the matrix m, or of a
+    stack of matrices, one per row."""
+    return lambda w, ok: _guarded(np.matvec(m, w), ok)
 
 
 class BallMap:
@@ -92,7 +123,7 @@ class BallMap:
     inside the guarded ball and reports the offending input otherwise.
     """
 
-    __slots__ = ("_func", "dim")
+    __slots__ = ("_func", "dim", "_rows")
 
     def __init__(self, func: Callable, dim: int):
         dim = int(dim)
@@ -100,6 +131,7 @@ class BallMap:
             raise UnsupportedDimensionError("ball maps are supported for dimension >= 2")
         self._func = func
         self.dim = dim
+        self._rows = None  # row evaluation of a matrix or zero map
 
     def __call__(self, u: GyroVector) -> GyroVector:
         if u.dim != self.dim:
@@ -118,30 +150,81 @@ class BallMap:
             )
         return out
 
+    def _image_rows(self, w: np.ndarray, ok: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Images of the rows of w that ok marks, and ok narrowed to the rows
+        whose image is a ball point; every other image row holds zeros.
+
+        Matrix and zero maps are evaluated on the whole array.  Any other
+        map is called row by row, keeping its scalar contract, and never on
+        a row that ok excludes; a GyroError fails that row only.
+        """
+        if self._rows is not None:
+            return self._rows(w, ok)
+        image, ok = np.zeros_like(w), ok.copy()
+        for i in np.flatnonzero(ok):
+            try:
+                image[i] = self(GyroVector._owned(w[i].copy())).coords
+            except GyroError:
+                ok[i] = False
+        return image, ok
+
     @classmethod
     def from_matrix(cls, m) -> "BallMap":
         """Restriction of a matrix to the ball; evaluation rejects outputs
         that escape it, so non-contractive matrices fail loudly."""
         lm = m if isinstance(m, LinearMap) else LinearMap(m)
-        return cls(lambda u: lm.entries @ u.coords, lm.dim)
+        f = cls(lambda u: np.matvec(lm.entries, u.coords), lm.dim)
+        f._rows = _linear_image(lm.entries)
+        return f
 
     @classmethod
     def zero(cls, dim: int) -> "BallMap":
-        z = np.zeros(int(dim))
-        return cls(lambda u: z, dim)
+        f = cls(lambda u: np.zeros_like(u.coords), dim)
+        f._rows = lambda w, ok: (np.zeros_like(w), ok)
+        return f
+
+
+def _law_rows(image: Callable, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row form of endomorphism_residual for the map with row evaluation
+    image (see BallMap._image_rows): inf where u (+) v, an image or
+    f(u) (+) f(v) is not a ball point, and the map is not evaluated on a
+    row once one of them has failed."""
+    w = _add_rows(u, v)
+    ok = _guard_rows(w)[1]
+    fw, ok = image(w, ok)
+    fu, ok = image(u, ok)
+    fv, ok = image(v, ok)
+    rhs = _add_rows(fu, fv)
+    ok &= _guard_rows(rhs)[1]
+    residual = _norm_rows(fw - rhs)
+    residual[~ok] = math.inf
+    return residual
+
+
+def _image_norms(image: Callable, w: np.ndarray, center: np.ndarray) -> np.ndarray:
+    # |f(w) - center| per row, inf where f(w) is not a ball point
+    out, ok = image(w, np.ones(len(w), dtype=bool))
+    residual = _norm_rows(out - center)
+    residual[~ok] = math.inf
+    return residual
 
 
 def endomorphism_residual(f: BallMap, u: GyroVector, v: GyroVector) -> float:
-    """Euclidean norm of f(u (+) v) - (f(u) (+) f(v))."""
-    lhs = f(einstein_add(u, v))
-    rhs = einstein_add(f(u), f(v))
-    return _norm(lhs.coords - rhs.coords)
+    """Euclidean norm of f(u (+) v) - (f(u) (+) f(v)), or inf when a sum or
+    an image leaves the ball: the one-row call of the scans' kernel."""
+    _check_same_dim(u, v)
+    if u.dim != f.dim:
+        raise DimensionMismatchError(f"map expects dimension {f.dim}, got {u.dim}")
+    return float(_law_rows(f._image_rows, u.coords[None], v.coords[None])[0])
 
 
 def _pairs(dim: int, n_samples: int, seed: int, tol: ToleranceConfig):
-    """n_samples seeded pairs {"u", "v"} of ball points, u drawn first."""
+    """n_samples seeded pairs of ball points, u drawn first, as Rows blocks
+    {"u", "v"}."""
     sampler = BallSampler(seed, dim, tol.sample_rmax)
-    return ({"u": sampler.sample(), "v": sampler.sample()} for _ in range(n_samples))
+    for n in _block_sizes(n_samples):
+        pairs = sampler.sample_rows(2 * n).reshape(n, 2, dim)
+        yield Rows(u=pairs[:, 0], v=pairs[:, 1])
 
 
 def check_endomorphism(
@@ -154,7 +237,8 @@ def check_endomorphism(
     """
     return scan_report(
         "endomorphism", _pairs(f.dim, n_samples, seed, tol),
-        lambda pair: endomorphism_residual(f, pair["u"], pair["v"]), decision_threshold(tol), seed,
+        lambda pairs: _law_rows(f._image_rows, pairs["u"], pairs["v"]), decision_threshold(tol),
+        seed,
     )
 
 
@@ -214,7 +298,9 @@ def classify_endomorphism(
     worst pair before f is probed.  Otherwise f is probed at half the
     basis vectors to form a candidate matrix (zero when every probe
     vanishes) and corroborated by sampled agreement with it.  A failed
-    corroboration yields NOT_ENDOMORPHISM with the same worst pair.
+    corroboration yields NOT_ENDOMORPHISM with the same worst pair; a
+    probe p whose image leaves the ball yields it with witnesses p, p and
+    residual inf, since f(p) (+) f(p) cannot be evaluated.
 
     The verdict is a decision at the configured sampling budget: a map
     agreeing with an orthogonal restriction on every sampled point is
@@ -225,14 +311,23 @@ def classify_endomorphism(
     threshold = decision_threshold(tol)
     max_residual, worst, first, _ = seeded_scan(
         _pairs(f.dim, n_samples, derive_seed(seed, "endo"), tol),
-        lambda pair: endomorphism_residual(f, pair["u"], pair["v"]), threshold,
+        lambda pairs: _law_rows(f._image_rows, pairs["u"], pairs["v"]), threshold,
     )
-    refuted = MapClassification.not_endomorphism(worst["u"], worst["v"], max_residual)
+    refuted = MapClassification.not_endomorphism(
+        GyroVector(worst["u"][0]), GyroVector(worst["v"][0]), max_residual
+    )
     if first is not None:
         return refuted
 
     basis = np.eye(f.dim)
-    probes = [f(GyroVector(0.5 * basis[i])) for i in range(f.dim)]
+    probes = []
+    for i in range(f.dim):
+        point = GyroVector(0.5 * basis[i])
+        try:
+            probes.append(f(point))
+        except GyroError:
+            # f(p) (+) f(p) cannot be evaluated: the law scan's escape rule
+            return MapClassification.not_endomorphism(point, point, math.inf)
     if all(p.norm <= tol.abs_tol for p in probes):
         candidate, stream, cutoff = np.zeros((f.dim, f.dim)), "zero", threshold
         verdict = MapClassification.zero()
@@ -244,8 +339,9 @@ def classify_endomorphism(
         verdict = MapClassification.orthogonal(LinearMap(candidate))
     sampler = BallSampler(derive_seed(seed, stream), f.dim, tol.sample_rmax)
     _, _, disagreement, _ = seeded_scan(
-        (sampler.sample() for _ in range(n_samples)),
-        lambda w: _norm(f(w).coords - candidate @ w.coords), cutoff,
+        (Rows(w=sampler.sample_rows(n)) for n in _block_sizes(n_samples)),
+        lambda rows: _image_norms(f._image_rows, rows["w"], np.matvec(candidate, rows["w"])),
+        cutoff,
     )
     return verdict if disagreement is None else refuted
 
@@ -266,6 +362,8 @@ def zero_propagation_check(
     translate L (+) b (a half-ellipse).  The check samples all three
     families and reports, per evaluation of f, its distance from the
     forced value as the residual; samples_run counts these evaluations.
+    An evaluation that leaves the ball scores inf, and so does every
+    point of a translate whose base point's image leaves it.
 
     Preconditions enforced here: x != 0 and |f(x)| at most the decision
     threshold.  That f respects the addition on sampled pairs is the
@@ -304,24 +402,34 @@ def zero_propagation_check(
     n_translates = max(1, n_samples // 20)
 
     def evaluations():
-        # one item per evaluation of f on a line or translate; its residual
-        # is the distance from the value the zero at x forces there
+        # one item per evaluation of f on a line or translate
         for t in params:
-            value = f(line_param(x, t))
-            yield {"part": "diameter", "t": float(t), "base": None, "residual": value.norm}
+            yield {"part": "diameter", "t": float(t), "base": None}
         point_sampler = BallSampler(derive_seed(seed, "zero_prop_base"), x.dim, tol.sample_rmax)
         for _ in range(n_translates):
             for part in ("chord", "half_ellipse"):
-                base = point_sampler.sample()
-                reference = f(base).coords
+                base = point_sampler.sample().tolist()
                 for t in rng.uniform(-t_max, t_max, size=20):
-                    p = line_param(x, t)
-                    value = f(einstein_add(base, p) if part == "chord" else einstein_add(p, base))
-                    yield {
-                        "part": part,
-                        "t": float(t),
-                        "base": base.tolist(),
-                        "residual": _norm(value.coords - reference),
-                    }
+                    yield {"part": part, "t": float(t), "base": base}
 
-    return scan_report("zero_propagation", evaluations(), itemgetter("residual"), threshold, seed)
+    # the items of one base come in a row and share its image, evaluated
+    # once: the last base seen, and its image or None if that left the ball
+    reference = [None, None]
+
+    def residual(item: dict) -> float:
+        # the distance of f's value from the one the zero at x forces there
+        p = line_param(x, item["t"])
+        if item["base"] is None:
+            return f(p).norm
+        base = GyroVector(item["base"])
+        if reference[0] is not item["base"]:
+            try:
+                reference[:] = item["base"], f(base).coords
+            except GyroError:
+                reference[:] = item["base"], None
+        if reference[1] is None:
+            return math.inf  # no point of the translate can be compared
+        value = f(einstein_add(base, p) if item["part"] == "chord" else einstein_add(p, base))
+        return _norm(value.coords - reference[1])
+
+    return scan_report("zero_propagation", evaluations(), residual, threshold, seed)

@@ -1,6 +1,10 @@
 """Seeded sampling inside the ball, the one residual scan loop, the one
 report builder, and the report type and JSON formatting for property runs.
 
+A scan input is an item (a dict of inputs, scored by a scalar residual)
+or a Rows block of inputs held column-wise, scored by a row residual as
+one array.
+
 Shared by the verifier harness, the morphism checks and the CLI; kept in
 its own module so all of them can import it without cycles.
 """
@@ -11,11 +15,21 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
-from .ball import DEFAULT_BOUNDARY_MARGIN, DEFAULT_SAMPLE_RMAX, GyroError, GyroVector, _norm
+from .ball import (
+    DEFAULT_BOUNDARY_MARGIN,
+    DEFAULT_SAMPLE_RMAX,
+    GyroError,
+    GyroVector,
+    _checked_rows,
+)
+
+# inputs held and scored per residual array, which bounds a scan's memory at any
+# budget; also the largest Rows block a row producer yields
+SCAN_CHUNK = 256
 
 
 def derive_seed(master: int, label: str) -> int:
@@ -45,15 +59,46 @@ class BallSampler:
         self.rmax = float(rmax)
         self.rng = np.random.default_rng(self.seed)
 
-    def sample(self) -> GyroVector:
+    def _draw(self) -> tuple[np.ndarray, float, float]:
+        """The RNG draws of one point: a Gaussian direction, its squared
+        length and the point's radius."""
         direction = self.rng.standard_normal(self.dim)
-        length = _norm(direction)
-        while length == 0.0:  # probability zero, but never divide by it
+        norm2 = direction.dot(direction)
+        while norm2 == 0.0:  # probability zero, but never divide by it
             direction = self.rng.standard_normal(self.dim)
-            length = _norm(direction)
-        # random() is the draw uniform() would make, without its 0 + 1 * x
-        radius = self.rmax * self.rng.random() ** (1.0 / self.dim)
-        return GyroVector._owned((radius / length) * direction)
+            norm2 = direction.dot(direction)
+        # random() is the draw uniform() would make, without its 0 + 1 * x;
+        # the power stays a Python float's, which np.power does not match
+        return direction, norm2, self.rmax * self.rng.random() ** (1.0 / self.dim)
+
+    def sample(self) -> GyroVector:
+        direction, norm2, radius = self._draw()
+        return GyroVector._owned((radius / math.sqrt(norm2)) * direction)
+
+    def sample_rows(self, n: int) -> np.ndarray:
+        """The points of n sample() calls as the rows of an (n, dim) array,
+        bit for bit: the same RNG calls one point at a time, the scaling
+        done on the whole array."""
+        return _points([self._draw() for _ in range(n)], self.dim)
+
+
+def _points(draws: list[tuple[np.ndarray, float, float]], dim: int) -> np.ndarray:
+    # the points of BallSampler._draw results as rows, each scaled as sample() does
+    if not draws:
+        return np.empty((0, dim))
+    directions, norm2, radii = zip(*draws)
+    scales = np.array(radii) / np.sqrt(np.array(norm2))
+    return _checked_rows(scales[:, None] * np.array(directions))
+
+
+class Rows(dict):
+    """Scan inputs held column-wise: each value is an array whose first
+    axis runs over the inputs.  A column of vectors (a 2-D array) holds
+    ball points, the inputs that shrinking halves."""
+
+    def row(self, i: int) -> "Rows":
+        """Input i, as a one-row block."""
+        return Rows({key: value[i : i + 1] for key, value in self.items()})
 
 
 def _score(residual: Callable[[Any], float], item: Any) -> float:
@@ -64,37 +109,71 @@ def _score(residual: Callable[[Any], float], item: Any) -> float:
         return math.inf
 
 
+def _scored(inputs: Iterable[Any], residual: Callable) -> Iterator[tuple[Any, np.ndarray]]:
+    """(chunk, residuals) over the inputs, in order: a Rows block is scored
+    at once by the row residual, which scores inf where a point leaves the
+    ball; items are scored one by one, SCAN_CHUNK at a time."""
+    items = []
+    for item in inputs:
+        if isinstance(item, Rows):
+            yield item, residual(item)
+            continue
+        items.append(item)
+        if len(items) == SCAN_CHUNK:
+            yield items, np.array([_score(residual, x) for x in items])
+            items = []
+    if items:
+        yield items, np.array([_score(residual, x) for x in items])
+
+
 def seeded_scan(
     inputs: Iterable[Any],
-    residual: Callable[[Any], float],
+    residual: Callable[[Any], Any],
     cutoff: float,
 ) -> tuple[float, Any, tuple[Any, float] | None, int]:
     """Evaluate the residual of each input, in order.
 
-    Returns the largest residual, the input that gave it, the first
-    (input, residual) pair over the cutoff, or None when none exceeds it,
-    and the number of inputs scanned.
+    Inputs are items, each scored by residual(item), or Rows blocks of at
+    most SCAN_CHUNK rows, each scored by residual(block) as one array; a
+    stream holds one kind.  Returns the largest residual, the input that
+    gave it, the first (input, residual) pair over the cutoff, or None
+    when none exceeds it, and the number of inputs scanned; an input of a
+    block is returned as its one-row block.
     A residual that raises GyroError scores inf.  A NaN residual counts as
     over the cutoff and as the largest; the first one seen stays the
-    maximum.  Other errors, and any raised while drawing an input,
-    propagate.  An empty scan would pass vacuously, so it is rejected.
+    maximum, as does the first of equal maxima.  Other errors, and any
+    raised while drawing an input, propagate.  An empty scan would pass
+    vacuously, so it is rejected.
     """
     max_residual = -math.inf
     worst = first = None
     scanned = 0
-    for item in inputs:
-        scanned += 1
-        r = _score(residual, item)
+    for chunk, residuals in _scored(inputs, residual):
+        at = chunk.row if isinstance(chunk, Rows) else chunk.__getitem__
+        # argmax returns the first NaN if there is one, else the first maximum
+        i = int(np.argmax(residuals))
+        r = float(residuals[i])
         if r > max_residual or (math.isnan(r) and not math.isnan(max_residual)):
-            max_residual, worst = r, item
-        if first is None and not r <= cutoff:
-            first = (item, r)
+            max_residual, worst = r, at(i)
+        if first is None:
+            over = ~(residuals <= cutoff)
+            if over.any():
+                i = int(np.argmax(over))
+                first = (at(i), float(residuals[i]))
+        scanned += len(residuals)
     if not scanned:
         raise ValueError("n_samples must be >= 1: nothing to scan")
     return max_residual, worst, first, scanned
 
 
+def _block_sizes(n_samples: int) -> Iterator[int]:
+    """Row counts of the Rows blocks that cover n_samples inputs."""
+    return (min(SCAN_CHUNK, n_samples - start) for start in range(0, n_samples, SCAN_CHUNK))
+
+
 def _scaled(inputs: dict, factor: float) -> dict:
+    if isinstance(inputs, Rows):
+        return Rows({k: factor * v if v.ndim == 2 else v for k, v in inputs.items()})
     return {
         key: GyroVector._owned(factor * value.coords) if isinstance(value, GyroVector) else value
         for key, value in inputs.items()
@@ -102,24 +181,29 @@ def _scaled(inputs: dict, factor: float) -> dict:
 
 
 def scan_report(
-    name: str, inputs: Iterable[dict], residual: Callable[[dict], float], cutoff: float, seed: int
+    name: str, inputs: Iterable[dict], residual: Callable, cutoff: float, seed: int
 ) -> PropertyReport:
-    """Scan the input dicts against the cutoff and report the outcome.
+    """Scan the inputs against the cutoff and report the outcome.
 
     The one place a report is built.  The first failing input is halved
     while it keeps failing, if it holds ball points, and reported with its
-    residual under the key "residual".
+    residual under the key "residual".  A failing input of a Rows block is
+    shrunk as a one-row block, by the same row residual.
     """
     max_residual, _, first, scanned = seeded_scan(inputs, residual, cutoff)
     if first is not None:
         best, best_r = first
-        if any(isinstance(value, GyroVector) for value in best.values()):
+        rows = isinstance(best, Rows)
+        points = [v.ndim == 2 if rows else isinstance(v, GyroVector) for v in best.values()]
+        if any(points):
             for _ in range(60):
                 halved = _scaled(best, 0.5)
-                r = _score(residual, halved)
+                r = float(residual(halved)[0]) if rows else _score(residual, halved)
                 if r <= cutoff:  # NaN fails, as in seeded_scan
                     break
                 best, best_r = halved, r
+        if rows:
+            best = {key: value[0] for key, value in best.items()}
         first = json_ready({**best, "residual": best_r})
     return PropertyReport(
         name=name,

@@ -5,7 +5,10 @@ from the master seed, property name, and dimension), evaluates a residual,
 and compares it against a threshold from the tolerance config.  A failing
 sample is shrunk by halving all its ball points while the failure persists,
 and the smallest still-failing instance is reported; matrix and classifier
-inputs hold no ball point and are reported as drawn.
+inputs hold no ball point and are reported as drawn.  The three
+orthogonal-map properties draw their inputs as Rows blocks, row by row in
+the order of the one-input draw, and score each block as one residual
+array with the row kernels, which equal the scalar path bit for bit.
 
 Residual normalization.  Raw floating-point residuals of ball operations
 grow with the Lorentz factor of the operands (coordinate noise is
@@ -66,6 +69,7 @@ from .ball import (
     GyroError,
     GyroVector,
     ToleranceConfig,
+    _gamma_rows,
     _norm,
     approx_eq,
     einstein_add,
@@ -96,11 +100,22 @@ from .matrix_models import (
 from .morphisms import (
     BallMap,
     MapClassification,
+    _haar,
+    _image_norms,
+    _law_rows,
+    _linear_image,
     classify_endomorphism,
-    endomorphism_residual,
     random_orthogonal,
 )
-from .sampling import BallSampler, PropertyReport, derive_seed, scan_report
+from .sampling import (
+    BallSampler,
+    PropertyReport,
+    Rows,
+    _block_sizes,
+    _points,
+    derive_seed,
+    scan_report,
+)
 
 _EPS = float(np.finfo(float).eps)
 _CORE_DIMS = (2, 3, 5)
@@ -141,6 +156,11 @@ def _property(name: str, inputs: Callable, residual: Callable, threshold: Callab
     return run
 
 
+def _samplers(name: str, dims: tuple[int, ...], seed: int, radius: float) -> list[BallSampler]:
+    # one child-seeded sampler per dimension
+    return [BallSampler(derive_seed(seed, f"{name}/{dim}"), dim, radius) for dim in dims]
+
+
 def _sampled_check(
     name: str,
     dims: tuple[int, ...],
@@ -149,11 +169,27 @@ def _sampled_check(
     threshold: Callable[[ToleranceConfig], float],
     rmax: float | None = None,
 ) -> Callable:
-    # n_samples draws in each dimension, from one child-seeded sampler each
+    # n_samples draws in each dimension, one input each
     def inputs(n_samples: int, seed: int, tol: ToleranceConfig):
-        radius = rmax if rmax is not None else tol.sample_rmax
-        samplers = [BallSampler(derive_seed(seed, f"{name}/{dim}"), dim, radius) for dim in dims]
+        samplers = _samplers(name, dims, seed, rmax if rmax is not None else tol.sample_rmax)
         return (draw(sampler, tol) for sampler in samplers for _ in range(n_samples))
+
+    return _property(name, inputs, residual, threshold)
+
+
+def _row_check(
+    name: str,
+    dims: tuple[int, ...],
+    draw_rows: Callable,
+    residual: Callable,
+    threshold: Callable[[ToleranceConfig], float],
+    rmax: float | None = None,
+) -> Callable:
+    # n_samples draws in each dimension, as Rows blocks that draw_rows(sampler,
+    # n) fills row by row in the order the one-input draws would
+    def inputs(n_samples: int, seed: int, tol: ToleranceConfig):
+        samplers = _samplers(name, dims, seed, rmax if rmax is not None else tol.sample_rmax)
+        return (draw_rows(sampler, n) for sampler in samplers for n in _block_sizes(n_samples))
 
     return _property(name, inputs, residual, threshold)
 
@@ -392,26 +428,35 @@ def _draw_orthogonal_pair(s: BallSampler, tol: ToleranceConfig) -> dict:
     return {"q": random_orthogonal(s.rng, s.dim), "u": s.sample(), "v": s.sample()}
 
 
-def _fixes_zero_residual(inputs: dict, tol: ToleranceConfig) -> float:
-    q = inputs["q"]
-    dim = q.shape[0]
-    zero = GyroVector.zero(dim)
-    return max(
-        BallMap.from_matrix(q)(zero).norm,
-        BallMap.zero(dim)(zero).norm,
+def _draw_orthogonal_rows(s: BallSampler, n: int) -> Rows:
+    # _draw_orthogonal_pair n times: per row a Gaussian matrix, then u, then v
+    gaussians, draws = np.empty((n, s.dim, s.dim)), []
+    for i in range(n):
+        gaussians[i] = s.rng.standard_normal((s.dim, s.dim))
+        draws += (s._draw(), s._draw())
+    points = _points(draws, s.dim)
+    return Rows(q=_haar(gaussians), u=points[0::2], v=points[1::2])
+
+
+def _fixes_zero_residual(rows: Rows, tol: ToleranceConfig) -> np.ndarray:
+    q = rows["q"]
+    zero = np.zeros(q.shape[:2])
+    return np.maximum(
+        _image_norms(_linear_image(q), zero, zero),
+        _image_norms(BallMap.zero(q.shape[1])._image_rows, zero, zero),
     )
 
 
-def _orthogonal_endomorphism_residual(inputs: dict, tol: ToleranceConfig) -> float:
-    q, u, v = inputs["q"], inputs["u"], inputs["v"]
-    raw = endomorphism_residual(BallMap.from_matrix(q), u, v)
-    return raw / (gamma(u) * gamma(v)) ** 2
+def _orthogonal_endomorphism_residual(rows: Rows, tol: ToleranceConfig) -> np.ndarray:
+    q, u, v = rows["q"], rows["u"], rows["v"]
+    raw = _law_rows(_linear_image(q), u, v)
+    return raw / (_gamma_rows(u) * _gamma_rows(v)) ** 2
 
 
-def _orthogonal_residual_bound_residual(inputs: dict, tol: ToleranceConfig) -> float:
-    q, u, v = inputs["q"], inputs["u"], inputs["v"]
-    raw = endomorphism_residual(BallMap.from_matrix(q), u, v)
-    return raw / (10.0 * _EPS * gamma(u) * gamma(v))
+def _orthogonal_residual_bound_residual(rows: Rows, tol: ToleranceConfig) -> np.ndarray:
+    q, u, v = rows["q"], rows["u"], rows["v"]
+    raw = _law_rows(_linear_image(q), u, v)
+    return raw / (10.0 * _EPS * _gamma_rows(u) * _gamma_rows(v))
 
 
 def _random_contraction(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -598,16 +643,16 @@ def _build_registry() -> dict[str, Callable]:
             "line_translation_distance", _CORE_DIMS, _draw_line_distance,
             _line_distance_residual, _rel_tol,
         ),
-        _sampled_check(
-            "endomorphism_fixes_zero", _CORE_DIMS, _draw_orthogonal_pair, _fixes_zero_residual,
+        _row_check(
+            "endomorphism_fixes_zero", _CORE_DIMS, _draw_orthogonal_rows, _fixes_zero_residual,
             _abs_tol,
         ),
-        _sampled_check(
-            "orthogonal_endomorphism", _CORE_DIMS, _draw_orthogonal_pair,
+        _row_check(
+            "orthogonal_endomorphism", _CORE_DIMS, _draw_orthogonal_rows,
             _orthogonal_endomorphism_residual, _abs_tol,
         ),
-        _sampled_check(
-            "orthogonal_residual_bound", _CORE_DIMS, _draw_orthogonal_pair,
+        _row_check(
+            "orthogonal_residual_bound", _CORE_DIMS, _draw_orthogonal_rows,
             _orthogonal_residual_bound_residual, lambda tol: 1.0, rmax=0.9,
         ),
         _classifier_check("classifier_soundness", reconstruct=False),

@@ -11,6 +11,8 @@ import sys
 
 import pytest
 
+import gyrokit.cli
+from gyrokit import BallMap
 from gyrokit.cli import main
 
 
@@ -242,6 +244,22 @@ class TestClassify:
         d = json.loads(out)
         assert d["verdict"] == "not_endomorphism"
         assert d["residual"] == "inf"
+
+    def test_probe_leaving_the_ball_exits_1_with_inf_residual(self, capsys, monkeypatch):
+        # no matrix passes the law scan yet sends a probe out of the ball, so
+        # the map is a black box: the identity except at the probes' radius
+        def probe_escape(args):
+            return BallMap(lambda w: 3 * w.coords if abs(w.norm - 0.5) < 1e-12 else w.coords, 2)
+
+        monkeypatch.setattr(gyrokit.cli, "_load_map", probe_escape)
+        code, out, err = run_cli(capsys, "classify", "--map", "probe", "--seed", "7")
+        assert (code, err) == (1, "")
+        assert json.loads(out) == {
+            "verdict": "not_endomorphism",
+            "witness_u": [0.5, 0.0],
+            "witness_v": [0.5, 0.0],
+            "residual": "inf",
+        }
 
     def test_string_entry_exits_2(self, capsys, herm_file):
         rot = herm_file("str.json", [["0", "-1"], ["1", "0"]])

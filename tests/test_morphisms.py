@@ -9,6 +9,7 @@ import gyrokit
 from gyrokit import (
     BallDomainError,
     BallMap,
+    BallSampler,
     DimensionMismatchError,
     GyroVector,
     LinearMap,
@@ -18,6 +19,7 @@ from gyrokit import (
     check_endomorphism,
     classify_endomorphism,
     decision_threshold,
+    derive_seed,
     einstein_add,
     endomorphism_residual,
     is_orthogonal,
@@ -202,7 +204,10 @@ class TestTestEndomorphism:
 
 class TestClassifier:
     def test_nan_law_residual_is_not_an_endomorphism(self, monkeypatch):
-        monkeypatch.setattr(gyrokit.morphisms, "endomorphism_residual", lambda f, u, v: math.nan)
+        # the law scan scores its pairs with the row kernel
+        monkeypatch.setattr(
+            gyrokit.morphisms, "_law_rows", lambda image, u, v: np.full(len(u), math.nan)
+        )
         res = classify_endomorphism(BallMap.from_matrix(np.eye(2)), n_samples=20, seed=7)
         assert res.verdict == MapClassification.NOT_ENDOMORPHISM
         assert math.isnan(res.residual)
@@ -280,6 +285,15 @@ class TestClassifier:
         assert res.verdict == MapClassification.NOT_ENDOMORPHISM
         assert res.residual == math.inf
 
+    def test_probe_that_escapes_the_ball_is_not_an_endomorphism(self):
+        # the identity except at radius 0.5, where the probes sit: the law
+        # scan never meets that sphere, the first probe leaves the ball
+        f = BallMap(lambda w: 3 * w.coords if abs(w.norm - 0.5) < 1e-12 else w.coords, 2)
+        res = classify_endomorphism(f, n_samples=200, seed=7)
+        assert res.verdict == MapClassification.NOT_ENDOMORPHISM
+        assert res.witness_u.tolist() == res.witness_v.tolist() == [0.5, 0.0]
+        assert res.residual == math.inf
+
 
 class TestZeroPropagation:
     def test_zero_map_passes_with_zero_deviation(self):
@@ -339,6 +353,40 @@ class TestZeroPropagation:
         np.testing.assert_allclose(
             line_param(x, ce["t"]).coords, diameter[first][0].coords, rtol=1e-13
         )
+
+    def test_output_leaving_the_ball_fails_instead_of_raising(self):
+        # zero inside radius 0.9 and 1.5 w outside: the diameter's far end
+        # and many translates map out of the ball
+        f = BallMap(lambda w: np.zeros(2) if w.norm < 0.9 else 1.5 * w.coords, 2)
+        rep = zero_propagation_check(f, GyroVector([0.5, 0.0]), n_samples=200, seed=7)
+        assert not rep.passed
+        assert rep.max_residual == math.inf
+        assert list(rep.first_counterexample) == ["part", "t", "base", "residual"]
+
+    def test_evaluates_each_base_once_when_its_image_escapes(self):
+        bases = []
+
+        def escaping(w):
+            # the two reference points of each translate pair leave the ball
+            if w.tolist() in bases:
+                return 2.0 * w.coords / w.norm
+            return np.zeros(2)
+
+        seed, x = 7, GyroVector([0.5, 0.0])
+        sampler = BallSampler(derive_seed(seed, "zero_prop_base"), 2)
+        bases += [sampler.sample().tolist() for _ in range(2 * 4)]
+        calls = []
+
+        def counted(w):
+            calls.append(w.tolist())
+            return escaping(w)
+
+        rep = zero_propagation_check(BallMap(counted, 2), x, n_samples=80, seed=seed)
+        assert not rep.passed
+        assert rep.max_residual == math.inf
+        # every reference is evaluated once; no line point of a failed translate is
+        assert [c for c in calls if c in bases] == bases
+        assert rep.samples_run == len(calls) - 1 + len(bases) * (20 - 1)
 
     def test_rejects_zero_base_point(self):
         with pytest.raises(PreconditionError):

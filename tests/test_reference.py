@@ -7,6 +7,10 @@ through np.linalg.norm, and the sampler's uniform() draw.  The arithmetic
 is unchanged, so the results must agree exactly, bytes included, up to
 points 1e-8 from the unit sphere.  A result outside the guarded ball must
 fail with the public constructor's message, and every result is read-only.
+
+The row kernels of the endomorphism layer are bound the same way: each
+must equal the scalar calls it replaced, row by row, and every batched
+report must equal its replay one input at a time.
 """
 
 import math
@@ -15,17 +19,28 @@ import numpy as np
 import pytest
 
 from gyrokit import (
+    DEFAULT_TOL,
     BallDomainError,
     BallMap,
     BallSampler,
+    GyroError,
     GyroVector,
+    ToleranceConfig,
+    check_endomorphism,
+    classify_endomorphism,
+    derive_seed,
     einstein_add,
+    endomorphism_residual,
+    gamma,
     gyration,
     line_param,
     neg,
+    random_orthogonal,
+    run_suite,
 )
-from gyrokit.ball import _norm
-from gyrokit.sampling import _scaled
+from gyrokit.ball import _add_rows, _guard_rows, _norm
+from gyrokit.morphisms import _haar, _law_rows
+from gyrokit.sampling import SCAN_CHUNK, Rows, _scaled, scan_report, seeded_scan
 
 DIMS = (1, 2, 3, 5, 64)
 
@@ -163,3 +178,273 @@ def test_every_result_is_read_only(make):
     assert not point.coords.flags.writeable
     with pytest.raises(ValueError):
         point.coords[0] = 0.0
+
+
+# ------------------------------------------------------------ row kernels
+#
+# The row kernels evaluate the endomorphism layer over (n, d) arrays.  Each
+# must equal its scalar path bit for bit, so every report stays the same.
+
+MAP_DIMS = (2, 3, 5, 64)
+
+
+def pair_rows(pts: list) -> tuple[list, list, np.ndarray, np.ndarray]:
+    """Every ordered pair of the points pts, as lists and as rows."""
+    us = [u for u in pts for _ in pts]
+    vs = [v for _ in pts for v in pts]
+    return us, vs, np.array([u.coords for u in us]), np.array([v.coords for v in vs])
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_add_rows_match_einstein_add(dim):
+    us, vs, u_rows, v_rows = pair_rows(points(dim, seed=300 + dim))
+    out = _add_rows(u_rows, v_rows)
+    norm2, ok = _guard_rows(out)
+    assert not ok.all()  # sums that round onto the guard are covered
+    for u, v, row, row_norm2, row_ok in zip(us, vs, out, norm2, ok):
+        try:
+            want = einstein_add(u, v)
+        except BallDomainError:
+            assert not row_ok
+            continue
+        assert row_ok
+        assert row.tobytes() == want.coords.tobytes()
+        assert row_norm2 == want.norm2
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_guard_rows_match_the_constructor(dim):
+    rng = np.random.default_rng(400 + dim)
+    rows = [p.coords for p in points(dim, seed=400 + dim)]
+    rows += [p / (1.0 - 1e-9) for p in rows[:8]]  # pushed onto the guard
+    on_guard = np.zeros(dim)
+    on_guard[0] = 1.0 - 1e-9  # norm exactly the guard, which refuses it
+    rows.append(on_guard)
+    # squares stay finite: an overflowing one warns in both forms alike
+    rows += [rng.standard_normal(dim) * 10.0 ** rng.uniform(-3, 150) for _ in range(20)]
+    for bad in (math.nan, math.inf, -math.inf):
+        row = np.zeros(dim)
+        row[-1] = bad
+        rows.append(row)
+    norm2, ok = _guard_rows(np.array(rows))
+    for row, row_norm2, row_ok in zip(rows, norm2, ok):
+        try:
+            want = GyroVector(row)
+        except BallDomainError:
+            assert not row_ok
+            continue
+        assert row_ok
+        assert row_norm2 == want.norm2
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_sample_rows_interleave_with_sample(dim):
+    for seed in range(20):
+        rows, scalar = BallSampler(seed, dim), BallSampler(seed, dim)
+        for n in (3, 0, 1, 17):
+            block = rows.sample_rows(n)
+            assert block.shape == (n, dim)
+            for row in block:
+                assert row.tobytes() == scalar.sample().coords.tobytes()
+            assert_same_point(rows.sample(), scalar.sample())
+        assert rows.rng.bit_generator.state == scalar.rng.bit_generator.state
+
+
+@pytest.mark.parametrize("dim", MAP_DIMS)
+def test_stacked_haar_matches_random_orthogonal(dim):
+    stacked, single = np.random.default_rng(dim), np.random.default_rng(dim)
+    gaussians = np.array([stacked.standard_normal((dim, dim)) for _ in range(50)])
+    for q in _haar(gaussians):
+        assert q.tobytes() == random_orthogonal(single, dim).tobytes()
+    assert stacked.bit_generator.state == single.bit_generator.state
+
+
+def scalar_law(f: BallMap, u: GyroVector, v: GyroVector) -> float:
+    """The law residual through scalar calls, inf where one leaves the ball."""
+    try:
+        return _norm(f(einstein_add(u, v)).coords - einstein_add(f(u), f(v)).coords)
+    except GyroError:
+        return math.inf
+
+
+def matrix_map(q: np.ndarray) -> BallMap:
+    """The restriction of q as the scalar path evaluated it, through @."""
+    return BallMap(lambda w: q @ w.coords, len(q))
+
+
+def maps(dim: int) -> dict[str, BallMap]:
+    q = random_orthogonal(np.random.default_rng(dim), dim)
+    return {
+        "orthogonal": BallMap.from_matrix(q),
+        "opaque": matrix_map(q),
+        "half": BallMap.from_matrix(0.5 * np.eye(dim)),
+        "double": BallMap.from_matrix(2.0 * np.eye(dim)),
+        "zero": BallMap.zero(dim),
+    }
+
+
+@pytest.mark.parametrize("dim", MAP_DIMS)
+def test_law_rows_match_the_scalar_composition(dim):
+    us, vs, u_rows, v_rows = pair_rows(points(dim, seed=500 + dim))
+    for f in maps(dim).values():
+        rows = _law_rows(f._image_rows, u_rows, v_rows)
+        for u, v, row in zip(us, vs, rows):
+            want = scalar_law(f, u, v)
+            assert float(row) == want
+            assert endomorphism_residual(f, u, v) == want
+
+
+@pytest.mark.parametrize("dim", MAP_DIMS)
+def test_black_box_is_called_where_the_scalar_path_calls_it(dim):
+    # a map that sends the outer ball out of it: no row that failed a sum or
+    # an image is passed on, so the rows make the scalar path's calls
+    calls = []
+
+    def stretch(w):
+        calls.append(w.coords.tobytes())
+        return 1.4 * w.coords
+
+    # the negated points make pairs whose sum maps into the ball but whose
+    # first point does not
+    pts = points(dim, seed=600 + dim)
+    pts += [_scaled({"u": p}, 0.5)["u"] for p in pts] + [neg(p) for p in pts]
+    us, vs, u_rows, v_rows = pair_rows(pts)
+    f = BallMap(stretch, dim)
+    rows = _law_rows(f._image_rows, u_rows, v_rows)
+    row_calls, calls[:] = list(calls), []
+    want, scalar_calls = [], []
+    for u, v in zip(us, vs):
+        want.append(scalar_law(f, u, v))
+        scalar_calls.append(list(calls))  # f(u (+) v), f(u), f(v), up to a failure
+        calls.clear()
+    assert rows.tolist() == want
+    # the rows evaluate every f(u (+) v), then every f(u), then every f(v)
+    assert row_calls == [c[k] for k in range(3) for c in scalar_calls if len(c) > k]
+    assert math.inf in want and min(want) < math.inf
+
+
+@pytest.mark.parametrize("dim", MAP_DIMS)
+@pytest.mark.parametrize("matrix", ["orthogonal", "half", "double", "zero"])
+def test_classifier_sees_matrix_maps_as_black_boxes_do(dim, matrix):
+    q = random_orthogonal(np.random.default_rng(dim), dim)
+    m = {"orthogonal": q, "half": 0.5 * np.eye(dim), "double": 2.0 * np.eye(dim)}.get(
+        matrix, np.zeros((dim, dim))
+    )
+    fast = BallMap.zero(dim) if matrix == "zero" else BallMap.from_matrix(m)
+    opaque = matrix_map(m)
+    for seed in (7, 3):
+        want = classify_endomorphism(opaque, 100, seed).to_json_dict()
+        assert classify_endomorphism(fast, 100, seed).to_json_dict() == want
+
+
+# name -> (scalar residual of q, u, v; cutoff; sampling radius if not the default)
+SCALAR_ROW_PROPERTIES = {
+    "endomorphism_fixes_zero": (
+        lambda q, u, v: max(
+            matrix_map(q)(GyroVector.zero(u.dim)).norm,
+            matrix_map(np.zeros_like(q))(GyroVector.zero(u.dim)).norm,
+        ),
+        lambda tol: tol.abs_tol,
+        None,
+    ),
+    "orthogonal_endomorphism": (
+        lambda q, u, v: scalar_law(matrix_map(q), u, v) / (gamma(u) * gamma(v)) ** 2,
+        lambda tol: tol.abs_tol,
+        None,
+    ),
+    "orthogonal_residual_bound": (
+        lambda q, u, v: scalar_law(matrix_map(q), u, v)
+        / (10.0 * np.finfo(float).eps * gamma(u) * gamma(v)),
+        lambda tol: 1.0,
+        0.9,
+    ),
+}
+
+
+def scalar_replay(name: str, n_samples: int, seed: int, tol: ToleranceConfig) -> str:
+    """The report of a batched property replayed one input at a time."""
+    residual, cutoff, rmax = SCALAR_ROW_PROPERTIES[name]
+
+    def inputs():
+        for dim in (2, 3, 5):
+            s = BallSampler(derive_seed(seed, f"{name}/{dim}"), dim, rmax or tol.sample_rmax)
+            for _ in range(n_samples):
+                yield {"q": random_orthogonal(s.rng, dim), "u": s.sample(), "v": s.sample()}
+
+    return scan_report(
+        name, inputs(), lambda item: residual(**item), cutoff(tol), seed
+    ).to_json_line()
+
+
+FAILING = ToleranceConfig(abs_tol=1e-30, rel_tol=1e-30)
+
+
+@pytest.mark.parametrize("name", SCALAR_ROW_PROPERTIES)
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, FAILING], ids=["default", "failing"])
+@pytest.mark.parametrize("seed", [0, 7, 11])
+def test_batched_property_equals_its_scalar_replay(name, tol, seed):
+    assert run_suite([name], 40, seed, tol)[0].to_json_line() == scalar_replay(name, 40, seed, tol)
+
+
+@pytest.mark.parametrize("name", SCALAR_ROW_PROPERTIES)
+def test_batched_property_equals_its_scalar_replay_over_chunks(name):
+    n = 3 * SCAN_CHUNK + 1
+    assert run_suite([name], n, 7)[0].to_json_line() == scalar_replay(name, n, 7, DEFAULT_TOL)
+
+
+@pytest.mark.parametrize("matrix", [np.eye(3), 0.5 * np.eye(3)], ids=["identity", "half"])
+def test_check_endomorphism_equals_its_scalar_replay_over_chunks(matrix):
+    n, s, f = 3 * SCAN_CHUNK + 1, BallSampler(5, 3), matrix_map(matrix)
+    pairs = ({"u": s.sample(), "v": s.sample()} for _ in range(n))
+    want = scan_report("endomorphism", pairs, lambda p: scalar_law(f, **p), 1e-6, 5)
+    got = check_endomorphism(BallMap.from_matrix(matrix), n, 5)
+    assert got.to_json_line() == want.to_json_line()
+
+
+def loop_scan(residuals: np.ndarray, cutoff: float) -> tuple:
+    """seeded_scan's rule as the one-input-at-a-time loop it replaced."""
+    max_residual, worst, first = -math.inf, None, None
+    for i, r in enumerate(residuals.tolist()):
+        if r > max_residual or (math.isnan(r) and not math.isnan(max_residual)):
+            max_residual, worst = r, i
+        if first is None and not r <= cutoff:
+            first = (i, r)
+    return max_residual, worst, first, len(residuals)
+
+
+@pytest.mark.parametrize(
+    "special",
+    [
+        {},
+        {5: math.nan},
+        {SCAN_CHUNK + 5: math.nan, 2 * SCAN_CHUNK + 7: math.nan},
+        {3: 9.0, 8: 9.0, SCAN_CHUNK: 9.0, 3 * SCAN_CHUNK - 1: 9.0},
+        {3: math.nan, 8: math.nan},
+        {3 * SCAN_CHUNK: math.inf},
+    ],
+    ids=["plain", "nan", "nans", "ties", "nans_in_a_chunk", "last"],
+)
+def test_scan_of_rows_and_of_items_equals_the_loop(special):
+    # worst (first NaN, else first maximum), first over the cutoff and the
+    # count agree whether the residuals come in blocks, in chunks of items
+    # or one by one
+    rng = np.random.default_rng(len(special))
+    residuals = rng.random(3 * SCAN_CHUNK + 1) * 2.0
+    for i, r in special.items():
+        residuals[i] = r
+    blocks = (
+        Rows(i=np.arange(start, min(start + SCAN_CHUNK, len(residuals))))
+        for start in range(0, len(residuals), SCAN_CHUNK)
+    )
+    rows = seeded_scan(blocks, lambda rows: residuals[rows["i"]], 1.5)
+    items = seeded_scan(range(len(residuals)), lambda i: float(residuals[i]), 1.5)
+    want = loop_scan(residuals, 1.5)
+    for got, worst, first in [
+        (rows, rows[1]["i"].tolist(), rows[2][0]["i"].tolist()),
+        (items, [items[1]], [items[2][0]]),
+    ]:
+        assert got[0] == want[0] or math.isnan(got[0]) and math.isnan(want[0])
+        assert worst == [want[1]]
+        assert first == [want[2][0]]
+        assert got[2][1] == want[2][1] or math.isnan(got[2][1]) and math.isnan(want[2][1])
+        assert got[3] == want[3]
