@@ -66,6 +66,13 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(x.dot(x))
 
 
+def _outside_ball(norm: float) -> BallDomainError:
+    return BallDomainError(
+        f"|v| = {norm!r} is not strictly inside the unit ball "
+        f"(boundary margin {DEFAULT_BOUNDARY_MARGIN:g})"
+    )
+
+
 class GyroVector:
     """A point strictly inside the unit ball.
 
@@ -85,6 +92,13 @@ class GyroVector:
             raise BallDomainError(f"coords are not real numbers: {exc}") from exc
         if v.ndim != 1 or v.size == 0:
             raise BallDomainError("coords must be a non-empty 1-D sequence")
+        # outside input may be finite yet too long to square: v.dot(v) would
+        # overflow with a numpy warning, where hypot cannot; below 1e150 it is safe
+        length = math.hypot(*v.tolist())
+        if not length < 1e150:
+            if not np.isfinite(v).all():
+                raise BallDomainError("coords must be finite")
+            raise _outside_ball(length)
         self._guard(v)
 
     @classmethod
@@ -103,10 +117,7 @@ class GyroVector:
             raise BallDomainError("coords must be finite")
         norm = math.sqrt(norm2)
         if norm >= 1.0 - DEFAULT_BOUNDARY_MARGIN:
-            raise BallDomainError(
-                f"|v| = {norm!r} is not strictly inside the unit ball "
-                f"(boundary margin {DEFAULT_BOUNDARY_MARGIN:g})"
-            )
+            raise _outside_ball(norm)
         v.setflags(write=False)
         self.coords = v
         self.norm2 = norm2
@@ -165,8 +176,10 @@ def einstein_add(u: GyroVector, v: GyroVector) -> GyroVector:
 
 def _guard_rows(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Squared norms of the rows of w, and which rows the GyroVector guard
-    accepts: finite, with norm below 1 - DEFAULT_BOUNDARY_MARGIN."""
-    norm2 = np.vecdot(w, w)
+    accepts: finite, with norm below 1 - DEFAULT_BOUNDARY_MARGIN.  A row
+    too long to square has norm2 inf and is refused without a warning."""
+    with np.errstate(over="ignore"):
+        norm2 = np.vecdot(w, w)
     return norm2, np.sqrt(norm2) < 1.0 - DEFAULT_BOUNDARY_MARGIN
 
 

@@ -13,6 +13,8 @@ import json
 import os
 import re
 import sys
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -39,13 +41,30 @@ def _fmt(x: float) -> str:
     return f"{float(x):.15g}"
 
 
-def _fmt_vector(coords) -> str:
-    return ",".join(_fmt(c) for c in coords)
+# printers: each prints a result and returns the command's exit code
 
 
-def _print_json(obj) -> None:
+def _show_vector(result: GyroVector) -> int:
+    print(",".join(_fmt(c) for c in result.coords))
+    return 0
+
+
+def _show_number(x: float) -> int:
+    print(_fmt(x))
+    return 0
+
+
+def _show_verdict(verdict: bool) -> int:
+    print("true" if verdict else "false")
+    return 0 if verdict else 1
+
+
+def _show_json(obj) -> int:
     print(json.dumps(json_ready(obj)))
+    return 0
 
+
+# readers: the one place where outside input becomes a value or a GyroError
 
 # a decimal as written; float() alone also reads 1_0, inf, nan and non-ASCII digits
 _DECIMAL = re.compile(r"\s*[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?\s*")
@@ -61,7 +80,10 @@ def _parse_vector(text: str) -> GyroVector:
 
 def _load_json(path: str):
     with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle)
+        except RecursionError as exc:  # the decoder recurses once per nesting level
+            raise GyroError(f"{path}: {exc}") from exc
     # float() reads True as 1.0 and "0.5" as 0.5, so only JSON numbers may
     # reach it: every leaf must be an int or a float, and bool is an int
     pending = [data]
@@ -76,7 +98,7 @@ def _load_json(path: str):
     return data
 
 
-def _load_hermitian(path: str, cls):
+def _load_hermitian(cls, path: str):
     data = _load_json(path)
     if not isinstance(data, dict):
         raise GyroError(f"{path}: expected a JSON object with fields {_HERMITIAN_FIELDS}")
@@ -85,7 +107,9 @@ def _load_hermitian(path: str, cls):
         raise GyroError(f"{path}: missing fields {missing}")
     try:
         fields = {field: float(data[field]) for field in _HERMITIAN_FIELDS}
-    except OverflowError as exc:  # the leaves are JSON numbers, but may be huge ints
+    except TypeError as exc:  # the leaves are JSON numbers, but a field may hold more
+        raise GyroError(f"{path}: fields must be numbers, not arrays or objects") from exc
+    except OverflowError as exc:  # or be a huge int
         raise GyroError(f"{path}: fields must be numbers: {exc}") from exc
     return cls(**fields)
 
@@ -115,65 +139,55 @@ def _resolve_seed(args: argparse.Namespace) -> int:
     return DEFAULT_SEED
 
 
-def _cmd_add(args: argparse.Namespace) -> int:
-    result = einstein_add(_parse_vector(args.u), _parse_vector(args.v))
-    print(_fmt_vector(result.coords))
-    return 0
+class _Command(NamedTuple):
+    """A command that reads each option's value, runs one library operation
+    on the values in option order, and prints the result."""
+
+    help: str
+    options: dict[str, str | None]  # option name -> help line
+    read: Callable[[str], object]
+    run: Callable[..., object]
+    show: Callable[[object], int]
 
 
-def _cmd_gamma(args: argparse.Namespace) -> int:
-    print(_fmt(gamma(_parse_vector(args.u))))
-    return 0
+_VECTOR_HELP = "comma-separated vector, e.g. 0.5,0"
+_density = partial(_load_hermitian, DensityMatrix2)
+_det1 = partial(_load_hermitian, PosDef2Det1)
+
+_COMMANDS = {
+    "add": _Command("compose two velocities", {"u": _VECTOR_HELP, "v": None},
+                    _parse_vector, einstein_add, _show_vector),
+    "gamma": _Command("Lorentz factor of a velocity", dict.fromkeys("u"),
+                      _parse_vector, gamma, _show_number),
+    "gyr": _Command("apply the gyration of a pair to a vector", dict.fromkeys("uvw"),
+                    _parse_vector, gyration, _show_vector),
+    "dist": _Command("hyperbolic distance between two points", dict.fromkeys("xy"),
+                     _parse_vector, klein_distance, _show_number),
+    "collinear": _Command("test whether three points share a line", dict.fromkeys("xyz"),
+                          _parse_vector, collinear_gyro, _show_verdict),
+    "bloch": _Command("density matrix of a 3-dimensional point", dict.fromkeys("v"),
+                      _parse_vector, bloch_to_density, _show_json),
+    "odot": _Command("density-matrix product (JSON files)",
+                     {"a": "JSON file with fields a, d, re_b, im_b", "b": None},
+                     _density, odot, _show_json),
+    "boxdot": _Command("det-1 congruence product (JSON files)", dict.fromkeys("ab"),
+                       _det1, boxdot, _show_json),
+    "normdet": _Command("scale a density matrix to determinant 1", dict.fromkeys("a"),
+                        _density, normalize_det, _show_json),
+}
 
 
-def _cmd_gyr(args: argparse.Namespace) -> int:
-    result = gyration(_parse_vector(args.u), _parse_vector(args.v), _parse_vector(args.w))
-    print(_fmt_vector(result.coords))
-    return 0
-
-
-def _cmd_dist(args: argparse.Namespace) -> int:
-    print(_fmt(klein_distance(_parse_vector(args.x), _parse_vector(args.y))))
-    return 0
-
-
-def _cmd_collinear(args: argparse.Namespace) -> int:
-    verdict = collinear_gyro(
-        _parse_vector(args.x), _parse_vector(args.y), _parse_vector(args.z)
-    )
-    print("true" if verdict else "false")
-    return 0 if verdict else 1
-
-
-def _cmd_bloch(args: argparse.Namespace) -> int:
-    _print_json(bloch_to_density(_parse_vector(args.v)))
-    return 0
-
-
-def _cmd_odot(args: argparse.Namespace) -> int:
-    a = _load_hermitian(args.a, DensityMatrix2)
-    b = _load_hermitian(args.b, DensityMatrix2)
-    _print_json(odot(a, b))
-    return 0
-
-
-def _cmd_boxdot(args: argparse.Namespace) -> int:
-    a = _load_hermitian(args.a, PosDef2Det1)
-    b = _load_hermitian(args.b, PosDef2Det1)
-    _print_json(boxdot(a, b))
-    return 0
-
-
-def _cmd_normdet(args: argparse.Namespace) -> int:
-    _print_json(normalize_det(_load_hermitian(args.a, DensityMatrix2)))
-    return 0
+def _cmd_table(args: argparse.Namespace) -> int:
+    command = _COMMANDS[args.command]
+    values = [command.read(getattr(args, option)) for option in command.options]
+    return command.show(command.run(*values))
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     outcome = classify_endomorphism(
         _load_map(args), args.samples, _resolve_seed(args)
     )
-    _print_json(outcome)
+    _show_json(outcome)
     return 0 if outcome.verdict != MapClassification.NOT_ENDOMORPHISM else 1
 
 
@@ -221,49 +235,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("add", help="compose two velocities")
-    p.add_argument("--u", required=True, help="comma-separated vector, e.g. 0.5,0")
-    p.add_argument("--v", required=True)
-    p.set_defaults(func=_cmd_add)
-
-    p = sub.add_parser("gamma", help="Lorentz factor of a velocity")
-    p.add_argument("--u", required=True)
-    p.set_defaults(func=_cmd_gamma)
-
-    p = sub.add_parser("gyr", help="apply the gyration of a pair to a vector")
-    p.add_argument("--u", required=True)
-    p.add_argument("--v", required=True)
-    p.add_argument("--w", required=True)
-    p.set_defaults(func=_cmd_gyr)
-
-    p = sub.add_parser("dist", help="hyperbolic distance between two points")
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    p.set_defaults(func=_cmd_dist)
-
-    p = sub.add_parser("collinear", help="test whether three points share a line")
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    p.add_argument("--z", required=True)
-    p.set_defaults(func=_cmd_collinear)
-
-    p = sub.add_parser("bloch", help="density matrix of a 3-dimensional point")
-    p.add_argument("--v", required=True)
-    p.set_defaults(func=_cmd_bloch)
-
-    p = sub.add_parser("odot", help="density-matrix product (JSON files)")
-    p.add_argument("--a", required=True, help="JSON file with fields a, d, re_b, im_b")
-    p.add_argument("--b", required=True)
-    p.set_defaults(func=_cmd_odot)
-
-    p = sub.add_parser("boxdot", help="det-1 congruence product (JSON files)")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.set_defaults(func=_cmd_boxdot)
-
-    p = sub.add_parser("normdet", help="scale a density matrix to determinant 1")
-    p.add_argument("--a", required=True)
-    p.set_defaults(func=_cmd_normdet)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for option, text in command.options.items():
+            p.add_argument(f"--{option}", required=True, help=text)
+        p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("classify", help="classify a self-map of the ball")
     p.add_argument(
@@ -295,10 +271,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except GyroError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # GyroError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

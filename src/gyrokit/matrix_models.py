@@ -10,6 +10,7 @@ with unit determinant, where the trace normalization drops away.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,7 +85,9 @@ class DensityMatrix2(Hermitian2):
 
 
 class PosDef2Det1(Hermitian2):
-    """Positive definite Hermitian 2x2 with determinant 1."""
+    """Positive definite Hermitian 2x2 with determinant 1, to within
+    DEFAULT_REL_TOL plus 4 eps (|a d| + |b|^2), the forward error of a d - |b|^2:
+    entries grow like 1/sqrt(1 - |u|) near the ball's boundary, and it cancels."""
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -92,7 +95,8 @@ class PosDef2Det1(Hermitian2):
             raise PositivityError(
                 f"matrix is not positive definite (a={self.a!r}, det={self.det!r})"
             )
-        if abs(self.det - 1.0) > DEFAULT_REL_TOL:
+        scale = abs(self.a * self.d) + self.re_b * self.re_b + self.im_b * self.im_b
+        if abs(self.det - 1.0) > DEFAULT_REL_TOL + 4.0 * sys.float_info.epsilon * scale:
             raise PositivityError(f"determinant must be 1, got {self.det!r}")
 
 

@@ -109,10 +109,17 @@ def _guarded(image: np.ndarray, ok: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return image, ok
 
 
+def _matvec(m: np.ndarray, w: np.ndarray) -> np.ndarray:
+    # an image far outside the ball may overflow to inf, or to NaN from
+    # inf - inf; the guard refuses both, so numpy need not warn of them
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.matvec(m, w)
+
+
 def _linear_image(m: np.ndarray) -> Callable:
     """Row evaluation (see BallMap._image_rows) of the matrix m, or of a
     stack of matrices, one per row."""
-    return lambda w, ok: _guarded(np.matvec(m, w), ok)
+    return lambda w, ok: _guarded(_matvec(m, w), ok)
 
 
 class BallMap:
@@ -173,7 +180,7 @@ class BallMap:
         """Restriction of a matrix to the ball; evaluation rejects outputs
         that escape it, so non-contractive matrices fail loudly."""
         lm = m if isinstance(m, LinearMap) else LinearMap(m)
-        f = cls(lambda u: np.matvec(lm.entries, u.coords), lm.dim)
+        f = cls(lambda u: _matvec(lm.entries, u.coords), lm.dim)
         f._rows = _linear_image(lm.entries)
         return f
 

@@ -66,6 +66,18 @@ class TestGyroVector:
         with pytest.raises(BallDomainError):
             GyroVector([[0.1, 0.2], [0.3, 0.4]])
 
+    @pytest.mark.parametrize("bad", [[1e200, 0.0], [0.0, -1e300], [1.7e308, 1.7e308]])
+    def test_finite_vector_too_long_to_square_is_outside_without_warning(self, bad):
+        # the suite turns RuntimeWarning into an error, so an overflowing
+        # v.dot(v) would surface here instead of the boundary message
+        with pytest.raises(BallDomainError, match="not strictly inside the unit ball"):
+            GyroVector(bad)
+
+    @pytest.mark.parametrize("bad", [[float("nan"), 1e200], [float("inf"), -1e200]])
+    def test_non_finite_beside_a_huge_coordinate_is_not_finite(self, bad):
+        with pytest.raises(BallDomainError, match="^coords must be finite$"):
+            GyroVector(bad)
+
 
 class TestEinsteinAdd:
     def test_collinear_golden(self):

@@ -5,6 +5,7 @@ subprocess test exercises the installed entry point for real.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -75,6 +76,13 @@ class TestAdd:
         code, _, err = run_cli(capsys, "add", "--u", "1,0", "--v", "0,0")
         assert code == 2
         assert err != ""
+
+    def test_vector_too_long_to_square_exits_2_with_only_the_error_line(self, capsys):
+        code, out, err = run_cli(capsys, "add", "--u", "1e200,0", "--v", "0,0")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: |v| = 1e+200 is not strictly inside the unit ball (boundary margin 1e-09)\n"
+        )
 
 
 class TestScalars:
@@ -202,6 +210,37 @@ class TestMatrixCommands:
         assert out == ""
         assert "not numbers" in err
 
+    def test_normdet_accepts_a_density_near_the_guard(self, capsys, herm_file):
+        # 1 - |u| = 2e-8: the scaled entries are near 5000, and the det-1
+        # band widens with them
+        rho = herm_file("rho.json", {"a": 0.5, "d": 0.5, "re_b": 0.49999999, "im_b": 0.0})
+        code, out, err = run_cli(capsys, "normdet", "--a", rho)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["a"] == pytest.approx(0.5 / math.sqrt(1e-8 - 1e-16), rel=1e-7)
+
+    @pytest.mark.parametrize("command", ["odot", "boxdot", "normdet"])
+    @pytest.mark.parametrize("field", [[0.5], {"x": 0.5}])
+    def test_array_or_object_field_exits_2(self, capsys, herm_file, command, field):
+        path = herm_file("nested.json", {"a": field, "d": 0.5, "re_b": 0.0, "im_b": 0.0})
+        args = ["--a", path] if command == "normdet" else ["--a", path, "--b", path]
+        code, out, err = run_cli(capsys, command, *args)
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: fields must be numbers, not arrays or objects\n"
+
+    @pytest.mark.parametrize(
+        "command, options",
+        [("odot", ["--a", "--b"]), ("boxdot", ["--a", "--b"]), ("normdet", ["--a"]),
+         ("classify", ["--map"])],
+    )
+    def test_deeply_nested_file_exits_2(self, capsys, tmp_path, command, options):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        args = [token for option in options for token in (option, str(path))]
+        code, out, err = run_cli(capsys, command, *args)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: maximum recursion depth exceeded")
+        assert err.count("\n") == 1
+
     def test_string_field_exits_2(self, capsys, herm_file):
         path = herm_file("str.json", {"a": "0.5", "d": "0.5", "re_b": "0.1", "im_b": "0"})
         code, out, err = run_cli(capsys, "odot", "--a", path, "--b", path)
@@ -260,6 +299,13 @@ class TestClassify:
             "witness_v": [0.5, 0.0],
             "residual": "inf",
         }
+
+    def test_overflowing_matrix_exits_1_without_warning(self, capsys, herm_file):
+        huge = herm_file("huge.json", [[1e200, 0.0], [0.0, 1e200]])
+        code, out, err = run_cli(capsys, "classify", "--map", huge, "--samples", "50")
+        assert (code, err) == (1, "")
+        d = json.loads(out)
+        assert (d["verdict"], d["residual"]) == ("not_endomorphism", "inf")
 
     def test_string_entry_exits_2(self, capsys, herm_file):
         rot = herm_file("str.json", [["0", "-1"], ["1", "0"]])
@@ -409,6 +455,83 @@ class TestArgparseBehavior:
         assert code == 0
         if command == "add":
             assert out == "-0.334527927122186,0.105138142166849\n"
+
+
+def help_entries(capsys, monkeypatch, *command):
+    """(names, help text) of each entry that --help lists, at 80 columns.
+
+    Headings, usage and description are skipped, and wrapped help lines are
+    joined, so the entries do not depend on how a Python version lays the
+    screen out.  An option's names are its dashed words, without metavars.
+    """
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, _ = run_cli(capsys, *command, "--help")
+    assert code == 0
+    entries = []
+    for line in out.split("\n\n", 1)[1].splitlines():
+        indent = len(line) - len(line.lstrip())
+        if indent == 0:  # a heading or the description
+            continue
+        if indent > 4:  # a wrapped help line
+            names, text = entries[-1]
+            entries[-1] = (names, f"{text} {line.strip()}".strip())
+            continue
+        invocation, _, text = line.strip().partition("  ")
+        if invocation.startswith("-"):
+            invocation = ", ".join(w.rstrip(",") for w in invocation.split() if w.startswith("-"))
+        entries.append((invocation, text.strip()))
+    return entries
+
+
+_HELP = ("-h, --help", "show this help message and exit")
+_SEEDED = [
+    ("--samples", "random samples per property"),
+    ("--seed", "master seed (default: GYROKIT_SEED env var, else 7)"),
+]
+HELP_SCREENS = {
+    (): [
+        ("{add,gamma,gyr,dist,collinear,bloch,odot,boxdot,normdet,classify,verify}", ""),
+        ("add", "compose two velocities"),
+        ("gamma", "Lorentz factor of a velocity"),
+        ("gyr", "apply the gyration of a pair to a vector"),
+        ("dist", "hyperbolic distance between two points"),
+        ("collinear", "test whether three points share a line"),
+        ("bloch", "density matrix of a 3-dimensional point"),
+        ("odot", "density-matrix product (JSON files)"),
+        ("boxdot", "det-1 congruence product (JSON files)"),
+        ("normdet", "scale a density matrix to determinant 1"),
+        ("classify", "classify a self-map of the ball"),
+        ("verify", "run registered property checks"),
+        _HELP,
+    ],
+    ("add",): [_HELP, ("--u", "comma-separated vector, e.g. 0.5,0"), ("--v", "")],
+    ("gamma",): [_HELP, ("--u", "")],
+    ("gyr",): [_HELP, ("--u", ""), ("--v", ""), ("--w", "")],
+    ("dist",): [_HELP, ("--x", ""), ("--y", "")],
+    ("collinear",): [_HELP, ("--x", ""), ("--y", ""), ("--z", "")],
+    ("bloch",): [_HELP, ("--v", "")],
+    ("odot",): [_HELP, ("--a", "JSON file with fields a, d, re_b, im_b"), ("--b", "")],
+    ("boxdot",): [_HELP, ("--a", ""), ("--b", "")],
+    ("normdet",): [_HELP, ("--a", "")],
+    ("classify",): [
+        _HELP,
+        ("--map", "JSON file with a square matrix, or the literal 'zero'"),
+        ("--dim", "dimension for the zero map"),
+        *_SEEDED,
+    ],
+    ("verify",): [
+        _HELP,
+        ("--all", "run every registered property"),
+        ("--only", "property name (repeatable, comma-separable)"),
+        *_SEEDED,
+    ],
+}
+
+
+class TestHelpScreens:
+    @pytest.mark.parametrize("command", list(HELP_SCREENS), ids=lambda c: c[0] if c else "top")
+    def test_lists_the_pinned_commands_and_options(self, capsys, monkeypatch, command):
+        assert help_entries(capsys, monkeypatch, *command) == HELP_SCREENS[command]
 
 
 class TestSubprocess:

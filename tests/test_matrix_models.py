@@ -1,5 +1,7 @@
 """Tests for the 2x2 Hermitian matrix models and the Bloch correspondence."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,20 @@ class TestConstrainedTypes:
     def test_det_one_requires_positive_definite(self):
         with pytest.raises(PositivityError):
             PosDef2Det1(-1.0, -1.0, 0.0, 0.0)
+
+    def test_det_one_band_grows_with_the_entries(self):
+        # normalize_det of a density with 1 - |u| = 2e-8 has entries near
+        # 5000, and a d - |b|^2 cancels to det 0.9999999962747097
+        rho = DensityMatrix2(0.5, 0.5, 0.49999999, 0.0)
+        p = normalize_det(rho)
+        assert abs(p.det - 1.0) > 1e-9
+        assert p.a == pytest.approx(rho.a / math.sqrt(rho.det), rel=1e-15)
+
+    def test_det_one_rejects_a_miss_of_1e6_at_unit_scale(self):
+        with pytest.raises(PositivityError, match="determinant must be 1"):
+            PosDef2Det1(1.0 + 1e-6, 1.0, 0.0, 0.0)
+        with pytest.raises(PositivityError, match="determinant must be 1"):
+            PosDef2Det1(2.0, 1.0, math.sqrt(1.0 - 1e-6), 0.0)
 
     def test_det_one_accepts_hyperbolic_diagonal(self):
         p = PosDef2Det1(2.0, 0.5, 0.0, 0.0)

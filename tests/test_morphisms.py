@@ -147,6 +147,26 @@ class TestEndomorphismResidual:
         v = GyroVector([-0.2, 0.4])
         assert endomorphism_residual(f, u, v) < 1e-15
 
+    def test_image_overflowing_to_inf_is_inf_without_warning(self):
+        # the suite turns RuntimeWarning into an error
+        f = BallMap.from_matrix([[1e308, 1e308], [0.0, 1.0]])
+        u = GyroVector([0.9, 0.3])
+        v = GyroVector([-0.6, 0.2])
+        assert endomorphism_residual(f, u, v) == math.inf
+        with pytest.raises(BallDomainError, match="map output is not a ball point"):
+            f(u)
+
+    def test_image_overflowing_to_nan_is_inf_without_warning(self):
+        # a row of alternating +-1.7e308: numpy sums the even and the odd
+        # terms apart, each overflows, and inf - inf is NaN
+        m = np.eye(8)
+        m[0] = np.tile([1.7e308, -1.7e308], 4)
+        f = BallMap.from_matrix(m)
+        u = GyroVector(np.full(8, 0.35))
+        assert endomorphism_residual(f, u, GyroVector.zero(8)) == math.inf
+        with pytest.raises(BallDomainError, match="map output is not a ball point"):
+            f(u)
+
     def test_halving_golden_value(self):
         # u = v = (0.5, 0): image of u+u is 0.4, sum of images is 0.25+0.25
         f = BallMap.from_matrix(HALVING)
@@ -194,6 +214,11 @@ class TestTestEndomorphism:
         assert not rep.passed
         assert rep.max_residual == math.inf
         assert rep.first_counterexample["residual"] > decision_threshold()
+
+    def test_overflowing_map_fails_without_warning(self):
+        rep = check_endomorphism(BallMap.from_matrix([[1e308, 1e308], [0.0, 1.0]]), 10, 7)
+        assert not rep.passed
+        assert rep.max_residual == math.inf
 
     def test_deterministic_across_runs(self):
         f = BallMap.from_matrix(rotation(0.3))
