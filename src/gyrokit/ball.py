@@ -10,6 +10,7 @@ and dimension-agnostic.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,7 @@ class ToleranceConfig:
 
     abs_tol and rel_tol drive approximate comparisons and sample_rmax caps
     the norm of randomly drawn vectors, which must lie inside the guard.
+    Each takes a finite positive real but a bool, stored as a float.
     The guard itself is fixed: construction, the verifier's closure cutoff
     and its evaluability bound on composed draws all read
     DEFAULT_BOUNDARY_MARGIN.
@@ -50,8 +52,14 @@ class ToleranceConfig:
     def __post_init__(self) -> None:
         for field in ("abs_tol", "rel_tol", "sample_rmax"):
             value = getattr(self, field)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0.0):
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)  # True is no 1
+            try:
+                number = float(value) if real else math.nan
+            except OverflowError:  # an int or a fraction past the float range
+                number = math.inf
+            if not (math.isfinite(number) and number > 0.0):
                 raise ValueError(f"{field} must be a finite positive number, got {value!r}")
+            object.__setattr__(self, field, number)
         if not self.sample_rmax < 1.0 - DEFAULT_BOUNDARY_MARGIN:
             guard = f"1 - {DEFAULT_BOUNDARY_MARGIN:g}"
             raise ValueError(f"sample_rmax must be < {guard}, got {self.sample_rmax!r}")
@@ -168,10 +176,16 @@ def einstein_add(u: GyroVector, v: GyroVector) -> GyroVector:
 
 
 # Row kernels.  Each takes points as the rows of an (n, d) array and equals
-# its scalar twin above bit for bit: np.vecdot is the same ddot as
-# ndarray.dot, np.sqrt is correctly rounded like math.sqrt, and the rest is
-# elementwise IEEE arithmetic in the scalar term order.  Transcendentals
-# other than sqrt stay on math, whose results numpy's ufuncs do not match.
+# its scalar twin bit for bit: np.vecdot is the same ddot as ndarray.dot,
+# np.sqrt is correctly rounded like math.sqrt, and the rest is elementwise
+# IEEE arithmetic in the scalar term order.  A guarded kernel passes on ok:
+# a row where the scalar call raises GyroError leaves ok and is zeroed.
+
+
+def _each(f, *columns: np.ndarray) -> np.ndarray:
+    """f of the elements of the columns in turn, as Python floats: for math's
+    transcendentals and float ** (libm pow), which numpy misses in the last bit."""
+    return np.array(list(map(f, *(c.tolist() for c in columns))), dtype=float)
 
 
 def _guard_rows(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -211,6 +225,37 @@ def _gamma_rows(u: np.ndarray) -> np.ndarray:
 def _norm_rows(x: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of x: _norm row by row."""
     return np.sqrt(np.vecdot(x, x))
+
+
+def _guarded(w: np.ndarray, ok) -> tuple[np.ndarray, np.ndarray]:
+    """w with every row outside ok or refused by the guard zeroed, so that
+    later arithmetic on it stays finite and warning-free; and ok narrowed."""
+    ok = ok & _guard_rows(w)[1]
+    w[~ok] = 0.0
+    return w, ok
+
+
+def _sum_rows(u: np.ndarray, v: np.ndarray, ok=True) -> tuple[np.ndarray, np.ndarray]:
+    """einstein_add of the rows of u and v, guarded (see the row kernels)."""
+    return _guarded(_add_rows(u, v), ok)
+
+
+def _gyration_rows(u: np.ndarray, v: np.ndarray, w: np.ndarray, ok=True) -> tuple:
+    """gyration of the rows of u, v and w by its definition: four guarded
+    sums, refused where any of them leaves the ball."""
+    uv, ok = _sum_rows(u, v, ok)
+    vw, ok = _sum_rows(v, w, ok)
+    uvw, ok = _sum_rows(u, vw, ok)
+    return _sum_rows(-uv, uvw, ok)
+
+
+def _line_param_rows(x: np.ndarray, t: np.ndarray, ok=True) -> tuple[np.ndarray, np.ndarray]:
+    """line_param of each row of x at its row's t, guarded; a zero row is refused."""
+    norm = _norm_rows(x)
+    ok = ok & (norm > 0.0)
+    radius = _each(lambda a, r: math.tanh(a * math.atanh(r)), t, norm)
+    scale = np.divide(radius, norm, out=np.zeros_like(norm), where=ok)
+    return _guarded(scale[:, None] * x, ok)
 
 
 def gamma(u: GyroVector) -> float:

@@ -16,6 +16,8 @@ from .ball import (
     GyroVector,
     ToleranceConfig,
     _check_same_dim,
+    _each,
+    _sum_rows,
     approx_eq,
     einstein_add,
     neg,
@@ -93,3 +95,27 @@ def collinear_direct(
     _check_same_dim(x, z)
     det, band = gram_band(y.coords - x.coords, z.coords - x.coords, tol)
     return det <= band
+
+
+# Row kernels (see ball): the functions above over the rows of (n, d) arrays.
+
+
+def _klein_distance_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """klein_distance of the rows of x and y."""
+    arg = (1.0 - np.vecdot(x, y)) / np.sqrt((1.0 - np.vecdot(x, x)) * (1.0 - np.vecdot(y, y)))
+    return _each(lambda a: math.acosh(max(a, 1.0)), arg)
+
+
+def _commutes_rows(u: np.ndarray, v: np.ndarray, tol: ToleranceConfig, ok=True) -> tuple:
+    """commutes of the rows of u and v, and ok narrowed to the rows whose
+    two sums the guard accepts."""
+    uv, ok = _sum_rows(u, v, ok)
+    vu, ok = _sum_rows(v, u, ok)
+    bound = tol.abs_tol + tol.rel_tol * np.maximum(np.abs(uv), np.abs(vu))
+    return (np.abs(uv - vu) <= bound).all(axis=1), ok
+
+
+def _gram_band_rows(a: np.ndarray, b: np.ndarray, tol: ToleranceConfig) -> tuple:
+    """gram_band of the rows of a and b."""
+    a2, b2, ab = np.vecdot(a, a), np.vecdot(b, b), np.vecdot(a, b)
+    return a2 * b2 - ab * ab, tol.abs_tol * (1.0 + a2 * b2)

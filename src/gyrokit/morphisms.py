@@ -21,19 +21,19 @@ from .ball import (
     GyroError,
     GyroVector,
     ToleranceConfig,
-    _add_rows,
     _check_same_dim,
-    _guard_rows,
+    _guarded,
     _norm,
     _norm_rows,
+    _sum_rows,
     einstein_add,
     line_param,
 )
 from .sampling import (
     BallSampler,
     PropertyReport,
-    Rows,
     _block_sizes,
+    _point_rows,
     derive_seed,
     scan_report,
     seeded_scan,
@@ -99,14 +99,6 @@ def _haar(g: np.ndarray) -> np.ndarray:
 def random_orthogonal(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Haar-random orthogonal matrix of a Gaussian draw (see _haar)."""
     return _haar(rng.standard_normal((dim, dim)))
-
-
-def _guarded(image: np.ndarray, ok: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # ok narrowed to the rows of image that are ball points; the others are
-    # zeroed, so arithmetic on them stays finite and warning-free
-    ok = ok & _guard_rows(image)[1]
-    image[~ok] = 0.0
-    return image, ok
 
 
 def _matvec(m: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -196,13 +188,11 @@ def _law_rows(image: Callable, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     image (see BallMap._image_rows): inf where u (+) v, an image or
     f(u) (+) f(v) is not a ball point, and the map is not evaluated on a
     row once one of them has failed."""
-    w = _add_rows(u, v)
-    ok = _guard_rows(w)[1]
+    w, ok = _sum_rows(u, v)
     fw, ok = image(w, ok)
     fu, ok = image(u, ok)
     fv, ok = image(v, ok)
-    rhs = _add_rows(fu, fv)
-    ok &= _guard_rows(rhs)[1]
+    rhs, ok = _sum_rows(fu, fv, ok)
     residual = _norm_rows(fw - rhs)
     residual[~ok] = math.inf
     return residual
@@ -229,9 +219,7 @@ def _pairs(dim: int, n_samples: int, seed: int, tol: ToleranceConfig):
     """n_samples seeded pairs of ball points, u drawn first, as Rows blocks
     {"u", "v"}."""
     sampler = BallSampler(seed, dim, tol.sample_rmax)
-    for n in _block_sizes(n_samples):
-        pairs = sampler.sample_rows(2 * n).reshape(n, 2, dim)
-        yield Rows(u=pairs[:, 0], v=pairs[:, 1])
+    return (_point_rows("u", "v")(sampler, n) for n in _block_sizes(n_samples))
 
 
 def check_endomorphism(
@@ -346,7 +334,7 @@ def classify_endomorphism(
         verdict = MapClassification.orthogonal(LinearMap(candidate))
     sampler = BallSampler(derive_seed(seed, stream), f.dim, tol.sample_rmax)
     _, _, disagreement, _ = seeded_scan(
-        (Rows(w=sampler.sample_rows(n)) for n in _block_sizes(n_samples)),
+        (_point_rows("w")(sampler, n) for n in _block_sizes(n_samples)),
         lambda rows: _image_norms(f._image_rows, rows["w"], np.matvec(candidate, rows["w"])),
         cutoff,
     )

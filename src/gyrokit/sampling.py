@@ -101,6 +101,16 @@ class Rows(dict):
         return Rows({key: value[i : i + 1] for key, value in self.items()})
 
 
+def _point_rows(*keys: str) -> Callable:
+    """Row draw: n inputs as a Rows block, each one sample() per key in turn."""
+
+    def draw_rows(s: BallSampler, n: int, tol=None) -> Rows:
+        points = s.sample_rows(len(keys) * n).reshape(n, len(keys), s.dim)
+        return Rows({key: points[:, k] for k, key in enumerate(keys)})
+
+    return draw_rows
+
+
 def _score(residual: Callable[[Any], float], item: Any) -> float:
     # an input whose residual leaves the ball fails: every scan's one error policy
     try:

@@ -5,10 +5,14 @@ from the master seed, property name, and dimension), evaluates a residual,
 and compares it against a threshold from the tolerance config.  A failing
 sample is shrunk by halving all its ball points while the failure persists,
 and the smallest still-failing instance is reported; matrix and classifier
-inputs hold no ball point and are reported as drawn.  The three
+inputs hold no ball point and are reported as drawn.  The eight gyro-core
+laws (closure to one_parameter_subgroup), the five geometry properties
+(commutes_iff_dependent to line_translation_distance) and the three
 orthogonal-map properties draw their inputs as Rows blocks, row by row in
-the order of the one-input draw, and score each block as one residual
-array with the row kernels, which equal the scalar path bit for bit.
+the order of the one-input draws, and score each block as one residual
+array with the row kernels, which equal the scalar path bit for bit; the
+classifier trials and the five matrix-model properties score one input at
+a time.
 
 Residual normalization.  Raw floating-point residuals of ball operations
 grow with the Lorentz factor of the operands (coordinate noise is
@@ -69,23 +73,19 @@ from .ball import (
     GyroError,
     GyroVector,
     ToleranceConfig,
+    _add_rows,
+    _each,
     _gamma_rows,
+    _gyration_rows,
+    _line_param_rows,
     _norm,
-    approx_eq,
+    _norm_rows,
+    _sum_rows,
     einstein_add,
     gamma,
-    gyration,
-    line_param,
     neg,
 )
-from .geometry import (
-    collinear_direct,
-    collinear_gyro,
-    commutes,
-    gram_band,
-    klein_distance,
-    linearly_dependent,
-)
+from .geometry import _commutes_rows, _gram_band_rows, _klein_distance_rows, gram_band
 from .matrix_models import (
     Hermitian2,
     bloch_to_density,
@@ -112,6 +112,7 @@ from .sampling import (
     PropertyReport,
     Rows,
     _block_sizes,
+    _point_rows,
     _points,
     derive_seed,
     scan_report,
@@ -163,10 +164,10 @@ def _samplers(name: str, dims: tuple[int, ...], seed: int, radius: float) -> lis
 
 def _sampled_check(
     name: str,
-    dims: tuple[int, ...],
     draw: Callable,
     residual: Callable,
     threshold: Callable[[ToleranceConfig], float],
+    dims: tuple[int, ...] = _CORE_DIMS,
     rmax: float | None = None,
 ) -> Callable:
     # n_samples draws in each dimension, one input each
@@ -179,17 +180,19 @@ def _sampled_check(
 
 def _row_check(
     name: str,
-    dims: tuple[int, ...],
     draw_rows: Callable,
     residual: Callable,
     threshold: Callable[[ToleranceConfig], float],
+    dims: tuple[int, ...] = _CORE_DIMS,
     rmax: float | None = None,
 ) -> Callable:
     # n_samples draws in each dimension, as Rows blocks that draw_rows(sampler,
-    # n) fills row by row in the order the one-input draws would
+    # n, tol) fills row by row in the order the one-input draws would
     def inputs(n_samples: int, seed: int, tol: ToleranceConfig):
         samplers = _samplers(name, dims, seed, rmax if rmax is not None else tol.sample_rmax)
-        return (draw_rows(sampler, n) for sampler in samplers for n in _block_sizes(n_samples))
+        return (
+            draw_rows(sampler, n, tol) for sampler in samplers for n in _block_sizes(n_samples)
+        )
 
     return _property(name, inputs, residual, threshold)
 
@@ -201,39 +204,49 @@ def _draw_pair(s: BallSampler, tol: ToleranceConfig) -> dict:
     return {"u": s.sample(), "v": s.sample()}
 
 
-def _draw_single(s: BallSampler, tol: ToleranceConfig) -> dict:
-    return {"u": s.sample()}
+def _stacked(draw: Callable) -> Callable:
+    # row draw of an item draw of ball points: n items in turn, stacked
+    def draw_rows(s: BallSampler, n: int, tol: ToleranceConfig) -> Rows:
+        items = [draw(s, tol) for _ in range(n)]
+        return Rows({key: np.array([item[key].coords for item in items]) for key in items[0]})
+
+    return draw_rows
 
 
-def _closure_residual(inputs: dict, tol: ToleranceConfig) -> float:
-    return einstein_add(inputs["u"], inputs["v"]).norm
+def _squares(x: np.ndarray) -> np.ndarray:
+    # x ** 2 the way the scalar residuals square a Python float: libm pow
+    return _each(lambda e: e ** 2, x)
 
 
-def _identity_residual(inputs: dict, tol: ToleranceConfig) -> float:
-    u = inputs["u"]
-    zero = GyroVector.zero(u.dim)
-    left = _norm(einstein_add(zero, u).coords - u.coords)
-    right = _norm(einstein_add(u, zero).coords - u.coords)
-    return max(left, right)
+def _closure_residual(rows: Rows, tol: ToleranceConfig) -> np.ndarray:
+    w, ok = _sum_rows(rows["u"], rows["v"])
+    return np.where(ok, _norm_rows(w), math.inf)
 
 
-def _left_inverse_residual(inputs: dict, tol: ToleranceConfig) -> float:
-    u = inputs["u"]
-    return max(einstein_add(neg(u), u).norm, einstein_add(u, neg(u)).norm)
+def _identity_residual(rows: Rows, tol: ToleranceConfig) -> np.ndarray:
+    u = rows["u"]
+    zero = np.zeros_like(u)
+    return np.maximum(_norm_rows(_add_rows(zero, u) - u), _norm_rows(_add_rows(u, zero) - u))
 
 
-def _left_cancellation_residual(inputs: dict, tol: ToleranceConfig) -> float:
-    u, v = inputs["u"], inputs["v"]
-    recovered = einstein_add(neg(u), einstein_add(u, v))
-    return _norm(recovered.coords - v.coords) / gamma(u) ** 2
+def _left_inverse_residual(rows: Rows, tol: ToleranceConfig) -> np.ndarray:
+    u = rows["u"]
+    return np.maximum(_norm_rows(_add_rows(-u, u)), _norm_rows(_add_rows(u, -u)))
 
 
-def _gamma_identity_residual(inputs: dict, tol: ToleranceConfig) -> float:
-    u, v = inputs["u"], inputs["v"]
-    w = einstein_add(u, v)
-    lhs = gamma(w)
-    rhs = gamma(u) * gamma(v) * (1.0 + float(u.coords.dot(v.coords)))
-    return abs(lhs - rhs) / (rhs * gamma(w) ** 2)
+def _left_cancellation_residual(rows: Rows, tol: ToleranceConfig) -> np.ndarray:
+    u, v = rows["u"], rows["v"]
+    w, ok = _sum_rows(u, v)
+    recovered, ok = _sum_rows(-u, w, ok)
+    return np.where(ok, _norm_rows(recovered - v) / _squares(_gamma_rows(u)), math.inf)
+
+
+def _gamma_identity_residual(rows: Rows, tol: ToleranceConfig) -> np.ndarray:
+    u, v = rows["u"], rows["v"]
+    w, ok = _sum_rows(u, v)
+    lhs = _gamma_rows(w)
+    rhs = _gamma_rows(u) * _gamma_rows(v) * (1.0 + np.vecdot(u, v))
+    return np.where(ok, np.abs(lhs - rhs) / (rhs * _squares(lhs)), math.inf)
 
 
 def _rapidity(u: GyroVector) -> float:
@@ -270,36 +283,45 @@ def _draw_gyrocommutativity_inputs(s: BallSampler, tol: ToleranceConfig) -> dict
     )
 
 
-def _gyration_orthogonality_residual(inputs: dict, tol: ToleranceConfig) -> float:
-    u, v, w1, w2 = inputs["u"], inputs["v"], inputs["w1"], inputs["w2"]
-    g1 = gyration(u, v, w1)
-    g2 = gyration(u, v, w2)
-    scale = (gamma(u) * gamma(v)) ** 2
-    pairing = abs(float(g1.coords.dot(g2.coords)) - float(w1.coords.dot(w2.coords)))
-    length = abs(g1.norm2 - w1.norm2)
-    return max(pairing, length) / scale
+def _gyration_orthogonality_residual(rows: Rows, tol: ToleranceConfig) -> np.ndarray:
+    u, v, w1, w2 = rows["u"], rows["v"], rows["w1"], rows["w2"]
+    g1, ok = _gyration_rows(u, v, w1)
+    g2, ok = _gyration_rows(u, v, w2, ok)
+    pairing = np.abs(np.vecdot(g1, g2) - np.vecdot(w1, w2))
+    length = np.abs(np.vecdot(g1, g1) - np.vecdot(w1, w1))
+    scale = _squares(_gamma_rows(u) * _gamma_rows(v))
+    return np.where(ok, np.maximum(pairing, length) / scale, math.inf)
 
 
-def _gyrocommutativity_residual(inputs: dict, tol: ToleranceConfig) -> float:
-    u, v = inputs["u"], inputs["v"]
-    lhs = einstein_add(u, v)
-    rhs = gyration(u, v, einstein_add(v, u))
-    scale = (gamma(u) * gamma(v)) ** 2
-    return _norm(lhs.coords - rhs.coords) / scale
+def _gyrocommutativity_residual(rows: Rows, tol: ToleranceConfig) -> np.ndarray:
+    u, v = rows["u"], rows["v"]
+    lhs, ok = _sum_rows(u, v)
+    vu, ok = _sum_rows(v, u, ok)
+    rhs, ok = _gyration_rows(u, v, vu, ok)
+    scale = _squares(_gamma_rows(u) * _gamma_rows(v))
+    return np.where(ok, _norm_rows(lhs - rhs) / scale, math.inf)
 
 
-def _draw_line_params(s: BallSampler, tol: ToleranceConfig) -> dict:
-    x = s.sample()
-    t_max = math.atanh(s.rmax) / math.atanh(x.norm)
-    a, b = s.rng.uniform(-0.5, 0.5, size=2)
-    return {"x": x, "s": float(a * t_max), "t": float(b * t_max)}
+def _line_rows(low: float, high: float, *keys: str) -> Callable:
+    # per row a point x, then a uniform(low, high) per key, scaled by x's t_max
+    def draw_rows(s: BallSampler, n: int, tol: ToleranceConfig) -> Rows:
+        draws = [(s._draw(), s.rng.uniform(low, high, size=len(keys))) for _ in range(n)]
+        x = _points([point for point, _ in draws], s.dim)
+        t_max = math.atanh(s.rmax) / _each(math.atanh, _norm_rows(x))
+        scaled = np.array([params for _, params in draws]) * t_max[:, None]
+        return Rows(x=x, **{key: scaled[:, k] for k, key in enumerate(keys)})
+
+    return draw_rows
 
 
-def _one_parameter_residual(inputs: dict, tol: ToleranceConfig) -> float:
-    x, s_par, t_par = inputs["x"], inputs["s"], inputs["t"]
-    combined = einstein_add(line_param(x, s_par), line_param(x, t_par))
-    direct = line_param(x, s_par + t_par)
-    return _norm(combined.coords - direct.coords) / gamma(combined) ** 2
+def _one_parameter_residual(rows: Rows, tol: ToleranceConfig) -> np.ndarray:
+    x, s_par, t_par = rows["x"], rows["s"], rows["t"]
+    xs, ok = _line_param_rows(x, s_par)
+    xt, ok = _line_param_rows(x, t_par, ok)
+    combined, ok = _sum_rows(xs, xt, ok)
+    direct, ok = _line_param_rows(x, s_par + t_par, ok)
+    residual = _norm_rows(combined - direct) / _squares(_gamma_rows(combined))
+    return np.where(ok, residual, math.inf)
 
 
 # ----------------------------------------------------------------- geometry
@@ -324,14 +346,31 @@ def _draw_commutation_inputs(s: BallSampler, tol: ToleranceConfig) -> dict:
     return {"dep_u": dep_u, "dep_v": dep_v, "ind_u": ind["u"], "ind_v": ind["v"]}
 
 
-def _commutes_iff_dependent_residual(inputs: dict, tol: ToleranceConfig) -> float:
-    ok = (
-        commutes(inputs["dep_u"], inputs["dep_v"], tol)
-        and linearly_dependent(inputs["dep_u"], inputs["dep_v"], tol)
-        and not commutes(inputs["ind_u"], inputs["ind_v"], tol)
-        and not linearly_dependent(inputs["ind_u"], inputs["ind_v"], tol)
+def _and_chain(*clauses: tuple[np.ndarray, Any]) -> np.ndarray:
+    """Indicator residual over rows of the Python `and` of scalar clauses,
+    each (holds, ok) with ok false where the clause raises GyroError: as
+    `and` short-circuits, a row scores 0 when every clause holds, 1 when
+    one fails before any raised, and inf when one raised first."""
+    live = np.ones(len(clauses[0][0]), dtype=bool)
+    residual = np.zeros(len(live))
+    for holds, ok in clauses:
+        residual[live & np.logical_not(ok)] = math.inf
+        live &= ok
+        residual[live & ~holds] = 1.0
+        live &= holds
+    return residual
+
+
+def _commutes_iff_dependent_residual(rows: Rows, tol: ToleranceConfig) -> np.ndarray:
+    dep, ind = (rows["dep_u"], rows["dep_v"]), (rows["ind_u"], rows["ind_v"])
+    dep_commutes, dep_ok = _commutes_rows(*dep, tol)
+    ind_commutes, ind_ok = _commutes_rows(*ind, tol)
+    return _and_chain(
+        (dep_commutes, dep_ok),
+        (np.less_equal(*_gram_band_rows(*dep, tol)), True),
+        (~ind_commutes, ind_ok),
+        (~np.less_equal(*_gram_band_rows(*ind, tol)), True),
     )
-    return 0.0 if ok else 1.0
 
 
 def _translated_pair(
@@ -377,48 +416,48 @@ def _draw_collinearity_inputs(s: BallSampler, tol: ToleranceConfig) -> dict:
     }
 
 
-def _collinearity_residual(inputs: dict, tol: ToleranceConfig) -> float:
-    ok = (
-        collinear_gyro(inputs["on_x"], inputs["on_y"], inputs["on_z"], tol)
-        and collinear_direct(inputs["on_x"], inputs["on_y"], inputs["on_z"], tol)
-        and not collinear_gyro(inputs["off_x"], inputs["off_y"], inputs["off_z"], tol)
-        and not collinear_direct(inputs["off_x"], inputs["off_y"], inputs["off_z"], tol)
+def _collinear_gyro_rows(x, y, z, tol: ToleranceConfig) -> tuple:
+    a, ok = _sum_rows(-x, y)
+    b, ok = _sum_rows(-x, z, ok)
+    return _commutes_rows(a, b, tol, ok)
+
+
+def _collinearity_residual(rows: Rows, tol: ToleranceConfig) -> np.ndarray:
+    on = rows["on_x"], rows["on_y"], rows["on_z"]
+    off = rows["off_x"], rows["off_y"], rows["off_z"]
+    off_gyro, off_ok = _collinear_gyro_rows(*off, tol)
+    return _and_chain(
+        _collinear_gyro_rows(*on, tol),
+        (np.less_equal(*_gram_band_rows(on[1] - on[0], on[2] - on[0], tol)), True),
+        (~off_gyro, off_ok),
+        (~np.less_equal(*_gram_band_rows(off[1] - off[0], off[2] - off[0], tol)), True),
     )
-    return 0.0 if ok else 1.0
 
 
-def _draw_triple(s: BallSampler, tol: ToleranceConfig) -> dict:
-    return {"u": s.sample(), "v": s.sample(), "w": s.sample()}
+def _isometry_residual(rows: Rows, tol: ToleranceConfig) -> np.ndarray:
+    u, v, w = rows["u"], rows["v"], rows["w"]
+    uv, ok = _sum_rows(u, v)
+    uw, ok = _sum_rows(u, w, ok)
+    translated = _klein_distance_rows(uv, uw)
+    residual = np.abs(translated - _klein_distance_rows(v, w)) / (1.0 + _gamma_rows(u))
+    return np.where(ok, residual, math.inf)
 
 
-def _isometry_residual(inputs: dict, tol: ToleranceConfig) -> float:
-    u, v, w = inputs["u"], inputs["v"], inputs["w"]
-    translated = klein_distance(einstein_add(u, v), einstein_add(u, w))
-    return abs(translated - klein_distance(v, w)) / (1.0 + gamma(u))
+def _metric_residual(rows: Rows, tol: ToleranceConfig) -> np.ndarray:
+    x, y = rows["u"], rows["v"]
+    d_xy = _klein_distance_rows(x, y)
+    symmetry = np.abs(d_xy - _klein_distance_rows(y, x))
+    coincidence = _squares(_klein_distance_rows(x, x))
+    positivity = np.where(d_xy > 0.0, 0.0, 1.0)
+    return np.maximum(np.maximum(symmetry, coincidence), positivity)
 
 
-def _metric_residual(inputs: dict, tol: ToleranceConfig) -> float:
-    x, y = inputs["u"], inputs["v"]
-    d_xy = klein_distance(x, y)
-    symmetry = abs(d_xy - klein_distance(y, x))
-    coincidence = klein_distance(x, x) ** 2
-    positivity = 0.0 if d_xy > 0.0 else 1.0
-    return max(symmetry, coincidence, positivity)
-
-
-def _draw_line_distance(s: BallSampler, tol: ToleranceConfig) -> dict:
-    x = s.sample()
-    t_max = math.atanh(s.rmax) / math.atanh(x.norm)
-    t = float(s.rng.uniform(-1.0, 1.0) * t_max)
-    return {"x": x, "t": t}
-
-
-def _line_distance_residual(inputs: dict, tol: ToleranceConfig) -> float:
-    x, t = inputs["x"], inputs["t"]
-    point = line_param(x, t)
-    expected = abs(t) * math.atanh(x.norm)
-    measured = klein_distance(GyroVector.zero(x.dim), point)
-    return abs(measured - expected) / max(1.0, expected)
+def _line_distance_residual(rows: Rows, tol: ToleranceConfig) -> np.ndarray:
+    x, t = rows["x"], rows["t"]
+    point, ok = _line_param_rows(x, t)
+    expected = np.abs(t) * _each(math.atanh, _norm_rows(x))
+    measured = _klein_distance_rows(np.zeros_like(point), point)
+    return np.where(ok, np.abs(measured - expected) / np.maximum(1.0, expected), math.inf)
 
 
 # ---------------------------------------------------------------- morphisms
@@ -428,7 +467,7 @@ def _draw_orthogonal_pair(s: BallSampler, tol: ToleranceConfig) -> dict:
     return {"q": random_orthogonal(s.rng, s.dim), "u": s.sample(), "v": s.sample()}
 
 
-def _draw_orthogonal_rows(s: BallSampler, n: int) -> Rows:
+def _draw_orthogonal_rows(s: BallSampler, n: int, tol: ToleranceConfig) -> Rows:
     # _draw_orthogonal_pair n times: per row a Gaussian matrix, then u, then v
     gaussians, draws = np.empty((n, s.dim, s.dim)), []
     for i in range(n):
@@ -450,7 +489,7 @@ def _fixes_zero_residual(rows: Rows, tol: ToleranceConfig) -> np.ndarray:
 def _orthogonal_endomorphism_residual(rows: Rows, tol: ToleranceConfig) -> np.ndarray:
     q, u, v = rows["q"], rows["u"], rows["v"]
     raw = _law_rows(_linear_image(q), u, v)
-    return raw / (_gamma_rows(u) * _gamma_rows(v)) ** 2
+    return raw / _squares(_gamma_rows(u) * _gamma_rows(v))
 
 
 def _orthogonal_residual_bound_residual(rows: Rows, tol: ToleranceConfig) -> np.ndarray:
@@ -604,76 +643,76 @@ def _indicator(tol: ToleranceConfig) -> float:
 
 def _build_registry() -> dict[str, Callable]:
     runs = [
-        _sampled_check(
-            "closure", _CORE_DIMS, _draw_pair, _closure_residual,
+        _row_check(
+            "closure", _point_rows("u", "v"), _closure_residual,
             lambda tol: 1.0 - DEFAULT_BOUNDARY_MARGIN,
         ),
-        _sampled_check("identity", _CORE_DIMS, _draw_single, _identity_residual, _abs_tol),
-        _sampled_check("left_inverse", _CORE_DIMS, _draw_single, _left_inverse_residual, _abs_tol),
-        _sampled_check(
-            "left_cancellation", _CORE_DIMS, _draw_pair, _left_cancellation_residual, _abs_tol
+        _row_check("identity", _point_rows("u"), _identity_residual, _abs_tol),
+        _row_check("left_inverse", _point_rows("u"), _left_inverse_residual, _abs_tol),
+        _row_check(
+            "left_cancellation", _point_rows("u", "v"), _left_cancellation_residual, _abs_tol
         ),
-        _sampled_check("gamma_identity", _CORE_DIMS, _draw_pair, _gamma_identity_residual, _rel_tol),
-        _sampled_check(
-            "gyration_orthogonality", _CORE_DIMS, _draw_gyration_inputs,
+        _row_check("gamma_identity", _point_rows("u", "v"), _gamma_identity_residual, _rel_tol),
+        _row_check(
+            "gyration_orthogonality", _stacked(_draw_gyration_inputs),
             _gyration_orthogonality_residual, _rel_tol,
         ),
-        _sampled_check(
-            "gyrocommutativity", _CORE_DIMS, _draw_gyrocommutativity_inputs,
+        _row_check(
+            "gyrocommutativity", _stacked(_draw_gyrocommutativity_inputs),
             _gyrocommutativity_residual, _abs_tol,
         ),
-        _sampled_check(
-            "one_parameter_subgroup", _CORE_DIMS, _draw_line_params, _one_parameter_residual,
+        _row_check(
+            "one_parameter_subgroup", _line_rows(-0.5, 0.5, "s", "t"), _one_parameter_residual,
             _abs_tol,
         ),
-        _sampled_check(
-            "commutes_iff_dependent", _CORE_DIMS, _draw_commutation_inputs,
+        _row_check(
+            "commutes_iff_dependent", _stacked(_draw_commutation_inputs),
             _commutes_iff_dependent_residual, _indicator,
         ),
-        _sampled_check(
-            "collinearity_equivalence", _PLANE_DIMS, _draw_collinearity_inputs,
-            _collinearity_residual, _indicator,
-        ),
-        _sampled_check(
-            "left_translation_isometry", _CORE_DIMS, _draw_triple, _isometry_residual,
-            lambda tol: 10.0 * tol.rel_tol,
-        ),
-        _sampled_check("klein_distance_metric", _CORE_DIMS, _draw_pair, _metric_residual, _abs_tol),
-        _sampled_check(
-            "line_translation_distance", _CORE_DIMS, _draw_line_distance,
-            _line_distance_residual, _rel_tol,
+        _row_check(
+            "collinearity_equivalence", _stacked(_draw_collinearity_inputs),
+            _collinearity_residual, _indicator, dims=_PLANE_DIMS,
         ),
         _row_check(
-            "endomorphism_fixes_zero", _CORE_DIMS, _draw_orthogonal_rows, _fixes_zero_residual,
+            "left_translation_isometry", _point_rows("u", "v", "w"), _isometry_residual,
+            lambda tol: 10.0 * tol.rel_tol,
+        ),
+        _row_check("klein_distance_metric", _point_rows("u", "v"), _metric_residual, _abs_tol),
+        _row_check(
+            "line_translation_distance", _line_rows(-1.0, 1.0, "t"), _line_distance_residual,
+            _rel_tol,
+        ),
+        _row_check(
+            "endomorphism_fixes_zero", _draw_orthogonal_rows, _fixes_zero_residual, _abs_tol
+        ),
+        _row_check(
+            "orthogonal_endomorphism", _draw_orthogonal_rows, _orthogonal_endomorphism_residual,
             _abs_tol,
         ),
         _row_check(
-            "orthogonal_endomorphism", _CORE_DIMS, _draw_orthogonal_rows,
-            _orthogonal_endomorphism_residual, _abs_tol,
-        ),
-        _row_check(
-            "orthogonal_residual_bound", _CORE_DIMS, _draw_orthogonal_rows,
+            "orthogonal_residual_bound", _draw_orthogonal_rows,
             _orthogonal_residual_bound_residual, lambda tol: 1.0, rmax=0.9,
         ),
         _classifier_check("classifier_soundness", reconstruct=False),
         _classifier_check("classifier_reconstruction", reconstruct=True),
         _sampled_check(
-            "bloch_homomorphism", _MODEL_DIMS, _draw_pair, _bloch_homomorphism_residual,
-            _rel_tol, rmax=_MODEL_RMAX,
+            "bloch_homomorphism", _draw_pair, _bloch_homomorphism_residual, _rel_tol,
+            dims=_MODEL_DIMS, rmax=_MODEL_RMAX,
         ),
         _sampled_check(
-            "det_normalization_homomorphism", _MODEL_DIMS, _draw_pair,
-            _det_normalization_residual, _rel_tol, rmax=_MODEL_RMAX,
+            "det_normalization_homomorphism", _draw_pair, _det_normalization_residual, _rel_tol,
+            dims=_MODEL_DIMS, rmax=_MODEL_RMAX,
         ),
         _sampled_check(
-            "sqrt_squares_back", (2,), _draw_posdef, _sqrt_squares_back_residual, _rel_tol
+            "sqrt_squares_back", _draw_posdef, _sqrt_squares_back_residual, _rel_tol, dims=(2,)
         ),
         _sampled_check(
-            "boxdot_det_multiplicative", (2,), _draw_posdef_pair, _boxdot_det_residual, _rel_tol
+            "boxdot_det_multiplicative", _draw_posdef_pair, _boxdot_det_residual, _rel_tol,
+            dims=(2,),
         ),
         _sampled_check(
-            "transported_automorphism", _MODEL_DIMS, _draw_orthogonal_pair,
-            _transported_automorphism_residual, _rel_tol, rmax=_MODEL_RMAX,
+            "transported_automorphism", _draw_orthogonal_pair, _transported_automorphism_residual,
+            _rel_tol, dims=_MODEL_DIMS, rmax=_MODEL_RMAX,
         ),
     ]
     registry = {}

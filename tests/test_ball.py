@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -261,11 +262,23 @@ class TestToleranceConfig:
             {"sample_rmax": 1.0},
             # inside the unit ball but past the guard
             {"sample_rmax": 1 - 1e-10},
+            # a bool is an int to Python, but True is no tolerance of 1
+            {"abs_tol": True},
+            {"rel_tol": True},
+            # positive, but not as a float
+            {"abs_tol": Fraction(1, 10**400)},
+            {"rel_tol": 10**400},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             ToleranceConfig(**kwargs)
+
+    def test_accepts_any_finite_positive_real_as_a_float(self):
+        tol = ToleranceConfig(abs_tol=np.float32(1e-9), rel_tol=1, sample_rmax=np.float64(0.5))
+        assert tol.abs_tol == float(np.float32(1e-9))
+        assert (tol.rel_tol, tol.sample_rmax) == (1.0, 0.5)
+        assert all(type(t) is float for t in (tol.abs_tol, tol.rel_tol, tol.sample_rmax))
 
     def test_approx_eq_uses_config(self):
         a = GyroVector([0.1, 0.0])

@@ -8,17 +8,20 @@ is unchanged, so the results must agree exactly, bytes included, up to
 points 1e-8 from the unit sphere.  A result outside the guarded ball must
 fail with the public constructor's message, and every result is read-only.
 
-The row kernels of the endomorphism layer are bound the same way: each
-must equal the scalar calls it replaced, row by row, and every batched
-report must equal its replay one input at a time.
+The row kernels are bound the same way: each must equal the scalar calls
+it replaced, row by row, refusing a row exactly where the scalar call
+raises, and every batched report must equal its replay one input at a
+time through the scalar draws and residuals kept here.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from gyrokit import (
+    DEFAULT_BOUNDARY_MARGIN,
     DEFAULT_TOL,
     BallDomainError,
     BallMap,
@@ -28,19 +31,46 @@ from gyrokit import (
     ToleranceConfig,
     check_endomorphism,
     classify_endomorphism,
+    collinear_direct,
+    collinear_gyro,
+    commutes,
     derive_seed,
     einstein_add,
     endomorphism_residual,
     gamma,
+    gram_band,
     gyration,
+    klein_distance,
     line_param,
+    linearly_dependent,
     neg,
     random_orthogonal,
     run_suite,
 )
-from gyrokit.ball import _add_rows, _guard_rows, _norm
+from gyrokit.ball import (
+    _add_rows,
+    _gamma_rows,
+    _guard_rows,
+    _gyration_rows,
+    _line_param_rows,
+    _norm,
+    _sum_rows,
+)
+from gyrokit.geometry import _commutes_rows, _gram_band_rows, _klein_distance_rows
 from gyrokit.morphisms import _haar, _law_rows
 from gyrokit.sampling import SCAN_CHUNK, Rows, _scaled, scan_report, seeded_scan
+from gyrokit import verifier
+from gyrokit.verifier import (
+    _collinearity_residual,
+    _commutes_iff_dependent_residual,
+    _draw_collinearity_inputs,
+    _draw_commutation_inputs,
+    _draw_gyration_inputs,
+    _draw_gyrocommutativity_inputs,
+    _gyration_orthogonality_residual,
+    _gyrocommutativity_residual,
+    _squares,
+)
 
 DIMS = (1, 2, 3, 5, 64)
 
@@ -337,42 +367,247 @@ def test_classifier_sees_matrix_maps_as_black_boxes_do(dim, matrix):
         assert classify_endomorphism(fast, 100, seed).to_json_dict() == want
 
 
-# name -> (scalar residual of q, u, v; cutoff; sampling radius if not the default)
+# ------------------------------------------------- scalar replay references
+#
+# The draws and residuals every batched property replaced, one input at a
+# time through BallSampler.sample and the scalar public functions.  A
+# residual that raises GyroError scores inf in the scan, as its row form
+# scores a refused row.
+
+
+def draw_single(s: BallSampler, tol: ToleranceConfig) -> dict:
+    return {"u": s.sample()}
+
+
+def draw_pair(s: BallSampler, tol: ToleranceConfig) -> dict:
+    return {"u": s.sample(), "v": s.sample()}
+
+
+def draw_triple(s: BallSampler, tol: ToleranceConfig) -> dict:
+    return {"u": s.sample(), "v": s.sample(), "w": s.sample()}
+
+
+def draw_line_params(s: BallSampler, tol: ToleranceConfig) -> dict:
+    x = s.sample()
+    t_max = math.atanh(s.rmax) / math.atanh(x.norm)
+    a, b = s.rng.uniform(-0.5, 0.5, size=2)
+    return {"x": x, "s": float(a * t_max), "t": float(b * t_max)}
+
+
+def draw_line_distance(s: BallSampler, tol: ToleranceConfig) -> dict:
+    x = s.sample()
+    t_max = math.atanh(s.rmax) / math.atanh(x.norm)
+    t = float(s.rng.uniform(-1.0, 1.0) * t_max)
+    return {"x": x, "t": t}
+
+
+def draw_orthogonal_pair(s: BallSampler, tol: ToleranceConfig) -> dict:
+    return {"q": random_orthogonal(s.rng, s.dim), "u": s.sample(), "v": s.sample()}
+
+
+def closure(inputs: dict, tol: ToleranceConfig) -> float:
+    return einstein_add(inputs["u"], inputs["v"]).norm
+
+
+def identity(inputs: dict, tol: ToleranceConfig) -> float:
+    u = inputs["u"]
+    zero = GyroVector.zero(u.dim)
+    left = _norm(einstein_add(zero, u).coords - u.coords)
+    right = _norm(einstein_add(u, zero).coords - u.coords)
+    return max(left, right)
+
+
+def left_inverse(inputs: dict, tol: ToleranceConfig) -> float:
+    u = inputs["u"]
+    return max(einstein_add(neg(u), u).norm, einstein_add(u, neg(u)).norm)
+
+
+def left_cancellation(inputs: dict, tol: ToleranceConfig) -> float:
+    u, v = inputs["u"], inputs["v"]
+    recovered = einstein_add(neg(u), einstein_add(u, v))
+    return _norm(recovered.coords - v.coords) / gamma(u) ** 2
+
+
+def gamma_identity(inputs: dict, tol: ToleranceConfig) -> float:
+    u, v = inputs["u"], inputs["v"]
+    w = einstein_add(u, v)
+    lhs = gamma(w)
+    rhs = gamma(u) * gamma(v) * (1.0 + float(u.coords.dot(v.coords)))
+    return abs(lhs - rhs) / (rhs * gamma(w) ** 2)
+
+
+def gyration_orthogonality(inputs: dict, tol: ToleranceConfig) -> float:
+    u, v, w1, w2 = inputs["u"], inputs["v"], inputs["w1"], inputs["w2"]
+    g1 = gyration(u, v, w1)
+    g2 = gyration(u, v, w2)
+    scale = (gamma(u) * gamma(v)) ** 2
+    pairing = abs(float(g1.coords.dot(g2.coords)) - float(w1.coords.dot(w2.coords)))
+    length = abs(g1.norm2 - w1.norm2)
+    return max(pairing, length) / scale
+
+
+def gyrocommutativity(inputs: dict, tol: ToleranceConfig) -> float:
+    u, v = inputs["u"], inputs["v"]
+    lhs = einstein_add(u, v)
+    rhs = gyration(u, v, einstein_add(v, u))
+    scale = (gamma(u) * gamma(v)) ** 2
+    return _norm(lhs.coords - rhs.coords) / scale
+
+
+def one_parameter(inputs: dict, tol: ToleranceConfig) -> float:
+    x, s_par, t_par = inputs["x"], inputs["s"], inputs["t"]
+    combined = einstein_add(line_param(x, s_par), line_param(x, t_par))
+    direct = line_param(x, s_par + t_par)
+    return _norm(combined.coords - direct.coords) / gamma(combined) ** 2
+
+
+def commutes_iff_dependent(inputs: dict, tol: ToleranceConfig) -> float:
+    ok = (
+        commutes(inputs["dep_u"], inputs["dep_v"], tol)
+        and linearly_dependent(inputs["dep_u"], inputs["dep_v"], tol)
+        and not commutes(inputs["ind_u"], inputs["ind_v"], tol)
+        and not linearly_dependent(inputs["ind_u"], inputs["ind_v"], tol)
+    )
+    return 0.0 if ok else 1.0
+
+
+def collinearity(inputs: dict, tol: ToleranceConfig) -> float:
+    ok = (
+        collinear_gyro(inputs["on_x"], inputs["on_y"], inputs["on_z"], tol)
+        and collinear_direct(inputs["on_x"], inputs["on_y"], inputs["on_z"], tol)
+        and not collinear_gyro(inputs["off_x"], inputs["off_y"], inputs["off_z"], tol)
+        and not collinear_direct(inputs["off_x"], inputs["off_y"], inputs["off_z"], tol)
+    )
+    return 0.0 if ok else 1.0
+
+
+def isometry(inputs: dict, tol: ToleranceConfig) -> float:
+    u, v, w = inputs["u"], inputs["v"], inputs["w"]
+    translated = klein_distance(einstein_add(u, v), einstein_add(u, w))
+    return abs(translated - klein_distance(v, w)) / (1.0 + gamma(u))
+
+
+def metric(inputs: dict, tol: ToleranceConfig) -> float:
+    x, y = inputs["u"], inputs["v"]
+    d_xy = klein_distance(x, y)
+    symmetry = abs(d_xy - klein_distance(y, x))
+    coincidence = klein_distance(x, x) ** 2
+    positivity = 0.0 if d_xy > 0.0 else 1.0
+    return max(symmetry, coincidence, positivity)
+
+
+def line_distance(inputs: dict, tol: ToleranceConfig) -> float:
+    x, t = inputs["x"], inputs["t"]
+    point = line_param(x, t)
+    expected = abs(t) * math.atanh(x.norm)
+    measured = klein_distance(GyroVector.zero(x.dim), point)
+    return abs(measured - expected) / max(1.0, expected)
+
+
+def fixes_zero(inputs: dict, tol: ToleranceConfig) -> float:
+    q, zero = inputs["q"], GyroVector.zero(inputs["u"].dim)
+    return max(matrix_map(q)(zero).norm, matrix_map(np.zeros_like(q))(zero).norm)
+
+
+def orthogonal_law(inputs: dict, tol: ToleranceConfig) -> float:
+    q, u, v = inputs["q"], inputs["u"], inputs["v"]
+    return scalar_law(matrix_map(q), u, v) / (gamma(u) * gamma(v)) ** 2
+
+
+def orthogonal_bound(inputs: dict, tol: ToleranceConfig) -> float:
+    q, u, v = inputs["q"], inputs["u"], inputs["v"]
+    return scalar_law(matrix_map(q), u, v) / (10.0 * np.finfo(float).eps * gamma(u) * gamma(v))
+
+
+def abs_tol(tol: ToleranceConfig) -> float:
+    return tol.abs_tol
+
+
+def rel_tol(tol: ToleranceConfig) -> float:
+    return tol.rel_tol
+
+
+def indicator(tol: ToleranceConfig) -> float:
+    return 0.5
+
+
+CORE_DIMS = (2, 3, 5)
+
+# name -> (item draw, scalar residual, cutoff, dimensions, sampling radius
+# if not the default)
 SCALAR_ROW_PROPERTIES = {
-    "endomorphism_fixes_zero": (
-        lambda q, u, v: max(
-            matrix_map(q)(GyroVector.zero(u.dim)).norm,
-            matrix_map(np.zeros_like(q))(GyroVector.zero(u.dim)).norm,
-        ),
-        lambda tol: tol.abs_tol,
-        None,
+    "closure": (draw_pair, closure, lambda tol: 1.0 - DEFAULT_BOUNDARY_MARGIN, CORE_DIMS, None),
+    "identity": (draw_single, identity, abs_tol, CORE_DIMS, None),
+    "left_inverse": (draw_single, left_inverse, abs_tol, CORE_DIMS, None),
+    "left_cancellation": (draw_pair, left_cancellation, abs_tol, CORE_DIMS, None),
+    "gamma_identity": (draw_pair, gamma_identity, rel_tol, CORE_DIMS, None),
+    "gyration_orthogonality": (
+        _draw_gyration_inputs, gyration_orthogonality, rel_tol, CORE_DIMS, None
     ),
-    "orthogonal_endomorphism": (
-        lambda q, u, v: scalar_law(matrix_map(q), u, v) / (gamma(u) * gamma(v)) ** 2,
-        lambda tol: tol.abs_tol,
-        None,
+    "gyrocommutativity": (
+        _draw_gyrocommutativity_inputs, gyrocommutativity, abs_tol, CORE_DIMS, None
     ),
+    "one_parameter_subgroup": (draw_line_params, one_parameter, abs_tol, CORE_DIMS, None),
+    "commutes_iff_dependent": (
+        _draw_commutation_inputs, commutes_iff_dependent, indicator, CORE_DIMS, None
+    ),
+    "collinearity_equivalence": (
+        _draw_collinearity_inputs, collinearity, indicator, (2, 3), None
+    ),
+    "left_translation_isometry": (
+        draw_triple, isometry, lambda tol: 10.0 * tol.rel_tol, CORE_DIMS, None
+    ),
+    "klein_distance_metric": (draw_pair, metric, abs_tol, CORE_DIMS, None),
+    "line_translation_distance": (draw_line_distance, line_distance, rel_tol, CORE_DIMS, None),
+    "endomorphism_fixes_zero": (draw_orthogonal_pair, fixes_zero, abs_tol, CORE_DIMS, None),
+    "orthogonal_endomorphism": (draw_orthogonal_pair, orthogonal_law, abs_tol, CORE_DIMS, None),
     "orthogonal_residual_bound": (
-        lambda q, u, v: scalar_law(matrix_map(q), u, v)
-        / (10.0 * np.finfo(float).eps * gamma(u) * gamma(v)),
-        lambda tol: 1.0,
-        0.9,
+        draw_orthogonal_pair, orthogonal_bound, lambda tol: 1.0, CORE_DIMS, 0.9
     ),
 }
 
 
+# the verifier's row residual of each property above
+ROW_RESIDUALS = {
+    "closure": "_closure_residual",
+    "identity": "_identity_residual",
+    "left_inverse": "_left_inverse_residual",
+    "left_cancellation": "_left_cancellation_residual",
+    "gamma_identity": "_gamma_identity_residual",
+    "gyration_orthogonality": "_gyration_orthogonality_residual",
+    "gyrocommutativity": "_gyrocommutativity_residual",
+    "one_parameter_subgroup": "_one_parameter_residual",
+    "commutes_iff_dependent": "_commutes_iff_dependent_residual",
+    "collinearity_equivalence": "_collinearity_residual",
+    "left_translation_isometry": "_isometry_residual",
+    "klein_distance_metric": "_metric_residual",
+    "line_translation_distance": "_line_distance_residual",
+    "endomorphism_fixes_zero": "_fixes_zero_residual",
+    "orthogonal_endomorphism": "_orthogonal_endomorphism_residual",
+    "orthogonal_residual_bound": "_orthogonal_residual_bound_residual",
+}
+
+
+def scan_score(residual, item: dict, tol: ToleranceConfig = DEFAULT_TOL) -> float:
+    """residual(item, tol) as the scan scores it: inf where it raises GyroError."""
+    try:
+        return residual(item, tol)
+    except GyroError:
+        return math.inf
+
+
 def scalar_replay(name: str, n_samples: int, seed: int, tol: ToleranceConfig) -> str:
     """The report of a batched property replayed one input at a time."""
-    residual, cutoff, rmax = SCALAR_ROW_PROPERTIES[name]
+    draw, residual, cutoff, dims, rmax = SCALAR_ROW_PROPERTIES[name]
 
     def inputs():
-        for dim in (2, 3, 5):
+        for dim in dims:
             s = BallSampler(derive_seed(seed, f"{name}/{dim}"), dim, rmax or tol.sample_rmax)
             for _ in range(n_samples):
-                yield {"q": random_orthogonal(s.rng, dim), "u": s.sample(), "v": s.sample()}
+                yield draw(s, tol)
 
     return scan_report(
-        name, inputs(), lambda item: residual(**item), cutoff(tol), seed
+        name, inputs(), lambda item: residual(item, tol), cutoff(tol), seed
     ).to_json_line()
 
 
@@ -392,6 +627,32 @@ def test_batched_property_equals_its_scalar_replay_over_chunks(name):
     assert run_suite([name], n, 7)[0].to_json_line() == scalar_replay(name, n, 7, DEFAULT_TOL)
 
 
+@pytest.mark.parametrize("name", SCALAR_ROW_PROPERTIES)
+def test_row_residuals_equal_the_scalar_residuals_row_by_row(name):
+    # every row, not only the maximum and the first failure a report shows
+    draw, residual, _, dims, rmax = SCALAR_ROW_PROPERTIES[name]
+    row_residual = getattr(verifier, ROW_RESIDUALS[name])
+    for dim in dims:
+        s = BallSampler(derive_seed(5, f"{name}/{dim}"), dim, rmax or DEFAULT_TOL.sample_rmax)
+        items = [draw(s, DEFAULT_TOL) for _ in range(SCAN_CHUNK)]
+        rows = Rows(
+            {key: np.array([getattr(item[key], "coords", item[key]) for item in items])
+             for key in items[0]}
+        )
+        want = [scan_score(residual, item) for item in items]
+        assert row_residual(rows, DEFAULT_TOL).tolist() == want
+
+
+def test_squares_are_python_float_squares():
+    # a Python float's ** 2 is libm pow, which x * x misses in the last bit
+    # on some products of Lorentz factors
+    s = BallSampler(1234, 3)
+    g = _gamma_rows(s.sample_rows(20_000)) * _gamma_rows(s.sample_rows(20_000))
+    want = [x**2 for x in g.tolist()]
+    assert (np.array(want) != g * g).any()
+    assert _squares(g).tolist() == want
+
+
 @pytest.mark.parametrize("matrix", [np.eye(3), 0.5 * np.eye(3)], ids=["identity", "half"])
 def test_check_endomorphism_equals_its_scalar_replay_over_chunks(matrix):
     n, s, f = 3 * SCAN_CHUNK + 1, BallSampler(5, 3), matrix_map(matrix)
@@ -399,6 +660,186 @@ def test_check_endomorphism_equals_its_scalar_replay_over_chunks(matrix):
     want = scan_report("endomorphism", pairs, lambda p: scalar_law(f, **p), 1e-6, 5)
     got = check_endomorphism(BallMap.from_matrix(matrix), n, 5)
     assert got.to_json_line() == want.to_json_line()
+
+
+# ------------------------------------------- gyro core and geometry kernels
+
+
+def scalar_or_none(call):
+    """call(), or None where it raises GyroError."""
+    try:
+        return call()
+    except GyroError:
+        return None
+
+
+def assert_guarded_rows(rows: np.ndarray, ok: np.ndarray, wants: list) -> None:
+    """A guarded kernel's rows against the scalar results, None where the
+    scalar call raised: the same bytes where it returned, else a zero row
+    out of ok."""
+    assert any(want is None for want in wants) and any(want is not None for want in wants)
+    for row, row_ok, want in zip(rows, ok, wants):
+        if want is None:
+            assert not row_ok and not row.any()
+        else:
+            assert row_ok
+            assert row.tobytes() == want.coords.tobytes()
+
+
+def refused_upstream(n: int) -> np.ndarray:
+    # every seventh row comes in refused, and must stay refused
+    return np.arange(n) % 7 != 0
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_sum_rows_match_einstein_add(dim):
+    us, vs, u_rows, v_rows = pair_rows(points(dim, seed=700 + dim))
+    ok = refused_upstream(len(us))
+    wants = [scalar_or_none(lambda: einstein_add(u, v)) for u, v in zip(us, vs)]
+    # sums past the guard are covered, not only the rows refused upstream
+    assert any(want is None for want, k in zip(wants, ok) if k)
+    wants = [want if k else None for want, k in zip(wants, ok)]
+    assert_guarded_rows(*_sum_rows(u_rows, v_rows, ok), wants)
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_gyration_rows_match_gyration(dim):
+    pts = points(dim, seed=800 + dim)
+    us, vs, u_rows, v_rows = pair_rows(pts)
+    ws = [pts[(5 * i) % len(pts)] for i in range(len(us))]
+    ok = refused_upstream(len(us))
+    wants = [
+        scalar_or_none(lambda: gyration(u, v, w)) if k else None
+        for u, v, w, k in zip(us, vs, ws, ok)
+    ]
+    rows = _gyration_rows(u_rows, v_rows, np.array([w.coords for w in ws]), ok)
+    assert_guarded_rows(*rows, wants)
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_line_param_rows_match_line_param(dim):
+    pts = points(dim, seed=900 + dim) + [GyroVector.zero(dim)]
+    params = [0.0, 1.0, -1.0, 0.37, -2.5, 7.0, 100.0]
+    xs = [x for x in pts for _ in params]
+    ts = [t for _ in pts for t in params]
+    wants = [scalar_or_none(lambda: line_param(x, t)) for x, t in zip(xs, ts)]
+    assert_guarded_rows(
+        *_line_param_rows(np.array([x.coords for x in xs]), np.array(ts)), wants
+    )
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_klein_distance_rows_match_klein_distance(dim):
+    us, vs, u_rows, v_rows = pair_rows(points(dim, seed=1000 + dim))
+    want = [klein_distance(u, v) for u, v in zip(us, vs)]
+    assert _klein_distance_rows(u_rows, v_rows).tolist() == want
+
+
+@pytest.mark.parametrize("dim", DIMS)
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, FAILING], ids=["default", "failing"])
+def test_commutes_rows_match_commutes(dim, tol):
+    us, vs, u_rows, v_rows = pair_rows(points(dim, seed=1100 + dim))
+    holds, ok = _commutes_rows(u_rows, v_rows, tol)
+    wants = [scalar_or_none(lambda: commutes(u, v, tol)) for u, v in zip(us, vs)]
+    assert None in wants
+    assert ok.tolist() == [want is not None for want in wants]
+    assert [h for h, want in zip(holds.tolist(), wants) if want is not None] == [
+        want for want in wants if want is not None
+    ]
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_gram_band_rows_match_gram_band(dim):
+    us, vs, _, _ = pair_rows(points(dim, seed=1200 + dim))
+    a = [u.coords for u in us] + [u.coords - v.coords for u, v in zip(us, vs)]
+    b = [v.coords for v in vs] + [v.coords - w.coords for v, w in zip(vs, us[3:] + us[:3])]
+    det, band = _gram_band_rows(np.array(a), np.array(b), DEFAULT_TOL)
+    want = [gram_band(x, y, DEFAULT_TOL) for x, y in zip(a, b)]
+    assert list(zip(det.tolist(), band.tolist())) == want
+
+
+# Hand-built rows for the and-chains and the gyration refusals.  R is a
+# radius whose sum with itself rounds past the guard.  The seed sweeps
+# cannot tell these rules apart: a chain that scored inf wherever any
+# clause raised matches every seeded report.
+
+R = 0.99999
+ON_LINE = {"on_x": [0.0, 0.0], "on_y": [0.5, 0.0], "on_z": [0.25, 0.0]}
+OFF_LINE = {"off_x": [0.0, 0.0], "off_y": [0.5, 0.0], "off_z": [0.0, 0.5]}
+
+
+def on_off(on: list, off: list) -> dict:
+    return {**dict(zip(ON_LINE, on)), **dict(zip(OFF_LINE, off))}
+
+
+ESCAPING = [[-R, 0.0], [R, 0.0], [R, 0.0]]  # (-x) (+) y leaves the ball
+
+# (row residual, scalar residual, [(inputs, the scalar's score or None if finite)])
+HAND_BUILT = {
+    "commutes_iff_dependent": (
+        _commutes_iff_dependent_residual,
+        commutes_iff_dependent,
+        [
+            # clause 1 fails, so the scalar `and` never reaches clause 3, which raises
+            ({"dep_u": [0.5, 0.0], "dep_v": [0.0, 0.5], "ind_u": [R, 0.0], "ind_v": [R, 0.0]}, 1.0),
+            # clause 1 raises before any clause failed
+            ({"dep_u": [R, 0.0], "dep_v": [R, 0.0], "ind_u": [0.5, 0.0], "ind_v": [0.0, 0.5]},
+             math.inf),
+            # clauses 1 and 2 hold, then clause 3 raises
+            ({"dep_u": [0.5, 0.0], "dep_v": [0.25, 0.0], "ind_u": [R, 0.0], "ind_v": [R, 0.0]},
+             math.inf),
+            ({"dep_u": [0.5, 0.0], "dep_v": [0.25, 0.0], "ind_u": [0.5, 0.0], "ind_v": [0.0, 0.5]},
+             0.0),
+        ],
+    ),
+    "collinearity_equivalence": (
+        _collinearity_residual,
+        collinearity,
+        [
+            (on_off(list(OFF_LINE.values()), ESCAPING), 1.0),
+            (on_off(ESCAPING, list(OFF_LINE.values())), math.inf),
+            (on_off(list(ON_LINE.values()), ESCAPING), math.inf),
+            (on_off(list(ON_LINE.values()), list(OFF_LINE.values())), 0.0),
+        ],
+    ),
+    "gyration_orthogonality": (
+        _gyration_orthogonality_residual,
+        gyration_orthogonality,
+        [
+            # u (+) v leaves the ball
+            ({"u": [R, 0.0], "v": [R, 0.0], "w1": [0.1, 0.0], "w2": [0.0, 0.1]}, math.inf),
+            # v (+) w2 leaves the ball, after gyr[u, v] w1 was evaluated
+            ({"u": [0.1, 0.0], "v": [R, 0.0], "w1": [0.0, 0.1], "w2": [R, 0.0]}, math.inf),
+            ({"u": [0.3, 0.1], "v": [0.2, -0.4], "w1": [0.1, 0.1], "w2": [-0.3, 0.2]}, None),
+        ],
+    ),
+    "gyrocommutativity": (
+        _gyrocommutativity_residual,
+        gyrocommutativity,
+        [
+            ({"u": [R, 0.0], "v": [R, 0.0]}, math.inf),
+            ({"u": [0.3, 0.1], "v": [0.2, -0.4]}, None),
+        ],
+    ),
+}
+
+
+
+
+@pytest.mark.parametrize("name", HAND_BUILT)
+def test_hand_built_rows_score_as_the_scalar_path(name):
+    row_residual, residual, cases = HAND_BUILT[name]
+    want = []
+    for inputs, score in cases:
+        got = scan_score(residual, {key: GyroVector(value) for key, value in inputs.items()})
+        assert (got == score) if score is not None else math.isfinite(got)
+        want.append(got)
+    blocks = [Rows({key: np.array([v]) for key, v in inputs.items()}) for inputs, _ in cases]
+    stacked = Rows({key: np.concatenate([b[key] for b in blocks]) for key in blocks[0]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert row_residual(stacked, DEFAULT_TOL).tolist() == want
+        assert [float(row_residual(b, DEFAULT_TOL)[0]) for b in blocks] == want
 
 
 def loop_scan(residuals: np.ndarray, cutoff: float) -> tuple:

@@ -303,8 +303,8 @@ def test_nan_residual_fails_the_scan(residuals, worst, first):
 
 def test_nan_residual_fails_the_report():
     run = _sampled_check(
-        "nan_probe", (2,), lambda s, tol: {"u": s.sample()}, lambda inputs, tol: math.nan,
-        lambda tol: 1.0,
+        "nan_probe", lambda s, tol: {"u": s.sample()}, lambda inputs, tol: math.nan,
+        lambda tol: 1.0, dims=(2,),
     )
     report = json.loads(run(5, 7, ToleranceConfig()).to_json_line())
     assert report["passed"] is False
