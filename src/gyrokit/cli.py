@@ -66,8 +66,16 @@ def _show_json(obj) -> int:
 
 # readers: the one place where outside input becomes a value or a GyroError
 
-# a decimal as written; float() alone also reads 1_0, inf, nan and non-ASCII digits
+# a decimal and an integer as written; float() and int() alone also read 1_0
+# and non-ASCII digits, and float() inf and nan
 _DECIMAL = re.compile(r"\s*[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?\s*")
+_INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")
+
+
+def _parse_int(what: str, text: str) -> int:
+    if not _INTEGER.fullmatch(text):
+        raise GyroError(f"{what} must be an integer, got {text!r}")
+    return int(text)
 
 
 def _parse_vector(text: str) -> GyroVector:
@@ -115,10 +123,11 @@ def _load_hermitian(cls, path: str):
 
 
 def _load_map(args: argparse.Namespace) -> BallMap:
+    dim = None if args.dim is None else _parse_int("--dim", args.dim)
     if args.map == "zero":
-        if args.dim is None:
+        if dim is None:
             raise GyroError("--dim is required when the map is 'zero'")
-        return BallMap.zero(args.dim)
+        return BallMap.zero(dim)
     data = _load_json(args.map)
     try:
         matrix = np.asarray(data, dtype=float)
@@ -127,16 +136,15 @@ def _load_map(args: argparse.Namespace) -> BallMap:
     return BallMap.from_matrix(matrix)
 
 
-def _resolve_seed(args: argparse.Namespace) -> int:
+def _seeded(args: argparse.Namespace) -> tuple[int, int]:
+    """The sample count and the seed: --seed, else GYROKIT_SEED, else DEFAULT_SEED."""
+    samples = _parse_int("--samples", args.samples)
     if args.seed is not None:
-        return args.seed
+        return samples, _parse_int("--seed", args.seed)
     env = os.environ.get("GYROKIT_SEED")
     if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise GyroError(f"GYROKIT_SEED must be an integer, got {env!r}") from exc
-    return DEFAULT_SEED
+        return samples, _parse_int("GYROKIT_SEED", env)
+    return samples, DEFAULT_SEED
 
 
 class _Command(NamedTuple):
@@ -184,9 +192,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    outcome = classify_endomorphism(
-        _load_map(args), args.samples, _resolve_seed(args)
-    )
+    outcome = classify_endomorphism(_load_map(args), *_seeded(args))
     _show_json(outcome)
     return 0 if outcome.verdict != MapClassification.NOT_ENDOMORPHISM else 1
 
@@ -198,7 +204,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         names = [name for group in args.only for name in group.split(",") if name]
         if not names:
             raise GyroError("--only needs at least one property name")
-    reports = run_suite(names, args.samples, _resolve_seed(args))
+    reports = run_suite(names, *_seeded(args))
     for report in reports:
         print(report.to_json_line())
     return 0 if all(report.passed for report in reports) else 1
@@ -206,11 +212,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _add_seeded_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--samples", type=int, default=DEFAULT_SAMPLES, help="random samples per property"
+        "--samples", default=str(DEFAULT_SAMPLES), help="random samples per property"
     )
     parser.add_argument(
-        "--seed", type=int, default=None,
-        help="master seed (default: GYROKIT_SEED env var, else 7)",
+        "--seed", help="master seed (default: GYROKIT_SEED env var, else 7)"
     )
 
 
@@ -246,7 +251,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--map", required=True,
         help="JSON file with a square matrix, or the literal 'zero'",
     )
-    p.add_argument("--dim", type=int, default=None, help="dimension for the zero map")
+    p.add_argument("--dim", help="dimension for the zero map")
     _add_seeded_arguments(p)
     p.set_defaults(func=_cmd_classify)
 

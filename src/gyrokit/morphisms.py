@@ -23,15 +23,15 @@ from .ball import (
     ToleranceConfig,
     _check_same_dim,
     _guarded,
-    _norm,
+    _line_param_rows,
     _norm_rows,
     _sum_rows,
-    einstein_add,
-    line_param,
 )
 from .sampling import (
+    SCAN_CHUNK,
     BallSampler,
     PropertyReport,
+    Rows,
     _block_sizes,
     _point_rows,
     derive_seed,
@@ -198,9 +198,10 @@ def _law_rows(image: Callable, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return residual
 
 
-def _image_norms(image: Callable, w: np.ndarray, center: np.ndarray) -> np.ndarray:
-    # |f(w) - center| per row, inf where f(w) is not a ball point
-    out, ok = image(w, np.ones(len(w), dtype=bool))
+def _image_norms(image: Callable, w: np.ndarray, center, ok=None) -> np.ndarray:
+    # |f(w) - center| per row of w that ok marks (all by default), inf where
+    # f(w) is not a ball point or the row is not marked
+    out, ok = image(w, np.ones(len(w), dtype=bool) if ok is None else ok)
     residual = _norm_rows(out - center)
     residual[~ok] = math.inf
     return residual
@@ -396,35 +397,36 @@ def zero_propagation_check(
     params = [0.0] + rationals + list(rng.uniform(-t_max, t_max, size=100))
     n_translates = max(1, n_samples // 20)
 
+    def block(part: str, t: np.ndarray, base: list | None) -> Rows:
+        # one row per evaluation of f; the base is held as drawn, not as a point
+        bases = np.empty(len(t), dtype=object)
+        bases.fill(base)
+        return Rows(part=np.full(len(t), part), t=t, base=bases)
+
     def evaluations():
-        # one item per evaluation of f on a line or translate
-        for t in params:
-            yield {"part": "diameter", "t": float(t), "base": None}
+        diameter = np.array(params)
+        for start in range(0, len(diameter), SCAN_CHUNK):
+            yield block("diameter", diameter[start : start + SCAN_CHUNK], None)
         point_sampler = BallSampler(derive_seed(seed, "zero_prop_base"), x.dim, tol.sample_rmax)
         for _ in range(n_translates):
             for part in ("chord", "half_ellipse"):
                 base = point_sampler.sample().tolist()
-                for t in rng.uniform(-t_max, t_max, size=20):
-                    yield {"part": part, "t": float(t), "base": base}
+                yield block(part, rng.uniform(-t_max, t_max, size=20), base)
 
-    # the items of one base come in a row and share its image, evaluated
-    # once: the last base seen, and its image or None if that left the ball
-    reference = [None, None]
-
-    def residual(item: dict) -> float:
-        # the distance of f's value from the one the zero at x forces there
-        p = line_param(x, item["t"])
-        if item["base"] is None:
-            return f(p).norm
-        base = GyroVector(item["base"])
-        if reference[0] is not item["base"]:
-            try:
-                reference[:] = item["base"], f(base).coords
-            except GyroError:
-                reference[:] = item["base"], None
-        if reference[1] is None:
-            return math.inf  # no point of the translate can be compared
-        value = f(einstein_add(base, p) if item["part"] == "chord" else einstein_add(p, base))
-        return _norm(value.coords - reference[1])
+    def residual(rows: Rows) -> np.ndarray:
+        # the distance of f's values from the ones the zero at x forces there
+        t = rows["t"]
+        p, ok = _line_param_rows(np.tile(x.coords, (len(t), 1)), t)
+        base = rows["base"][0]
+        if base is None:
+            return _image_norms(f._image_rows, p, 0.0, ok)
+        base = GyroVector(base)
+        try:
+            forced = f(base).coords  # once per translate, before any point of it
+        except GyroError:
+            return np.full(len(t), math.inf)  # no point of the translate can be compared
+        bases = np.tile(base.coords, (len(t), 1))
+        w, ok = _sum_rows(bases, p, ok) if rows["part"][0] == "chord" else _sum_rows(p, bases, ok)
+        return _image_norms(f._image_rows, w, forced, ok)
 
     return scan_report("zero_propagation", evaluations(), residual, threshold, seed)

@@ -1,9 +1,8 @@
 """Seeded sampling inside the ball, the one residual scan loop, the one
 report builder, and the report type and JSON formatting for property runs.
 
-A scan input is an item (a dict of inputs, scored by a scalar residual)
-or a Rows block of inputs held column-wise, scored by a row residual as
-one array.
+Every scan reads Rows blocks: inputs held column-wise, each block scored
+by a row residual as one array.
 
 Shared by the verifier harness, the morphism checks and the CLI; kept in
 its own module so all of them can import it without cycles.
@@ -22,7 +21,6 @@ import numpy as np
 from .ball import (
     DEFAULT_BOUNDARY_MARGIN,
     DEFAULT_SAMPLE_RMAX,
-    GyroError,
     GyroVector,
     _checked_rows,
 )
@@ -111,65 +109,39 @@ def _point_rows(*keys: str) -> Callable:
     return draw_rows
 
 
-def _score(residual: Callable[[Any], float], item: Any) -> float:
-    # an input whose residual leaves the ball fails: every scan's one error policy
-    try:
-        return float(residual(item))
-    except GyroError:
-        return math.inf
-
-
-def _scored(inputs: Iterable[Any], residual: Callable) -> Iterator[tuple[Any, np.ndarray]]:
-    """(chunk, residuals) over the inputs, in order: a Rows block is scored
-    at once by the row residual, which scores inf where a point leaves the
-    ball; items are scored one by one, SCAN_CHUNK at a time."""
-    items = []
-    for item in inputs:
-        if isinstance(item, Rows):
-            yield item, residual(item)
-            continue
-        items.append(item)
-        if len(items) == SCAN_CHUNK:
-            yield items, np.array([_score(residual, x) for x in items])
-            items = []
-    if items:
-        yield items, np.array([_score(residual, x) for x in items])
-
-
 def seeded_scan(
-    inputs: Iterable[Any],
-    residual: Callable[[Any], Any],
+    blocks: Iterable[Rows],
+    residual: Callable[[Rows], np.ndarray],
     cutoff: float,
-) -> tuple[float, Any, tuple[Any, float] | None, int]:
+) -> tuple[float, Rows, tuple[Rows, float] | None, int]:
     """Evaluate the residual of each input, in order.
 
-    Inputs are items, each scored by residual(item), or Rows blocks of at
-    most SCAN_CHUNK rows, each scored by residual(block) as one array; a
-    stream holds one kind.  Returns the largest residual, the input that
-    gave it, the first (input, residual) pair over the cutoff, or None
-    when none exceeds it, and the number of inputs scanned; an input of a
-    block is returned as its one-row block.
-    A residual that raises GyroError scores inf.  A NaN residual counts as
-    over the cutoff and as the largest; the first one seen stays the
-    maximum, as does the first of equal maxima.  Other errors, and any
-    raised while drawing an input, propagate.  An empty scan would pass
-    vacuously, so it is rejected.
+    Inputs come in Rows blocks of at most SCAN_CHUNK rows, each scored by
+    residual(block) as one array, which scores inf where an input leaves
+    the ball.  Returns the largest residual, the input that gave it, the
+    first (input, residual) pair over the cutoff, or None when none
+    exceeds it, and the number of inputs scanned; an input is returned as
+    its one-row block.
+    A NaN residual counts as over the cutoff and as the largest; the first
+    one seen stays the maximum, as does the first of equal maxima.  Errors,
+    whether raised while drawing or while scoring a block, propagate.  An
+    empty scan would pass vacuously, so it is rejected.
     """
     max_residual = -math.inf
     worst = first = None
     scanned = 0
-    for chunk, residuals in _scored(inputs, residual):
-        at = chunk.row if isinstance(chunk, Rows) else chunk.__getitem__
+    for block in blocks:
+        residuals = residual(block)
         # argmax returns the first NaN if there is one, else the first maximum
         i = int(np.argmax(residuals))
         r = float(residuals[i])
         if r > max_residual or (math.isnan(r) and not math.isnan(max_residual)):
-            max_residual, worst = r, at(i)
+            max_residual, worst = r, block.row(i)
         if first is None:
             over = ~(residuals <= cutoff)
             if over.any():
                 i = int(np.argmax(over))
-                first = (at(i), float(residuals[i]))
+                first = (block.row(i), float(residuals[i]))
         scanned += len(residuals)
     if not scanned:
         raise ValueError("n_samples must be >= 1: nothing to scan")
@@ -181,40 +153,27 @@ def _block_sizes(n_samples: int) -> Iterator[int]:
     return (min(SCAN_CHUNK, n_samples - start) for start in range(0, n_samples, SCAN_CHUNK))
 
 
-def _scaled(inputs: dict, factor: float) -> dict:
-    if isinstance(inputs, Rows):
-        return Rows({k: factor * v if v.ndim == 2 else v for k, v in inputs.items()})
-    return {
-        key: GyroVector._owned(factor * value.coords) if isinstance(value, GyroVector) else value
-        for key, value in inputs.items()
-    }
-
-
 def scan_report(
-    name: str, inputs: Iterable[dict], residual: Callable, cutoff: float, seed: int
+    name: str, blocks: Iterable[Rows], residual: Callable, cutoff: float, seed: int
 ) -> PropertyReport:
-    """Scan the inputs against the cutoff and report the outcome.
+    """Scan the blocks against the cutoff and report the outcome.
 
-    The one place a report is built.  The first failing input is halved
-    while it keeps failing, if it holds ball points, and reported with its
-    residual under the key "residual".  A failing input of a Rows block is
-    shrunk as a one-row block, by the same row residual.
+    The one place a report is built.  The first failing input is halved,
+    as a one-row block scored by the same row residual, while it keeps
+    failing, if it holds ball points, and reported with its residual under
+    the key "residual".
     """
-    max_residual, _, first, scanned = seeded_scan(inputs, residual, cutoff)
+    max_residual, _, first, scanned = seeded_scan(blocks, residual, cutoff)
     if first is not None:
         best, best_r = first
-        rows = isinstance(best, Rows)
-        points = [v.ndim == 2 if rows else isinstance(v, GyroVector) for v in best.values()]
-        if any(points):
+        if any(v.ndim == 2 for v in best.values()):
             for _ in range(60):
-                halved = _scaled(best, 0.5)
-                r = float(residual(halved)[0]) if rows else _score(residual, halved)
+                halved = Rows({k: 0.5 * v if v.ndim == 2 else v for k, v in best.items()})
+                r = float(residual(halved)[0])
                 if r <= cutoff:  # NaN fails, as in seeded_scan
                     break
                 best, best_r = halved, r
-        if rows:
-            best = {key: value[0] for key, value in best.items()}
-        first = json_ready({**best, "residual": best_r})
+        first = json_ready({**{key: value[0] for key, value in best.items()}, "residual": best_r})
     return PropertyReport(
         name=name,
         samples_run=scanned,
@@ -229,7 +188,7 @@ def json_ready(value: Any) -> Any:
     """Copy of value that json.dumps accepts, with numbers fixed for output.
 
     Vectors and arrays become lists, objects with to_json_dict become dicts
-    and numpy scalars Python numbers.  Floats keep 15 significant digits
+    and numpy scalars Python scalars.  Floats keep 15 significant digits
     with negative zero folded to 0.0; JSON has no inf/nan, so non-finite
     floats are spelled out by repr rather than crash the report.
     """
@@ -237,7 +196,7 @@ def json_ready(value: Any) -> Any:
         value = value.tolist()
     elif hasattr(value, "to_json_dict"):
         value = value.to_json_dict()
-    elif isinstance(value, (np.floating, np.integer)):
+    elif isinstance(value, np.generic):
         value = value.item()
     if isinstance(value, float):
         return float(f"{value:.15g}") + 0.0 if math.isfinite(value) else repr(value)

@@ -5,14 +5,12 @@ from the master seed, property name, and dimension), evaluates a residual,
 and compares it against a threshold from the tolerance config.  A failing
 sample is shrunk by halving all its ball points while the failure persists,
 and the smallest still-failing instance is reported; matrix and classifier
-inputs hold no ball point and are reported as drawn.  The eight gyro-core
-laws (closure to one_parameter_subgroup), the five geometry properties
-(commutes_iff_dependent to line_translation_distance) and the three
-orthogonal-map properties draw their inputs as Rows blocks, row by row in
-the order of the one-input draws, and score each block as one residual
-array with the row kernels, which equal the scalar path bit for bit; the
-classifier trials and the five matrix-model properties score one input at
-a time.
+inputs hold no ball point and are reported as drawn.  Every property draws
+its inputs as Rows blocks, row by row in the order of the one-input draws,
+and scores each block as one residual array.  The gyro-core laws, the
+geometry and orthogonal-map properties and the classifier trials do so
+with the row kernels, which equal the scalar path bit for bit; the five
+matrix-model properties score each row with a scalar residual (_each_row).
 
 Residual normalization.  Raw floating-point residuals of ball operations
 grow with the Lorentz factor of the operands (coordinate noise is
@@ -157,27 +155,6 @@ def _property(name: str, inputs: Callable, residual: Callable, threshold: Callab
     return run
 
 
-def _samplers(name: str, dims: tuple[int, ...], seed: int, radius: float) -> list[BallSampler]:
-    # one child-seeded sampler per dimension
-    return [BallSampler(derive_seed(seed, f"{name}/{dim}"), dim, radius) for dim in dims]
-
-
-def _sampled_check(
-    name: str,
-    draw: Callable,
-    residual: Callable,
-    threshold: Callable[[ToleranceConfig], float],
-    dims: tuple[int, ...] = _CORE_DIMS,
-    rmax: float | None = None,
-) -> Callable:
-    # n_samples draws in each dimension, one input each
-    def inputs(n_samples: int, seed: int, tol: ToleranceConfig):
-        samplers = _samplers(name, dims, seed, rmax if rmax is not None else tol.sample_rmax)
-        return (draw(sampler, tol) for sampler in samplers for _ in range(n_samples))
-
-    return _property(name, inputs, residual, threshold)
-
-
 def _row_check(
     name: str,
     draw_rows: Callable,
@@ -186,10 +163,12 @@ def _row_check(
     dims: tuple[int, ...] = _CORE_DIMS,
     rmax: float | None = None,
 ) -> Callable:
-    # n_samples draws in each dimension, as Rows blocks that draw_rows(sampler,
-    # n, tol) fills row by row in the order the one-input draws would
+    # n_samples draws in each dimension, from one child-seeded sampler each,
+    # as Rows blocks that draw_rows(sampler, n, tol) fills row by row in the
+    # order the one-input draws would
     def inputs(n_samples: int, seed: int, tol: ToleranceConfig):
-        samplers = _samplers(name, dims, seed, rmax if rmax is not None else tol.sample_rmax)
+        radius = rmax if rmax is not None else tol.sample_rmax
+        samplers = [BallSampler(derive_seed(seed, f"{name}/{dim}"), dim, radius) for dim in dims]
         return (
             draw_rows(sampler, n, tol) for sampler in samplers for n in _block_sizes(n_samples)
         )
@@ -463,12 +442,8 @@ def _line_distance_residual(rows: Rows, tol: ToleranceConfig) -> np.ndarray:
 # ---------------------------------------------------------------- morphisms
 
 
-def _draw_orthogonal_pair(s: BallSampler, tol: ToleranceConfig) -> dict:
-    return {"q": random_orthogonal(s.rng, s.dim), "u": s.sample(), "v": s.sample()}
-
-
 def _draw_orthogonal_rows(s: BallSampler, n: int, tol: ToleranceConfig) -> Rows:
-    # _draw_orthogonal_pair n times: per row a Gaussian matrix, then u, then v
+    # per row the Gaussian matrix of random_orthogonal, then u, then v
     gaussians, draws = np.empty((n, s.dim, s.dim)), []
     for i in range(n):
         gaussians[i] = s.rng.standard_normal((s.dim, s.dim))
@@ -521,10 +496,11 @@ def _classifier_check(name: str, reconstruct: bool) -> Callable:
             if reconstruct:
                 outcome = classify_endomorphism(BallMap.from_matrix(q), inner, child, tol)
                 if outcome.verdict != MapClassification.ORTHOGONAL:
-                    yield {"dim": dim, "expected": "orthogonal", "got": outcome.verdict}
+                    trial = {"dim": dim, "expected": "orthogonal", "got": outcome.verdict}
                 else:
-                    error = float(np.max(np.abs(outcome.matrix.entries - q)))
-                    yield {"dim": dim, "matrix": q, "max_entry_error": error}
+                    error = np.max(np.abs(outcome.matrix.entries - q))
+                    trial = {"dim": dim, "matrix": q, "max_entry_error": error}
+                yield Rows({key: np.array([value]) for key, value in trial.items()})
                 continue
             cases = (
                 ("orthogonal", BallMap.from_matrix(q), MapClassification.ORTHOGONAL),
@@ -535,20 +511,46 @@ def _classifier_check(name: str, reconstruct: bool) -> Callable:
                     MapClassification.NOT_ENDOMORPHISM,
                 ),
             )
-            for family, ball_map, expected in cases:
-                child = int(rng.integers(2**62))
-                verdict = classify_endomorphism(ball_map, inner, child, tol).verdict
-                yield {"family": family, "dim": dim, "expected": expected, "got": verdict}
+            got = [
+                classify_endomorphism(ball_map, inner, int(rng.integers(2**62)), tol).verdict
+                for _, ball_map, _ in cases
+            ]
+            families, _, expected = zip(*cases)
+            yield Rows(
+                family=np.array(families), dim=np.full(len(cases), dim),
+                expected=np.array(expected), got=np.array(got),
+            )
 
-    def residual(trial: dict, tol: ToleranceConfig) -> float:
+    def residual(trials: Rows, tol: ToleranceConfig) -> np.ndarray:
         if reconstruct:
-            return trial.get("max_entry_error", math.inf) / (10.0 * tol.abs_tol)
-        return 0.0 if trial["got"] == trial["expected"] else 1.0
+            return trials.get("max_entry_error", np.array([math.inf])) / (10.0 * tol.abs_tol)
+        return (trials["got"] != trials["expected"]).astype(float)
 
     return _property(name, trials, residual, (lambda tol: 1.0) if reconstruct else _indicator)
 
 
 # ------------------------------------------------------------ matrix models
+
+
+def _each_row(residual: Callable) -> Callable:
+    """Row residual of the scalar residual(inputs, tol), called row by row:
+    a 2-D column reaches it as a GyroVector, any other column as the row's
+    element, and a row where it raises GyroError scores inf."""
+
+    def row_residual(rows: Rows, tol: ToleranceConfig) -> np.ndarray:
+        def score(i: int) -> float:
+            try:
+                inputs = {
+                    key: GyroVector._owned(value[i].copy()) if value.ndim == 2 else value[i]
+                    for key, value in rows.items()
+                }
+                return float(residual(inputs, tol))
+            except GyroError:
+                return math.inf
+
+        return np.array([score(i) for i in range(len(next(iter(rows.values()))))])
+
+    return row_residual
 
 
 def _hermitian_maxdiff(a: Hermitian2, b: Hermitian2) -> float:
@@ -601,8 +603,16 @@ def _random_posdef(rng: np.random.Generator, max_log_cond: float) -> Hermitian2:
     )
 
 
-def _draw_posdef(s: BallSampler, tol: ToleranceConfig) -> dict:
-    return {"h": _random_posdef(s.rng, 4.0)}
+def _posdef_rows(max_log_cond: float, *keys: str) -> Callable:
+    # per row one _random_posdef per key in turn, held in object columns
+    def draw_rows(s: BallSampler, n: int, tol: ToleranceConfig) -> Rows:
+        rows = Rows({key: np.empty(n, dtype=object) for key in keys})
+        for i in range(n):
+            for key in keys:
+                rows[key][i] = _random_posdef(s.rng, max_log_cond)
+        return rows
+
+    return draw_rows
 
 
 def _sqrt_squares_back_residual(inputs: dict, tol: ToleranceConfig) -> float:
@@ -613,10 +623,6 @@ def _sqrt_squares_back_residual(inputs: dict, tol: ToleranceConfig) -> float:
     squared = sqrt_congruence(h, _IDENTITY2)
     scale = 1.0 + max(abs(h.a), abs(h.d), abs(h.re_b), abs(h.im_b))
     return _hermitian_maxdiff(squared, h) / scale
-
-
-def _draw_posdef_pair(s: BallSampler, tol: ToleranceConfig) -> dict:
-    return {"h1": _random_posdef(s.rng, 2.0), "h2": _random_posdef(s.rng, 2.0)}
 
 
 def _boxdot_det_residual(inputs: dict, tol: ToleranceConfig) -> float:
@@ -695,24 +701,26 @@ def _build_registry() -> dict[str, Callable]:
         ),
         _classifier_check("classifier_soundness", reconstruct=False),
         _classifier_check("classifier_reconstruction", reconstruct=True),
-        _sampled_check(
-            "bloch_homomorphism", _draw_pair, _bloch_homomorphism_residual, _rel_tol,
-            dims=_MODEL_DIMS, rmax=_MODEL_RMAX,
-        ),
-        _sampled_check(
-            "det_normalization_homomorphism", _draw_pair, _det_normalization_residual, _rel_tol,
-            dims=_MODEL_DIMS, rmax=_MODEL_RMAX,
-        ),
-        _sampled_check(
-            "sqrt_squares_back", _draw_posdef, _sqrt_squares_back_residual, _rel_tol, dims=(2,)
-        ),
-        _sampled_check(
-            "boxdot_det_multiplicative", _draw_posdef_pair, _boxdot_det_residual, _rel_tol,
-            dims=(2,),
-        ),
-        _sampled_check(
-            "transported_automorphism", _draw_orthogonal_pair, _transported_automorphism_residual,
+        _row_check(
+            "bloch_homomorphism", _point_rows("u", "v"), _each_row(_bloch_homomorphism_residual),
             _rel_tol, dims=_MODEL_DIMS, rmax=_MODEL_RMAX,
+        ),
+        _row_check(
+            "det_normalization_homomorphism", _point_rows("u", "v"),
+            _each_row(_det_normalization_residual), _rel_tol, dims=_MODEL_DIMS, rmax=_MODEL_RMAX,
+        ),
+        _row_check(
+            "sqrt_squares_back", _posdef_rows(4.0, "h"), _each_row(_sqrt_squares_back_residual),
+            _rel_tol, dims=(2,),
+        ),
+        _row_check(
+            "boxdot_det_multiplicative", _posdef_rows(2.0, "h1", "h2"),
+            _each_row(_boxdot_det_residual), _rel_tol, dims=(2,),
+        ),
+        _row_check(
+            "transported_automorphism", _draw_orthogonal_rows,
+            _each_row(_transported_automorphism_residual), _rel_tol, dims=_MODEL_DIMS,
+            rmax=_MODEL_RMAX,
         ),
     ]
     registry = {}

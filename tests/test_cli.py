@@ -393,8 +393,9 @@ class TestVerify:
         assert err != ""
 
     def test_deterministic(self, capsys):
-        _, first, _ = run_cli(capsys, "verify", "--only", "closure", "--samples", "30", "--seed", "1")
-        _, second, _ = run_cli(capsys, "verify", "--only", "closure", "--samples", "30", "--seed", "1")
+        argv = ("verify", "--only", "closure", "--samples", "30", "--seed", "1")
+        _, first, _ = run_cli(capsys, *argv)
+        _, second, _ = run_cli(capsys, *argv)
         assert first == second
 
 
@@ -419,6 +420,54 @@ class TestSeedResolution:
         code, _, err = run_cli(capsys, "verify", "--only", "closure", "--samples", "10")
         assert code == 2
         assert "GYROKIT_SEED" in err
+
+
+# the command line of each integer option, with the value last
+INTEGER_OPTIONS = {
+    "--samples": ("verify", "--only", "closure", "--seed", "1", "--samples"),
+    "--seed": ("verify", "--only", "closure", "--samples", "4", "--seed"),
+    "--dim": ("classify", "--map", "zero", "--samples", "4", "--dim"),
+}
+
+
+class TestIntegerInputs:
+    # int() alone reads 1_0 as 10 and non-ASCII digits such as the
+    # Arabic-Indic three as digits
+    MALFORMED = ["1_0", "\u0663", "\u0661\u0660", "1e1", "0x1", "1.0", "ten", "", "+", "1 0"]
+
+    @pytest.mark.parametrize("value", MALFORMED)
+    @pytest.mark.parametrize("option", list(INTEGER_OPTIONS))
+    def test_malformed_value_exits_2_with_one_error_line(self, capsys, monkeypatch, option, value):
+        monkeypatch.delenv("GYROKIT_SEED", raising=False)
+        code, out, err = run_cli(capsys, *INTEGER_OPTIONS[option], value)
+        assert (code, out) == (2, "")
+        assert err == f"error: {option} must be an integer, got {value!r}\n"
+
+    @pytest.mark.parametrize("value", MALFORMED)
+    def test_malformed_env_seed_exits_2_with_one_error_line(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("GYROKIT_SEED", value)
+        code, out, err = run_cli(capsys, "verify", "--only", "closure", "--samples", "4")
+        assert (code, out) == (2, "")
+        assert err == f"error: GYROKIT_SEED must be an integer, got {value!r}\n"
+
+    @pytest.mark.parametrize("value", ["12", " 12", "+12", "012", "12\t"])
+    @pytest.mark.parametrize("option", list(INTEGER_OPTIONS))
+    def test_decimal_integer_is_read(self, capsys, monkeypatch, option, value):
+        monkeypatch.delenv("GYROKIT_SEED", raising=False)
+        assert run_cli(capsys, *INTEGER_OPTIONS[option], value) == run_cli(
+            capsys, *INTEGER_OPTIONS[option], "12"
+        )
+        code, out, _ = run_cli(capsys, *INTEGER_OPTIONS[option], value)
+        assert code == 0
+        if option == "--samples":
+            assert json.loads(out)["samples_run"] == 3 * 12
+        if option == "--seed":
+            assert json.loads(out)["seed"] == 12
+
+    def test_env_seed_is_read_as_a_decimal_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("GYROKIT_SEED", " -012 ")
+        _, out, _ = run_cli(capsys, "verify", "--only", "closure", "--samples", "4")
+        assert json.loads(out)["seed"] == -12
 
 
 class TestArgparseBehavior:

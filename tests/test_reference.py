@@ -11,7 +11,8 @@ fail with the public constructor's message, and every result is read-only.
 The row kernels are bound the same way: each must equal the scalar calls
 it replaced, row by row, refusing a row exactly where the scalar call
 raises, and every batched report must equal its replay one input at a
-time through the scalar draws and residuals kept here.
+time through the scalar draws and residuals kept here, scanned and shrunk
+by the one-input loop the Rows scan replaced.
 """
 
 import math
@@ -28,12 +29,15 @@ from gyrokit import (
     BallSampler,
     GyroError,
     GyroVector,
+    Hermitian2,
+    PropertyReport,
     ToleranceConfig,
     check_endomorphism,
     classify_endomorphism,
     collinear_direct,
     collinear_gyro,
     commutes,
+    decision_threshold,
     derive_seed,
     einstein_add,
     endomorphism_residual,
@@ -46,6 +50,7 @@ from gyrokit import (
     neg,
     random_orthogonal,
     run_suite,
+    zero_propagation_check,
 )
 from gyrokit.ball import (
     _add_rows,
@@ -58,18 +63,25 @@ from gyrokit.ball import (
 )
 from gyrokit.geometry import _commutes_rows, _gram_band_rows, _klein_distance_rows
 from gyrokit.morphisms import _haar, _law_rows
-from gyrokit.sampling import SCAN_CHUNK, Rows, _scaled, scan_report, seeded_scan
+from gyrokit.sampling import SCAN_CHUNK, Rows, json_ready, seeded_scan
 from gyrokit import verifier
 from gyrokit.verifier import (
+    _bloch_homomorphism_residual,
+    _boxdot_det_residual,
     _collinearity_residual,
     _commutes_iff_dependent_residual,
+    _det_normalization_residual,
     _draw_collinearity_inputs,
     _draw_commutation_inputs,
     _draw_gyration_inputs,
     _draw_gyrocommutativity_inputs,
+    _each_row,
     _gyration_orthogonality_residual,
     _gyrocommutativity_residual,
+    _random_posdef,
+    _sqrt_squares_back_residual,
     _squares,
+    _transported_automorphism_residual,
 )
 
 DIMS = (1, 2, 3, 5, 64)
@@ -199,9 +211,8 @@ V = GyroVector([-0.1, 0.6, 0.2])
         lambda: line_param(U, 1.5),
         lambda: BallSampler(3, 3).sample(),
         lambda: BallMap.from_matrix(np.eye(3))(U),
-        lambda: _scaled({"u": U}, 0.5)["u"],
     ],
-    ids=["constructor", "zero", "add", "neg", "gyration", "line_param", "sample", "map", "scaled"],
+    ids=["constructor", "zero", "add", "neg", "gyration", "line_param", "sample", "map"],
 )
 def test_every_result_is_read_only(make):
     point = make()
@@ -337,7 +348,7 @@ def test_black_box_is_called_where_the_scalar_path_calls_it(dim):
     # the negated points make pairs whose sum maps into the ball but whose
     # first point does not
     pts = points(dim, seed=600 + dim)
-    pts += [_scaled({"u": p}, 0.5)["u"] for p in pts] + [neg(p) for p in pts]
+    pts += [GyroVector(0.5 * p.coords) for p in pts] + [neg(p) for p in pts]
     us, vs, u_rows, v_rows = pair_rows(pts)
     f = BallMap(stretch, dim)
     rows = _law_rows(f._image_rows, u_rows, v_rows)
@@ -403,6 +414,14 @@ def draw_line_distance(s: BallSampler, tol: ToleranceConfig) -> dict:
 
 def draw_orthogonal_pair(s: BallSampler, tol: ToleranceConfig) -> dict:
     return {"q": random_orthogonal(s.rng, s.dim), "u": s.sample(), "v": s.sample()}
+
+
+def draw_posdef(s: BallSampler, tol: ToleranceConfig) -> dict:
+    return {"h": _random_posdef(s.rng, 4.0)}
+
+
+def draw_posdef_pair(s: BallSampler, tol: ToleranceConfig) -> dict:
+    return {"h1": _random_posdef(s.rng, 2.0), "h2": _random_posdef(s.rng, 2.0)}
 
 
 def closure(inputs: dict, tol: ToleranceConfig) -> float:
@@ -534,7 +553,8 @@ def indicator(tol: ToleranceConfig) -> float:
 CORE_DIMS = (2, 3, 5)
 
 # name -> (item draw, scalar residual, cutoff, dimensions, sampling radius
-# if not the default)
+# if not the default); the matrix-model properties keep their scalar
+# residuals, which the verifier calls row by row
 SCALAR_ROW_PROPERTIES = {
     "closure": (draw_pair, closure, lambda tol: 1.0 - DEFAULT_BOUNDARY_MARGIN, CORE_DIMS, None),
     "identity": (draw_single, identity, abs_tol, CORE_DIMS, None),
@@ -564,36 +584,85 @@ SCALAR_ROW_PROPERTIES = {
     "orthogonal_residual_bound": (
         draw_orthogonal_pair, orthogonal_bound, lambda tol: 1.0, CORE_DIMS, 0.9
     ),
+    "bloch_homomorphism": (draw_pair, _bloch_homomorphism_residual, rel_tol, (3,), 0.99),
+    "det_normalization_homomorphism": (
+        draw_pair, _det_normalization_residual, rel_tol, (3,), 0.99
+    ),
+    "sqrt_squares_back": (draw_posdef, _sqrt_squares_back_residual, rel_tol, (2,), None),
+    "boxdot_det_multiplicative": (draw_posdef_pair, _boxdot_det_residual, rel_tol, (2,), None),
+    "transported_automorphism": (
+        draw_orthogonal_pair, _transported_automorphism_residual, rel_tol, (3,), 0.99
+    ),
 }
 
 
 # the verifier's row residual of each property above
 ROW_RESIDUALS = {
-    "closure": "_closure_residual",
-    "identity": "_identity_residual",
-    "left_inverse": "_left_inverse_residual",
-    "left_cancellation": "_left_cancellation_residual",
-    "gamma_identity": "_gamma_identity_residual",
-    "gyration_orthogonality": "_gyration_orthogonality_residual",
-    "gyrocommutativity": "_gyrocommutativity_residual",
-    "one_parameter_subgroup": "_one_parameter_residual",
-    "commutes_iff_dependent": "_commutes_iff_dependent_residual",
-    "collinearity_equivalence": "_collinearity_residual",
-    "left_translation_isometry": "_isometry_residual",
-    "klein_distance_metric": "_metric_residual",
-    "line_translation_distance": "_line_distance_residual",
-    "endomorphism_fixes_zero": "_fixes_zero_residual",
-    "orthogonal_endomorphism": "_orthogonal_endomorphism_residual",
-    "orthogonal_residual_bound": "_orthogonal_residual_bound_residual",
+    "closure": verifier._closure_residual,
+    "identity": verifier._identity_residual,
+    "left_inverse": verifier._left_inverse_residual,
+    "left_cancellation": verifier._left_cancellation_residual,
+    "gamma_identity": verifier._gamma_identity_residual,
+    "gyration_orthogonality": verifier._gyration_orthogonality_residual,
+    "gyrocommutativity": verifier._gyrocommutativity_residual,
+    "one_parameter_subgroup": verifier._one_parameter_residual,
+    "commutes_iff_dependent": verifier._commutes_iff_dependent_residual,
+    "collinearity_equivalence": verifier._collinearity_residual,
+    "left_translation_isometry": verifier._isometry_residual,
+    "klein_distance_metric": verifier._metric_residual,
+    "line_translation_distance": verifier._line_distance_residual,
+    "endomorphism_fixes_zero": verifier._fixes_zero_residual,
+    "orthogonal_endomorphism": verifier._orthogonal_endomorphism_residual,
+    "orthogonal_residual_bound": verifier._orthogonal_residual_bound_residual,
+    "bloch_homomorphism": _each_row(_bloch_homomorphism_residual),
+    "det_normalization_homomorphism": _each_row(_det_normalization_residual),
+    "sqrt_squares_back": _each_row(_sqrt_squares_back_residual),
+    "boxdot_det_multiplicative": _each_row(_boxdot_det_residual),
+    "transported_automorphism": _each_row(_transported_automorphism_residual),
 }
 
 
 def scan_score(residual, item: dict, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     """residual(item, tol) as the scan scores it: inf where it raises GyroError."""
     try:
-        return residual(item, tol)
+        return float(residual(item, tol))
     except GyroError:
         return math.inf
+
+
+def loop_scan(residuals: np.ndarray, cutoff: float) -> tuple:
+    """seeded_scan's rule as the one-input-at-a-time loop it replaced."""
+    max_residual, worst, first = -math.inf, None, None
+    for i, r in enumerate(residuals.tolist()):
+        if r > max_residual or (math.isnan(r) and not math.isnan(max_residual)):
+            max_residual, worst = r, i
+        if first is None and not r <= cutoff:
+            first = (i, r)
+    return max_residual, worst, first, len(residuals)
+
+
+def reference_report(name: str, items, score, cutoff: float, seed: int) -> str:
+    """The report line of a scan of items one at a time, score(item) each:
+    the loop above, and the first failing item's ball points halved while
+    the item keeps failing, as scan_report shrinks a one-row block."""
+    items = list(items)
+    max_residual, _, first, scanned = loop_scan(np.array([score(x) for x in items]), cutoff)
+    counterexample = None
+    if first is not None:
+        best, best_r = items[first[0]], first[1]
+        if any(isinstance(value, GyroVector) for value in best.values()):
+            for _ in range(60):
+                halved = {
+                    key: GyroVector(0.5 * value.coords) if isinstance(value, GyroVector) else value
+                    for key, value in best.items()
+                }
+                r = score(halved)
+                if r <= cutoff:
+                    break
+                best, best_r = halved, r
+        counterexample = json_ready({**best, "residual": best_r})
+    report = PropertyReport(name, scanned, first is None, max_residual, counterexample, seed)
+    return report.to_json_line()
 
 
 def scalar_replay(name: str, n_samples: int, seed: int, tol: ToleranceConfig) -> str:
@@ -606,9 +675,9 @@ def scalar_replay(name: str, n_samples: int, seed: int, tol: ToleranceConfig) ->
             for _ in range(n_samples):
                 yield draw(s, tol)
 
-    return scan_report(
-        name, inputs(), lambda item: residual(item, tol), cutoff(tol), seed
-    ).to_json_line()
+    return reference_report(
+        name, inputs(), lambda item: scan_score(residual, item, tol), cutoff(tol), seed
+    )
 
 
 FAILING = ToleranceConfig(abs_tol=1e-30, rel_tol=1e-30)
@@ -631,7 +700,7 @@ def test_batched_property_equals_its_scalar_replay_over_chunks(name):
 def test_row_residuals_equal_the_scalar_residuals_row_by_row(name):
     # every row, not only the maximum and the first failure a report shows
     draw, residual, _, dims, rmax = SCALAR_ROW_PROPERTIES[name]
-    row_residual = getattr(verifier, ROW_RESIDUALS[name])
+    row_residual = ROW_RESIDUALS[name]
     for dim in dims:
         s = BallSampler(derive_seed(5, f"{name}/{dim}"), dim, rmax or DEFAULT_TOL.sample_rmax)
         items = [draw(s, DEFAULT_TOL) for _ in range(SCAN_CHUNK)]
@@ -657,9 +726,8 @@ def test_squares_are_python_float_squares():
 def test_check_endomorphism_equals_its_scalar_replay_over_chunks(matrix):
     n, s, f = 3 * SCAN_CHUNK + 1, BallSampler(5, 3), matrix_map(matrix)
     pairs = ({"u": s.sample(), "v": s.sample()} for _ in range(n))
-    want = scan_report("endomorphism", pairs, lambda p: scalar_law(f, **p), 1e-6, 5)
-    got = check_endomorphism(BallMap.from_matrix(matrix), n, 5)
-    assert got.to_json_line() == want.to_json_line()
+    want = reference_report("endomorphism", pairs, lambda p: scalar_law(f, **p), 1e-6, 5)
+    assert check_endomorphism(BallMap.from_matrix(matrix), n, 5).to_json_line() == want
 
 
 # ------------------------------------------- gyro core and geometry kernels
@@ -824,8 +892,6 @@ HAND_BUILT = {
 }
 
 
-
-
 @pytest.mark.parametrize("name", HAND_BUILT)
 def test_hand_built_rows_score_as_the_scalar_path(name):
     row_residual, residual, cases = HAND_BUILT[name]
@@ -842,17 +908,6 @@ def test_hand_built_rows_score_as_the_scalar_path(name):
         assert [float(row_residual(b, DEFAULT_TOL)[0]) for b in blocks] == want
 
 
-def loop_scan(residuals: np.ndarray, cutoff: float) -> tuple:
-    """seeded_scan's rule as the one-input-at-a-time loop it replaced."""
-    max_residual, worst, first = -math.inf, None, None
-    for i, r in enumerate(residuals.tolist()):
-        if r > max_residual or (math.isnan(r) and not math.isnan(max_residual)):
-            max_residual, worst = r, i
-        if first is None and not r <= cutoff:
-            first = (i, r)
-    return max_residual, worst, first, len(residuals)
-
-
 @pytest.mark.parametrize(
     "special",
     [
@@ -867,25 +922,166 @@ def loop_scan(residuals: np.ndarray, cutoff: float) -> tuple:
 )
 def test_scan_of_rows_and_of_items_equals_the_loop(special):
     # worst (first NaN, else first maximum), first over the cutoff and the
-    # count agree whether the residuals come in blocks, in chunks of items
-    # or one by one
+    # count agree whether the residuals come in full blocks, in blocks of
+    # one input each, or one by one
     rng = np.random.default_rng(len(special))
     residuals = rng.random(3 * SCAN_CHUNK + 1) * 2.0
     for i, r in special.items():
         residuals[i] = r
-    blocks = (
-        Rows(i=np.arange(start, min(start + SCAN_CHUNK, len(residuals))))
-        for start in range(0, len(residuals), SCAN_CHUNK)
+    index = np.arange(len(residuals))
+    rows = seeded_scan(
+        (Rows(i=index[start : start + SCAN_CHUNK]) for start in range(0, len(index), SCAN_CHUNK)),
+        lambda rows: residuals[rows["i"]], 1.5,
     )
-    rows = seeded_scan(blocks, lambda rows: residuals[rows["i"]], 1.5)
-    items = seeded_scan(range(len(residuals)), lambda i: float(residuals[i]), 1.5)
+    items = seeded_scan(
+        (Rows(i=index[k : k + 1]) for k in index), lambda rows: residuals[rows["i"]], 1.5
+    )
     want = loop_scan(residuals, 1.5)
-    for got, worst, first in [
-        (rows, rows[1]["i"].tolist(), rows[2][0]["i"].tolist()),
-        (items, [items[1]], [items[2][0]]),
-    ]:
+    for got in (rows, items):
+        worst, first = got[1]["i"].tolist(), got[2][0]["i"].tolist()
         assert got[0] == want[0] or math.isnan(got[0]) and math.isnan(want[0])
         assert worst == [want[1]]
         assert first == [want[2][0]]
         assert got[2][1] == want[2][1] or math.isnan(got[2][1]) and math.isnan(want[2][1])
         assert got[3] == want[3]
+
+
+def test_each_row_scores_each_row_by_the_scalar_residual():
+    # a 2-D column reaches the residual as a point, any other as the row's
+    # element; a row where the residual raises GyroError scores inf, and any
+    # other error propagates
+    seen = []
+
+    def probe(inputs: dict, tol: ToleranceConfig) -> float:
+        seen.append({key: type(value) for key, value in inputs.items()})
+        return _bloch_homomorphism_residual(inputs, tol)
+
+    h = np.empty(3, dtype=object)
+    h[:] = [Hermitian2(1.0, 1.0, 0.0, 0.0)] * 3
+    rows = Rows(
+        u=np.array([[R, 0.0, 0.0], [0.3, 0.1, 0.0], [0.0, 0.0, 1.5]]),
+        v=np.array([[R, 0.0, 0.0], [0.2, -0.4, 0.1], [0.1, 0.0, 0.0]]),
+        q=np.zeros((3, 3, 3)),
+        h=h,
+    )
+    want = _bloch_homomorphism_residual(
+        {"u": GyroVector([0.3, 0.1, 0.0]), "v": GyroVector([0.2, -0.4, 0.1])}, DEFAULT_TOL
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # u (+) v leaves the ball in row 0; row 2's u is not a ball point
+        assert _each_row(probe)(rows, DEFAULT_TOL).tolist() == [math.inf, want, math.inf]
+    # row 2 never reaches the residual
+    assert seen == [{"u": GyroVector, "v": GyroVector, "q": np.ndarray, "h": Hermitian2}] * 2
+
+    def broken(inputs: dict, tol: ToleranceConfig) -> float:
+        raise ZeroDivisionError("not a domain error")
+
+    with pytest.raises(ZeroDivisionError):
+        _each_row(broken)(rows, DEFAULT_TOL)
+
+
+# ------------------------------------------------- zero propagation replay
+
+
+def reference_zero_propagation(
+    f: BallMap, x: GyroVector, n_samples: int, seed: int, tol: ToleranceConfig
+) -> str:
+    """zero_propagation_check's report as it was built one evaluation of f
+    at a time, the image of each translate's base memoised over its items."""
+    f(x)  # the precondition's evaluation comes first
+    t_max = math.atanh(tol.sample_rmax) / math.atanh(x.norm)
+    rationals = sorted(
+        {
+            sign * p / q
+            for p in range(1, 21)
+            for q in range(1, 21)
+            for sign in (1.0, -1.0)
+            if p / q <= t_max
+        }
+    )
+    rng = np.random.default_rng(derive_seed(seed, "zero_prop"))
+    params = [0.0] + rationals + list(rng.uniform(-t_max, t_max, size=100))
+
+    def evaluations():
+        for t in params:
+            yield {"part": "diameter", "t": float(t), "base": None}
+        point_sampler = BallSampler(derive_seed(seed, "zero_prop_base"), x.dim, tol.sample_rmax)
+        for _ in range(max(1, n_samples // 20)):
+            for part in ("chord", "half_ellipse"):
+                base = point_sampler.sample().tolist()
+                for t in rng.uniform(-t_max, t_max, size=20):
+                    yield {"part": part, "t": float(t), "base": base}
+
+    # the last base seen, and its image or None if that left the ball
+    reference = [None, None]
+
+    def residual(item: dict) -> float:
+        p = line_param(x, item["t"])
+        if item["base"] is None:
+            return f(p).norm
+        base = GyroVector(item["base"])
+        if reference[0] is not item["base"]:
+            try:
+                reference[:] = item["base"], f(base).coords
+            except GyroError:
+                reference[:] = item["base"], None
+        if reference[1] is None:
+            return math.inf
+        value = f(einstein_add(base, p) if item["part"] == "chord" else einstein_add(p, base))
+        return _norm(value.coords - reference[1])
+
+    def score(item: dict) -> float:
+        try:
+            return residual(item)
+        except GyroError:
+            return math.inf
+
+    return reference_report(
+        "zero_propagation", evaluations(), score, decision_threshold(tol), seed
+    )
+
+
+def vanishing_maps(x: GyroVector) -> tuple[list, dict[str, BallMap]]:
+    """Maps that vanish at x, and the list of the inputs the black boxes
+    among them are called on."""
+    d = x.dim
+    # kills the diameter, exactly where x lies on an axis
+    p = np.eye(d) - np.outer(x.coords, x.coords) / x.norm2
+    calls = []
+
+    def recorded(image):
+        def func(w: GyroVector) -> np.ndarray:
+            calls.append(w.coords.tobytes())
+            return image(w.coords)
+
+        return BallMap(func, d)
+
+    return calls, {
+        "zero": BallMap.zero(d),
+        "matrix": BallMap.from_matrix(p),
+        "opaque": recorded(lambda w: p @ w),
+        # sends part of the ball, and some bases, out of it
+        "escaping": recorded(lambda w: 1.4 * (p @ w)),
+        "escaping_matrix": BallMap.from_matrix(1.4 * p),
+        # nonzero on the diameter away from x
+        "off_diameter": recorded(lambda w: 0.3 * w * (w @ x.coords - x.norm2)),
+    }
+
+
+@pytest.mark.parametrize(
+    "name", ["zero", "matrix", "opaque", "escaping", "escaping_matrix", "off_diameter"]
+)
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, FAILING], ids=["default", "failing"])
+@pytest.mark.parametrize(
+    "x", [[0.5, 0.0], [0.0, 0.0, 0.999], [0.0, 0.3, 0.0, 0.0, 0.0]], ids=["2", "3", "5"]
+)
+def test_zero_propagation_equals_its_replay(name, tol, x):
+    x = GyroVector(x)
+    for n_samples in (1, 100):
+        calls, maps = vanishing_maps(x)
+        got = zero_propagation_check(maps[name], x, n_samples, 7, tol).to_json_line()
+        row_calls, calls[:] = list(calls), []
+        assert got == reference_zero_propagation(maps[name], x, n_samples, 7, tol)
+        # a black box is called on the same points, in the same order
+        assert row_calls == calls

@@ -21,8 +21,8 @@ from gyrokit import (
     run_suite,
     zero_propagation_check,
 )
-from gyrokit.sampling import json_ready, seeded_scan
-from gyrokit.verifier import _sampled_check
+from gyrokit.sampling import Rows, _point_rows, json_ready, seeded_scan
+from gyrokit.verifier import _row_check
 
 ALL_NAMES = (
     "closure",
@@ -150,10 +150,29 @@ class TestPropertyReport:
             {"u": [1.0, (np.float64(2.5), -0.0)], "flag": True, "none": None},
             '{"u": [1.0, [2.5, 0.0]], "flag": true, "none": null}',
         ),
+        (np.bool_(True), "true"),
+        ({"b": np.bool_(False), "k": np.uint8(7)}, '{"b": false, "k": 7}'),
     ],
 )
 def test_json_ready_formats_every_value_kind(value, text):
     assert json.dumps(json_ready(value), allow_nan=False) == text
+
+
+@pytest.mark.parametrize(
+    "value, plain",
+    [
+        (np.bool_(True), True),
+        (np.str_("zero"), "zero"),
+        (np.float32(0.5), 0.5),
+        (np.int8(-3), -3),
+        (np.uint64(2**63), 2**63),
+    ],
+    ids=["bool", "str", "float32", "int8", "uint64"],
+)
+def test_json_ready_turns_every_numpy_scalar_into_a_python_scalar(value, plain):
+    got = json_ready(value)
+    assert type(got) is type(plain)
+    assert got == plain
 
 
 class TestRegistry:
@@ -291,19 +310,23 @@ def test_sample_budget_below_one_is_rejected(run, n_samples):
     ],
 )
 def test_nan_residual_fails_the_scan(residuals, worst, first):
-    # a NaN compares false with everything, so it must not pass as "not over"
-    max_residual, worst_item, first_failure, scanned = seeded_scan(
-        range(len(residuals)), residuals.__getitem__, 0.5
-    )
-    assert math.isnan(max_residual)
-    assert worst_item == worst
-    assert first_failure[0] == first
-    assert scanned == len(residuals)
+    # a NaN compares false with everything, so it must not pass as "not over",
+    # in one block or across blocks of one input each
+    scores = np.array(residuals)
+    index = np.arange(len(residuals))
+    for blocks in ([Rows(i=index)], [Rows(i=index[k : k + 1]) for k in index]):
+        max_residual, worst_item, first_failure, scanned = seeded_scan(
+            blocks, lambda rows: scores[rows["i"]], 0.5
+        )
+        assert math.isnan(max_residual)
+        assert worst_item["i"].tolist() == [worst]
+        assert first_failure[0]["i"].tolist() == [first]
+        assert scanned == len(residuals)
 
 
 def test_nan_residual_fails_the_report():
-    run = _sampled_check(
-        "nan_probe", lambda s, tol: {"u": s.sample()}, lambda inputs, tol: math.nan,
+    run = _row_check(
+        "nan_probe", _point_rows("u"), lambda rows, tol: np.full(len(rows["u"]), math.nan),
         lambda tol: 1.0, dims=(2,),
     )
     report = json.loads(run(5, 7, ToleranceConfig()).to_json_line())
