@@ -34,6 +34,8 @@ from .verifier import registered_names, run_suite
 
 DEFAULT_SEED = 7
 DEFAULT_SAMPLES = 1000
+# classify holds d x d arrays, each 8 MB at this bound
+MAX_DIM = 1024
 _HERMITIAN_FIELDS = ("a", "d", "re_b", "im_b")
 
 
@@ -124,6 +126,8 @@ def _load_hermitian(cls, path: str):
 
 def _load_map(args: argparse.Namespace) -> BallMap:
     dim = None if args.dim is None else _parse_int("--dim", args.dim)
+    if dim is not None and dim > MAX_DIM:
+        raise GyroError(f"--dim must be at most {MAX_DIM}, got {dim}")
     if args.map == "zero":
         if dim is None:
             raise GyroError("--dim is required when the map is 'zero'")
@@ -251,7 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--map", required=True,
         help="JSON file with a square matrix, or the literal 'zero'",
     )
-    p.add_argument("--dim", help="dimension for the zero map")
+    p.add_argument("--dim", help=f"dimension for the zero map, at most {MAX_DIM}")
     _add_seeded_arguments(p)
     p.set_defaults(func=_cmd_classify)
 

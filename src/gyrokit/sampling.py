@@ -2,7 +2,9 @@
 report builder, and the report type and JSON formatting for property runs.
 
 Every scan reads Rows blocks: inputs held column-wise, each block scored
-by a row residual as one array.
+by a row residual as one array.  Points are drawn per block: each
+point's generator calls in turn, the rest once on the block, and a zero
+direction replayed (BallSampler._block).
 
 Shared by the verifier harness, the morphism checks and the CLI; kept in
 its own module so all of them can import it without cycles.
@@ -13,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator
 
@@ -57,36 +60,51 @@ class BallSampler:
         self.rmax = float(rmax)
         self.rng = np.random.default_rng(self.seed)
 
-    def _draw(self) -> tuple[np.ndarray, float, float]:
-        """The RNG draws of one point: a Gaussian direction, its squared
-        length and the point's radius."""
+    def _point(self, redraw: bool = False) -> tuple[np.ndarray, float]:
+        # one point's RNG calls: a Gaussian direction, redrawn in place while
+        # zero if asked (_scaled raises _ZeroDirection otherwise), then the
+        # uniform behind the radius, the draw uniform() would make
         direction = self.rng.standard_normal(self.dim)
-        norm2 = direction.dot(direction)
-        while norm2 == 0.0:  # probability zero, but never divide by it
+        while redraw and not direction.dot(direction):
             direction = self.rng.standard_normal(self.dim)
-            norm2 = direction.dot(direction)
-        # random() is the draw uniform() would make, without its 0 + 1 * x;
-        # the power stays a Python float's, which np.power does not match
-        return direction, norm2, self.rmax * self.rng.random() ** (1.0 / self.dim)
+        return direction, self.rng.random()
+
+    def _scaled(self, draws: list) -> np.ndarray:
+        # the points of _point results as rows, scaled as one point is, with
+        # a Python float's power, which np.power does not match
+        directions = np.reshape([g for g, _ in draws], (len(draws), self.dim))
+        norm2 = np.vecdot(directions, directions)
+        if not norm2.all():
+            raise _ZeroDirection
+        radii = self.rmax * np.array([u ** (1.0 / self.dim) for _, u in draws])
+        return (radii / np.sqrt(norm2))[:, None] * directions
+
+    def _block(self, draw: Callable[[bool], Any], build: Callable[[Any], Any]) -> Any:
+        """build(draw(False)): a block's RNG calls made lean, the rest done
+        once on the block.  At a zero direction the calls are made again
+        from the state they started in with draw(True), which meets the
+        zero again and redraws it in place, as the one-point draw does."""
+        state = self.rng.bit_generator.state
+        try:
+            return build(draw(False))
+        except _ZeroDirection:
+            self.rng.bit_generator.state = state
+            return build(draw(True))
 
     def sample(self) -> GyroVector:
-        direction, norm2, radius = self._draw()
-        return GyroVector._owned((radius / math.sqrt(norm2)) * direction)
+        """One point: the row of sample_rows(1)."""
+        return GyroVector._owned(self.sample_rows(1)[0])
 
     def sample_rows(self, n: int) -> np.ndarray:
-        """The points of n sample() calls as the rows of an (n, dim) array,
-        bit for bit: the same RNG calls one point at a time, the scaling
-        done on the whole array."""
-        return _points([self._draw() for _ in range(n)], self.dim)
+        """n points as the rows of an (n, dim) array, drawn as a block."""
+        if operator.index(n) < 0:
+            raise ValueError(f"n must be >= 0, got {n}")
+        points = self._block(lambda redraw: [self._point(redraw) for _ in range(n)], self._scaled)
+        return _checked_rows(points)
 
 
-def _points(draws: list[tuple[np.ndarray, float, float]], dim: int) -> np.ndarray:
-    # the points of BallSampler._draw results as rows, each scaled as sample() does
-    if not draws:
-        return np.empty((0, dim))
-    directions, norm2, radii = zip(*draws)
-    scales = np.array(radii) / np.sqrt(np.array(norm2))
-    return _checked_rows(scales[:, None] * np.array(directions))
+class _ZeroDirection(Exception):
+    """A block met a zero Gaussian direction (see BallSampler._block)."""
 
 
 class Rows(dict):

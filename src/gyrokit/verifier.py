@@ -6,11 +6,13 @@ and compares it against a threshold from the tolerance config.  A failing
 sample is shrunk by halving all its ball points while the failure persists,
 and the smallest still-failing instance is reported; matrix and classifier
 inputs hold no ball point and are reported as drawn.  Every property draws
-its inputs as Rows blocks, row by row in the order of the one-input draws,
-and scores each block as one residual array.  The gyro-core laws, the
-geometry and orthogonal-map properties and the classifier trials do so
-with the row kernels, which equal the scalar path bit for bit; the five
-matrix-model properties score each row with a scalar residual (_each_row).
+its inputs as Rows blocks, making the generator calls of the one-input
+draws in their order and the rest on the block; a refused candidate is
+refused by mask and redrawn where those draws redrew it (_staged).  Each
+block is scored as one residual array: by the row kernels, which equal
+the scalar path bit for bit, for the gyro-core laws, the geometry and
+orthogonal-map properties and the classifier trials, and row by row by a
+scalar residual for the five matrix-model properties (_each_row).
 
 Residual normalization.  Raw floating-point residuals of ball operations
 grow with the Lorentz factor of the operands (coordinate noise is
@@ -61,6 +63,8 @@ whose residual has no det cancellation).
 from __future__ import annotations
 
 import math
+from collections import namedtuple
+from functools import partial
 from typing import Any, Callable
 
 import numpy as np
@@ -72,18 +76,19 @@ from .ball import (
     GyroVector,
     ToleranceConfig,
     _add_rows,
+    _checked_rows,
     _each,
     _gamma_rows,
+    _guard_rows,
+    _guarded,
     _gyration_rows,
     _line_param_rows,
-    _norm,
     _norm_rows,
     _sum_rows,
     einstein_add,
     gamma,
-    neg,
 )
-from .geometry import _commutes_rows, _gram_band_rows, _klein_distance_rows, gram_band
+from .geometry import _commutes_rows, _gram_band_rows, _klein_distance_rows
 from .matrix_models import (
     Hermitian2,
     bloch_to_density,
@@ -106,12 +111,12 @@ from .morphisms import (
     random_orthogonal,
 )
 from .sampling import (
+    SCAN_CHUNK,
     BallSampler,
     PropertyReport,
     Rows,
     _block_sizes,
     _point_rows,
-    _points,
     derive_seed,
     scan_report,
 )
@@ -126,18 +131,6 @@ _IDENTITY2 = Hermitian2(1.0, 1.0, 0.0, 0.0)
 
 class UnknownPropertyError(GyroError):
     """A property name is not in the registry."""
-
-
-def _redraw(draw: Callable[[], Any], accept: Callable[[Any], bool], what: str) -> Any:
-    """Return the first draw() that accept() takes, out of 10_000 tries.
-
-    Draws are rejected for evaluability or general position, never for
-    their residual.  Raises RuntimeError("failed to draw <what>")."""
-    for _ in range(10_000):
-        candidate = draw()
-        if accept(candidate):
-            return candidate
-    raise RuntimeError(f"failed to draw {what}")
 
 
 def _property(name: str, inputs: Callable, residual: Callable, threshold: Callable) -> Callable:
@@ -176,20 +169,96 @@ def _row_check(
     return _property(name, inputs, residual, threshold)
 
 
+# ---------------------------------------------------------------- row draws
+
+# refusals in a row after which a draw gives up
+_TRIES = 10_000
+
+# part of an input: calls(sampler, redraw) makes one candidate's RNG calls,
+# build(sampler, calls) a Rows block of a list of them, and test(rows, tol)
+# gives the candidates taken and the vectors, beyond the points, that the
+# one-input test formed under the guard; `what` names it when a draw gives up
+_Stage = namedtuple("_Stage", "calls build test what", defaults=(None, ""))
+
+
+def _staged(stages: tuple, s: BallSampler, n: int, tol: ToleranceConfig) -> Rows:
+    """Row draw of n inputs, each a candidate of every stage in turn.
+
+    A round draws the candidates still missing as if each were taken, and
+    keeps them up to the first one out of turn, after a refusal; the next
+    rounds start from the state recorded after that refusal and draw only
+    the refused stage, as many candidates as it has refused in a row, up
+    to the first it takes.  A lone stage is never out of turn, so its
+    rounds filter, and nothing past the last candidate taken is drawn.
+    The _TRIES-th refusal in a row raises RuntimeError, and a vector the
+    guard refuses raises its error, as the one-input draw did.
+    """
+    kept, turn, streak, missing = [[] for _ in stages], 0, 0, n * len(stages)
+    # where a refusal can put later candidates out of turn, the state after it
+    marks = [len(stages) > 1 and stage.test is not None for stage in stages]
+    while missing:
+        if streak and len(stages) > 1:  # the refused stage again, more the longer it refuses
+            order = [turn] * min(streak, SCAN_CHUNK)
+        else:
+            order = [(turn + j) % len(stages) for j in range(missing)]
+
+        def calls(redraw: bool) -> list:
+            rng = s.rng
+            return [
+                (stages[k].calls(s, redraw), rng.bit_generator.state if marks[k] else None)
+                for k in order
+            ]
+
+        def build(drawn: list) -> tuple:
+            blocks = {k: stages[k].build(s, [c for (c, _), m in zip(drawn, order) if m == k])
+                      for k in set(order)}
+            return blocks, drawn
+
+        blocks, drawn = s._block(calls, build)
+        # per candidate of a stage: taken, and accepted by the guard in every
+        # vector formed; and those vectors in the order they were formed
+        verdicts = {}
+        for k, block in blocks.items():
+            takes, formed = stages[k].test(block, tol) if stages[k].test else (True, [])
+            vectors = np.stack([v for v in block.values() if v.ndim == 2] + formed, axis=1)
+            ok = _guard_rows(vectors)[1].all(axis=1)
+            verdicts[k] = np.broadcast_to(takes, ok.shape).tolist(), ok.tolist(), vectors
+        taken, seen = {k: [] for k in blocks}, dict.fromkeys(blocks, 0)
+        for j, k in enumerate(order):
+            if k != turn:  # after a refusal, or after the retry a stage took
+                s.rng.bit_generator.state = drawn[j - 1][1]
+                break
+            take, ok, vectors = verdicts[k]
+            i, seen[k] = seen[k], seen[k] + 1
+            if not ok[i]:
+                _checked_rows(vectors[i])  # raises for the first vector refused
+            if take[i]:
+                taken[k].append(i)
+                turn, streak, missing = (k + 1) % len(stages), 0, missing - 1
+            else:
+                streak += 1
+                if streak == _TRIES:
+                    raise RuntimeError(f"failed to draw {stages[k].what}")
+        for k, block in blocks.items():
+            kept[k].append(Rows({key: value[taken[k]] for key, value in block.items()}))
+    return Rows({key: np.concatenate([b[key] for b in part]) for part in kept for key in part[0]})
+
+
+def _points_stage(*keys: str, test: Callable | None = None, what: str = "") -> _Stage:
+    # a candidate of one sampled point per key in turn
+    def build(s: BallSampler, drawn: list) -> Rows:
+        points = s._scaled([point for candidate in drawn for point in candidate])
+        return Rows({key: points[k :: len(keys)] for k, key in enumerate(keys)})
+
+    return _Stage(lambda s, redraw: [s._point(redraw) for _ in keys], build, test, what)
+
+
+def _rapidity_rows(x: np.ndarray) -> np.ndarray:
+    # artanh of the norm of each row of x
+    return _each(math.atanh, _norm_rows(x))
+
+
 # ---------------------------------------------------------------- gyro core
-
-
-def _draw_pair(s: BallSampler, tol: ToleranceConfig) -> dict:
-    return {"u": s.sample(), "v": s.sample()}
-
-
-def _stacked(draw: Callable) -> Callable:
-    # row draw of an item draw of ball points: n items in turn, stacked
-    def draw_rows(s: BallSampler, n: int, tol: ToleranceConfig) -> Rows:
-        items = [draw(s, tol) for _ in range(n)]
-        return Rows({key: np.array([item[key].coords for item in items]) for key in items[0]})
-
-    return draw_rows
 
 
 def _squares(x: np.ndarray) -> np.ndarray:
@@ -228,38 +297,26 @@ def _gamma_identity_residual(rows: Rows, tol: ToleranceConfig) -> np.ndarray:
     return np.where(ok, np.abs(lhs - rhs) / (rhs * _squares(lhs)), math.inf)
 
 
-def _rapidity(u: GyroVector) -> float:
-    return math.atanh(u.norm)
-
-
 # largest rapidity any intermediate of a composed expression may reach
 # while staying 100 margins below the construction guard
 _EVALUABILITY_BOUND = math.atanh(1.0 - 100.0 * DEFAULT_BOUNDARY_MARGIN)
 
 
-def _draw_gyration_inputs(s: BallSampler, tol: ToleranceConfig) -> dict:
-    # the gyration chain peaks at rapidity |u| + |v| + |w|; reject draws
-    # whose intermediates could leave the guarded ball (evaluability of
-    # the defining composition, not a weakening of the law)
-    def evaluable(d: dict) -> bool:
-        peak = _rapidity(d["u"]) + _rapidity(d["v"]) + max(_rapidity(d["w1"]), _rapidity(d["w2"]))
-        return peak <= _EVALUABILITY_BOUND
-
-    return _redraw(
-        lambda: {"u": s.sample(), "v": s.sample(), "w1": s.sample(), "w2": s.sample()},
-        evaluable,
-        "an evaluable gyration input",
-    )
+def _gyration_evaluable(rows: Rows, tol: ToleranceConfig) -> tuple:
+    # the gyration chain peaks at rapidity |u| + |v| + |w|
+    u, v, w1, w2 = (_rapidity_rows(rows[key]) for key in ("u", "v", "w1", "w2"))
+    return u + v + np.maximum(w1, w2) <= _EVALUABILITY_BOUND, []
 
 
-def _draw_gyrocommutativity_inputs(s: BallSampler, tol: ToleranceConfig) -> dict:
-    # the composition applies each operand twice, peaking at 2(|u| + |v|)
-    # in rapidity; same evaluability rejection as the gyration draw
-    return _redraw(
-        lambda: _draw_pair(s, tol),
-        lambda d: 2.0 * (_rapidity(d["u"]) + _rapidity(d["v"])) <= _EVALUABILITY_BOUND,
-        "an evaluable pair",
-    )
+def _pair_evaluable(rows: Rows, tol: ToleranceConfig) -> tuple:
+    # the gyrocommutativity composition peaks at rapidity 2(|u| + |v|)
+    return 2.0 * (_rapidity_rows(rows["u"]) + _rapidity_rows(rows["v"])) <= _EVALUABILITY_BOUND, []
+
+
+_GYRATION = _points_stage(
+    "u", "v", "w1", "w2", test=_gyration_evaluable, what="an evaluable gyration input"
+)
+_GYROCOMMUTATIVITY = _points_stage("u", "v", test=_pair_evaluable, what="an evaluable pair")
 
 
 def _gyration_orthogonality_residual(rows: Rows, tol: ToleranceConfig) -> np.ndarray:
@@ -283,14 +340,16 @@ def _gyrocommutativity_residual(rows: Rows, tol: ToleranceConfig) -> np.ndarray:
 
 def _line_rows(low: float, high: float, *keys: str) -> Callable:
     # per row a point x, then a uniform(low, high) per key, scaled by x's t_max
-    def draw_rows(s: BallSampler, n: int, tol: ToleranceConfig) -> Rows:
-        draws = [(s._draw(), s.rng.uniform(low, high, size=len(keys))) for _ in range(n)]
-        x = _points([point for point, _ in draws], s.dim)
-        t_max = math.atanh(s.rmax) / _each(math.atanh, _norm_rows(x))
-        scaled = np.array([params for _, params in draws]) * t_max[:, None]
+    def calls(s: BallSampler, redraw: bool) -> tuple:
+        return s._point(redraw), s.rng.uniform(low, high, size=len(keys))
+
+    def build(s: BallSampler, drawn: list) -> Rows:
+        x = s._scaled([point for point, _ in drawn])
+        t_max = math.atanh(s.rmax) / _rapidity_rows(x)
+        scaled = np.array([params for _, params in drawn]) * t_max[:, None]
         return Rows(x=x, **{key: scaled[:, k] for k, key in enumerate(keys)})
 
-    return draw_rows
+    return partial(_staged, (_Stage(calls, build),))
 
 
 def _one_parameter_residual(rows: Rows, tol: ToleranceConfig) -> np.ndarray:
@@ -306,23 +365,27 @@ def _one_parameter_residual(rows: Rows, tol: ToleranceConfig) -> np.ndarray:
 # ----------------------------------------------------------------- geometry
 
 
-def _general_position(a: np.ndarray, b: np.ndarray, tol: ToleranceConfig) -> bool:
-    # three orders of magnitude clear of the dependence band
-    det, band = gram_band(a, b, tol)
+def _general_position_rows(a: np.ndarray, b: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    # three orders of magnitude clear of the dependence band, row by row
+    det, band = _gram_band_rows(a, b, tol)
     return det > 1e3 * band
 
 
-def _draw_commutation_inputs(s: BallSampler, tol: ToleranceConfig) -> dict:
-    dep_u = s.sample()
+def _dependent_build(s: BallSampler, drawn: list) -> Rows:
+    dep_u = s._scaled([point for point, _ in drawn])
     # scalar multiple with |dep_v| <= rmax, allowing factors above 1
-    scale = float(s.rng.uniform(-1.0, 1.0))
-    dep_v = GyroVector(scale * s.rmax / max(dep_u.norm, 1e-12) * dep_u.coords)
-    ind = _redraw(
-        lambda: _draw_pair(s, tol),
-        lambda d: _general_position(d["u"].coords, d["v"].coords, tol),
-        "an independent pair",
-    )
-    return {"dep_u": dep_u, "dep_v": dep_v, "ind_u": ind["u"], "ind_v": ind["v"]}
+    scales = np.array([scale for _, scale in drawn])
+    factors = scales * s.rmax / np.maximum(_norm_rows(dep_u), 1e-12)
+    return Rows(dep_u=dep_u, dep_v=factors[:, None] * dep_u)
+
+
+_COMMUTATION = (
+    _Stage(lambda s, redraw: (s._point(redraw), s.rng.uniform(-1.0, 1.0)), _dependent_build),
+    _points_stage(
+        "ind_u", "ind_v", what="an independent pair",
+        test=lambda rows, tol: (_general_position_rows(rows["ind_u"], rows["ind_v"], tol), []),
+    ),
+)
 
 
 def _and_chain(*clauses: tuple[np.ndarray, Any]) -> np.ndarray:
@@ -352,47 +415,50 @@ def _commutes_iff_dependent_residual(rows: Rows, tol: ToleranceConfig) -> np.nda
     )
 
 
-def _translated_pair(
-    x: GyroVector, y: GyroVector, z: GyroVector
-) -> tuple[GyroVector, GyroVector] | None:
-    # collinear_gyro tests (-x) (+) y and (-x) (+) z for commutation, whose
-    # sums reach the two rapidities added; None when that could leave the
-    # guarded ball (same evaluability rule as the gyration draws)
-    a = einstein_add(neg(x), y)
-    b = einstein_add(neg(x), z)
-    if _rapidity(a) + _rapidity(b) > _EVALUABILITY_BOUND:
-        return None
-    return a, b
+def _chord_calls(s: BallSampler, redraw: bool) -> tuple:
+    rng = s.rng
+    return rng.standard_normal(s.dim), rng.standard_normal(s.dim), rng.uniform(0.0, 1.0, size=3)
 
 
-def _draw_collinearity_inputs(s: BallSampler, tol: ToleranceConfig) -> dict:
-    def unit() -> np.ndarray:
-        g = s.rng.standard_normal(s.dim)
-        return g / _norm(g)
+def _chord_build(s: BallSampler, drawn: list) -> Rows:
+    # three points p + w (q - p) on the chord between two points p, q of
+    # the sphere of radius rmax; a zero normal gives NaN, which the guard
+    # refuses where the candidate is drawn, and only there
+    g, h, w = (np.array(column) for column in zip(*drawn))
+    with np.errstate(invalid="ignore"):
+        p = s.rmax * (g / _norm_rows(g)[:, None])
+        chord = s.rmax * (h / _norm_rows(h)[:, None]) - p
+    return Rows({key: p + w[:, k, None] * chord for k, key in enumerate(("on_x", "on_y", "on_z"))})
 
-    def on_line() -> tuple[GyroVector, ...]:
-        p, q = s.rmax * unit(), s.rmax * unit()
-        return tuple(GyroVector(p + w * (q - p)) for w in s.rng.uniform(0.0, 1.0, size=3))
 
-    def in_general_position(triple: tuple[GyroVector, ...]) -> bool:
-        x, y, z = triple
-        if not _general_position(y.coords - x.coords, z.coords - x.coords, tol):
-            return False
-        translated = _translated_pair(x, y, z)
-        return translated is not None and _general_position(*(t.coords for t in translated), tol)
+def _translated(x, y, z, formed: np.ndarray) -> tuple:
+    """(-x) (+) y and (-x) (+) z, the pair collinear_gyro tests, in the
+    rows where formed: whether both sums pass the guard and their
+    rapidities add up to at most the evaluability bound, the two sums
+    (zeroed where refused), and the two as formed, for the guard check."""
+    raw = [np.where(formed[:, None], _add_rows(-x, w), 0.0) for w in (y, z)]
+    a, ok = _guarded(raw[0].copy(), formed)
+    b, ok = _guarded(raw[1].copy(), ok)
+    return ok & (_rapidity_rows(a) + _rapidity_rows(b) <= _EVALUABILITY_BOUND), a, b, raw
 
-    on_x, on_y, on_z = _redraw(
-        on_line, lambda t: _translated_pair(*t) is not None, "an evaluable collinear triple"
-    )
-    off_x, off_y, off_z = _redraw(
-        lambda: (s.sample(), s.sample(), s.sample()),
-        in_general_position,
-        "a general-position triple",
-    )
-    return {
-        "on_x": on_x, "on_y": on_y, "on_z": on_z,
-        "off_x": off_x, "off_y": off_y, "off_z": off_z,
-    }
+
+def _on_line(rows: Rows, tol: ToleranceConfig) -> tuple:
+    x = rows["on_x"]
+    evaluable, _, _, formed = _translated(x, rows["on_y"], rows["on_z"], np.ones(len(x), bool))
+    return evaluable, formed
+
+
+def _off_line(rows: Rows, tol: ToleranceConfig) -> tuple:
+    x, y, z = rows["off_x"], rows["off_y"], rows["off_z"]
+    direct = _general_position_rows(y - x, z - x, tol)
+    evaluable, a, b, formed = _translated(x, y, z, direct)
+    return direct & evaluable & _general_position_rows(a, b, tol), formed
+
+
+_COLLINEARITY = (
+    _Stage(_chord_calls, _chord_build, _on_line, "an evaluable collinear triple"),
+    _points_stage("off_x", "off_y", "off_z", test=_off_line, what="a general-position triple"),
+)
 
 
 def _collinear_gyro_rows(x, y, z, tol: ToleranceConfig) -> tuple:
@@ -434,7 +500,7 @@ def _metric_residual(rows: Rows, tol: ToleranceConfig) -> np.ndarray:
 def _line_distance_residual(rows: Rows, tol: ToleranceConfig) -> np.ndarray:
     x, t = rows["x"], rows["t"]
     point, ok = _line_param_rows(x, t)
-    expected = np.abs(t) * _each(math.atanh, _norm_rows(x))
+    expected = np.abs(t) * _rapidity_rows(x)
     measured = _klein_distance_rows(np.zeros_like(point), point)
     return np.where(ok, np.abs(measured - expected) / np.maximum(1.0, expected), math.inf)
 
@@ -442,14 +508,18 @@ def _line_distance_residual(rows: Rows, tol: ToleranceConfig) -> np.ndarray:
 # ---------------------------------------------------------------- morphisms
 
 
-def _draw_orthogonal_rows(s: BallSampler, n: int, tol: ToleranceConfig) -> Rows:
+def _orthogonal_build(s: BallSampler, drawn: list) -> Rows:
     # per row the Gaussian matrix of random_orthogonal, then u, then v
-    gaussians, draws = np.empty((n, s.dim, s.dim)), []
-    for i in range(n):
-        gaussians[i] = s.rng.standard_normal((s.dim, s.dim))
-        draws += (s._draw(), s._draw())
-    points = _points(draws, s.dim)
+    points = s._scaled([point for _, u, v in drawn for point in (u, v)])
+    gaussians = np.array([gaussian for gaussian, _, _ in drawn])
     return Rows(q=_haar(gaussians), u=points[0::2], v=points[1::2])
+
+
+_ORTHOGONAL = _Stage(
+    lambda s, redraw: (s.rng.standard_normal((s.dim, s.dim)), s._point(redraw), s._point(redraw)),
+    _orthogonal_build,
+)
+_draw_orthogonal_rows = partial(_staged, (_ORTHOGONAL,))
 
 
 def _fixes_zero_residual(rows: Rows, tol: ToleranceConfig) -> np.ndarray:
@@ -660,11 +730,11 @@ def _build_registry() -> dict[str, Callable]:
         ),
         _row_check("gamma_identity", _point_rows("u", "v"), _gamma_identity_residual, _rel_tol),
         _row_check(
-            "gyration_orthogonality", _stacked(_draw_gyration_inputs),
+            "gyration_orthogonality", partial(_staged, (_GYRATION,)),
             _gyration_orthogonality_residual, _rel_tol,
         ),
         _row_check(
-            "gyrocommutativity", _stacked(_draw_gyrocommutativity_inputs),
+            "gyrocommutativity", partial(_staged, (_GYROCOMMUTATIVITY,)),
             _gyrocommutativity_residual, _abs_tol,
         ),
         _row_check(
@@ -672,11 +742,11 @@ def _build_registry() -> dict[str, Callable]:
             _abs_tol,
         ),
         _row_check(
-            "commutes_iff_dependent", _stacked(_draw_commutation_inputs),
+            "commutes_iff_dependent", partial(_staged, _COMMUTATION),
             _commutes_iff_dependent_residual, _indicator,
         ),
         _row_check(
-            "collinearity_equivalence", _stacked(_draw_collinearity_inputs),
+            "collinearity_equivalence", partial(_staged, _COLLINEARITY),
             _collinearity_residual, _indicator, dims=_PLANE_DIMS,
         ),
         _row_check(

@@ -319,6 +319,20 @@ class TestClassify:
         assert code == 2
         assert "--dim" in err
 
+    @pytest.mark.parametrize("dim", ["1025", "1000000000", str(10**30)])
+    def test_dimension_past_the_bound_exits_2_with_one_error_line(self, capsys, dim):
+        # refused before any array is allocated
+        code, out, err = run_cli(capsys, "classify", "--map", "zero", "--dim", dim)
+        assert (code, out) == (2, "")
+        assert err == f"error: --dim must be at most 1024, got {dim}\n"
+
+    def test_dimension_at_the_bound_is_read(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "classify", "--map", "zero", "--dim", "1024", "--samples", "1"
+        )
+        assert code == 0
+        assert json.loads(out)["verdict"] == "zero"
+
     def test_ragged_matrix_exits_2(self, capsys, herm_file):
         bad = herm_file("bad.json", [[1.0, 0.0], [0.0]])
         code, _, err = run_cli(capsys, "classify", "--map", bad)
@@ -565,7 +579,7 @@ HELP_SCREENS = {
     ("classify",): [
         _HELP,
         ("--map", "JSON file with a square matrix, or the literal 'zero'"),
-        ("--dim", "dimension for the zero map"),
+        ("--dim", "dimension for the zero map, at most 1024"),
         *_SEEDED,
     ],
     ("verify",): [

@@ -15,14 +15,17 @@ time through the scalar draws and residuals kept here, scanned and shrunk
 by the one-input loop the Rows scan replaced.
 """
 
+import itertools
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
 
 from gyrokit import (
     DEFAULT_BOUNDARY_MARGIN,
+    DEFAULT_SAMPLE_RMAX,
     DEFAULT_TOL,
     BallDomainError,
     BallMap,
@@ -63,18 +66,15 @@ from gyrokit.ball import (
 )
 from gyrokit.geometry import _commutes_rows, _gram_band_rows, _klein_distance_rows
 from gyrokit.morphisms import _haar, _law_rows
-from gyrokit.sampling import SCAN_CHUNK, Rows, json_ready, seeded_scan
+from gyrokit.sampling import SCAN_CHUNK, Rows, _block_sizes, json_ready, seeded_scan
 from gyrokit import verifier
 from gyrokit.verifier import (
+    _EVALUABILITY_BOUND,
     _bloch_homomorphism_residual,
     _boxdot_det_residual,
     _collinearity_residual,
     _commutes_iff_dependent_residual,
     _det_normalization_residual,
-    _draw_collinearity_inputs,
-    _draw_commutation_inputs,
-    _draw_gyration_inputs,
-    _draw_gyrocommutativity_inputs,
     _each_row,
     _gyration_orthogonality_residual,
     _gyrocommutativity_residual,
@@ -381,39 +381,39 @@ def test_classifier_sees_matrix_maps_as_black_boxes_do(dim, matrix):
 # ------------------------------------------------- scalar replay references
 #
 # The draws and residuals every batched property replaced, one input at a
-# time through BallSampler.sample and the scalar public functions.  A
-# residual that raises GyroError scores inf in the scan, as its row form
-# scores a refused row.
+# time through the scalar point draw old_sample and the scalar public
+# functions.  A residual that raises GyroError scores inf in the scan, as
+# its row form scores a refused row.
 
 
 def draw_single(s: BallSampler, tol: ToleranceConfig) -> dict:
-    return {"u": s.sample()}
+    return {"u": old_sample(s)}
 
 
 def draw_pair(s: BallSampler, tol: ToleranceConfig) -> dict:
-    return {"u": s.sample(), "v": s.sample()}
+    return {"u": old_sample(s), "v": old_sample(s)}
 
 
 def draw_triple(s: BallSampler, tol: ToleranceConfig) -> dict:
-    return {"u": s.sample(), "v": s.sample(), "w": s.sample()}
+    return {"u": old_sample(s), "v": old_sample(s), "w": old_sample(s)}
 
 
 def draw_line_params(s: BallSampler, tol: ToleranceConfig) -> dict:
-    x = s.sample()
+    x = old_sample(s)
     t_max = math.atanh(s.rmax) / math.atanh(x.norm)
     a, b = s.rng.uniform(-0.5, 0.5, size=2)
     return {"x": x, "s": float(a * t_max), "t": float(b * t_max)}
 
 
 def draw_line_distance(s: BallSampler, tol: ToleranceConfig) -> dict:
-    x = s.sample()
+    x = old_sample(s)
     t_max = math.atanh(s.rmax) / math.atanh(x.norm)
     t = float(s.rng.uniform(-1.0, 1.0) * t_max)
     return {"x": x, "t": t}
 
 
 def draw_orthogonal_pair(s: BallSampler, tol: ToleranceConfig) -> dict:
-    return {"q": random_orthogonal(s.rng, s.dim), "u": s.sample(), "v": s.sample()}
+    return {"q": random_orthogonal(s.rng, s.dim), "u": old_sample(s), "v": old_sample(s)}
 
 
 def draw_posdef(s: BallSampler, tol: ToleranceConfig) -> dict:
@@ -422,6 +422,99 @@ def draw_posdef(s: BallSampler, tol: ToleranceConfig) -> dict:
 
 def draw_posdef_pair(s: BallSampler, tol: ToleranceConfig) -> dict:
     return {"h1": _random_posdef(s.rng, 2.0), "h2": _random_posdef(s.rng, 2.0)}
+
+
+# The rejection draws, which redraw a candidate that fails evaluability or
+# general position, and give up after 10 000 refusals in a row.
+
+
+def redraw(draw, accept, what: str):
+    for _ in range(10_000):
+        candidate = draw()
+        if accept(candidate):
+            return candidate
+    raise RuntimeError(f"failed to draw {what}")
+
+
+def rapidity(u: GyroVector) -> float:
+    return math.atanh(u.norm)
+
+
+def draw_gyration_inputs(s: BallSampler, tol: ToleranceConfig) -> dict:
+    def evaluable(d: dict) -> bool:
+        peak = rapidity(d["u"]) + rapidity(d["v"]) + max(rapidity(d["w1"]), rapidity(d["w2"]))
+        return peak <= _EVALUABILITY_BOUND
+
+    return redraw(
+        lambda: {"u": old_sample(s), "v": old_sample(s), "w1": old_sample(s), "w2": old_sample(s)},
+        evaluable,
+        "an evaluable gyration input",
+    )
+
+
+def draw_gyrocommutativity_inputs(s: BallSampler, tol: ToleranceConfig) -> dict:
+    return redraw(
+        lambda: draw_pair(s, tol),
+        lambda d: 2.0 * (rapidity(d["u"]) + rapidity(d["v"])) <= _EVALUABILITY_BOUND,
+        "an evaluable pair",
+    )
+
+
+def general_position(a: np.ndarray, b: np.ndarray, tol: ToleranceConfig) -> bool:
+    det, band = gram_band(a, b, tol)
+    return det > 1e3 * band
+
+
+def draw_commutation_inputs(s: BallSampler, tol: ToleranceConfig) -> dict:
+    dep_u = old_sample(s)
+    scale = float(s.rng.uniform(-1.0, 1.0))
+    dep_v = GyroVector(scale * s.rmax / max(dep_u.norm, 1e-12) * dep_u.coords)
+    ind = redraw(
+        lambda: draw_pair(s, tol),
+        lambda d: general_position(d["u"].coords, d["v"].coords, tol),
+        "an independent pair",
+    )
+    return {"dep_u": dep_u, "dep_v": dep_v, "ind_u": ind["u"], "ind_v": ind["v"]}
+
+
+def translated_pair(x: GyroVector, y: GyroVector, z: GyroVector) -> tuple | None:
+    # the sums collinear_gyro forms, or None where they could leave the ball
+    a = einstein_add(neg(x), y)
+    b = einstein_add(neg(x), z)
+    if rapidity(a) + rapidity(b) > _EVALUABILITY_BOUND:
+        return None
+    return a, b
+
+
+def in_general_position(triple: tuple, tol: ToleranceConfig) -> bool:
+    x, y, z = triple
+    if not general_position(y.coords - x.coords, z.coords - x.coords, tol):
+        return False
+    translated = translated_pair(x, y, z)
+    return translated is not None and general_position(*(t.coords for t in translated), tol)
+
+
+def draw_collinearity_inputs(s: BallSampler, tol: ToleranceConfig) -> dict:
+    def unit() -> np.ndarray:
+        g = s.rng.standard_normal(s.dim)
+        return g / _norm(g)
+
+    def on_line() -> tuple:
+        p, q = s.rmax * unit(), s.rmax * unit()
+        return tuple(GyroVector(p + w * (q - p)) for w in s.rng.uniform(0.0, 1.0, size=3))
+
+    on_x, on_y, on_z = redraw(
+        on_line, lambda t: translated_pair(*t) is not None, "an evaluable collinear triple"
+    )
+    off_x, off_y, off_z = redraw(
+        lambda: (old_sample(s), old_sample(s), old_sample(s)),
+        lambda t: in_general_position(t, tol),
+        "a general-position triple",
+    )
+    return {
+        "on_x": on_x, "on_y": on_y, "on_z": on_z,
+        "off_x": off_x, "off_y": off_y, "off_z": off_z,
+    }
 
 
 def closure(inputs: dict, tol: ToleranceConfig) -> float:
@@ -562,17 +655,17 @@ SCALAR_ROW_PROPERTIES = {
     "left_cancellation": (draw_pair, left_cancellation, abs_tol, CORE_DIMS, None),
     "gamma_identity": (draw_pair, gamma_identity, rel_tol, CORE_DIMS, None),
     "gyration_orthogonality": (
-        _draw_gyration_inputs, gyration_orthogonality, rel_tol, CORE_DIMS, None
+        draw_gyration_inputs, gyration_orthogonality, rel_tol, CORE_DIMS, None
     ),
     "gyrocommutativity": (
-        _draw_gyrocommutativity_inputs, gyrocommutativity, abs_tol, CORE_DIMS, None
+        draw_gyrocommutativity_inputs, gyrocommutativity, abs_tol, CORE_DIMS, None
     ),
     "one_parameter_subgroup": (draw_line_params, one_parameter, abs_tol, CORE_DIMS, None),
     "commutes_iff_dependent": (
-        _draw_commutation_inputs, commutes_iff_dependent, indicator, CORE_DIMS, None
+        draw_commutation_inputs, commutes_iff_dependent, indicator, CORE_DIMS, None
     ),
     "collinearity_equivalence": (
-        _draw_collinearity_inputs, collinearity, indicator, (2, 3), None
+        draw_collinearity_inputs, collinearity, indicator, (2, 3), None
     ),
     "left_translation_isometry": (
         draw_triple, isometry, lambda tol: 10.0 * tol.rel_tol, CORE_DIMS, None
@@ -712,6 +805,213 @@ def test_row_residuals_equal_the_scalar_residuals_row_by_row(name):
         assert row_residual(rows, DEFAULT_TOL).tolist() == want
 
 
+# ------------------------------------------------------------- row draws
+#
+# Each row draw must make the one-input draw's RNG calls in its order and
+# give its inputs bit for bit, redrawing every refused candidate, and fail
+# with its error where it failed.
+
+# name -> the row draw that replaced the property's one-input draw
+ROW_DRAWS = {
+    "gyration_orthogonality": partial(verifier._staged, (verifier._GYRATION,)),
+    "gyrocommutativity": partial(verifier._staged, (verifier._GYROCOMMUTATIVITY,)),
+    "commutes_iff_dependent": partial(verifier._staged, verifier._COMMUTATION),
+    "collinearity_equivalence": partial(verifier._staged, verifier._COLLINEARITY),
+    "one_parameter_subgroup": verifier._line_rows(-0.5, 0.5, "s", "t"),
+    "line_translation_distance": verifier._line_rows(-1.0, 1.0, "t"),
+    "orthogonal_endomorphism": verifier._draw_orthogonal_rows,
+}
+
+
+def stacked(items: list) -> Rows:
+    """One-input draws as a Rows block, points as their coordinates."""
+    return Rows(
+        {key: np.array([getattr(item[key], "coords", item[key]) for item in items])
+         for key in items[0]}
+    )
+
+
+def blocks_or_error(draw) -> list | str:
+    """draw(), or the type and text of the error it raised."""
+    try:
+        return draw()
+    except (GyroError, RuntimeError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def assert_same_draws(row_draw, item_draw, rows: BallSampler, items: BallSampler, n: int, tol):
+    """The row draw's blocks equal the stacked one-input draws, and leave
+    the RNG in the same state, or both raise the same error."""
+    sizes = list(_block_sizes(n))
+    got = blocks_or_error(lambda: [row_draw(rows, k, tol) for k in sizes])
+    want = blocks_or_error(
+        lambda: [stacked([item_draw(items, tol) for _ in range(k)]) for k in sizes]
+    )
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert not isinstance(got, str), got
+    for block, expected in zip(got, want):
+        assert list(block) == list(expected)
+        for key, column in expected.items():
+            assert block[key].shape == column.shape
+            assert block[key].tobytes() == column.tobytes()
+    assert rows.rng.bit_generator.state == items.rng.bit_generator.state
+
+
+@pytest.mark.parametrize("name", ROW_DRAWS)
+@pytest.mark.parametrize("rmax", [DEFAULT_SAMPLE_RMAX, 1 - 2e-9], ids=["default", "guard"])
+def test_row_draws_equal_the_one_input_draws(name, rmax):
+    # at 1 - 2e-9 the translated sums of the collinearity draw can leave the guard
+    tol = ToleranceConfig(sample_rmax=rmax)
+    for dim in (2, 3, 5):
+        for seed in (0, 7, 11):
+            rows, items = BallSampler(seed, dim, rmax), BallSampler(seed, dim, rmax)
+            item_draw = SCALAR_ROW_PROPERTIES[name][0]
+            assert_same_draws(ROW_DRAWS[name], item_draw, rows, items, 3 * SCAN_CHUNK + 1, tol)
+
+
+class ZeroAt:
+    """A generator that draws as rng does, except that standard_normal
+    returns zeros, its draws made, whenever it is called in the state
+    `state`: a replay from an earlier state meets the zero again."""
+
+    def __init__(self, rng: np.random.Generator, state: dict):
+        self.rng, self.state, self.hits = rng, state, 0
+
+    def __getattr__(self, name: str):
+        return getattr(self.rng, name)
+
+    def standard_normal(self, size):
+        hit = self.rng.bit_generator.state == self.state
+        out = self.rng.standard_normal(size)
+        self.hits += hit
+        return np.zeros_like(out) if hit else out
+
+
+# name -> (draw of n points or inputs as a Rows block, one-input draw)
+ZERO_CASES = {
+    "sample": (
+        lambda s, n, tol: Rows(u=np.array([s.sample().coords for _ in range(n)])), draw_single
+    ),
+    "sample_rows": (lambda s, n, tol: Rows(u=s.sample_rows(n)), draw_single),
+    **{name: (draw, SCALAR_ROW_PROPERTIES[name][0]) for name, draw in ROW_DRAWS.items()},
+}
+
+
+@pytest.mark.parametrize("name", ZERO_CASES)
+def test_a_zero_direction_is_redrawn_where_the_scalar_draw_redraws_it(name, monkeypatch):
+    row_draw, item_draw = ZERO_CASES[name]
+    n, scalar_sample = SCAN_CHUNK + 40, old_sample
+    # the states in which the one-input draws draw a point's direction
+    directions = []
+
+    def recording(s: BallSampler) -> GyroVector:
+        directions.append(s.rng.bit_generator.state)
+        return scalar_sample(s)
+
+    monkeypatch.setitem(globals(), "old_sample", recording)
+    s = BallSampler(3, 3)
+    for _ in range(n):
+        item_draw(s, DEFAULT_TOL)
+    monkeypatch.setitem(globals(), "old_sample", scalar_sample)
+    for state in (directions[0], directions[len(directions) // 2], directions[-1]):
+        rows, items = BallSampler(3, 3), BallSampler(3, 3)
+        rows.rng, items.rng = ZeroAt(rows.rng, state), ZeroAt(items.rng, state)
+        assert_same_draws(row_draw, item_draw, rows, items, n, DEFAULT_TOL)
+        assert items.rng.hits == 1 and rows.rng.hits >= 1
+
+
+def counting_stage(refused: range) -> tuple:
+    """A stage whose candidates are 0, 1, 2, ... in draw order, refusing
+    those in `refused`, and the counter that numbers them."""
+    count = itertools.count()
+    stage = verifier._Stage(
+        lambda s, redraw: next(count),
+        lambda s, drawn: Rows(i=np.array(drawn), point=np.zeros((len(drawn), 2))),
+        lambda rows, tol: (~np.isin(rows["i"], np.arange(refused.start, refused.stop)), []),
+        "a counted input",
+    )
+    return stage, count
+
+
+def test_ten_thousand_refusals_in_a_row_give_up_across_rounds():
+    # 6000 inputs wanted: the first round takes 1000 and refuses 5000, and
+    # the second draws the 5000 still missing
+    s = BallSampler(0, 2)
+    stage, count = counting_stage(range(1000, 11_000))
+    with pytest.raises(RuntimeError) as exc:
+        verifier._staged((stage,), s, 6000, DEFAULT_TOL)
+    assert str(exc.value) == "failed to draw a counted input"
+    assert next(count) == 11_000
+    # one refusal fewer: the second round takes its last candidate, and the
+    # third draws the 4999 still missing, and nothing past the last taken
+    stage, count = counting_stage(range(1000, 10_999))
+    rows = verifier._staged((stage,), s, 6000, DEFAULT_TOL)
+    assert rows["i"].tolist() == [*range(1000), *range(10_999, 15_999)]
+    assert next(count) == 15_999
+
+
+def test_a_staged_draw_restarts_after_a_refusal_and_counts_its_streak(monkeypatch):
+    # two stages of one random() each: the first takes every candidate, the
+    # second refuses those at the stream positions in `refused`; the rounds
+    # after a refusal restart from the state recorded after it
+    monkeypatch.setattr(verifier, "_TRIES", 4)
+    position = {x: j for j, x in enumerate(np.random.default_rng(0).random(100).tolist())}
+
+    def stage(key: str, refused: set) -> verifier._Stage:
+        def build(s: BallSampler, drawn: list) -> Rows:
+            return Rows({key: np.array(drawn), key + "_point": np.zeros((len(drawn), 2))})
+
+        return verifier._Stage(
+            lambda s, redraw: s.rng.random(),
+            build,
+            lambda rows, tol: ([position[x] not in refused for x in rows[key].tolist()], []),
+            f"a {key}",
+        )
+
+    draws = (stage("a", set()), stage("b", {1, 2, 3, 8}))
+    rows = verifier._staged(draws, BallSampler(0, 2), 3, None)
+    assert [position[x] for x in rows["a"].tolist()] == [0, 5, 7]
+    assert [position[x] for x in rows["b"].tolist()] == [4, 6, 9]
+    with pytest.raises(RuntimeError, match="^failed to draw a b$"):
+        draws = (stage("a", set()), stage("b", {1, 2, 3, 4}))
+        verifier._staged(draws, BallSampler(0, 2), 1, None)
+
+
+def test_a_sum_the_guard_refuses_raises_where_the_scalar_draw_meets_it():
+    # off-line triples in draw order: one taken; one on a line, refused
+    # before its sums are formed although (-x) (+) y leaves the ball; one
+    # in general position whose (-x) (+) y leaves the ball
+    near = [R * math.cos(0.01), R * math.sin(0.01)]
+    triples = [
+        [[0.0, 0.0], [0.5, 0.0], [0.0, 0.5]],
+        ESCAPING,
+        [[-R, 0.0], near, [0.0, 0.5]],
+    ]
+    with pytest.raises(BallDomainError) as want:
+        einstein_add(neg(GyroVector([-R, 0.0])), GyroVector(near))
+    points = [tuple(GyroVector(p) for p in triple) for triple in triples]
+    assert in_general_position(points[0], DEFAULT_TOL)
+    assert not in_general_position(points[1], DEFAULT_TOL)
+    with pytest.raises(BallDomainError) as got:
+        in_general_position(points[2], DEFAULT_TOL)
+    assert str(got.value) == str(want.value)
+    drawn = iter(triples)
+    stage = verifier._Stage(
+        lambda s, redraw: next(drawn),
+        lambda s, block: Rows(
+            {key: np.array([t[k] for t in block], dtype=float)
+             for k, key in enumerate(("off_x", "off_y", "off_z"))}
+        ),
+        verifier._off_line,
+        "a general-position triple",
+    )
+    with pytest.raises(BallDomainError) as got:
+        verifier._staged((stage,), BallSampler(0, 2), 2, DEFAULT_TOL)
+    assert str(got.value) == str(want.value)
+
+
 def test_squares_are_python_float_squares():
     # a Python float's ** 2 is libm pow, which x * x misses in the last bit
     # on some products of Lorentz factors
@@ -725,7 +1025,7 @@ def test_squares_are_python_float_squares():
 @pytest.mark.parametrize("matrix", [np.eye(3), 0.5 * np.eye(3)], ids=["identity", "half"])
 def test_check_endomorphism_equals_its_scalar_replay_over_chunks(matrix):
     n, s, f = 3 * SCAN_CHUNK + 1, BallSampler(5, 3), matrix_map(matrix)
-    pairs = ({"u": s.sample(), "v": s.sample()} for _ in range(n))
+    pairs = ({"u": old_sample(s), "v": old_sample(s)} for _ in range(n))
     want = reference_report("endomorphism", pairs, lambda p: scalar_law(f, **p), 1e-6, 5)
     assert check_endomorphism(BallMap.from_matrix(matrix), n, 5).to_json_line() == want
 
@@ -1009,7 +1309,7 @@ def reference_zero_propagation(
         point_sampler = BallSampler(derive_seed(seed, "zero_prop_base"), x.dim, tol.sample_rmax)
         for _ in range(max(1, n_samples // 20)):
             for part in ("chord", "half_ellipse"):
-                base = point_sampler.sample().tolist()
+                base = old_sample(point_sampler).tolist()
                 for t in rng.uniform(-t_max, t_max, size=20):
                     yield {"part": part, "t": float(t), "base": base}
 

@@ -99,6 +99,37 @@ class TestBallSampler:
         with pytest.raises(ValueError):
             BallSampler(seed=1, dim=2, rmax=1 - 1e-10)
 
+    def test_sample_rows_refuses_a_negative_count(self):
+        s = BallSampler(seed=1, dim=3)
+        state = s.rng.bit_generator.state
+        for n in (-1, -3, np.int64(-2)):
+            with pytest.raises(ValueError, match=f"^n must be >= 0, got {n}$"):
+                s.sample_rows(n)
+        assert s.rng.bit_generator.state == state  # nothing drawn
+
+    def test_sample_rows_takes_any_integer_count(self):
+        s = BallSampler(seed=1, dim=3)
+        assert s.sample_rows(0).shape == (0, 3)
+        assert s.sample_rows(np.int64(2)).shape == (2, 3)
+        with pytest.raises(TypeError):
+            s.sample_rows(2.0)
+
+
+class TestGivingUp:
+    # a coarse abs_tol widens the dependence band until no pair or triple is
+    # clear of it, and the draws give up after 10 000 refusals in a row
+    @pytest.mark.parametrize(
+        "name, what",
+        [
+            ("commutes_iff_dependent", "an independent pair"),
+            ("collinearity_equivalence", "a general-position triple"),
+        ],
+    )
+    def test_a_draw_that_cannot_be_met_raises(self, name, what):
+        with pytest.raises(RuntimeError) as exc:
+            run_suite([name], 40, 7, ToleranceConfig(abs_tol=1e-2))
+        assert str(exc.value) == f"failed to draw {what}"
+
 
 class TestPropertyReport:
     def test_json_line_round_trips(self):
