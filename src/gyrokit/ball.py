@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,12 +67,6 @@ class ToleranceConfig:
 
 
 DEFAULT_TOL = ToleranceConfig()
-
-
-def _norm(x: np.ndarray) -> float:
-    """Euclidean norm of a real 1-D array: the sqrt(x . x) that
-    np.linalg.norm evaluates for it, bit for bit, without its dispatch."""
-    return math.sqrt(x.dot(x))
 
 
 def _outside_ball(norm: float) -> BallDomainError:
@@ -137,7 +132,7 @@ class GyroVector:
 
     @classmethod
     def zero(cls, dim: int) -> "GyroVector":
-        return cls(np.zeros(int(dim)))
+        return cls(np.zeros(operator.index(dim)))
 
     def tolist(self) -> list[float]:
         return self.coords.tolist()
@@ -223,7 +218,8 @@ def _gamma_rows(u: np.ndarray) -> np.ndarray:
 
 
 def _norm_rows(x: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of x: _norm row by row."""
+    """Euclidean norm of each row of x: sqrt(x . x) row by row, as
+    np.linalg.norm evaluates it for one row, bit for bit."""
     return np.sqrt(np.vecdot(x, x))
 
 

@@ -13,8 +13,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .ball import (
     DEFAULT_ABS_TOL,
     DEFAULT_REL_TOL,
@@ -33,8 +31,7 @@ class Hermitian2:
     """Hermitian 2x2 matrix [[a, b], [conj(b), d]] stored as four reals.
 
     The four-real layout keeps construction, JSON round-trips, and equality
-    exact; products are written out over the fields, so complex arrays
-    appear only in to_array, for callers that want plain matrix arithmetic.
+    exact; products are written out over the fields, in real arithmetic.
     """
 
     a: float
@@ -57,10 +54,6 @@ class Hermitian2:
     @property
     def det(self) -> float:
         return self.a * self.d - (self.re_b * self.re_b + self.im_b * self.im_b)
-
-    def to_array(self) -> np.ndarray:
-        b = complex(self.re_b, self.im_b)
-        return np.array([[self.a, b], [b.conjugate(), self.d]], dtype=complex)
 
     def to_json_dict(self) -> dict:
         return {"a": self.a, "d": self.d, "re_b": self.re_b, "im_b": self.im_b}

@@ -9,6 +9,7 @@ candidate verdict on random samples.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -32,7 +33,7 @@ from .sampling import (
     BallSampler,
     PropertyReport,
     Rows,
-    _block_sizes,
+    _blocks,
     _point_rows,
     derive_seed,
     scan_report,
@@ -125,7 +126,7 @@ class BallMap:
     __slots__ = ("_func", "dim", "_rows")
 
     def __init__(self, func: Callable, dim: int):
-        dim = int(dim)
+        dim = operator.index(dim)
         if dim < 2:
             raise UnsupportedDimensionError("ball maps are supported for dimension >= 2")
         self._func = func
@@ -219,8 +220,7 @@ def endomorphism_residual(f: BallMap, u: GyroVector, v: GyroVector) -> float:
 def _pairs(dim: int, n_samples: int, seed: int, tol: ToleranceConfig):
     """n_samples seeded pairs of ball points, u drawn first, as Rows blocks
     {"u", "v"}."""
-    sampler = BallSampler(seed, dim, tol.sample_rmax)
-    return (_point_rows("u", "v")(sampler, n) for n in _block_sizes(n_samples))
+    return _blocks(_point_rows("u", "v"), [BallSampler(seed, dim, tol.sample_rmax)], n_samples)
 
 
 def check_endomorphism(
@@ -335,7 +335,7 @@ def classify_endomorphism(
         verdict = MapClassification.orthogonal(LinearMap(candidate))
     sampler = BallSampler(derive_seed(seed, stream), f.dim, tol.sample_rmax)
     _, _, disagreement, _ = seeded_scan(
-        (_point_rows("w")(sampler, n) for n in _block_sizes(n_samples)),
+        _blocks(_point_rows("w"), [sampler], n_samples),
         lambda rows: _image_norms(f._image_rows, rows["w"], np.matvec(candidate, rows["w"])),
         cutoff,
     )

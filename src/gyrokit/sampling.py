@@ -1,10 +1,13 @@
 """Seeded sampling inside the ball, the one residual scan loop, the one
 report builder, and the report type and JSON formatting for property runs.
 
-Every scan reads Rows blocks: inputs held column-wise, each block scored
-by a row residual as one array.  Points are drawn per block: each
-point's generator calls in turn, the rest once on the block, and a zero
-direction replayed (BallSampler._block).
+Every scan reads Rows blocks (_blocks): inputs held column-wise, each
+block scored by a row residual as one array.  This is the one module that
+draws.  Points are drawn per block: each point's generator calls in turn,
+the rest once on the block, and a zero direction replayed
+(BallSampler._block).  Inputs that refuse candidates are drawn in stages
+(_staged): a refused candidate is refused by mask and redrawn where the
+one-input draw redrew it, replaying the generator state it left.
 
 Shared by the verifier harness, the morphism checks and the CLI; kept in
 its own module so all of them can import it without cycles.
@@ -16,8 +19,9 @@ import hashlib
 import json
 import math
 import operator
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -26,6 +30,7 @@ from .ball import (
     DEFAULT_SAMPLE_RMAX,
     GyroVector,
     _checked_rows,
+    _guard_rows,
 )
 
 # inputs held and scored per residual array, which bounds a scan's memory at any
@@ -35,7 +40,7 @@ SCAN_CHUNK = 256
 
 def derive_seed(master: int, label: str) -> int:
     """Stable 63-bit child seed for a named sub-stream of a master seed."""
-    digest = hashlib.sha256(f"{int(master)}:{label}".encode()).digest()
+    digest = hashlib.sha256(f"{operator.index(master)}:{label}".encode()).digest()
     return int.from_bytes(digest[:8], "big") >> 1
 
 
@@ -49,13 +54,13 @@ class BallSampler:
     """
 
     def __init__(self, seed: int, dim: int, rmax: float = DEFAULT_SAMPLE_RMAX):
-        dim = int(dim)
+        dim = operator.index(dim)
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
         # a radius at or past the guard would draw points that it refuses
         if not 0.0 < rmax < 1.0 - DEFAULT_BOUNDARY_MARGIN:
             raise ValueError(f"rmax must be in (0, 1 - {DEFAULT_BOUNDARY_MARGIN:g}), got {rmax!r}")
-        self.seed = int(seed)
+        self.seed = operator.index(seed)
         self.dim = dim
         self.rmax = float(rmax)
         self.rng = np.random.default_rng(self.seed)
@@ -127,6 +132,96 @@ def _point_rows(*keys: str) -> Callable:
     return draw_rows
 
 
+def _blocks(draw: Callable, samplers: list, n_samples: int, tol=None) -> Iterable[Rows]:
+    """n_samples inputs from each sampler in turn, as the Rows blocks of
+    draw(sampler, n, tol), n at most SCAN_CHUNK."""
+    for s in samplers:
+        for start in range(0, n_samples, SCAN_CHUNK):
+            yield draw(s, min(SCAN_CHUNK, n_samples - start), tol)
+
+
+# refusals in a row after which a draw gives up
+_TRIES = 10_000
+
+# part of an input: calls(sampler, redraw) makes one candidate's RNG calls,
+# build(sampler, calls) a Rows block of a list of them, and test(rows, tol)
+# gives the candidates taken and the vectors, beyond the points, that the
+# one-input test formed under the guard; `what` names it when a draw gives up
+_Stage = namedtuple("_Stage", "calls build test what", defaults=(None, ""))
+
+
+def _staged(stages: tuple, s: BallSampler, n: int, tol) -> Rows:
+    """Row draw of n inputs, each a candidate of every stage in turn.
+
+    A round draws the candidates still missing as if each were taken, and
+    keeps them up to the first one out of turn, after a refusal; the next
+    rounds start from the state recorded after that refusal and draw only
+    the refused stage, as many candidates as it has refused in a row, up
+    to the first it takes.  A lone stage is never out of turn, so its
+    rounds filter, and nothing past the last candidate taken is drawn.
+    The _TRIES-th refusal in a row raises RuntimeError, and a vector the
+    guard refuses raises its error, as the one-input draw did.
+    """
+    kept, turn, streak, missing = [[] for _ in stages], 0, 0, n * len(stages)
+    # where a refusal can put later candidates out of turn, the state after it
+    marks = [len(stages) > 1 and stage.test is not None for stage in stages]
+    while missing:
+        if streak and len(stages) > 1:  # the refused stage again, more the longer it refuses
+            order = [turn] * min(streak, SCAN_CHUNK)
+        else:
+            order = [(turn + j) % len(stages) for j in range(missing)]
+
+        def calls(redraw: bool) -> list:
+            rng = s.rng
+            return [
+                (stages[k].calls(s, redraw), rng.bit_generator.state if marks[k] else None)
+                for k in order
+            ]
+
+        def build(drawn: list) -> tuple:
+            blocks = {k: stages[k].build(s, [c for (c, _), m in zip(drawn, order) if m == k])
+                      for k in set(order)}
+            return blocks, drawn
+
+        blocks, drawn = s._block(calls, build)
+        # per candidate of a stage: taken, and accepted by the guard in every
+        # vector formed; and those vectors in the order they were formed
+        verdicts = {}
+        for k, block in blocks.items():
+            takes, formed = stages[k].test(block, tol) if stages[k].test else (True, [])
+            vectors = np.stack([v for v in block.values() if v.ndim == 2] + formed, axis=1)
+            ok = _guard_rows(vectors)[1].all(axis=1)
+            verdicts[k] = np.broadcast_to(takes, ok.shape).tolist(), ok.tolist(), vectors
+        taken, seen = {k: [] for k in blocks}, dict.fromkeys(blocks, 0)
+        for j, k in enumerate(order):
+            if k != turn:  # after a refusal, or after the retry a stage took
+                s.rng.bit_generator.state = drawn[j - 1][1]
+                break
+            take, ok, vectors = verdicts[k]
+            i, seen[k] = seen[k], seen[k] + 1
+            if not ok[i]:
+                _checked_rows(vectors[i])  # raises for the first vector refused
+            if take[i]:
+                taken[k].append(i)
+                turn, streak, missing = (k + 1) % len(stages), 0, missing - 1
+            else:
+                streak += 1
+                if streak == _TRIES:
+                    raise RuntimeError(f"failed to draw {stages[k].what}")
+        for k, block in blocks.items():
+            kept[k].append(Rows({key: value[taken[k]] for key, value in block.items()}))
+    return Rows({key: np.concatenate([b[key] for b in part]) for part in kept for key in part[0]})
+
+
+def _points_stage(*keys: str, test: Callable | None = None, what: str = "") -> _Stage:
+    # a candidate of one sampled point per key in turn
+    def build(s: BallSampler, drawn: list) -> Rows:
+        points = s._scaled([point for candidate in drawn for point in candidate])
+        return Rows({key: points[k :: len(keys)] for k, key in enumerate(keys)})
+
+    return _Stage(lambda s, redraw: [s._point(redraw) for _ in keys], build, test, what)
+
+
 def seeded_scan(
     blocks: Iterable[Rows],
     residual: Callable[[Rows], np.ndarray],
@@ -166,11 +261,6 @@ def seeded_scan(
     return max_residual, worst, first, scanned
 
 
-def _block_sizes(n_samples: int) -> Iterator[int]:
-    """Row counts of the Rows blocks that cover n_samples inputs."""
-    return (min(SCAN_CHUNK, n_samples - start) for start in range(0, n_samples, SCAN_CHUNK))
-
-
 def scan_report(
     name: str, blocks: Iterable[Rows], residual: Callable, cutoff: float, seed: int
 ) -> PropertyReport:
@@ -198,7 +288,7 @@ def scan_report(
         passed=first is None,
         max_residual=max_residual,
         first_counterexample=first,
-        seed=seed,
+        seed=operator.index(seed),
     )
 
 

@@ -1,18 +1,21 @@
 """Seeded randomized verification of every law the library relies on.
 
-Each registered property draws reproducible inputs (child seed derived
-from the master seed, property name, and dimension), evaluates a residual,
-and compares it against a threshold from the tolerance config.  A failing
-sample is shrunk by halving all its ball points while the failure persists,
-and the smallest still-failing instance is reported; matrix and classifier
-inputs hold no ball point and are reported as drawn.  Every property draws
-its inputs as Rows blocks, making the generator calls of the one-input
+The properties form one table, _REGISTRY: per name, the inputs, the
+residual and the cutoff.  Each property draws reproducible inputs (child
+seed derived from the master seed, property name, and dimension),
+evaluates a residual, and compares it against a threshold from the
+tolerance config.  A failing sample is shrunk by halving all its ball
+points while the failure persists, and the smallest still-failing
+instance is reported; matrix and classifier inputs hold no ball point and
+are reported as drawn.  Every property draws its inputs as Rows blocks
+through the sampling module, making the generator calls of the one-input
 draws in their order and the rest on the block; a refused candidate is
-refused by mask and redrawn where those draws redrew it (_staged).  Each
-block is scored as one residual array: by the row kernels, which equal
-the scalar path bit for bit, for the gyro-core laws, the geometry and
-orthogonal-map properties and the classifier trials, and row by row by a
-scalar residual for the five matrix-model properties (_each_row).
+refused by mask and redrawn where those draws redrew it (sampling._staged,
+given the stages defined here).  Each block is scored as one residual
+array: by the row kernels, which equal the scalar path bit for bit, for
+the gyro-core laws, the geometry and orthogonal-map properties and the
+classifier trials, and row by row by a scalar residual for the five
+matrix-model properties (_each_row).
 
 Residual normalization.  Raw floating-point residuals of ball operations
 grow with the Lorentz factor of the operands (coordinate noise is
@@ -63,7 +66,7 @@ whose residual has no det cancellation).
 from __future__ import annotations
 
 import math
-from collections import namedtuple
+import operator
 from functools import partial
 from typing import Any, Callable
 
@@ -76,10 +79,8 @@ from .ball import (
     GyroVector,
     ToleranceConfig,
     _add_rows,
-    _checked_rows,
     _each,
     _gamma_rows,
-    _guard_rows,
     _guarded,
     _gyration_rows,
     _line_param_rows,
@@ -111,12 +112,14 @@ from .morphisms import (
     random_orthogonal,
 )
 from .sampling import (
-    SCAN_CHUNK,
     BallSampler,
     PropertyReport,
     Rows,
-    _block_sizes,
+    _blocks,
     _point_rows,
+    _points_stage,
+    _Stage,
+    _staged,
     derive_seed,
     scan_report,
 )
@@ -133,124 +136,16 @@ class UnknownPropertyError(GyroError):
     """A property name is not in the registry."""
 
 
-def _property(name: str, inputs: Callable, residual: Callable, threshold: Callable) -> Callable:
-    """Run function of one property, with `name` as its __name__: the
-    report of inputs(n_samples, seed, tol) scanned by residual(item, tol)
-    against the cutoff threshold(tol)."""
-
-    def run(n_samples: int, seed: int, tol: ToleranceConfig) -> PropertyReport:
-        return scan_report(
-            name, inputs(n_samples, seed, tol), lambda item: residual(item, tol),
-            threshold(tol), seed,
-        )
-
-    run.__name__ = name
-    return run
-
-
-def _row_check(
-    name: str,
-    draw_rows: Callable,
-    residual: Callable,
-    threshold: Callable[[ToleranceConfig], float],
-    dims: tuple[int, ...] = _CORE_DIMS,
-    rmax: float | None = None,
-) -> Callable:
-    # n_samples draws in each dimension, from one child-seeded sampler each,
-    # as Rows blocks that draw_rows(sampler, n, tol) fills row by row in the
+def _sampled(
+    draw: Callable, name: str, n_samples: int, seed: int, tol: ToleranceConfig,
+    dims: tuple[int, ...] = _CORE_DIMS, rmax: float | None = None,
+):
+    # n_samples inputs in each dimension, from one child-seeded sampler each,
+    # as the Rows blocks of draw(sampler, n, tol), filled row by row in the
     # order the one-input draws would
-    def inputs(n_samples: int, seed: int, tol: ToleranceConfig):
-        radius = rmax if rmax is not None else tol.sample_rmax
-        samplers = [BallSampler(derive_seed(seed, f"{name}/{dim}"), dim, radius) for dim in dims]
-        return (
-            draw_rows(sampler, n, tol) for sampler in samplers for n in _block_sizes(n_samples)
-        )
-
-    return _property(name, inputs, residual, threshold)
-
-
-# ---------------------------------------------------------------- row draws
-
-# refusals in a row after which a draw gives up
-_TRIES = 10_000
-
-# part of an input: calls(sampler, redraw) makes one candidate's RNG calls,
-# build(sampler, calls) a Rows block of a list of them, and test(rows, tol)
-# gives the candidates taken and the vectors, beyond the points, that the
-# one-input test formed under the guard; `what` names it when a draw gives up
-_Stage = namedtuple("_Stage", "calls build test what", defaults=(None, ""))
-
-
-def _staged(stages: tuple, s: BallSampler, n: int, tol: ToleranceConfig) -> Rows:
-    """Row draw of n inputs, each a candidate of every stage in turn.
-
-    A round draws the candidates still missing as if each were taken, and
-    keeps them up to the first one out of turn, after a refusal; the next
-    rounds start from the state recorded after that refusal and draw only
-    the refused stage, as many candidates as it has refused in a row, up
-    to the first it takes.  A lone stage is never out of turn, so its
-    rounds filter, and nothing past the last candidate taken is drawn.
-    The _TRIES-th refusal in a row raises RuntimeError, and a vector the
-    guard refuses raises its error, as the one-input draw did.
-    """
-    kept, turn, streak, missing = [[] for _ in stages], 0, 0, n * len(stages)
-    # where a refusal can put later candidates out of turn, the state after it
-    marks = [len(stages) > 1 and stage.test is not None for stage in stages]
-    while missing:
-        if streak and len(stages) > 1:  # the refused stage again, more the longer it refuses
-            order = [turn] * min(streak, SCAN_CHUNK)
-        else:
-            order = [(turn + j) % len(stages) for j in range(missing)]
-
-        def calls(redraw: bool) -> list:
-            rng = s.rng
-            return [
-                (stages[k].calls(s, redraw), rng.bit_generator.state if marks[k] else None)
-                for k in order
-            ]
-
-        def build(drawn: list) -> tuple:
-            blocks = {k: stages[k].build(s, [c for (c, _), m in zip(drawn, order) if m == k])
-                      for k in set(order)}
-            return blocks, drawn
-
-        blocks, drawn = s._block(calls, build)
-        # per candidate of a stage: taken, and accepted by the guard in every
-        # vector formed; and those vectors in the order they were formed
-        verdicts = {}
-        for k, block in blocks.items():
-            takes, formed = stages[k].test(block, tol) if stages[k].test else (True, [])
-            vectors = np.stack([v for v in block.values() if v.ndim == 2] + formed, axis=1)
-            ok = _guard_rows(vectors)[1].all(axis=1)
-            verdicts[k] = np.broadcast_to(takes, ok.shape).tolist(), ok.tolist(), vectors
-        taken, seen = {k: [] for k in blocks}, dict.fromkeys(blocks, 0)
-        for j, k in enumerate(order):
-            if k != turn:  # after a refusal, or after the retry a stage took
-                s.rng.bit_generator.state = drawn[j - 1][1]
-                break
-            take, ok, vectors = verdicts[k]
-            i, seen[k] = seen[k], seen[k] + 1
-            if not ok[i]:
-                _checked_rows(vectors[i])  # raises for the first vector refused
-            if take[i]:
-                taken[k].append(i)
-                turn, streak, missing = (k + 1) % len(stages), 0, missing - 1
-            else:
-                streak += 1
-                if streak == _TRIES:
-                    raise RuntimeError(f"failed to draw {stages[k].what}")
-        for k, block in blocks.items():
-            kept[k].append(Rows({key: value[taken[k]] for key, value in block.items()}))
-    return Rows({key: np.concatenate([b[key] for b in part]) for part in kept for key in part[0]})
-
-
-def _points_stage(*keys: str, test: Callable | None = None, what: str = "") -> _Stage:
-    # a candidate of one sampled point per key in turn
-    def build(s: BallSampler, drawn: list) -> Rows:
-        points = s._scaled([point for candidate in drawn for point in candidate])
-        return Rows({key: points[k :: len(keys)] for k, key in enumerate(keys)})
-
-    return _Stage(lambda s, redraw: [s._point(redraw) for _ in keys], build, test, what)
+    radius = rmax or tol.sample_rmax
+    samplers = [BallSampler(derive_seed(seed, f"{name}/{dim}"), dim, radius) for dim in dims]
+    return _blocks(draw, samplers, n_samples, tol)
 
 
 def _rapidity_rows(x: np.ndarray) -> np.ndarray:
@@ -549,54 +444,58 @@ def _random_contraction(rng: np.random.Generator, dim: int) -> np.ndarray:
     return m * (target / float(np.linalg.norm(m, 2)))
 
 
-def _classifier_check(name: str, reconstruct: bool) -> Callable:
+def _classifier_trials(
+    reconstruct: bool, name: str, n_samples: int, seed: int, tol: ToleranceConfig
+):
     # soundness classifies an orthogonal, the zero and a contraction map per
-    # instance and scores a wrong verdict 1; reconstruction classifies the
-    # orthogonal map and scores its matrix error in units of 10 * abs_tol
-    def trials(n_samples: int, seed: int, tol: ToleranceConfig):
-        if n_samples < 1:
-            raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-        inner = 64
-        rng = np.random.default_rng(derive_seed(seed, name))
-        dims = (2, 3, 4, 5)
-        for k in range(max(1, n_samples // 10)):
-            dim = dims[k % len(dims)]
-            q = random_orthogonal(rng, dim)
-            child = int(rng.integers(2**62))
-            if reconstruct:
-                outcome = classify_endomorphism(BallMap.from_matrix(q), inner, child, tol)
-                if outcome.verdict != MapClassification.ORTHOGONAL:
-                    trial = {"dim": dim, "expected": "orthogonal", "got": outcome.verdict}
-                else:
-                    error = np.max(np.abs(outcome.matrix.entries - q))
-                    trial = {"dim": dim, "matrix": q, "max_entry_error": error}
-                yield Rows({key: np.array([value]) for key, value in trial.items()})
-                continue
-            cases = (
-                ("orthogonal", BallMap.from_matrix(q), MapClassification.ORTHOGONAL),
-                ("zero", BallMap.zero(dim), MapClassification.ZERO),
-                (
-                    "contraction",
-                    BallMap.from_matrix(_random_contraction(rng, dim)),
-                    MapClassification.NOT_ENDOMORPHISM,
-                ),
-            )
-            got = [
-                classify_endomorphism(ball_map, inner, int(rng.integers(2**62)), tol).verdict
-                for _, ball_map, _ in cases
-            ]
-            families, _, expected = zip(*cases)
-            yield Rows(
-                family=np.array(families), dim=np.full(len(cases), dim),
-                expected=np.array(expected), got=np.array(got),
-            )
-
-    def residual(trials: Rows, tol: ToleranceConfig) -> np.ndarray:
+    # instance; reconstruction classifies the orthogonal map and keeps its
+    # matrix error.  One Rows block per instance
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    inner = 64
+    rng = np.random.default_rng(derive_seed(seed, name))
+    dims = (2, 3, 4, 5)
+    for k in range(max(1, n_samples // 10)):
+        dim = dims[k % len(dims)]
+        q = random_orthogonal(rng, dim)
+        child = int(rng.integers(2**62))
         if reconstruct:
-            return trials.get("max_entry_error", np.array([math.inf])) / (10.0 * tol.abs_tol)
-        return (trials["got"] != trials["expected"]).astype(float)
+            outcome = classify_endomorphism(BallMap.from_matrix(q), inner, child, tol)
+            if outcome.verdict != MapClassification.ORTHOGONAL:
+                trial = {"dim": dim, "expected": "orthogonal", "got": outcome.verdict}
+            else:
+                error = np.max(np.abs(outcome.matrix.entries - q))
+                trial = {"dim": dim, "matrix": q, "max_entry_error": error}
+            yield Rows({key: np.array([value]) for key, value in trial.items()})
+            continue
+        cases = (
+            ("orthogonal", BallMap.from_matrix(q), MapClassification.ORTHOGONAL),
+            ("zero", BallMap.zero(dim), MapClassification.ZERO),
+            (
+                "contraction",
+                BallMap.from_matrix(_random_contraction(rng, dim)),
+                MapClassification.NOT_ENDOMORPHISM,
+            ),
+        )
+        got = [
+            classify_endomorphism(ball_map, inner, int(rng.integers(2**62)), tol).verdict
+            for _, ball_map, _ in cases
+        ]
+        families, _, expected = zip(*cases)
+        yield Rows(
+            family=np.array(families), dim=np.full(len(cases), dim),
+            expected=np.array(expected), got=np.array(got),
+        )
 
-    return _property(name, trials, residual, (lambda tol: 1.0) if reconstruct else _indicator)
+
+def _soundness_residual(trials: Rows, tol: ToleranceConfig) -> np.ndarray:
+    # 1 for each wrong verdict
+    return (trials["got"] != trials["expected"]).astype(float)
+
+
+def _reconstruction_residual(trials: Rows, tol: ToleranceConfig) -> np.ndarray:
+    # the matrix error in units of 10 * abs_tol, inf for a wrong verdict
+    return trials.get("max_entry_error", np.array([math.inf])) / (10.0 * tol.abs_tol)
 
 
 # ------------------------------------------------------------ matrix models
@@ -705,103 +604,82 @@ def _boxdot_det_residual(inputs: dict, tol: ToleranceConfig) -> float:
 # ----------------------------------------------------------------- registry
 
 
-def _abs_tol(tol: ToleranceConfig) -> float:
-    return tol.abs_tol
-
-
-def _rel_tol(tol: ToleranceConfig) -> float:
-    return tol.rel_tol
+_abs_tol, _rel_tol = operator.attrgetter("abs_tol"), operator.attrgetter("rel_tol")
 
 
 def _indicator(tol: ToleranceConfig) -> float:
     return 0.5
 
 
-def _build_registry() -> dict[str, Callable]:
-    runs = [
-        _row_check(
-            "closure", _point_rows("u", "v"), _closure_residual,
-            lambda tol: 1.0 - DEFAULT_BOUNDARY_MARGIN,
-        ),
-        _row_check("identity", _point_rows("u"), _identity_residual, _abs_tol),
-        _row_check("left_inverse", _point_rows("u"), _left_inverse_residual, _abs_tol),
-        _row_check(
-            "left_cancellation", _point_rows("u", "v"), _left_cancellation_residual, _abs_tol
-        ),
-        _row_check("gamma_identity", _point_rows("u", "v"), _gamma_identity_residual, _rel_tol),
-        _row_check(
-            "gyration_orthogonality", partial(_staged, (_GYRATION,)),
-            _gyration_orthogonality_residual, _rel_tol,
-        ),
-        _row_check(
-            "gyrocommutativity", partial(_staged, (_GYROCOMMUTATIVITY,)),
-            _gyrocommutativity_residual, _abs_tol,
-        ),
-        _row_check(
-            "one_parameter_subgroup", _line_rows(-0.5, 0.5, "s", "t"), _one_parameter_residual,
-            _abs_tol,
-        ),
-        _row_check(
-            "commutes_iff_dependent", partial(_staged, _COMMUTATION),
-            _commutes_iff_dependent_residual, _indicator,
-        ),
-        _row_check(
-            "collinearity_equivalence", partial(_staged, _COLLINEARITY),
-            _collinearity_residual, _indicator, dims=_PLANE_DIMS,
-        ),
-        _row_check(
-            "left_translation_isometry", _point_rows("u", "v", "w"), _isometry_residual,
-            lambda tol: 10.0 * tol.rel_tol,
-        ),
-        _row_check("klein_distance_metric", _point_rows("u", "v"), _metric_residual, _abs_tol),
-        _row_check(
-            "line_translation_distance", _line_rows(-1.0, 1.0, "t"), _line_distance_residual,
-            _rel_tol,
-        ),
-        _row_check(
-            "endomorphism_fixes_zero", _draw_orthogonal_rows, _fixes_zero_residual, _abs_tol
-        ),
-        _row_check(
-            "orthogonal_endomorphism", _draw_orthogonal_rows, _orthogonal_endomorphism_residual,
-            _abs_tol,
-        ),
-        _row_check(
-            "orthogonal_residual_bound", _draw_orthogonal_rows,
-            _orthogonal_residual_bound_residual, lambda tol: 1.0, rmax=0.9,
-        ),
-        _classifier_check("classifier_soundness", reconstruct=False),
-        _classifier_check("classifier_reconstruction", reconstruct=True),
-        _row_check(
-            "bloch_homomorphism", _point_rows("u", "v"), _each_row(_bloch_homomorphism_residual),
-            _rel_tol, dims=_MODEL_DIMS, rmax=_MODEL_RMAX,
-        ),
-        _row_check(
-            "det_normalization_homomorphism", _point_rows("u", "v"),
-            _each_row(_det_normalization_residual), _rel_tol, dims=_MODEL_DIMS, rmax=_MODEL_RMAX,
-        ),
-        _row_check(
-            "sqrt_squares_back", _posdef_rows(4.0, "h"), _each_row(_sqrt_squares_back_residual),
-            _rel_tol, dims=(2,),
-        ),
-        _row_check(
-            "boxdot_det_multiplicative", _posdef_rows(2.0, "h1", "h2"),
-            _each_row(_boxdot_det_residual), _rel_tol, dims=(2,),
-        ),
-        _row_check(
-            "transported_automorphism", _draw_orthogonal_rows,
-            _each_row(_transported_automorphism_residual), _rel_tol, dims=_MODEL_DIMS,
-            rmax=_MODEL_RMAX,
-        ),
-    ]
-    registry = {}
-    for run in runs:
-        if run.__name__ in registry:
-            raise RuntimeError(f"duplicate property name {run.__name__!r}")
-        registry[run.__name__] = run
-    return registry
+def _one(tol: ToleranceConfig) -> float:
+    return 1.0
 
 
-_REGISTRY = _build_registry()
+_pairs = partial(_sampled, _point_rows("u", "v"))
+_orthogonal = partial(_sampled, _draw_orthogonal_rows)
+_model_pairs = partial(_pairs, dims=_MODEL_DIMS, rmax=_MODEL_RMAX)
+
+# name -> (inputs(name, n_samples, seed, tol), the Rows blocks to scan;
+# residual(rows, tol), a block's residuals; cutoff(tol)), in report order
+_REGISTRY = {
+    "closure": (_pairs, _closure_residual, lambda tol: 1.0 - DEFAULT_BOUNDARY_MARGIN),
+    "identity": (partial(_sampled, _point_rows("u")), _identity_residual, _abs_tol),
+    "left_inverse": (partial(_sampled, _point_rows("u")), _left_inverse_residual, _abs_tol),
+    "left_cancellation": (_pairs, _left_cancellation_residual, _abs_tol),
+    "gamma_identity": (_pairs, _gamma_identity_residual, _rel_tol),
+    "gyration_orthogonality": (
+        partial(_sampled, partial(_staged, (_GYRATION,))), _gyration_orthogonality_residual,
+        _rel_tol,
+    ),
+    "gyrocommutativity": (
+        partial(_sampled, partial(_staged, (_GYROCOMMUTATIVITY,))), _gyrocommutativity_residual,
+        _abs_tol,
+    ),
+    "one_parameter_subgroup": (
+        partial(_sampled, _line_rows(-0.5, 0.5, "s", "t")), _one_parameter_residual, _abs_tol
+    ),
+    "commutes_iff_dependent": (
+        partial(_sampled, partial(_staged, _COMMUTATION)), _commutes_iff_dependent_residual,
+        _indicator,
+    ),
+    "collinearity_equivalence": (
+        partial(_sampled, partial(_staged, _COLLINEARITY), dims=_PLANE_DIMS),
+        _collinearity_residual, _indicator,
+    ),
+    "left_translation_isometry": (
+        partial(_sampled, _point_rows("u", "v", "w")), _isometry_residual,
+        lambda tol: 10.0 * tol.rel_tol,
+    ),
+    "klein_distance_metric": (_pairs, _metric_residual, _abs_tol),
+    "line_translation_distance": (
+        partial(_sampled, _line_rows(-1.0, 1.0, "t")), _line_distance_residual, _rel_tol
+    ),
+    "endomorphism_fixes_zero": (_orthogonal, _fixes_zero_residual, _abs_tol),
+    "orthogonal_endomorphism": (_orthogonal, _orthogonal_endomorphism_residual, _abs_tol),
+    "orthogonal_residual_bound": (
+        partial(_orthogonal, rmax=0.9), _orthogonal_residual_bound_residual, _one
+    ),
+    "classifier_soundness": (partial(_classifier_trials, False), _soundness_residual, _indicator),
+    "classifier_reconstruction": (
+        partial(_classifier_trials, True), _reconstruction_residual, _one
+    ),
+    "bloch_homomorphism": (_model_pairs, _each_row(_bloch_homomorphism_residual), _rel_tol),
+    "det_normalization_homomorphism": (
+        _model_pairs, _each_row(_det_normalization_residual), _rel_tol
+    ),
+    "sqrt_squares_back": (
+        partial(_sampled, _posdef_rows(4.0, "h"), dims=(2,)),
+        _each_row(_sqrt_squares_back_residual), _rel_tol,
+    ),
+    "boxdot_det_multiplicative": (
+        partial(_sampled, _posdef_rows(2.0, "h1", "h2"), dims=(2,)),
+        _each_row(_boxdot_det_residual), _rel_tol,
+    ),
+    "transported_automorphism": (
+        partial(_orthogonal, dims=_MODEL_DIMS, rmax=_MODEL_RMAX),
+        _each_row(_transported_automorphism_residual), _rel_tol,
+    ),
+}
 
 
 def registered_names() -> tuple[str, ...]:
@@ -822,4 +700,9 @@ def run_suite(
         raise UnknownPropertyError(
             f"unknown properties {unknown!r}; registered: {', '.join(_REGISTRY)}"
         )
-    return [_REGISTRY[name](n_samples, seed, tol) for name in names]
+    reports = []
+    for name in names:
+        inputs, residual, cutoff = _REGISTRY[name]
+        blocks = inputs(name, n_samples, seed, tol)
+        reports.append(scan_report(name, blocks, partial(residual, tol=tol), cutoff(tol), seed))
+    return reports

@@ -35,10 +35,14 @@ def as_array(a, d, b):
     return np.array([[a, b], [np.conj(b), d]], dtype=complex)
 
 
+def dense(h: Hermitian2) -> np.ndarray:
+    return as_array(h.a, h.d, complex(h.re_b, h.im_b))
+
+
 class TestHermitian2:
     def test_trace_and_det_match_numpy(self):
         h = Hermitian2(2.0, 1.5, 0.3, -0.4)
-        m = h.to_array()
+        m = dense(h)
         assert h.trace == pytest.approx(np.trace(m).real, rel=1e-15)
         assert h.det == pytest.approx(np.linalg.det(m).real, rel=1e-14)
 
@@ -124,8 +128,8 @@ class TestSqrt:
         h = Hermitian2(2.0, 1.0, 1.0, 0.0)
         r = sqrt_posdef2(h)
         # oracle: squaring the result in plain matrix arithmetic recovers h
-        sq = r.to_array() @ r.to_array()
-        np.testing.assert_allclose(sq, h.to_array(), rtol=1e-14, atol=1e-14)
+        sq = dense(r) @ dense(r)
+        np.testing.assert_allclose(sq, dense(h), rtol=1e-14, atol=1e-14)
         assert r.a == pytest.approx(1.34164078649988, rel=1e-12)
         assert r.d == pytest.approx(0.894427190999916, rel=1e-12)
         assert r.re_b == pytest.approx(0.447213595499958, rel=1e-12)
@@ -134,8 +138,8 @@ class TestSqrt:
     def test_complex_off_diagonal(self):
         h = Hermitian2(2.0, 2.0, 0.0, 1.0)
         r = sqrt_posdef2(h)
-        sq = r.to_array() @ r.to_array()
-        np.testing.assert_allclose(sq, h.to_array(), rtol=1e-14, atol=1e-14)
+        sq = dense(r) @ dense(r)
+        np.testing.assert_allclose(sq, dense(h), rtol=1e-14, atol=1e-14)
 
     def test_result_is_positive_definite(self):
         r = sqrt_posdef2(Hermitian2(3.0, 2.0, 0.5, 0.7))
@@ -160,9 +164,9 @@ class TestSqrtCongruence:
         a = Hermitian2(2.0, 1.0, 0.3, 0.4)
         b = Hermitian2(1.5, 0.8, -0.2, 0.1)
         out = sqrt_congruence(a, b)
-        ra = sqrt_posdef2(a).to_array()
-        expected = ra @ b.to_array() @ ra
-        np.testing.assert_allclose(out.to_array(), expected, rtol=1e-13, atol=1e-13)
+        ra = dense(sqrt_posdef2(a))
+        expected = ra @ dense(b) @ ra
+        np.testing.assert_allclose(dense(out), expected, rtol=1e-13, atol=1e-13)
 
     def test_determinant_is_multiplicative(self):
         a = Hermitian2(2.0, 1.0, 0.3, 0.4)
@@ -214,12 +218,12 @@ class TestOdot:
     def test_maximally_mixed_is_neutral_on_the_right(self):
         a = bloch_to_density(GyroVector([0.3, -0.2, 0.1]))
         out = odot(a, self.MIXED)
-        np.testing.assert_allclose(out.to_array(), a.to_array(), rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(dense(out), dense(a), rtol=1e-14, atol=1e-15)
 
     def test_maximally_mixed_is_neutral_on_the_left(self):
         b = bloch_to_density(GyroVector([0.3, -0.2, 0.1]))
         out = odot(self.MIXED, b)
-        np.testing.assert_allclose(out.to_array(), b.to_array(), rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(dense(out), dense(b), rtol=1e-14, atol=1e-15)
 
     def test_matches_collinear_velocity_sum(self):
         # on one axis the product must reproduce scalar relativistic addition
@@ -227,21 +231,21 @@ class TestOdot:
         v = GyroVector([0.0, 0.0, 0.3])
         out = odot(bloch_to_density(u), bloch_to_density(v))
         expected = bloch_to_density(GyroVector([0.0, 0.0, add_1d(0.5, 0.3)]))
-        np.testing.assert_allclose(out.to_array(), expected.to_array(), rtol=1e-13, atol=1e-14)
+        np.testing.assert_allclose(dense(out), dense(expected), rtol=1e-13, atol=1e-14)
 
     def test_matches_general_velocity_sum(self):
         u = GyroVector([0.35, -0.1, 0.2])
         v = GyroVector([-0.15, 0.4, 0.25])
         out = odot(bloch_to_density(u), bloch_to_density(v))
         expected = bloch_to_density(einstein_add(u, v))
-        np.testing.assert_allclose(out.to_array(), expected.to_array(), rtol=1e-12, atol=1e-13)
+        np.testing.assert_allclose(dense(out), dense(expected), rtol=1e-12, atol=1e-13)
 
     def test_is_noncommutative(self):
         a = bloch_to_density(GyroVector([0.5, 0.0, 0.0]))
         b = bloch_to_density(GyroVector([0.0, 0.5, 0.0]))
         ab = odot(a, b)
         ba = odot(b, a)
-        assert np.max(np.abs(ab.to_array() - ba.to_array())) > 1e-3
+        assert np.max(np.abs(dense(ab) - dense(ba))) > 1e-3
 
     def test_result_is_a_density_matrix(self):
         a = bloch_to_density(GyroVector([0.4, 0.1, -0.3]))
@@ -258,8 +262,8 @@ class TestBoxdot:
         p = PosDef2Det1(2.0, 0.5, 0.0, 0.0)
         left = boxdot(self.EYE, p)
         right = boxdot(p, self.EYE)
-        np.testing.assert_allclose(left.to_array(), p.to_array(), rtol=1e-14)
-        np.testing.assert_allclose(right.to_array(), p.to_array(), rtol=1e-14)
+        np.testing.assert_allclose(dense(left), dense(p), rtol=1e-14)
+        np.testing.assert_allclose(dense(right), dense(p), rtol=1e-14)
 
     def test_diagonal_golden(self):
         a = PosDef2Det1(2.0, 0.5, 0.0, 0.0)
@@ -294,7 +298,7 @@ class TestNormalizeDet:
         b = bloch_to_density(GyroVector([-0.1, 0.5, 0.2]))
         lhs = normalize_det(odot(a, b))
         rhs = boxdot(normalize_det(a), normalize_det(b))
-        np.testing.assert_allclose(lhs.to_array(), rhs.to_array(), rtol=1e-12, atol=1e-13)
+        np.testing.assert_allclose(dense(lhs), dense(rhs), rtol=1e-12, atol=1e-13)
 
     def test_rejects_singular_input(self):
         bad = Hermitian2(1.0, 0.0, 0.0, 0.0)

@@ -61,13 +61,13 @@ from gyrokit.ball import (
     _guard_rows,
     _gyration_rows,
     _line_param_rows,
-    _norm,
+    _norm_rows,
     _sum_rows,
 )
 from gyrokit.geometry import _commutes_rows, _gram_band_rows, _klein_distance_rows
 from gyrokit.morphisms import _haar, _law_rows
-from gyrokit.sampling import SCAN_CHUNK, Rows, _block_sizes, json_ready, seeded_scan
-from gyrokit import verifier
+from gyrokit.sampling import SCAN_CHUNK, Rows, _blocks, json_ready, seeded_scan
+from gyrokit import sampling, verifier
 from gyrokit.verifier import (
     _EVALUABILITY_BOUND,
     _bloch_homomorphism_residual,
@@ -98,6 +98,12 @@ def points(dim: int, seed: int) -> list[GyroVector]:
         g = rng.standard_normal(dim)
         out.append(GyroVector(r * (g / np.linalg.norm(g))))
     return out
+
+
+def _norm(x: np.ndarray) -> float:
+    """Euclidean norm of a real 1-D array: the sqrt(x . x) that
+    np.linalg.norm evaluates for it, bit for bit, without its dispatch."""
+    return math.sqrt(x.dot(x))
 
 
 def textbook_add(u: GyroVector, v: GyroVector) -> np.ndarray:
@@ -813,10 +819,10 @@ def test_row_residuals_equal_the_scalar_residuals_row_by_row(name):
 
 # name -> the row draw that replaced the property's one-input draw
 ROW_DRAWS = {
-    "gyration_orthogonality": partial(verifier._staged, (verifier._GYRATION,)),
-    "gyrocommutativity": partial(verifier._staged, (verifier._GYROCOMMUTATIVITY,)),
-    "commutes_iff_dependent": partial(verifier._staged, verifier._COMMUTATION),
-    "collinearity_equivalence": partial(verifier._staged, verifier._COLLINEARITY),
+    "gyration_orthogonality": partial(sampling._staged, (verifier._GYRATION,)),
+    "gyrocommutativity": partial(sampling._staged, (verifier._GYROCOMMUTATIVITY,)),
+    "commutes_iff_dependent": partial(sampling._staged, verifier._COMMUTATION),
+    "collinearity_equivalence": partial(sampling._staged, verifier._COLLINEARITY),
     "one_parameter_subgroup": verifier._line_rows(-0.5, 0.5, "s", "t"),
     "line_translation_distance": verifier._line_rows(-1.0, 1.0, "t"),
     "orthogonal_endomorphism": verifier._draw_orthogonal_rows,
@@ -842,11 +848,12 @@ def blocks_or_error(draw) -> list | str:
 def assert_same_draws(row_draw, item_draw, rows: BallSampler, items: BallSampler, n: int, tol):
     """The row draw's blocks equal the stacked one-input draws, and leave
     the RNG in the same state, or both raise the same error."""
-    sizes = list(_block_sizes(n))
-    got = blocks_or_error(lambda: [row_draw(rows, k, tol) for k in sizes])
-    want = blocks_or_error(
-        lambda: [stacked([item_draw(items, tol) for _ in range(k)]) for k in sizes]
-    )
+
+    def item_rows(s: BallSampler, k: int, tol) -> Rows:
+        return stacked([item_draw(s, tol) for _ in range(k)])
+
+    got = blocks_or_error(lambda: list(_blocks(row_draw, [rows], n, tol)))
+    want = blocks_or_error(lambda: list(_blocks(item_rows, [items], n, tol)))
     if isinstance(want, str):
         assert got == want
         return
@@ -926,7 +933,7 @@ def counting_stage(refused: range) -> tuple:
     """A stage whose candidates are 0, 1, 2, ... in draw order, refusing
     those in `refused`, and the counter that numbers them."""
     count = itertools.count()
-    stage = verifier._Stage(
+    stage = sampling._Stage(
         lambda s, redraw: next(count),
         lambda s, drawn: Rows(i=np.array(drawn), point=np.zeros((len(drawn), 2))),
         lambda rows, tol: (~np.isin(rows["i"], np.arange(refused.start, refused.stop)), []),
@@ -941,13 +948,13 @@ def test_ten_thousand_refusals_in_a_row_give_up_across_rounds():
     s = BallSampler(0, 2)
     stage, count = counting_stage(range(1000, 11_000))
     with pytest.raises(RuntimeError) as exc:
-        verifier._staged((stage,), s, 6000, DEFAULT_TOL)
+        sampling._staged((stage,), s, 6000, DEFAULT_TOL)
     assert str(exc.value) == "failed to draw a counted input"
     assert next(count) == 11_000
     # one refusal fewer: the second round takes its last candidate, and the
     # third draws the 4999 still missing, and nothing past the last taken
     stage, count = counting_stage(range(1000, 10_999))
-    rows = verifier._staged((stage,), s, 6000, DEFAULT_TOL)
+    rows = sampling._staged((stage,), s, 6000, DEFAULT_TOL)
     assert rows["i"].tolist() == [*range(1000), *range(10_999, 15_999)]
     assert next(count) == 15_999
 
@@ -956,14 +963,14 @@ def test_a_staged_draw_restarts_after_a_refusal_and_counts_its_streak(monkeypatc
     # two stages of one random() each: the first takes every candidate, the
     # second refuses those at the stream positions in `refused`; the rounds
     # after a refusal restart from the state recorded after it
-    monkeypatch.setattr(verifier, "_TRIES", 4)
+    monkeypatch.setattr(sampling, "_TRIES", 4)
     position = {x: j for j, x in enumerate(np.random.default_rng(0).random(100).tolist())}
 
-    def stage(key: str, refused: set) -> verifier._Stage:
+    def stage(key: str, refused: set) -> sampling._Stage:
         def build(s: BallSampler, drawn: list) -> Rows:
             return Rows({key: np.array(drawn), key + "_point": np.zeros((len(drawn), 2))})
 
-        return verifier._Stage(
+        return sampling._Stage(
             lambda s, redraw: s.rng.random(),
             build,
             lambda rows, tol: ([position[x] not in refused for x in rows[key].tolist()], []),
@@ -971,12 +978,12 @@ def test_a_staged_draw_restarts_after_a_refusal_and_counts_its_streak(monkeypatc
         )
 
     draws = (stage("a", set()), stage("b", {1, 2, 3, 8}))
-    rows = verifier._staged(draws, BallSampler(0, 2), 3, None)
+    rows = sampling._staged(draws, BallSampler(0, 2), 3, None)
     assert [position[x] for x in rows["a"].tolist()] == [0, 5, 7]
     assert [position[x] for x in rows["b"].tolist()] == [4, 6, 9]
     with pytest.raises(RuntimeError, match="^failed to draw a b$"):
         draws = (stage("a", set()), stage("b", {1, 2, 3, 4}))
-        verifier._staged(draws, BallSampler(0, 2), 1, None)
+        sampling._staged(draws, BallSampler(0, 2), 1, None)
 
 
 def test_a_sum_the_guard_refuses_raises_where_the_scalar_draw_meets_it():
@@ -998,7 +1005,7 @@ def test_a_sum_the_guard_refuses_raises_where_the_scalar_draw_meets_it():
         in_general_position(points[2], DEFAULT_TOL)
     assert str(got.value) == str(want.value)
     drawn = iter(triples)
-    stage = verifier._Stage(
+    stage = sampling._Stage(
         lambda s, redraw: next(drawn),
         lambda s, block: Rows(
             {key: np.array([t[k] for t in block], dtype=float)
@@ -1008,7 +1015,7 @@ def test_a_sum_the_guard_refuses_raises_where_the_scalar_draw_meets_it():
         "a general-position triple",
     )
     with pytest.raises(BallDomainError) as got:
-        verifier._staged((stage,), BallSampler(0, 2), 2, DEFAULT_TOL)
+        sampling._staged((stage,), BallSampler(0, 2), 2, DEFAULT_TOL)
     assert str(got.value) == str(want.value)
 
 
@@ -1124,6 +1131,38 @@ def test_gram_band_rows_match_gram_band(dim):
     det, band = _gram_band_rows(np.array(a), np.array(b), DEFAULT_TOL)
     want = [gram_band(x, y, DEFAULT_TOL) for x, y in zip(a, b)]
     assert list(zip(det.tolist(), band.tolist())) == want
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_gamma_norm_and_rapidity_rows_match_the_scalar_calls(dim):
+    pts = points(dim, seed=1300 + dim)
+    rows = np.array([u.coords for u in pts])
+    assert _gamma_rows(rows).tolist() == [gamma(u) for u in pts]
+    assert verifier._rapidity_rows(rows).tolist() == [math.atanh(u.norm) for u in pts]
+    # the norm of any array, not only of ball points
+    rng = np.random.default_rng(1300 + dim)
+    arrays = [u.coords for u in pts] + [u.coords - v.coords for u in pts for v in pts[:4]]
+    arrays += [rng.standard_normal(dim) * 10.0 ** rng.uniform(-8, 3) for _ in range(50)]
+    assert _norm_rows(np.array(arrays)).tolist() == [_norm(x) for x in arrays]
+
+
+@pytest.mark.parametrize("dim", DIMS)
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, FAILING], ids=["default", "failing"])
+def test_collinear_gyro_rows_match_collinear_gyro(dim, tol):
+    pts = points(dim, seed=1400 + dim)
+    triples = [(x, y, z) for x in pts for y in pts for z in pts[::4]]
+    # and three points on the diameter through each point
+    triples += [(x, line_param(x, -0.5), line_param(x, 0.25)) for x in pts]
+    columns = (np.array([p.coords for p in column]) for column in zip(*triples))
+    holds, ok = verifier._collinear_gyro_rows(*columns, tol)
+    wants = [scalar_or_none(lambda: collinear_gyro(*triple, tol)) for triple in triples]
+    # rows where the scalar call raises come out refused; in one dimension
+    # every triple is collinear, up to rounding
+    assert None in wants and True in wants and (False in wants or dim == 1)
+    assert ok.tolist() == [want is not None for want in wants]
+    assert [h for h, want in zip(holds.tolist(), wants) if want is not None] == [
+        want for want in wants if want is not None
+    ]
 
 
 # Hand-built rows for the and-chains and the gyration refusals.  R is a

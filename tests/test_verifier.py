@@ -21,8 +21,8 @@ from gyrokit import (
     run_suite,
     zero_propagation_check,
 )
-from gyrokit.sampling import Rows, _point_rows, json_ready, seeded_scan
-from gyrokit.verifier import _row_check
+from gyrokit.sampling import Rows, _blocks, _point_rows, json_ready, scan_report, seeded_scan
+from gyrokit.verifier import _REGISTRY
 
 ALL_NAMES = (
     "closure",
@@ -218,6 +218,85 @@ class TestRegistry:
         assert "closure" in msg
 
 
+ABS, REL = 1e-7, 1e-11
+
+# every property's cutoff under ToleranceConfig(abs_tol=ABS, rel_tol=REL):
+# the defaults make the two equal, so a property that read the wrong one
+# would change no report there
+CUTOFFS = {
+    "closure": 1 - 1e-9,
+    "identity": ABS,
+    "left_inverse": ABS,
+    "left_cancellation": ABS,
+    "gamma_identity": REL,
+    "gyration_orthogonality": REL,
+    "gyrocommutativity": ABS,
+    "one_parameter_subgroup": ABS,
+    "commutes_iff_dependent": 0.5,
+    "collinearity_equivalence": 0.5,
+    "left_translation_isometry": 10 * REL,
+    "klein_distance_metric": ABS,
+    "line_translation_distance": REL,
+    "endomorphism_fixes_zero": ABS,
+    "orthogonal_endomorphism": ABS,
+    "orthogonal_residual_bound": 1.0,
+    "classifier_soundness": 0.5,
+    "classifier_reconstruction": 1.0,
+    "bloch_homomorphism": REL,
+    "det_normalization_homomorphism": REL,
+    "sqrt_squares_back": REL,
+    "boxdot_det_multiplicative": REL,
+    "transported_automorphism": REL,
+}
+
+
+def test_every_cutoff_reads_its_own_tolerance():
+    tol = ToleranceConfig(abs_tol=ABS, rel_tol=REL)
+    assert list(CUTOFFS) == list(ALL_NAMES)
+    assert {name: cutoff(tol) for name, (_, _, cutoff) in _REGISTRY.items()} == CUTOFFS
+    # and each report passes exactly when its largest residual is within it
+    for report in run_suite(ALL_NAMES, 10, 3, tol):
+        assert report.passed == (report.max_residual <= CUTOFFS[report.name])
+
+
+class TestIntegerArguments:
+    # seeds, dimensions and counts are integers: numpy integers are read
+    # as Python ints, and floats and strings are refused, not truncated
+    def test_a_numpy_seed_gives_a_printable_report(self):
+        for report in (
+            run_suite(["closure"], 10, np.int64(7))[0],
+            check_endomorphism(BallMap.zero(2), 10, np.int64(3)),
+            zero_propagation_check(BallMap.zero(2), GyroVector([0.5, 0.0]), 20, np.int64(3)),
+        ):
+            assert type(report.seed) is int
+            assert json.loads(report.to_json_line())["seed"] == report.seed
+        assert run_suite(["closure"], 10, np.int64(7)) == run_suite(["closure"], 10, 7)
+
+    def test_a_numpy_integer_is_read_as_its_value(self):
+        assert derive_seed(np.int64(7), "x") == derive_seed(7, "x")
+        s = BallSampler(np.int64(5), np.int32(3))
+        assert (type(s.seed), type(s.dim)) == (int, int)
+        assert s.sample_rows(4).tolist() == BallSampler(5, 3).sample_rows(4).tolist()
+        assert type(BallMap.zero(np.int64(2)).dim) is int
+        assert GyroVector.zero(np.int64(3)).tolist() == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("bad", [1.5, 7.9, 2.0, "5", np.float64(3.0)])
+    def test_a_float_or_a_string_is_refused(self, bad):
+        calls = [
+            lambda: derive_seed(bad, "x"),
+            lambda: BallSampler(bad, 2),
+            lambda: BallSampler(1, bad),
+            lambda: BallMap(lambda u: u, bad),
+            lambda: BallMap.zero(bad),
+            lambda: GyroVector.zero(bad),
+            lambda: run_suite(["closure"], 40, bad),
+            lambda: check_endomorphism(BallMap.zero(2), 10, bad),
+        ]
+        for call in calls:
+            with pytest.raises(TypeError):
+                call()
+
+
 class TestRunSuite:
     def test_reports_come_back_in_request_order(self):
         names = ["identity", "closure", "gamma_identity"]
@@ -356,11 +435,9 @@ def test_nan_residual_fails_the_scan(residuals, worst, first):
 
 
 def test_nan_residual_fails_the_report():
-    run = _row_check(
-        "nan_probe", _point_rows("u"), lambda rows, tol: np.full(len(rows["u"]), math.nan),
-        lambda tol: 1.0, dims=(2,),
-    )
-    report = json.loads(run(5, 7, ToleranceConfig()).to_json_line())
+    blocks = _blocks(_point_rows("u"), [BallSampler(derive_seed(7, "nan_probe/2"), 2)], 5)
+    nan = scan_report("nan_probe", blocks, lambda rows: np.full(len(rows["u"]), math.nan), 1.0, 7)
+    report = json.loads(nan.to_json_line())
     assert report["passed"] is False
     assert report["max_residual"] == "nan"
     assert report["first_counterexample"]["residual"] == "nan"
