@@ -13,12 +13,15 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .ball import (
     DEFAULT_ABS_TOL,
     DEFAULT_REL_TOL,
     DimensionMismatchError,
     GyroError,
     GyroVector,
+    _guarded,
 )
 
 
@@ -174,3 +177,84 @@ def normalize_det(m: DensityMatrix2) -> PosDef2Det1:
         raise PositivityError(f"determinant must be positive, got {d!r}")
     s = math.sqrt(d)
     return PosDef2Det1(m.a / s, m.d / s, m.re_b / s, m.im_b / s)
+
+
+# Column kernels.  A Hermitian block is the tuple of its four field columns
+# (a, d, re_b, im_b).  Each kernel makes the operations of the scalar function
+# it is named after, in their order, so it equals it bit for bit, and folds
+# -0.0 by + 0.0 where the scalar builds a matrix.  A row where the scalar call
+# raises GyroError leaves ok; a kernel that takes a root or divides first sets
+# the rows out of ok to the identity, so that no arithmetic on them warns.
+
+_IDENTITY = (1.0, 1.0, 0.0, 0.0)
+
+
+def _blanked(h: tuple, ok) -> tuple:
+    return tuple(np.where(ok, x, e) for x, e in zip(h, _IDENTITY)), ok
+
+
+def _det_rows(h: tuple) -> np.ndarray:
+    return h[0] * h[1] - (h[2] * h[2] + h[3] * h[3])
+
+
+def _positive_rows(h: tuple) -> np.ndarray:
+    return (h[0] > 0.0) & (_det_rows(h) > 0.0)
+
+
+def _density_rows(h: tuple, ok=True) -> tuple:
+    h = tuple(x + 0.0 for x in h)
+    return h, ok & (abs(h[0] + h[1] - 1.0) <= DEFAULT_ABS_TOL) & _positive_rows(h)
+
+
+def _det1_rows(h: tuple, ok=True) -> tuple:
+    a, d, re_b, im_b = h = tuple(x + 0.0 for x in h)
+    band = DEFAULT_REL_TOL + 4.0 * sys.float_info.epsilon * (abs(a * d) + re_b * re_b + im_b * im_b)
+    return h, ok & _positive_rows(h) & (abs(_det_rows(h) - 1.0) <= band)
+
+
+def _sqrt_posdef_rows(h: tuple, ok=True) -> tuple:
+    h, ok = _blanked(h, ok & _positive_rows(h))
+    s = np.sqrt(_det_rows(h))
+    n = np.sqrt(h[0] + h[1] + 2.0 * s)
+    return tuple(x + 0.0 for x in ((h[0] + s) / n, (h[1] + s) / n, h[2] / n, h[3] / n)), ok
+
+
+def _sqrt_congruence_rows(a: tuple, b: tuple, ok=True) -> tuple:
+    (p, q, wr, wi), ok = _sqrt_posdef_rows(a, ok)
+    x, y, zr, zi = b
+    cross, w_abs2 = wr * zr + wi * zi, wr * wr + wi * wi
+    w_sq_re, w_sq_im = wr * wr - wi * wi, 2.0 * wr * wi
+    diag, pq = p * x + q * y, p * q
+    s = (
+        p * p * x + 2.0 * p * cross + w_abs2 * y,
+        w_abs2 * x + 2.0 * q * cross + q * q * y,
+        wr * diag + pq * zr + w_sq_re * zr + w_sq_im * zi,
+        wi * diag + pq * zi + w_sq_im * zr - w_sq_re * zi,
+    )
+    return tuple(t + 0.0 for t in s), ok
+
+
+def _odot_rows(a: tuple, b: tuple, ok=True) -> tuple:
+    s, ok = _sqrt_congruence_rows(a, b, ok)
+    s, ok = _blanked(s, ok & (s[0] + s[1] > 0.0))
+    t = s[0] + s[1]
+    return _density_rows(tuple(x / t for x in s), ok)
+
+
+def _boxdot_rows(a: tuple, b: tuple, ok=True) -> tuple:
+    return _det1_rows(*_sqrt_congruence_rows(a, b, ok))
+
+
+def _normalize_det_rows(m: tuple, ok=True) -> tuple:
+    m, ok = _blanked(m, ok & (_det_rows(m) > 0.0))
+    s = np.sqrt(_det_rows(m))
+    return _det1_rows(tuple(x / s for x in m), ok)
+
+
+def _bloch_to_density_rows(v: np.ndarray, ok=True) -> tuple:
+    x, y, z = v.T
+    return _density_rows(((1.0 + z) / 2.0, (1.0 - z) / 2.0, x / 2.0, -y / 2.0), ok)
+
+
+def _density_to_bloch_rows(m: tuple, ok=True) -> tuple:
+    return _guarded(np.stack([2.0 * m[2], -2.0 * m[3], m[0] - m[1]], axis=1), ok)

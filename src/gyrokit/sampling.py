@@ -54,13 +54,15 @@ class BallSampler:
     """
 
     def __init__(self, seed: int, dim: int, rmax: float = DEFAULT_SAMPLE_RMAX):
-        dim = operator.index(dim)
+        dim, seed = operator.index(dim), operator.index(seed)
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
         # a radius at or past the guard would draw points that it refuses
         if not 0.0 < rmax < 1.0 - DEFAULT_BOUNDARY_MARGIN:
             raise ValueError(f"rmax must be in (0, 1 - {DEFAULT_BOUNDARY_MARGIN:g}), got {rmax!r}")
-        self.seed = operator.index(seed)
+        self.seed = seed
         self.dim = dim
         self.rmax = float(rmax)
         self.rng = np.random.default_rng(self.seed)

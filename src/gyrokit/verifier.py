@@ -12,10 +12,13 @@ through the sampling module, making the generator calls of the one-input
 draws in their order and the rest on the block; a refused candidate is
 refused by mask and redrawn where those draws redrew it (sampling._staged,
 given the stages defined here).  Each block is scored as one residual
-array: by the row kernels, which equal the scalar path bit for bit, for
-the gyro-core laws, the geometry and orthogonal-map properties and the
-classifier trials, and row by row by a scalar residual for the five
-matrix-model properties (_each_row).
+array by kernels that equal the scalar path bit for bit: the row kernels
+of ball, geometry and morphisms, and for the five matrix-model
+properties the column kernels of matrix_models, which hold a Hermitian
+block as its four field columns.  bloch_homomorphism also sums the first
+formed row of each block by the public einstein_add and refuses it unless
+the two agree, so the suite notices a public sum parted from its kernel.
+The classifier trials compare verdicts.
 
 Residual normalization.  Raw floating-point residuals of ball operations
 grow with the Lorentz factor of the operands (coordinate noise is
@@ -76,9 +79,9 @@ from .ball import (
     DEFAULT_BOUNDARY_MARGIN,
     DEFAULT_TOL,
     GyroError,
-    GyroVector,
     ToleranceConfig,
     _add_rows,
+    _anchored_sum_rows,
     _each,
     _gamma_rows,
     _guarded,
@@ -86,20 +89,20 @@ from .ball import (
     _line_param_rows,
     _norm_rows,
     _sum_rows,
-    einstein_add,
-    gamma,
 )
 from .geometry import _commutes_rows, _gram_band_rows, _klein_distance_rows
 from .matrix_models import (
+    _IDENTITY,
     Hermitian2,
-    bloch_to_density,
-    boxdot,
-    density_to_bloch,
-    is_positive_definite,
-    normalize_det,
-    odot,
-    sqrt_congruence,
-    sqrt_posdef2,
+    _bloch_to_density_rows,
+    _boxdot_rows,
+    _density_to_bloch_rows,
+    _det_rows,
+    _normalize_det_rows,
+    _odot_rows,
+    _positive_rows,
+    _sqrt_congruence_rows,
+    _sqrt_posdef_rows,
 )
 from .morphisms import (
     BallMap,
@@ -129,7 +132,6 @@ _CORE_DIMS = (2, 3, 5)
 _PLANE_DIMS = (2, 3)
 _MODEL_DIMS = (3,)
 _MODEL_RMAX = 0.99
-_IDENTITY2 = Hermitian2(1.0, 1.0, 0.0, 0.0)
 
 
 class UnknownPropertyError(GyroError):
@@ -501,59 +503,48 @@ def _reconstruction_residual(trials: Rows, tol: ToleranceConfig) -> np.ndarray:
 # ------------------------------------------------------------ matrix models
 
 
-def _each_row(residual: Callable) -> Callable:
-    """Row residual of the scalar residual(inputs, tol), called row by row:
-    a 2-D column reaches it as a GyroVector, any other column as the row's
-    element, and a row where it raises GyroError scores inf."""
-
-    def row_residual(rows: Rows, tol: ToleranceConfig) -> np.ndarray:
-        def score(i: int) -> float:
-            try:
-                inputs = {
-                    key: GyroVector._owned(value[i].copy()) if value.ndim == 2 else value[i]
-                    for key, value in rows.items()
-                }
-                return float(residual(inputs, tol))
-            except GyroError:
-                return math.inf
-
-        return np.array([score(i) for i in range(len(next(iter(rows.values()))))])
-
-    return row_residual
+def _maxdiff(x: tuple, y: tuple = (0.0,) * 4) -> np.ndarray:
+    # per row, the largest |x - y| over the four fields; |x| without y
+    return np.maximum.reduce([np.abs(p - q) for p, q in zip(x, y)])
 
 
-def _hermitian_maxdiff(a: Hermitian2, b: Hermitian2) -> float:
-    return max(
-        abs(a.a - b.a), abs(a.d - b.d), abs(a.re_b - b.re_b), abs(a.im_b - b.im_b)
-    )
+def _model_pair(rows: Rows) -> tuple:
+    # the densities of u and v, where they are built, and (gamma(u) gamma(v))^2
+    u, v = rows["u"], rows["v"]
+    da, ok = _bloch_to_density_rows(u)
+    db, ok = _bloch_to_density_rows(v, ok)
+    return da, db, ok, _squares(_gamma_rows(u) * _gamma_rows(v))
 
 
-def _bloch_homomorphism_residual(inputs: dict, tol: ToleranceConfig) -> float:
-    u, v = inputs["u"], inputs["v"]
-    lhs = bloch_to_density(einstein_add(u, v))
-    rhs = odot(bloch_to_density(u), bloch_to_density(v))
-    return _hermitian_maxdiff(lhs, rhs) / (gamma(u) * gamma(v)) ** 2
+def _bloch_homomorphism_residual(rows: Rows, tol: ToleranceConfig) -> np.ndarray:
+    da, db, ok, scale = _model_pair(rows)
+    lhs, ok = _bloch_to_density_rows(*_anchored_sum_rows(rows["u"], rows["v"], ok))
+    rhs, ok = _odot_rows(da, db, ok)
+    return np.where(ok, _maxdiff(lhs, rhs) / scale, math.inf)
 
 
-def _det_normalization_residual(inputs: dict, tol: ToleranceConfig) -> float:
-    u, v = inputs["u"], inputs["v"]
-    da, db = bloch_to_density(u), bloch_to_density(v)
-    lhs = normalize_det(odot(da, db))
-    rhs = boxdot(normalize_det(da), normalize_det(db))
-    scale = 1.0 + max(abs(lhs.a), abs(lhs.d), abs(lhs.re_b), abs(lhs.im_b))
-    return _hermitian_maxdiff(lhs, rhs) / (scale * (gamma(u) * gamma(v)) ** 2)
+def _det_normalization_residual(rows: Rows, tol: ToleranceConfig) -> np.ndarray:
+    da, db, ok, scale = _model_pair(rows)
+    lhs, ok = _normalize_det_rows(*_odot_rows(da, db, ok))
+    na, ok = _normalize_det_rows(da, ok)
+    nb, ok = _normalize_det_rows(db, ok)
+    rhs, ok = _boxdot_rows(na, nb, ok)
+    return np.where(ok, _maxdiff(lhs, rhs) / ((1.0 + _maxdiff(lhs)) * scale), math.inf)
 
 
-def _transported_automorphism_residual(inputs: dict, tol: ToleranceConfig) -> float:
-    q, u, v = inputs["q"], inputs["u"], inputs["v"]
+def _transported_automorphism_residual(rows: Rows, tol: ToleranceConfig) -> np.ndarray:
+    q = rows["q"]
 
-    def transported(m):
-        return bloch_to_density(GyroVector(q @ density_to_bloch(m).coords))
+    def transported(m: tuple, ok) -> tuple:
+        w, ok = _density_to_bloch_rows(m, ok)
+        return _bloch_to_density_rows(*_guarded(np.matvec(q, w), ok))
 
-    da, db = bloch_to_density(u), bloch_to_density(v)
-    lhs = transported(odot(da, db))
-    rhs = odot(transported(da), transported(db))
-    return _hermitian_maxdiff(lhs, rhs) / (gamma(u) * gamma(v)) ** 2
+    da, db, ok, scale = _model_pair(rows)
+    lhs, ok = transported(*_odot_rows(da, db, ok))
+    ta, ok = transported(da, ok)
+    tb, ok = transported(db, ok)
+    rhs, ok = _odot_rows(ta, tb, ok)
+    return np.where(ok, _maxdiff(lhs, rhs) / scale, math.inf)
 
 
 def _random_posdef(rng: np.random.Generator, max_log_cond: float) -> Hermitian2:
@@ -584,21 +575,23 @@ def _posdef_rows(max_log_cond: float, *keys: str) -> Callable:
     return draw_rows
 
 
-def _sqrt_squares_back_residual(inputs: dict, tol: ToleranceConfig) -> float:
-    h = inputs["h"]
-    root = sqrt_posdef2(h)
-    if not is_positive_definite(root):
-        return math.inf
-    squared = sqrt_congruence(h, _IDENTITY2)
-    scale = 1.0 + max(abs(h.a), abs(h.d), abs(h.re_b), abs(h.im_b))
-    return _hermitian_maxdiff(squared, h) / scale
+def _fields(column: np.ndarray) -> tuple:
+    # an object column of Hermitian2 as its four field columns
+    return tuple(np.array([(h.a, h.d, h.re_b, h.im_b) for h in column]).T)
 
 
-def _boxdot_det_residual(inputs: dict, tol: ToleranceConfig) -> float:
-    h1, h2 = inputs["h1"], inputs["h2"]
-    product = sqrt_congruence(h1, h2)
-    expected = h1.det * h2.det
-    return abs(product.det - expected) / expected
+def _sqrt_squares_back_residual(rows: Rows, tol: ToleranceConfig) -> np.ndarray:
+    h = _fields(rows["h"])
+    root, ok = _sqrt_posdef_rows(h)
+    squared, ok = _sqrt_congruence_rows(h, _IDENTITY, ok & _positive_rows(root))
+    return np.where(ok, _maxdiff(squared, h) / (1.0 + _maxdiff(h)), math.inf)
+
+
+def _boxdot_det_residual(rows: Rows, tol: ToleranceConfig) -> np.ndarray:
+    h1, h2 = _fields(rows["h1"]), _fields(rows["h2"])
+    product, ok = _sqrt_congruence_rows(h1, h2)
+    expected = _det_rows(h1) * _det_rows(h2)
+    return np.where(ok, np.abs(_det_rows(product) - expected) / expected, math.inf)
 
 
 # ----------------------------------------------------------------- registry
@@ -663,21 +656,17 @@ _REGISTRY = {
     "classifier_reconstruction": (
         partial(_classifier_trials, True), _reconstruction_residual, _one
     ),
-    "bloch_homomorphism": (_model_pairs, _each_row(_bloch_homomorphism_residual), _rel_tol),
-    "det_normalization_homomorphism": (
-        _model_pairs, _each_row(_det_normalization_residual), _rel_tol
-    ),
+    "bloch_homomorphism": (_model_pairs, _bloch_homomorphism_residual, _rel_tol),
+    "det_normalization_homomorphism": (_model_pairs, _det_normalization_residual, _rel_tol),
     "sqrt_squares_back": (
-        partial(_sampled, _posdef_rows(4.0, "h"), dims=(2,)),
-        _each_row(_sqrt_squares_back_residual), _rel_tol,
+        partial(_sampled, _posdef_rows(4.0, "h"), dims=(2,)), _sqrt_squares_back_residual, _rel_tol
     ),
     "boxdot_det_multiplicative": (
-        partial(_sampled, _posdef_rows(2.0, "h1", "h2"), dims=(2,)),
-        _each_row(_boxdot_det_residual), _rel_tol,
+        partial(_sampled, _posdef_rows(2.0, "h1", "h2"), dims=(2,)), _boxdot_det_residual, _rel_tol
     ),
     "transported_automorphism": (
         partial(_orthogonal, dims=_MODEL_DIMS, rmax=_MODEL_RMAX),
-        _each_row(_transported_automorphism_residual), _rel_tol,
+        _transported_automorphism_residual, _rel_tol,
     ),
 }
 

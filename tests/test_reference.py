@@ -8,11 +8,12 @@ is unchanged, so the results must agree exactly, bytes included, up to
 points 1e-8 from the unit sphere.  A result outside the guarded ball must
 fail with the public constructor's message, and every result is read-only.
 
-The row kernels are bound the same way: each must equal the scalar calls
-it replaced, row by row, refusing a row exactly where the scalar call
-raises, and every batched report must equal its replay one input at a
-time through the scalar draws and residuals kept here, scanned and shrunk
-by the one-input loop the Rows scan replaced.
+The row kernels, and the column kernels of the matrix models, are bound
+the same way: each must equal the scalar calls it replaced, row by row,
+refusing a row exactly where the scalar call raises, and every batched
+report must equal its replay one input at a time through the scalar
+draws and residuals kept here, scanned and shrunk by the one-input loop
+the Rows scan replaced.
 """
 
 import itertools
@@ -30,29 +31,39 @@ from gyrokit import (
     BallDomainError,
     BallMap,
     BallSampler,
+    DensityMatrix2,
     GyroError,
     GyroVector,
     Hermitian2,
+    PosDef2Det1,
     PropertyReport,
     ToleranceConfig,
+    bloch_to_density,
+    boxdot,
     check_endomorphism,
     classify_endomorphism,
     collinear_direct,
     collinear_gyro,
     commutes,
     decision_threshold,
+    density_to_bloch,
     derive_seed,
     einstein_add,
     endomorphism_residual,
     gamma,
     gram_band,
     gyration,
+    is_positive_definite,
     klein_distance,
     line_param,
     linearly_dependent,
     neg,
+    normalize_det,
+    odot,
     random_orthogonal,
     run_suite,
+    sqrt_congruence,
+    sqrt_posdef2,
     zero_propagation_check,
 )
 from gyrokit.ball import (
@@ -65,23 +76,28 @@ from gyrokit.ball import (
     _sum_rows,
 )
 from gyrokit.geometry import _commutes_rows, _gram_band_rows, _klein_distance_rows
+from gyrokit.matrix_models import (
+    _bloch_to_density_rows,
+    _boxdot_rows,
+    _density_rows,
+    _density_to_bloch_rows,
+    _det1_rows,
+    _normalize_det_rows,
+    _odot_rows,
+    _sqrt_congruence_rows,
+    _sqrt_posdef_rows,
+)
 from gyrokit.morphisms import _haar, _law_rows
 from gyrokit.sampling import SCAN_CHUNK, Rows, _blocks, json_ready, seeded_scan
 from gyrokit import sampling, verifier
 from gyrokit.verifier import (
     _EVALUABILITY_BOUND,
-    _bloch_homomorphism_residual,
-    _boxdot_det_residual,
     _collinearity_residual,
     _commutes_iff_dependent_residual,
-    _det_normalization_residual,
-    _each_row,
     _gyration_orthogonality_residual,
     _gyrocommutativity_residual,
     _random_posdef,
-    _sqrt_squares_back_residual,
     _squares,
-    _transported_automorphism_residual,
 )
 
 DIMS = (1, 2, 3, 5, 64)
@@ -637,6 +653,55 @@ def orthogonal_bound(inputs: dict, tol: ToleranceConfig) -> float:
     return scalar_law(matrix_map(q), u, v) / (10.0 * np.finfo(float).eps * gamma(u) * gamma(v))
 
 
+def hermitian_maxdiff(a: Hermitian2, b: Hermitian2) -> float:
+    return max(abs(a.a - b.a), abs(a.d - b.d), abs(a.re_b - b.re_b), abs(a.im_b - b.im_b))
+
+
+def bloch_homomorphism(inputs: dict, tol: ToleranceConfig) -> float:
+    u, v = inputs["u"], inputs["v"]
+    lhs = bloch_to_density(einstein_add(u, v))
+    rhs = odot(bloch_to_density(u), bloch_to_density(v))
+    return hermitian_maxdiff(lhs, rhs) / (gamma(u) * gamma(v)) ** 2
+
+
+def det_normalization(inputs: dict, tol: ToleranceConfig) -> float:
+    u, v = inputs["u"], inputs["v"]
+    da, db = bloch_to_density(u), bloch_to_density(v)
+    lhs = normalize_det(odot(da, db))
+    rhs = boxdot(normalize_det(da), normalize_det(db))
+    scale = 1.0 + max(abs(lhs.a), abs(lhs.d), abs(lhs.re_b), abs(lhs.im_b))
+    return hermitian_maxdiff(lhs, rhs) / (scale * (gamma(u) * gamma(v)) ** 2)
+
+
+def transported_automorphism(inputs: dict, tol: ToleranceConfig) -> float:
+    q, u, v = inputs["q"], inputs["u"], inputs["v"]
+
+    def transported(m):
+        return bloch_to_density(GyroVector(q @ density_to_bloch(m).coords))
+
+    da, db = bloch_to_density(u), bloch_to_density(v)
+    lhs = transported(odot(da, db))
+    rhs = odot(transported(da), transported(db))
+    return hermitian_maxdiff(lhs, rhs) / (gamma(u) * gamma(v)) ** 2
+
+
+def sqrt_squares_back(inputs: dict, tol: ToleranceConfig) -> float:
+    h = inputs["h"]
+    root = sqrt_posdef2(h)
+    if not is_positive_definite(root):
+        return math.inf
+    squared = sqrt_congruence(h, Hermitian2(1.0, 1.0, 0.0, 0.0))
+    scale = 1.0 + max(abs(h.a), abs(h.d), abs(h.re_b), abs(h.im_b))
+    return hermitian_maxdiff(squared, h) / scale
+
+
+def boxdot_det(inputs: dict, tol: ToleranceConfig) -> float:
+    h1, h2 = inputs["h1"], inputs["h2"]
+    product = sqrt_congruence(h1, h2)
+    expected = h1.det * h2.det
+    return abs(product.det - expected) / expected
+
+
 def abs_tol(tol: ToleranceConfig) -> float:
     return tol.abs_tol
 
@@ -652,8 +717,7 @@ def indicator(tol: ToleranceConfig) -> float:
 CORE_DIMS = (2, 3, 5)
 
 # name -> (item draw, scalar residual, cutoff, dimensions, sampling radius
-# if not the default); the matrix-model properties keep their scalar
-# residuals, which the verifier calls row by row
+# if not the default)
 SCALAR_ROW_PROPERTIES = {
     "closure": (draw_pair, closure, lambda tol: 1.0 - DEFAULT_BOUNDARY_MARGIN, CORE_DIMS, None),
     "identity": (draw_single, identity, abs_tol, CORE_DIMS, None),
@@ -683,14 +747,12 @@ SCALAR_ROW_PROPERTIES = {
     "orthogonal_residual_bound": (
         draw_orthogonal_pair, orthogonal_bound, lambda tol: 1.0, CORE_DIMS, 0.9
     ),
-    "bloch_homomorphism": (draw_pair, _bloch_homomorphism_residual, rel_tol, (3,), 0.99),
-    "det_normalization_homomorphism": (
-        draw_pair, _det_normalization_residual, rel_tol, (3,), 0.99
-    ),
-    "sqrt_squares_back": (draw_posdef, _sqrt_squares_back_residual, rel_tol, (2,), None),
-    "boxdot_det_multiplicative": (draw_posdef_pair, _boxdot_det_residual, rel_tol, (2,), None),
+    "bloch_homomorphism": (draw_pair, bloch_homomorphism, rel_tol, (3,), 0.99),
+    "det_normalization_homomorphism": (draw_pair, det_normalization, rel_tol, (3,), 0.99),
+    "sqrt_squares_back": (draw_posdef, sqrt_squares_back, rel_tol, (2,), None),
+    "boxdot_det_multiplicative": (draw_posdef_pair, boxdot_det, rel_tol, (2,), None),
     "transported_automorphism": (
-        draw_orthogonal_pair, _transported_automorphism_residual, rel_tol, (3,), 0.99
+        draw_orthogonal_pair, transported_automorphism, rel_tol, (3,), 0.99
     ),
 }
 
@@ -713,11 +775,11 @@ ROW_RESIDUALS = {
     "endomorphism_fixes_zero": verifier._fixes_zero_residual,
     "orthogonal_endomorphism": verifier._orthogonal_endomorphism_residual,
     "orthogonal_residual_bound": verifier._orthogonal_residual_bound_residual,
-    "bloch_homomorphism": _each_row(_bloch_homomorphism_residual),
-    "det_normalization_homomorphism": _each_row(_det_normalization_residual),
-    "sqrt_squares_back": _each_row(_sqrt_squares_back_residual),
-    "boxdot_det_multiplicative": _each_row(_boxdot_det_residual),
-    "transported_automorphism": _each_row(_transported_automorphism_residual),
+    "bloch_homomorphism": verifier._bloch_homomorphism_residual,
+    "det_normalization_homomorphism": verifier._det_normalization_residual,
+    "sqrt_squares_back": verifier._sqrt_squares_back_residual,
+    "boxdot_det_multiplicative": verifier._boxdot_det_residual,
+    "transported_automorphism": verifier._transported_automorphism_residual,
 }
 
 
@@ -1165,6 +1227,132 @@ def test_collinear_gyro_rows_match_collinear_gyro(dim, tol):
     ]
 
 
+# ------------------------------------------------------ matrix-model kernels
+#
+# Each column kernel must equal its scalar function field by field, bytes
+# included, and refuse a row exactly where the scalar call raises GyroError.
+
+FIELDS = ("a", "d", "re_b", "im_b")
+
+
+def model_inputs(seed: int) -> dict:
+    """Seeded scalar inputs: 3-D ball points, 40 spread over the ball of
+    radius 0.99 and 40 near the guard (1 - |u| log-uniform on [1e-9, 1e-3],
+    less any the guard refuses); their densities and det-1 scalings; drawn
+    positive definite matrices; and field tuples on either side of each
+    check, some with a negative zero."""
+    rng = np.random.default_rng(seed)
+    radii = [0.99 * x ** (1.0 / 3.0) for x in rng.random(40).tolist()]
+    radii += [1.0 - 10.0**x for x in rng.uniform(-9.0, -3.0, 40).tolist()]
+    directions = [g / _norm(g) for g in rng.standard_normal((80, 3))]
+    points = [scalar_or_none(lambda: GyroVector(r * g)) for r, g in zip(radii, directions)]
+    # and one whose density maps back past the guard, and two with zeros
+    # that the density fields fold from -0.0
+    points = [p for p in points if p is not None] + [GyroVector(ROUND_TRIP_ESCAPES)]
+    points += [GyroVector([0.5, 0.0, 0.0]), GyroVector([0.0, 0.0, -0.25])]
+    densities = [bloch_to_density(p) for p in points]
+    det1 = [scalar_or_none(lambda: normalize_det(d)) for d in densities]
+    det1 = [m for m in det1 if m is not None]
+    fields = [tuple(getattr(m, f) for f in FIELDS) for m in densities + det1]
+    fields += [
+        (0.5, 0.5 + 0.5e-9, -0.0, -0.0),  # a density, its trace just inside the band
+        (0.5, 0.5 + 1.5e-9, 0.1, 0.0),  # its trace just outside
+        (0.6, 0.5, 0.1, -0.0),  # trace 1.1
+        (-0.5, 1.5, -0.0, 0.0),  # trace 1, negative corner
+        (0.5, 0.5, 0.5, 0.5),  # negative determinant
+        (0.0, 1.0, -0.0, -0.0),  # singular
+        (-1.0, -2.0, 0.0, -0.0),  # negative definite
+        (2.0, 0.5, -0.0, 0.0),  # determinant 1, trace 2.5
+        (1.0, 1.0 + 0.5e-9, 0.0, -0.0),  # determinant just inside the band
+        (1.0, 1.0 + 1.5e-9, -0.0, 0.0),  # just outside
+        (2.0, 0.5, 1e-3, -0.0),  # determinant 1 - 1e-6
+    ]
+    return {
+        "points": points,
+        "densities": densities,
+        "det1": det1,
+        "posdef": [_random_posdef(rng, 4.0) for _ in range(40)],
+        "fields": fields,
+    }
+
+
+def as_block(values: list):
+    """Scalar arguments as the kernel takes them: points as rows, matrices
+    and field tuples as a block of four field columns.  A matrix's zero
+    fields come as -0.0, which a kernel must fold away where the scalar
+    builds its result, as Hermitian2 folded them on the way in."""
+    if isinstance(values[0], GyroVector):
+        return np.array([p.coords for p in values])
+    if isinstance(values[0], Hermitian2):
+        fields = np.array([[getattr(m, f) for f in FIELDS] for m in values]).T
+        return tuple(np.where(fields == 0.0, -0.0, fields))
+    return tuple(np.array(values).T)
+
+
+def kernel_cases(seed: int) -> dict:
+    """kernel -> (column kernel, scalar function, argument lists, whether
+    the arguments hold a row the scalar call refuses, and not only may)."""
+    m = model_inputs(seed)
+    densities, det1 = m["densities"], m["det1"]
+    made = [Hermitian2(*f) for f in m["fields"]]
+    pairs = list(itertools.product(made, repeat=2))
+    matrices = made + m["posdef"]
+    return {
+        "bloch_to_density": (_bloch_to_density_rows, bloch_to_density, [m["points"]], False),
+        # a density's fields as stored: the result keeps the sign of a zero
+        "density_to_bloch": (
+            lambda h, ok: _density_to_bloch_rows(tuple(x + 0.0 for x in h), ok),
+            density_to_bloch, [densities], True,
+        ),
+        "DensityMatrix2": (_density_rows, lambda f: DensityMatrix2(*f), [m["fields"]], True),
+        "PosDef2Det1": (_det1_rows, lambda f: PosDef2Det1(*f), [m["fields"]], True),
+        "sqrt_posdef2": (_sqrt_posdef_rows, sqrt_posdef2, [matrices], True),
+        # every pair of the hand-made matrices: a diagonal one and a negative
+        # definite one give a product with -0.0 fields, which are folded
+        "sqrt_congruence": (
+            _sqrt_congruence_rows, sqrt_congruence,
+            [[a for a, _ in pairs] + matrices, [b for _, b in pairs] + matrices[::-1]], True,
+        ),
+        "odot": (
+            _odot_rows, odot,
+            [densities + matrices, densities[1:] + densities[:1] + matrices[::-1]], True,
+        ),
+        "normalize_det": (_normalize_det_rows, normalize_det, [matrices], True),
+        "boxdot": (_boxdot_rows, boxdot, [det1, det1[1:] + det1[:1]], True),
+    }
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize(
+    "name",
+    [
+        "bloch_to_density", "density_to_bloch", "DensityMatrix2", "PosDef2Det1",
+        "sqrt_posdef2", "sqrt_congruence", "odot", "normalize_det", "boxdot",
+    ],
+)
+def test_matrix_kernels_match_the_scalar_functions(name, seed):
+    kernel, scalar, arguments, refuses = kernel_cases(seed)[name]
+    ok = refused_upstream(len(arguments[0]))
+    wants = [
+        scalar_or_none(lambda: scalar(*args)) if k else None
+        for args, k in zip(zip(*arguments), ok)
+    ]
+    # a row the scalar call refuses is covered, not only those refused upstream
+    assert any(want is None for want, k in zip(wants, ok) if k) or not refuses
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, got_ok = kernel(*map(as_block, arguments), ok)
+    assert got_ok.tolist() == [want is not None for want in wants]
+    taken = [want for want in wants if want is not None]
+    if isinstance(taken[0], GyroVector):
+        assert got[got_ok].tobytes() == np.array([w.coords for w in taken]).tobytes()
+        assert not got[~got_ok].any()
+        return
+    for column, field in zip(got, FIELDS):
+        want = np.array([getattr(w, field) for w in taken])
+        assert column[got_ok].tobytes() == want.tobytes(), field
+
+
 # Hand-built rows for the and-chains and the gyration refusals.  R is a
 # radius whose sum with itself rounds past the guard.  The seed sweeps
 # cannot tell these rules apart: a chain that scored inf wherever any
@@ -1180,6 +1368,12 @@ def on_off(on: list, off: list) -> dict:
 
 
 ESCAPING = [[-R, 0.0], [R, 0.0], [R, 0.0]]  # (-x) (+) y leaves the ball
+D2_PAIR = {
+    "u": [0.36353656713600624, 0.864299485461057, 0.3476025903049632],
+    "v": [-0.7905711243880296, 0.5492416326507922, 0.27079683020105444],
+}
+# density_to_bloch(bloch_to_density(u)) rounds onto the guard
+ROUND_TRIP_ESCAPES = [-0.14367596966885057, 0.8146261791230032, -0.5619087132508022]
 
 # (row residual, scalar residual, [(inputs, the scalar's score or None if finite)])
 HAND_BUILT = {
@@ -1228,6 +1422,27 @@ HAND_BUILT = {
             ({"u": [0.3, 0.1], "v": [0.2, -0.4]}, None),
         ],
     ),
+    "det_normalization_homomorphism": (
+        verifier._det_normalization_residual,
+        det_normalization,
+        [
+            # two points 1.5e-9 from the sphere: every density and
+            # normalization is built, then boxdot refuses the product of the
+            # two det-1 matrices (defect D2, pinned as it stands)
+            (D2_PAIR, math.inf),
+            ({"u": [0.3, 0.1, -0.2], "v": [0.2, -0.4, 0.5]}, None),
+        ],
+    ),
+    "transported_automorphism": (
+        verifier._transported_automorphism_residual,
+        transported_automorphism,
+        [
+            # the left side is built, then the density of u maps back past the guard
+            ({"q": np.eye(3).tolist(), "u": ROUND_TRIP_ESCAPES, "v": [0.3, -0.2, 0.1]}, math.inf),
+            ({"q": [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
+              "u": [0.3, 0.1, -0.2], "v": [0.2, -0.4, 0.5]}, None),
+        ],
+    ),
 }
 
 
@@ -1236,7 +1451,12 @@ def test_hand_built_rows_score_as_the_scalar_path(name):
     row_residual, residual, cases = HAND_BUILT[name]
     want = []
     for inputs, score in cases:
-        got = scan_score(residual, {key: GyroVector(value) for key, value in inputs.items()})
+        # points reach the scalar residual as GyroVectors, a matrix q as an array
+        item = {
+            key: GyroVector(value) if np.ndim(value) == 1 else np.array(value)
+            for key, value in inputs.items()
+        }
+        got = scan_score(residual, item)
         assert (got == score) if score is not None else math.isfinite(got)
         want.append(got)
     blocks = [Rows({key: np.array([v]) for key, v in inputs.items()}) for inputs, _ in cases]
@@ -1283,41 +1503,6 @@ def test_scan_of_rows_and_of_items_equals_the_loop(special):
         assert first == [want[2][0]]
         assert got[2][1] == want[2][1] or math.isnan(got[2][1]) and math.isnan(want[2][1])
         assert got[3] == want[3]
-
-
-def test_each_row_scores_each_row_by_the_scalar_residual():
-    # a 2-D column reaches the residual as a point, any other as the row's
-    # element; a row where the residual raises GyroError scores inf, and any
-    # other error propagates
-    seen = []
-
-    def probe(inputs: dict, tol: ToleranceConfig) -> float:
-        seen.append({key: type(value) for key, value in inputs.items()})
-        return _bloch_homomorphism_residual(inputs, tol)
-
-    h = np.empty(3, dtype=object)
-    h[:] = [Hermitian2(1.0, 1.0, 0.0, 0.0)] * 3
-    rows = Rows(
-        u=np.array([[R, 0.0, 0.0], [0.3, 0.1, 0.0], [0.0, 0.0, 1.5]]),
-        v=np.array([[R, 0.0, 0.0], [0.2, -0.4, 0.1], [0.1, 0.0, 0.0]]),
-        q=np.zeros((3, 3, 3)),
-        h=h,
-    )
-    want = _bloch_homomorphism_residual(
-        {"u": GyroVector([0.3, 0.1, 0.0]), "v": GyroVector([0.2, -0.4, 0.1])}, DEFAULT_TOL
-    )
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        # u (+) v leaves the ball in row 0; row 2's u is not a ball point
-        assert _each_row(probe)(rows, DEFAULT_TOL).tolist() == [math.inf, want, math.inf]
-    # row 2 never reaches the residual
-    assert seen == [{"u": GyroVector, "v": GyroVector, "q": np.ndarray, "h": Hermitian2}] * 2
-
-    def broken(inputs: dict, tol: ToleranceConfig) -> float:
-        raise ZeroDivisionError("not a domain error")
-
-    with pytest.raises(ZeroDivisionError):
-        _each_row(broken)(rows, DEFAULT_TOL)
 
 
 # ------------------------------------------------- zero propagation replay

@@ -21,6 +21,8 @@ from gyrokit import (
     run_suite,
     zero_propagation_check,
 )
+from gyrokit import ball
+from gyrokit.ball import _anchored_sum_rows, _sum_rows
 from gyrokit.sampling import Rows, _blocks, _point_rows, json_ready, scan_report, seeded_scan
 from gyrokit.verifier import _REGISTRY
 
@@ -89,6 +91,15 @@ class TestBallSampler:
     def test_rejects_bad_dim(self):
         with pytest.raises(ValueError):
             BallSampler(seed=1, dim=0, rmax=0.9)
+
+    def test_rejects_a_negative_seed(self):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            BallSampler(seed=-1, dim=2)
+        # check_endomorphism seeds its sampler with the caller's seed itself
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            check_endomorphism(BallMap.zero(2), 5, -1)
+        # run_suite derives non-negative child seeds from any seed
+        assert run_suite(["closure"], 5, -1)[0].passed
 
     def test_rejects_bad_rmax(self):
         with pytest.raises(ValueError):
@@ -308,6 +319,20 @@ class TestRunSuite:
         a = run_suite(names, n_samples=50, seed=11)
         b = run_suite(names, n_samples=50, seed=11)
         assert [r.to_json_line() for r in a] == [r.to_json_line() for r in b]
+
+    def test_bloch_homomorphism_notices_an_einstein_add_one_ulp_off(self, monkeypatch):
+        exact = ball.einstein_add
+        assert run_suite(["bloch_homomorphism"], 40, 5)[0].passed
+        monkeypatch.setattr(
+            ball, "einstein_add", lambda u, v: GyroVector(np.nextafter(exact(u, v).coords, 0.0))
+        )
+        report = run_suite(["bloch_homomorphism"], 40, 5)[0]
+        assert not report.passed and report.max_residual == math.inf
+        # only the first formed row of a block is summed by einstein_add too
+        u, v, ok = np.full((3, 3), 0.1), np.full((3, 3), -0.2), np.array([False, True, True])
+        w, anchored = _anchored_sum_rows(u, v, ok)
+        assert anchored.tolist() == [False, False, True]
+        assert w.tobytes() == _sum_rows(u, v, ok)[0].tobytes()
 
     def test_seed_changes_the_stream(self):
         a = run_suite(["closure"], n_samples=50, seed=1)[0]
