@@ -217,22 +217,17 @@ def endomorphism_residual(f: BallMap, u: GyroVector, v: GyroVector) -> float:
     return float(_law_rows(f._image_rows, u.coords[None], v.coords[None])[0])
 
 
-def _pairs(dim: int, n_samples: int, seed: int, tol: ToleranceConfig):
-    """n_samples seeded pairs of ball points, u drawn first, as Rows blocks
-    {"u", "v"}."""
-    return _blocks(_point_rows("u", "v"), [BallSampler(seed, dim, tol.sample_rmax)], n_samples)
-
-
 def check_endomorphism(
     f: BallMap, n_samples: int, seed: int, tol: ToleranceConfig = DEFAULT_TOL
 ) -> PropertyReport:
-    """Check f(u (+) v) = f(u) (+) f(v) on seeded random pairs.
+    """Check f(u (+) v) = f(u) (+) f(v) on seeded random pairs, u drawn first.
 
     Passes when every residual stays at or below the decision threshold; a
     pair whose output leaves the ball scores inf.
     """
+    pairs = _blocks(_point_rows("u", "v"), [BallSampler(seed, f.dim, tol.sample_rmax)], n_samples)
     return scan_report(
-        "endomorphism", _pairs(f.dim, n_samples, seed, tol),
+        "endomorphism", pairs,
         lambda pairs: _law_rows(f._image_rows, pairs["u"], pairs["v"]), decision_threshold(tol),
         seed,
     )
@@ -296,7 +291,9 @@ def classify_endomorphism(
     vanishes) and corroborated by sampled agreement with it.  A failed
     corroboration yields NOT_ENDOMORPHISM with the same worst pair; a
     probe p whose image leaves the ball yields it with witnesses p, p and
-    residual inf, since f(p) (+) f(p) cannot be evaluated.
+    residual inf, since f(p) (+) f(p) cannot be evaluated.  Each scan
+    draws a chunk of points as one block (BallSampler.block_rows), so its
+    pairs are not those of check_endomorphism at the same seed.
 
     The verdict is a decision at the configured sampling budget: a map
     agreeing with an orthogonal restriction on every sampled point is
@@ -305,15 +302,17 @@ def classify_endomorphism(
     orthogonal or zero.
     """
     threshold = decision_threshold(tol)
+    law_sampler = BallSampler(derive_seed(seed, "endo"), f.dim, tol.sample_rmax)
     max_residual, worst, first, _ = seeded_scan(
-        _pairs(f.dim, n_samples, derive_seed(seed, "endo"), tol),
+        _blocks(_point_rows("u", "v", draw=BallSampler.block_rows), [law_sampler], n_samples),
         lambda pairs: _law_rows(f._image_rows, pairs["u"], pairs["v"]), threshold,
     )
-    refuted = MapClassification.not_endomorphism(
-        GyroVector(worst["u"][0]), GyroVector(worst["v"][0]), max_residual
-    )
+
+    def refuted() -> MapClassification:
+        u, v = GyroVector(worst["u"][0]), GyroVector(worst["v"][0])
+        return MapClassification.not_endomorphism(u, v, max_residual)
     if first is not None:
-        return refuted
+        return refuted()
 
     basis = np.eye(f.dim)
     probes = []
@@ -330,16 +329,16 @@ def classify_endomorphism(
     else:
         candidate = np.column_stack([2.0 * p.coords for p in probes])
         if not is_orthogonal(candidate, tol):
-            return refuted
+            return refuted()
         stream, cutoff = "agree", 10.0 * tol.abs_tol
         verdict = MapClassification.orthogonal(LinearMap(candidate))
     sampler = BallSampler(derive_seed(seed, stream), f.dim, tol.sample_rmax)
     _, _, disagreement, _ = seeded_scan(
-        _blocks(_point_rows("w"), [sampler], n_samples),
+        _blocks(_point_rows("w", draw=BallSampler.block_rows), [sampler], n_samples),
         lambda rows: _image_norms(f._image_rows, rows["w"], np.matvec(candidate, rows["w"])),
         cutoff,
     )
-    return verdict if disagreement is None else refuted
+    return verdict if disagreement is None else refuted()
 
 
 def zero_propagation_check(

@@ -7,7 +7,8 @@ draws.  Points are drawn per block: each point's generator calls in turn,
 the rest once on the block, and a zero direction replayed
 (BallSampler._block).  Inputs that refuse candidates are drawn in stages
 (_staged): a refused candidate is refused by mask and redrawn where the
-one-input draw redrew it, replaying the generator state it left.
+one-input draw redrew it, replaying the generator state it left.  The
+classifier's scans alone draw a block in two calls (BallSampler.block_rows).
 
 Shared by the verifier harness, the morphism checks and the CLI; kept in
 its own module so all of them can import it without cycles.
@@ -77,13 +78,17 @@ class BallSampler:
         return direction, self.rng.random()
 
     def _scaled(self, draws: list) -> np.ndarray:
-        # the points of _point results as rows, scaled as one point is, with
-        # a Python float's power, which np.power does not match
-        directions = np.reshape([g for g, _ in draws], (len(draws), self.dim))
+        # the points of _point results as rows (see _scale)
+        return self._scale([g for g, _ in draws], [u for _, u in draws])
+
+    def _scale(self, directions, uniforms: list) -> np.ndarray:
+        # rows from Gaussian directions and the uniforms (Python floats) behind
+        # their radii, scaled with a Python float's power, which np.power does not match
+        directions = np.reshape(directions, (len(uniforms), self.dim))
         norm2 = np.vecdot(directions, directions)
         if not norm2.all():
             raise _ZeroDirection
-        radii = self.rmax * np.array([u ** (1.0 / self.dim) for _, u in draws])
+        radii = self.rmax * np.array([u ** (1.0 / self.dim) for u in uniforms])
         return (radii / np.sqrt(norm2))[:, None] * directions
 
     def _block(self, draw: Callable[[bool], Any], build: Callable[[Any], Any]) -> Any:
@@ -109,6 +114,18 @@ class BallSampler:
         points = self._block(lambda redraw: [self._point(redraw) for _ in range(n)], self._scaled)
         return _checked_rows(points)
 
+    def block_rows(self, n: int) -> np.ndarray:
+        """n points as the rows of an (n, dim) array, drawn as one Gaussian and
+        one uniform block, not as sample_rows(n) draws them; a zero direction
+        is redrawn by mask, on its row alone, in row order."""
+        if operator.index(n) < 0:
+            raise ValueError(f"n must be >= 0, got {n}")
+        directions, uniforms = self.rng.standard_normal((n, self.dim)), self.rng.random(n)
+        while not (norm2 := np.vecdot(directions, directions)).all():
+            zero = norm2 == 0.0
+            directions[zero] = self.rng.standard_normal((np.count_nonzero(zero), self.dim))
+        return _checked_rows(self._scale(directions, uniforms.tolist()))
+
 
 class _ZeroDirection(Exception):
     """A block met a zero Gaussian direction (see BallSampler._block)."""
@@ -124,11 +141,12 @@ class Rows(dict):
         return Rows({key: value[i : i + 1] for key, value in self.items()})
 
 
-def _point_rows(*keys: str) -> Callable:
-    """Row draw: n inputs as a Rows block, each one sample() per key in turn."""
+def _point_rows(*keys: str, draw: Callable = BallSampler.sample_rows) -> Callable:
+    """Row draw: n inputs as a Rows block, one point per key in turn, the
+    rows of draw(sampler, count): by default each one sample()."""
 
     def draw_rows(s: BallSampler, n: int, tol=None) -> Rows:
-        points = s.sample_rows(len(keys) * n).reshape(n, len(keys), s.dim)
+        points = draw(s, len(keys) * n).reshape(n, len(keys), s.dim)
         return Rows({key: points[:, k] for k, key in enumerate(keys)})
 
     return draw_rows

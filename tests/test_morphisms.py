@@ -28,6 +28,7 @@ from gyrokit import (
     zero_propagation_check,
 )
 from gyrokit.ball import ToleranceConfig
+from gyrokit.sampling import SCAN_CHUNK
 
 
 def add_1d(a, b):
@@ -298,17 +299,36 @@ class TestClassifier:
     def test_map_that_escapes_the_ball_is_not_an_endomorphism(self, family):
         # an output that leaves the ball scores inf, as in the verifier
         def radial(u):
-            # |u| -> tanh(2 artanh|u|) leaves the guarded ball once 1 - |u|
-            # drops below about 4.5e-5, which sums of samples reach
+            # |u| -> tanh(4 artanh|u|) leaves the guarded ball once |u| >
+            # tanh(artanh(1 - 1e-9) / 4) ~ 0.9906, as 2.5 % of the points
+            # sampled up to 0.999 in d = 3 do, and more of their sums
             if u.norm == 0.0:
                 return np.zeros(3)
-            return math.tanh(2.0 * math.atanh(u.norm)) * u.coords / u.norm
+            return math.tanh(4.0 * math.atanh(u.norm)) * u.coords / u.norm
 
         doubling = BallMap.from_matrix(2.0 * np.eye(3))
         f = doubling if family == "doubling" else BallMap(radial, dim=3)
         res = classify_endomorphism(f, n_samples=200, seed=1)
         assert res.verdict == MapClassification.NOT_ENDOMORPHISM
         assert res.residual == math.inf
+
+    def test_each_scan_chunk_is_two_generator_calls(self, monkeypatch):
+        # the law scan and the agreement scan draw three chunks each
+        calls, default_rng = [], np.random.default_rng
+
+        class Counting:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def __getattr__(self, name):
+                calls.append(name)
+                return getattr(self.rng, name)
+
+        monkeypatch.setattr(np.random, "default_rng", Counting)
+        q = random_orthogonal(default_rng(4), 3)
+        res = classify_endomorphism(BallMap.from_matrix(q), 2 * SCAN_CHUNK + 1, seed=5)
+        assert res.verdict == MapClassification.ORTHOGONAL
+        assert calls == ["standard_normal", "random"] * 6
 
     def test_probe_that_escapes_the_ball_is_not_an_endomorphism(self):
         # the identity except at radius 0.5, where the probes sit: the law

@@ -111,19 +111,86 @@ class TestBallSampler:
             BallSampler(seed=1, dim=2, rmax=1 - 1e-10)
 
     def test_sample_rows_refuses_a_negative_count(self):
+        # and so does the classifier's block_rows
         s = BallSampler(seed=1, dim=3)
         state = s.rng.bit_generator.state
-        for n in (-1, -3, np.int64(-2)):
-            with pytest.raises(ValueError, match=f"^n must be >= 0, got {n}$"):
-                s.sample_rows(n)
+        for draw in (s.sample_rows, s.block_rows):
+            for n in (-1, -3, np.int64(-2)):
+                with pytest.raises(ValueError, match=f"^n must be >= 0, got {n}$"):
+                    draw(n)
         assert s.rng.bit_generator.state == state  # nothing drawn
 
     def test_sample_rows_takes_any_integer_count(self):
+        # and so does the classifier's block_rows
         s = BallSampler(seed=1, dim=3)
-        assert s.sample_rows(0).shape == (0, 3)
-        assert s.sample_rows(np.int64(2)).shape == (2, 3)
-        with pytest.raises(TypeError):
-            s.sample_rows(2.0)
+        for draw in (s.sample_rows, s.block_rows):
+            assert draw(0).shape == (0, 3)
+            assert draw(np.int64(2)).shape == (2, 3)
+            with pytest.raises(TypeError):
+                draw(2.0)
+
+
+def ks_statistic(sample: np.ndarray, cdf) -> float:
+    """Kolmogorov-Smirnov distance between a sample's empirical CDF and cdf."""
+    x = np.sort(sample)
+    f, n = cdf(x), len(x)
+    return float(max(np.max(np.arange(1, n + 1) / n - f), np.max(f - np.arange(n) / n)))
+
+
+class ZeroRow:
+    """A generator that draws as rng does, except that the first
+    standard_normal block comes back with row `row` zeroed; it records the
+    name of every generator call."""
+
+    def __init__(self, rng: np.random.Generator, row: int):
+        self.rng, self.row, self.calls = rng, row, []
+
+    def __getattr__(self, name: str):
+        self.calls.append(name)
+        return getattr(self.rng, name)
+
+    def standard_normal(self, size):
+        self.calls.append("standard_normal")
+        out = self.rng.standard_normal(size)
+        if self.row is not None:
+            out[self.row], self.row = 0.0, None
+        return out
+
+
+class TestBlockRows:
+    # the classifier's draw: a Gaussian block and a uniform block, checked by
+    # its law, since no one-point draw makes the same calls
+    N = 20_000
+
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_radii_follow_the_volume_law(self, dim):
+        rmax = 0.999
+        radii = np.linalg.norm(BallSampler(11, dim, rmax).block_rows(self.N), axis=1)
+        assert radii.max() <= rmax
+        # 1 % critical value of the one-sample statistic
+        assert ks_statistic(radii, lambda r: (r / rmax) ** dim) < 1.63 / math.sqrt(self.N)
+
+    def test_directions_project_uniformly_in_three_dimensions(self):
+        # Archimedes: a uniform direction on the 2-sphere projects uniformly
+        # on [-1, 1] along any fixed axis
+        points = BallSampler(12, 3).block_rows(self.N)
+        axis = np.array([1.0, 2.0, 2.0]) / 3.0
+        t = points @ axis / np.linalg.norm(points, axis=1)
+        assert ks_statistic(t, lambda x: (x + 1.0) / 2.0) < 1.63 / math.sqrt(self.N)
+
+    def test_a_zero_direction_is_redrawn_on_its_row_alone(self):
+        n, row = 300, 123
+        plain, zeroed = BallSampler(3, 3), BallSampler(3, 3)
+        zeroed.rng = ZeroRow(zeroed.rng, row)
+        want, got = plain.block_rows(n), zeroed.block_rows(n)
+        # the two blocks, then the zero row's redraw, one call
+        assert zeroed.rng.calls == ["standard_normal", "random", "standard_normal"]
+        others = np.arange(n) != row
+        assert got[others].tolist() == want[others].tolist()
+        # the redrawn row keeps its radius and takes the next Gaussian's direction
+        g = plain.rng.standard_normal(3)
+        np.testing.assert_allclose(np.linalg.norm(got[row]), np.linalg.norm(want[row]))
+        np.testing.assert_allclose(got[row] / np.linalg.norm(got[row]), g / np.linalg.norm(g))
 
 
 class TestGivingUp:
