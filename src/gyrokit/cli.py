@@ -137,7 +137,10 @@ def _load_map(args: argparse.Namespace) -> BallMap:
         matrix = np.asarray(data, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise GyroError(f"{args.map}: expected a JSON square matrix: {exc}") from exc
-    return BallMap.from_matrix(matrix)
+    f = BallMap.from_matrix(matrix)
+    if dim not in (None, f.dim):
+        raise GyroError(f"--dim is {dim}, but {args.map} holds a {f.dim} x {f.dim} matrix")
+    return f
 
 
 def _seeded(args: argparse.Namespace) -> tuple[int, int]:

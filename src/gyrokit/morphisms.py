@@ -82,8 +82,10 @@ class LinearMap:
 
 
 def is_orthogonal(q, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """Max-entry test of Q^T Q = I."""
+    """Max-entry test of Q^T Q = I, for a non-empty square matrix."""
     m = q.entries if isinstance(q, LinearMap) else np.asarray(q, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+        raise ValueError(f"entries must be a square matrix, got shape {m.shape}")
     deviation = m.T @ m - np.eye(m.shape[0])
     return float(np.max(np.abs(deviation))) <= tol.abs_tol
 

@@ -7,7 +7,8 @@ draws.  Points are drawn per block: each point's generator calls in turn,
 the rest once on the block, and a zero direction replayed
 (BallSampler._block).  Inputs that refuse candidates are drawn in stages
 (_staged): a refused candidate is refused by mask and redrawn where the
-one-input draw redrew it, replaying the generator state it left.  The
+one-input draw redrew it, once the generator is rewound to the round's
+start and the calls of the candidates kept are made again.  The
 classifier's scans alone draw a block in two calls (BallSampler.block_rows).
 
 Shared by the verifier harness, the morphism checks and the CLI; kept in
@@ -165,8 +166,7 @@ _TRIES = 10_000
 
 # part of an input: calls(sampler, redraw) makes one candidate's RNG calls,
 # build(sampler, calls) a Rows block of a list of them, and test(rows, tol)
-# gives the candidates taken and the vectors, beyond the points, that the
-# one-input test formed under the guard; `what` names it when a draw gives up
+# the mask of the candidates taken; `what` names it when a draw gives up
 _Stage = namedtuple("_Stage", "calls build test what", defaults=(None, ""))
 
 
@@ -174,53 +174,46 @@ def _staged(stages: tuple, s: BallSampler, n: int, tol) -> Rows:
     """Row draw of n inputs, each a candidate of every stage in turn.
 
     A round draws the candidates still missing as if each were taken, and
-    keeps them up to the first one out of turn, after a refusal; the next
-    rounds start from the state recorded after that refusal and draw only
-    the refused stage, as many candidates as it has refused in a row, up
-    to the first it takes.  A lone stage is never out of turn, so its
-    rounds filter, and nothing past the last candidate taken is drawn.
-    The _TRIES-th refusal in a row raises RuntimeError, and a vector the
-    guard refuses raises its error, as the one-input draw did.
+    keeps them up to the first one out of turn, after a refusal: there it
+    rewinds to the round's start and makes the kept candidates' calls again
+    with redraw, the calls the round made (see BallSampler._block).  The
+    next rounds draw only the refused stage, as many candidates as it has
+    refused in a row, up to the first it takes.  A lone stage is never out
+    of turn, so its rounds filter, and nothing past the last candidate taken
+    is drawn.  The _TRIES-th refusal in a row raises RuntimeError, and a
+    point the guard refuses raises its error, as the one-input draw did.
     """
     kept, turn, streak, missing = [[] for _ in stages], 0, 0, n * len(stages)
-    # where a refusal can put later candidates out of turn, the state after it
-    marks = [len(stages) > 1 and stage.test is not None for stage in stages]
     while missing:
         if streak and len(stages) > 1:  # the refused stage again, more the longer it refuses
             order = [turn] * min(streak, SCAN_CHUNK)
         else:
             order = [(turn + j) % len(stages) for j in range(missing)]
+        start = s.rng.bit_generator.state
 
-        def calls(redraw: bool) -> list:
-            rng = s.rng
-            return [
-                (stages[k].calls(s, redraw), rng.bit_generator.state if marks[k] else None)
-                for k in order
-            ]
+        def build(drawn: list) -> dict:
+            return {k: stages[k].build(s, [c for c, m in zip(drawn, order) if m == k])
+                    for k in set(order)}
 
-        def build(drawn: list) -> tuple:
-            blocks = {k: stages[k].build(s, [c for (c, _), m in zip(drawn, order) if m == k])
-                      for k in set(order)}
-            return blocks, drawn
-
-        blocks, drawn = s._block(calls, build)
-        # per candidate of a stage: taken, and accepted by the guard in every
-        # vector formed; and those vectors in the order they were formed
+        blocks = s._block(lambda redraw: [stages[k].calls(s, redraw) for k in order], build)
+        # per candidate of a stage: taken, and accepted by the guard in every point
         verdicts = {}
         for k, block in blocks.items():
-            takes, formed = stages[k].test(block, tol) if stages[k].test else (True, [])
-            vectors = np.stack([v for v in block.values() if v.ndim == 2] + formed, axis=1)
-            ok = _guard_rows(vectors)[1].all(axis=1)
-            verdicts[k] = np.broadcast_to(takes, ok.shape).tolist(), ok.tolist(), vectors
+            points = np.stack([v for v in block.values() if v.ndim == 2], axis=1)
+            ok = _guard_rows(points)[1].all(axis=1)
+            takes = stages[k].test(block, tol) if stages[k].test else True
+            verdicts[k] = np.broadcast_to(takes, ok.shape).tolist(), ok.tolist(), points
         taken, seen = {k: [] for k in blocks}, dict.fromkeys(blocks, 0)
         for j, k in enumerate(order):
             if k != turn:  # after a refusal, or after the retry a stage took
-                s.rng.bit_generator.state = drawn[j - 1][1]
+                s.rng.bit_generator.state = start
+                for m in order[:j]:
+                    stages[m].calls(s, True)
                 break
-            take, ok, vectors = verdicts[k]
+            take, ok, points = verdicts[k]
             i, seen[k] = seen[k], seen[k] + 1
             if not ok[i]:
-                _checked_rows(vectors[i])  # raises for the first vector refused
+                _checked_rows(points[i])  # raises for the first point refused
             if take[i]:
                 taken[k].append(i)
                 turn, streak, missing = (k + 1) % len(stages), 0, missing - 1

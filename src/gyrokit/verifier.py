@@ -52,7 +52,8 @@ intermediate would leave the guarded ball are rejected at draw time and
 redrawn: strict construction makes such inputs non-evaluable, which is a
 domain condition of the composed expression, not a weakening of the law.
 The collinearity draws apply the same rule to the translated pair
-(-x) (+) y, (-x) (+) z, whose commutation test adds the two.
+(-x) (+) y, (-x) (+) z, whose commutation test adds the two: a triple is
+redrawn where either sum leaves the guard or their sum could.
 
 Matrix-model sampling note: Bloch points for the matrix properties are
 drawn at rmax = 0.99 rather than sample_rmax.  Floating-point evaluation
@@ -199,15 +200,15 @@ def _gamma_identity_residual(rows: Rows, tol: ToleranceConfig) -> np.ndarray:
 _EVALUABILITY_BOUND = math.atanh(1.0 - 100.0 * DEFAULT_BOUNDARY_MARGIN)
 
 
-def _gyration_evaluable(rows: Rows, tol: ToleranceConfig) -> tuple:
+def _gyration_evaluable(rows: Rows, tol: ToleranceConfig) -> np.ndarray:
     # the gyration chain peaks at rapidity |u| + |v| + |w|
     u, v, w1, w2 = (_rapidity_rows(rows[key]) for key in ("u", "v", "w1", "w2"))
-    return u + v + np.maximum(w1, w2) <= _EVALUABILITY_BOUND, []
+    return u + v + np.maximum(w1, w2) <= _EVALUABILITY_BOUND
 
 
-def _pair_evaluable(rows: Rows, tol: ToleranceConfig) -> tuple:
+def _pair_evaluable(rows: Rows, tol: ToleranceConfig) -> np.ndarray:
     # the gyrocommutativity composition peaks at rapidity 2(|u| + |v|)
-    return 2.0 * (_rapidity_rows(rows["u"]) + _rapidity_rows(rows["v"])) <= _EVALUABILITY_BOUND, []
+    return 2.0 * (_rapidity_rows(rows["u"]) + _rapidity_rows(rows["v"])) <= _EVALUABILITY_BOUND
 
 
 _GYRATION = _points_stage(
@@ -280,7 +281,7 @@ _COMMUTATION = (
     _Stage(lambda s, redraw: (s._point(redraw), s.rng.uniform(-1.0, 1.0)), _dependent_build),
     _points_stage(
         "ind_u", "ind_v", what="an independent pair",
-        test=lambda rows, tol: (_general_position_rows(rows["ind_u"], rows["ind_v"], tol), []),
+        test=lambda rows, tol: _general_position_rows(rows["ind_u"], rows["ind_v"], tol),
     ),
 )
 
@@ -328,28 +329,24 @@ def _chord_build(s: BallSampler, drawn: list) -> Rows:
     return Rows({key: p + w[:, k, None] * chord for k, key in enumerate(("on_x", "on_y", "on_z"))})
 
 
-def _translated(x, y, z, formed: np.ndarray) -> tuple:
+def _translated(x, y, z, ok=True) -> tuple:
     """(-x) (+) y and (-x) (+) z, the pair collinear_gyro tests, in the
-    rows where formed: whether both sums pass the guard and their
-    rapidities add up to at most the evaluability bound, the two sums
-    (zeroed where refused), and the two as formed, for the guard check."""
-    raw = [np.where(formed[:, None], _add_rows(-x, w), 0.0) for w in (y, z)]
-    a, ok = _guarded(raw[0].copy(), formed)
-    b, ok = _guarded(raw[1].copy(), ok)
-    return ok & (_rapidity_rows(a) + _rapidity_rows(b) <= _EVALUABILITY_BOUND), a, b, raw
+    rows where ok: whether both sums pass the guard and their rapidities
+    add up to at most the evaluability bound, and the two sums (zeroed
+    where refused)."""
+    a, ok = _sum_rows(-x, y, ok)
+    b, ok = _sum_rows(-x, z, ok)
+    return ok & (_rapidity_rows(a) + _rapidity_rows(b) <= _EVALUABILITY_BOUND), a, b
 
 
-def _on_line(rows: Rows, tol: ToleranceConfig) -> tuple:
-    x = rows["on_x"]
-    evaluable, _, _, formed = _translated(x, rows["on_y"], rows["on_z"], np.ones(len(x), bool))
-    return evaluable, formed
+def _on_line(rows: Rows, tol: ToleranceConfig) -> np.ndarray:
+    return _translated(rows["on_x"], rows["on_y"], rows["on_z"])[0]
 
 
-def _off_line(rows: Rows, tol: ToleranceConfig) -> tuple:
+def _off_line(rows: Rows, tol: ToleranceConfig) -> np.ndarray:
     x, y, z = rows["off_x"], rows["off_y"], rows["off_z"]
-    direct = _general_position_rows(y - x, z - x, tol)
-    evaluable, a, b, formed = _translated(x, y, z, direct)
-    return direct & evaluable & _general_position_rows(a, b, tol), formed
+    evaluable, a, b = _translated(x, y, z, _general_position_rows(y - x, z - x, tol))
+    return evaluable & _general_position_rows(a, b, tol)
 
 
 _COLLINEARITY = (

@@ -314,6 +314,20 @@ class TestClassify:
         assert out == ""
         assert "not numbers" in err
 
+    @pytest.mark.parametrize("dim", ["7", "0", "3"])
+    def test_dimension_that_contradicts_the_matrix_exits_2_with_one_error_line(
+        self, capsys, herm_file, dim
+    ):
+        rot = herm_file("rot.json", [[0.0, -1.0], [1.0, 0.0]])
+        code, out, err = run_cli(capsys, "classify", "--map", rot, "--dim", dim)
+        assert (code, out) == (2, "")
+        assert err == f"error: --dim is {dim}, but {rot} holds a 2 x 2 matrix\n"
+
+    def test_dimension_that_matches_the_matrix_is_accepted(self, capsys, herm_file):
+        rot = herm_file("rot.json", [[0.0, -1.0], [1.0, 0.0]])
+        args = ("classify", "--map", rot, "--samples", "100", "--seed", "7")
+        assert run_cli(capsys, *args, "--dim", "2") == run_cli(capsys, *args)
+
     def test_zero_requires_dim(self, capsys):
         code, _, err = run_cli(capsys, "classify", "--map", "zero")
         assert code == 2

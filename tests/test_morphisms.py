@@ -83,6 +83,21 @@ class TestIsOrthogonal:
     def test_shear_is_not(self):
         assert not is_orthogonal(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
+    def test_one_by_one(self):
+        assert is_orthogonal([[1.0]])
+        assert not is_orthogonal([[2.0]])
+
+    @pytest.mark.parametrize(
+        "entries",
+        [[[1.0, 0.0, 0.0]], np.ones(3), [[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]], [],
+         np.zeros((0, 0)), np.ones((2, 2, 2)), 1.0],
+        ids=["row", "vector", "tall", "empty", "empty_square", "stack", "scalar"],
+    )
+    def test_refuses_all_but_a_non_empty_square_matrix(self, entries):
+        with pytest.raises(ValueError) as exc:
+            is_orthogonal(entries)
+        assert str(exc.value) == f"entries must be a square matrix, got shape {np.shape(entries)}"
+
 
 class TestRandomOrthogonal:
     @pytest.mark.parametrize("dim", [2, 3, 4, 5])
