@@ -294,8 +294,8 @@ def classify_endomorphism(
     corroboration yields NOT_ENDOMORPHISM with the same worst pair; a
     probe p whose image leaves the ball yields it with witnesses p, p and
     residual inf, since f(p) (+) f(p) cannot be evaluated.  Each scan
-    draws a chunk of points as one block (BallSampler.block_rows), so its
-    pairs are not those of check_endomorphism at the same seed.
+    draws its points as check_endomorphism does, from child seeds of its
+    own.
 
     The verdict is a decision at the configured sampling budget: a map
     agreeing with an orthogonal restriction on every sampled point is
@@ -306,7 +306,7 @@ def classify_endomorphism(
     threshold = decision_threshold(tol)
     law_sampler = BallSampler(derive_seed(seed, "endo"), f.dim, tol.sample_rmax)
     max_residual, worst, first, _ = seeded_scan(
-        _blocks(_point_rows("u", "v", draw=BallSampler.block_rows), [law_sampler], n_samples),
+        _blocks(_point_rows("u", "v"), [law_sampler], n_samples),
         lambda pairs: _law_rows(f._image_rows, pairs["u"], pairs["v"]), threshold,
     )
 
@@ -336,7 +336,7 @@ def classify_endomorphism(
         verdict = MapClassification.orthogonal(LinearMap(candidate))
     sampler = BallSampler(derive_seed(seed, stream), f.dim, tol.sample_rmax)
     _, _, disagreement, _ = seeded_scan(
-        _blocks(_point_rows("w", draw=BallSampler.block_rows), [sampler], n_samples),
+        _blocks(_point_rows("w"), [sampler], n_samples),
         lambda rows: _image_norms(f._image_rows, rows["w"], np.matvec(candidate, rows["w"])),
         cutoff,
     )

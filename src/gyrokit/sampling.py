@@ -3,13 +3,10 @@ report builder, and the report type and JSON formatting for property runs.
 
 Every scan reads Rows blocks (_blocks): inputs held column-wise, each
 block scored by a row residual as one array.  This is the one module that
-draws.  Points are drawn per block: each point's generator calls in turn,
-the rest once on the block, and a zero direction replayed
-(BallSampler._block).  Inputs that refuse candidates are drawn in stages
-(_staged): a refused candidate is refused by mask and redrawn where the
-one-input draw redrew it, once the generator is rewound to the round's
-start and the calls of the candidates kept are made again.  The
-classifier's scans alone draw a block in two calls (BallSampler.block_rows).
+draws, and every draw is a block draw: a block of points is one Gaussian
+and one uniform generator call (BallSampler.sample_rows).  Inputs that
+refuse candidates are drawn in stages (_staged): a block of candidates is
+filtered by a mask, and only the shortfall is drawn again.
 
 Shared by the verifier harness, the morphism checks and the CLI; kept in
 its own module so all of them can import it without cycles.
@@ -69,67 +66,23 @@ class BallSampler:
         self.rmax = float(rmax)
         self.rng = np.random.default_rng(self.seed)
 
-    def _point(self, redraw: bool = False) -> tuple[np.ndarray, float]:
-        # one point's RNG calls: a Gaussian direction, redrawn in place while
-        # zero if asked (_scaled raises _ZeroDirection otherwise), then the
-        # uniform behind the radius, the draw uniform() would make
-        direction = self.rng.standard_normal(self.dim)
-        while redraw and not direction.dot(direction):
-            direction = self.rng.standard_normal(self.dim)
-        return direction, self.rng.random()
-
-    def _scaled(self, draws: list) -> np.ndarray:
-        # the points of _point results as rows (see _scale)
-        return self._scale([g for g, _ in draws], [u for _, u in draws])
-
-    def _scale(self, directions, uniforms: list) -> np.ndarray:
-        # rows from Gaussian directions and the uniforms (Python floats) behind
-        # their radii, scaled with a Python float's power, which np.power does not match
-        directions = np.reshape(directions, (len(uniforms), self.dim))
-        norm2 = np.vecdot(directions, directions)
-        if not norm2.all():
-            raise _ZeroDirection
-        radii = self.rmax * np.array([u ** (1.0 / self.dim) for u in uniforms])
-        return (radii / np.sqrt(norm2))[:, None] * directions
-
-    def _block(self, draw: Callable[[bool], Any], build: Callable[[Any], Any]) -> Any:
-        """build(draw(False)): a block's RNG calls made lean, the rest done
-        once on the block.  At a zero direction the calls are made again
-        from the state they started in with draw(True), which meets the
-        zero again and redraws it in place, as the one-point draw does."""
-        state = self.rng.bit_generator.state
-        try:
-            return build(draw(False))
-        except _ZeroDirection:
-            self.rng.bit_generator.state = state
-            return build(draw(True))
-
     def sample(self) -> GyroVector:
         """One point: the row of sample_rows(1)."""
         return GyroVector._owned(self.sample_rows(1)[0])
 
     def sample_rows(self, n: int) -> np.ndarray:
-        """n points as the rows of an (n, dim) array, drawn as a block."""
-        if operator.index(n) < 0:
-            raise ValueError(f"n must be >= 0, got {n}")
-        points = self._block(lambda redraw: [self._point(redraw) for _ in range(n)], self._scaled)
-        return _checked_rows(points)
-
-    def block_rows(self, n: int) -> np.ndarray:
         """n points as the rows of an (n, dim) array, drawn as one Gaussian and
-        one uniform block, not as sample_rows(n) draws them; a zero direction
-        is redrawn by mask, on its row alone, in row order."""
+        one uniform block; a zero direction is redrawn by mask, on its row
+        alone, in row order."""
         if operator.index(n) < 0:
             raise ValueError(f"n must be >= 0, got {n}")
         directions, uniforms = self.rng.standard_normal((n, self.dim)), self.rng.random(n)
         while not (norm2 := np.vecdot(directions, directions)).all():
             zero = norm2 == 0.0
             directions[zero] = self.rng.standard_normal((np.count_nonzero(zero), self.dim))
-        return _checked_rows(self._scale(directions, uniforms.tolist()))
-
-
-class _ZeroDirection(Exception):
-    """A block met a zero Gaussian direction (see BallSampler._block)."""
+        # a Python float's power, which np.power does not match
+        radii = self.rmax * np.array([u ** (1.0 / self.dim) for u in uniforms.tolist()])
+        return _checked_rows((radii / np.sqrt(norm2))[:, None] * directions)
 
 
 class Rows(dict):
@@ -142,12 +95,12 @@ class Rows(dict):
         return Rows({key: value[i : i + 1] for key, value in self.items()})
 
 
-def _point_rows(*keys: str, draw: Callable = BallSampler.sample_rows) -> Callable:
+def _point_rows(*keys: str) -> Callable:
     """Row draw: n inputs as a Rows block, one point per key in turn, the
-    rows of draw(sampler, count): by default each one sample()."""
+    rows of one sample_rows block."""
 
     def draw_rows(s: BallSampler, n: int, tol=None) -> Rows:
-        points = draw(s, len(keys) * n).reshape(n, len(keys), s.dim)
+        points = s.sample_rows(len(keys) * n).reshape(n, len(keys), s.dim)
         return Rows({key: points[:, k] for k, key in enumerate(keys)})
 
     return draw_rows
@@ -164,75 +117,37 @@ def _blocks(draw: Callable, samplers: list, n_samples: int, tol=None) -> Iterabl
 # refusals in a row after which a draw gives up
 _TRIES = 10_000
 
-# part of an input: calls(sampler, redraw) makes one candidate's RNG calls,
-# build(sampler, calls) a Rows block of a list of them, and test(rows, tol)
-# the mask of the candidates taken; `what` names it when a draw gives up
-_Stage = namedtuple("_Stage", "calls build test what", defaults=(None, ""))
+# part of an input: draw(sampler, n, tol) a Rows block of n candidates, and
+# test(rows, tol) the mask of those taken; `what` names it when a draw gives up
+_Stage = namedtuple("_Stage", "draw test what", defaults=(None, ""))
 
 
 def _staged(stages: tuple, s: BallSampler, n: int, tol) -> Rows:
-    """Row draw of n inputs, each a candidate of every stage in turn.
+    """Row draw of n inputs, each a candidate of every stage.
 
-    A round draws the candidates still missing as if each were taken, and
-    keeps them up to the first one out of turn, after a refusal: there it
-    rewinds to the round's start and makes the kept candidates' calls again
-    with redraw, the calls the round made (see BallSampler._block).  The
-    next rounds draw only the refused stage, as many candidates as it has
-    refused in a row, up to the first it takes.  A lone stage is never out
-    of turn, so its rounds filter, and nothing past the last candidate taken
-    is drawn.  The _TRIES-th refusal in a row raises RuntimeError, and a
-    point the guard refuses raises its error, as the one-input draw did.
+    Each stage in turn draws blocks of the candidates it still misses, and
+    keeps, in order, those its test takes whose every point the guard
+    accepts.  The _TRIES-th refusal in a row, counted across blocks,
+    raises RuntimeError.
     """
-    kept, turn, streak, missing = [[] for _ in stages], 0, 0, n * len(stages)
-    while missing:
-        if streak and len(stages) > 1:  # the refused stage again, more the longer it refuses
-            order = [turn] * min(streak, SCAN_CHUNK)
-        else:
-            order = [(turn + j) % len(stages) for j in range(missing)]
-        start = s.rng.bit_generator.state
-
-        def build(drawn: list) -> dict:
-            return {k: stages[k].build(s, [c for c, m in zip(drawn, order) if m == k])
-                    for k in set(order)}
-
-        blocks = s._block(lambda redraw: [stages[k].calls(s, redraw) for k in order], build)
-        # per candidate of a stage: taken, and accepted by the guard in every point
-        verdicts = {}
-        for k, block in blocks.items():
+    rows = Rows()
+    for stage in stages:
+        kept, missing, streak = [], n, 0
+        while missing:
+            block = stage.draw(s, missing, tol)
             points = np.stack([v for v in block.values() if v.ndim == 2], axis=1)
-            ok = _guard_rows(points)[1].all(axis=1)
-            takes = stages[k].test(block, tol) if stages[k].test else True
-            verdicts[k] = np.broadcast_to(takes, ok.shape).tolist(), ok.tolist(), points
-        taken, seen = {k: [] for k in blocks}, dict.fromkeys(blocks, 0)
-        for j, k in enumerate(order):
-            if k != turn:  # after a refusal, or after the retry a stage took
-                s.rng.bit_generator.state = start
-                for m in order[:j]:
-                    stages[m].calls(s, True)
-                break
-            take, ok, points = verdicts[k]
-            i, seen[k] = seen[k], seen[k] + 1
-            if not ok[i]:
-                _checked_rows(points[i])  # raises for the first point refused
-            if take[i]:
-                taken[k].append(i)
-                turn, streak, missing = (k + 1) % len(stages), 0, missing - 1
-            else:
-                streak += 1
-                if streak == _TRIES:
-                    raise RuntimeError(f"failed to draw {stages[k].what}")
-        for k, block in blocks.items():
-            kept[k].append(Rows({key: value[taken[k]] for key, value in block.items()}))
-    return Rows({key: np.concatenate([b[key] for b in part]) for part in kept for key in part[0]})
-
-
-def _points_stage(*keys: str, test: Callable | None = None, what: str = "") -> _Stage:
-    # a candidate of one sampled point per key in turn
-    def build(s: BallSampler, drawn: list) -> Rows:
-        points = s._scaled([point for candidate in drawn for point in candidate])
-        return Rows({key: points[k :: len(keys)] for k, key in enumerate(keys)})
-
-    return _Stage(lambda s, redraw: [s._point(redraw) for _ in keys], build, test, what)
+            takes = _guard_rows(points)[1].all(axis=1)
+            if stage.test:
+                takes &= stage.test(block, tol)
+            # the refusals in a row before, between and after the rows taken
+            runs = np.diff(np.flatnonzero(np.r_[True, takes, True])) - 1
+            runs[0] += streak
+            if runs.max() >= _TRIES:
+                raise RuntimeError(f"failed to draw {stage.what}")
+            kept.append(Rows({key: value[takes] for key, value in block.items()}))
+            missing, streak = missing - np.count_nonzero(takes), runs[-1]
+        rows.update({key: np.concatenate([b[key] for b in kept]) for key in kept[0]})
+    return rows
 
 
 def seeded_scan(
@@ -308,8 +223,8 @@ def scan_report(
 def json_ready(value: Any) -> Any:
     """Copy of value that json.dumps accepts, with numbers fixed for output.
 
-    Vectors and arrays become lists, objects with to_json_dict become dicts
-    and numpy scalars Python scalars.  Floats keep 15 significant digits
+    Vectors and arrays become lists, objects with to_json_dict and records
+    become dicts, and numpy scalars Python scalars.  Floats keep 15 significant digits
     with negative zero folded to 0.0; JSON has no inf/nan, so non-finite
     floats are spelled out by repr rather than crash the report.
     """
@@ -317,6 +232,8 @@ def json_ready(value: Any) -> Any:
         value = value.tolist()
     elif hasattr(value, "to_json_dict"):
         value = value.to_json_dict()
+    elif isinstance(value, np.void):
+        value = dict(zip(value.dtype.names, value.item()))
     elif isinstance(value, np.generic):
         value = value.item()
     if isinstance(value, float):

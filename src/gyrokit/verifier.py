@@ -8,17 +8,18 @@ tolerance config.  A failing sample is shrunk by halving all its ball
 points while the failure persists, and the smallest still-failing
 instance is reported; matrix and classifier inputs hold no ball point and
 are reported as drawn.  Every property draws its inputs as Rows blocks
-through the sampling module, making the generator calls of the one-input
-draws in their order and the rest on the block; a refused candidate is
-refused by mask and redrawn where those draws redrew it (sampling._staged,
-given the stages defined here).  Each block is scored as one residual
-array by kernels that equal the scalar path bit for bit: the row kernels
-of ball, geometry and morphisms, and for the five matrix-model
-properties the column kernels of matrix_models, which hold a Hermitian
-block as its four field columns.  bloch_homomorphism also sums the first
-formed row of each block by the public einstein_add and refuses it unless
-the two agree, so the suite notices a public sum parted from its kernel.
-The classifier trials compare verdicts.
+through the sampling module, each column one generator call on the
+block, and positive matrices as record columns with the fields of
+Hermitian2; a refused candidate is refused by mask and only the
+shortfall is drawn again (sampling._staged, given the stages defined
+here).  Each block is scored as one residual array by kernels that equal
+the scalar path bit for bit: the row kernels of ball, geometry and
+morphisms, and for the five matrix-model properties the column kernels
+of matrix_models, which hold a Hermitian block as its four field
+columns.  bloch_homomorphism also sums the first formed row of each
+block by the public einstein_add and refuses it unless the two agree, so
+the suite notices a public sum parted from its kernel.  The classifier
+trials compare verdicts.
 
 Residual normalization.  Raw floating-point residuals of ball operations
 grow with the Lorentz factor of the operands (coordinate noise is
@@ -94,7 +95,6 @@ from .ball import (
 from .geometry import _commutes_rows, _gram_band_rows, _klein_distance_rows
 from .matrix_models import (
     _IDENTITY,
-    Hermitian2,
     _bloch_to_density_rows,
     _boxdot_rows,
     _density_to_bloch_rows,
@@ -121,7 +121,6 @@ from .sampling import (
     Rows,
     _blocks,
     _point_rows,
-    _points_stage,
     _Stage,
     _staged,
     derive_seed,
@@ -144,8 +143,7 @@ def _sampled(
     dims: tuple[int, ...] = _CORE_DIMS, rmax: float | None = None,
 ):
     # n_samples inputs in each dimension, from one child-seeded sampler each,
-    # as the Rows blocks of draw(sampler, n, tol), filled row by row in the
-    # order the one-input draws would
+    # as the Rows blocks of draw(sampler, n, tol)
     radius = rmax or tol.sample_rmax
     samplers = [BallSampler(derive_seed(seed, f"{name}/{dim}"), dim, radius) for dim in dims]
     return _blocks(draw, samplers, n_samples, tol)
@@ -211,10 +209,10 @@ def _pair_evaluable(rows: Rows, tol: ToleranceConfig) -> np.ndarray:
     return 2.0 * (_rapidity_rows(rows["u"]) + _rapidity_rows(rows["v"])) <= _EVALUABILITY_BOUND
 
 
-_GYRATION = _points_stage(
-    "u", "v", "w1", "w2", test=_gyration_evaluable, what="an evaluable gyration input"
+_GYRATION = _Stage(
+    _point_rows("u", "v", "w1", "w2"), _gyration_evaluable, "an evaluable gyration input"
 )
-_GYROCOMMUTATIVITY = _points_stage("u", "v", test=_pair_evaluable, what="an evaluable pair")
+_GYROCOMMUTATIVITY = _Stage(_point_rows("u", "v"), _pair_evaluable, "an evaluable pair")
 
 
 def _gyration_orthogonality_residual(rows: Rows, tol: ToleranceConfig) -> np.ndarray:
@@ -237,17 +235,14 @@ def _gyrocommutativity_residual(rows: Rows, tol: ToleranceConfig) -> np.ndarray:
 
 
 def _line_rows(low: float, high: float, *keys: str) -> Callable:
-    # per row a point x, then a uniform(low, high) per key, scaled by x's t_max
-    def calls(s: BallSampler, redraw: bool) -> tuple:
-        return s._point(redraw), s.rng.uniform(low, high, size=len(keys))
-
-    def build(s: BallSampler, drawn: list) -> Rows:
-        x = s._scaled([point for point, _ in drawn])
+    # per row a point x and a uniform(low, high) per key, scaled by x's t_max
+    def draw_rows(s: BallSampler, n: int, tol: ToleranceConfig) -> Rows:
+        x = s.sample_rows(n)
         t_max = math.atanh(s.rmax) / _rapidity_rows(x)
-        scaled = np.array([params for _, params in drawn]) * t_max[:, None]
+        scaled = s.rng.uniform(low, high, (n, len(keys))) * t_max[:, None]
         return Rows(x=x, **{key: scaled[:, k] for k, key in enumerate(keys)})
 
-    return partial(_staged, (_Stage(calls, build),))
+    return draw_rows
 
 
 def _one_parameter_residual(rows: Rows, tol: ToleranceConfig) -> np.ndarray:
@@ -269,19 +264,19 @@ def _general_position_rows(a: np.ndarray, b: np.ndarray, tol: ToleranceConfig) -
     return det > 1e3 * band
 
 
-def _dependent_build(s: BallSampler, drawn: list) -> Rows:
-    dep_u = s._scaled([point for point, _ in drawn])
+def _dependent_rows(s: BallSampler, n: int, tol: ToleranceConfig) -> Rows:
+    dep_u = s.sample_rows(n)
     # scalar multiple with |dep_v| <= rmax, allowing factors above 1
-    scales = np.array([scale for _, scale in drawn])
-    factors = scales * s.rmax / np.maximum(_norm_rows(dep_u), 1e-12)
+    factors = s.rng.uniform(-1.0, 1.0, n) * s.rmax / np.maximum(_norm_rows(dep_u), 1e-12)
     return Rows(dep_u=dep_u, dep_v=factors[:, None] * dep_u)
 
 
 _COMMUTATION = (
-    _Stage(lambda s, redraw: (s._point(redraw), s.rng.uniform(-1.0, 1.0)), _dependent_build),
-    _points_stage(
-        "ind_u", "ind_v", what="an independent pair",
-        test=lambda rows, tol: _general_position_rows(rows["ind_u"], rows["ind_v"], tol),
+    _Stage(_dependent_rows),
+    _Stage(
+        _point_rows("ind_u", "ind_v"),
+        lambda rows, tol: _general_position_rows(rows["ind_u"], rows["ind_v"], tol),
+        "an independent pair",
     ),
 )
 
@@ -313,16 +308,12 @@ def _commutes_iff_dependent_residual(rows: Rows, tol: ToleranceConfig) -> np.nda
     )
 
 
-def _chord_calls(s: BallSampler, redraw: bool) -> tuple:
-    rng = s.rng
-    return rng.standard_normal(s.dim), rng.standard_normal(s.dim), rng.uniform(0.0, 1.0, size=3)
-
-
-def _chord_build(s: BallSampler, drawn: list) -> Rows:
+def _chord_rows(s: BallSampler, n: int, tol: ToleranceConfig) -> Rows:
     # three points p + w (q - p) on the chord between two points p, q of
     # the sphere of radius rmax; a zero normal gives NaN, which the guard
-    # refuses where the candidate is drawn, and only there
-    g, h, w = (np.array(column) for column in zip(*drawn))
+    # refuses, so that the candidate is drawn again
+    g, h = s.rng.standard_normal((2, n, s.dim))
+    w = s.rng.uniform(0.0, 1.0, (n, 3))
     with np.errstate(invalid="ignore"):
         p = s.rmax * (g / _norm_rows(g)[:, None])
         chord = s.rmax * (h / _norm_rows(h)[:, None]) - p
@@ -350,8 +341,8 @@ def _off_line(rows: Rows, tol: ToleranceConfig) -> np.ndarray:
 
 
 _COLLINEARITY = (
-    _Stage(_chord_calls, _chord_build, _on_line, "an evaluable collinear triple"),
-    _points_stage("off_x", "off_y", "off_z", test=_off_line, what="a general-position triple"),
+    _Stage(_chord_rows, _on_line, "an evaluable collinear triple"),
+    _Stage(_point_rows("off_x", "off_y", "off_z"), _off_line, "a general-position triple"),
 )
 
 
@@ -402,18 +393,10 @@ def _line_distance_residual(rows: Rows, tol: ToleranceConfig) -> np.ndarray:
 # ---------------------------------------------------------------- morphisms
 
 
-def _orthogonal_build(s: BallSampler, drawn: list) -> Rows:
-    # per row the Gaussian matrix of random_orthogonal, then u, then v
-    points = s._scaled([point for _, u, v in drawn for point in (u, v)])
-    gaussians = np.array([gaussian for gaussian, _, _ in drawn])
-    return Rows(q=_haar(gaussians), u=points[0::2], v=points[1::2])
-
-
-_ORTHOGONAL = _Stage(
-    lambda s, redraw: (s.rng.standard_normal((s.dim, s.dim)), s._point(redraw), s._point(redraw)),
-    _orthogonal_build,
-)
-_draw_orthogonal_rows = partial(_staged, (_ORTHOGONAL,))
+def _draw_orthogonal_rows(s: BallSampler, n: int, tol: ToleranceConfig) -> Rows:
+    # per row a Haar-random orthogonal matrix (random_orthogonal's law) and u, v
+    q = _haar(s.rng.standard_normal((n, s.dim, s.dim)))
+    return Rows(q=q, **_point_rows("u", "v")(s, n))
 
 
 def _fixes_zero_residual(rows: Rows, tol: ToleranceConfig) -> np.ndarray:
@@ -544,37 +527,32 @@ def _transported_automorphism_residual(rows: Rows, tol: ToleranceConfig) -> np.n
     return np.where(ok, _maxdiff(lhs, rhs) / scale, math.inf)
 
 
-def _random_posdef(rng: np.random.Generator, max_log_cond: float) -> Hermitian2:
-    lam_big = 10.0 ** float(rng.uniform(-2.0, 2.0))
-    lam_small = lam_big / 10.0 ** float(rng.uniform(0.0, max_log_cond))
-    g = rng.standard_normal(4)
-    v = np.array([complex(g[0], g[1]), complex(g[2], g[3])])
-    v /= np.linalg.norm(v)
-    spread = lam_big - lam_small
-    b = spread * v[0] * v[1].conjugate()
-    return Hermitian2(
-        lam_small + spread * abs(v[0]) ** 2,
-        lam_small + spread * abs(v[1]) ** 2,
-        float(b.real),
-        float(b.imag),
-    )
+# a column of 2x2 Hermitian matrices: one record per row, with the fields of
+# Hermitian2; and a column's four field columns, as the kernels take them
+_HERMITIAN = np.dtype([(field, float) for field in ("a", "d", "re_b", "im_b")])
+_fields = operator.itemgetter(*_HERMITIAN.names)
 
 
 def _posdef_rows(max_log_cond: float, *keys: str) -> Callable:
-    # per row one _random_posdef per key in turn, held in object columns
+    # per key a column of positive matrices: eigenvalues 10^U(-2, 2) and that
+    # over 10^U(0, max_log_cond), the larger one's eigenvector a normalised
+    # complex Gaussian 2-vector
     def draw_rows(s: BallSampler, n: int, tol: ToleranceConfig) -> Rows:
-        rows = Rows({key: np.empty(n, dtype=object) for key in keys})
-        for i in range(n):
-            for key in keys:
-                rows[key][i] = _random_posdef(s.rng, max_log_cond)
+        rows = Rows()
+        for key in keys:
+            big = 10.0 ** s.rng.uniform(-2.0, 2.0, n)
+            small = big / 10.0 ** s.rng.uniform(0.0, max_log_cond, n)
+            g = s.rng.standard_normal((n, 4))
+            v = g[:, 0::2] + 1j * g[:, 1::2]
+            v /= np.linalg.norm(v, axis=1)[:, None]
+            spread = big - small
+            diag = small[:, None] + spread[:, None] * np.abs(v) ** 2
+            b = spread * v[:, 0] * v[:, 1].conj()
+            h = rows[key] = np.empty(n, _HERMITIAN)
+            h["a"], h["d"], h["re_b"], h["im_b"] = diag[:, 0], diag[:, 1], b.real, b.imag
         return rows
 
     return draw_rows
-
-
-def _fields(column: np.ndarray) -> tuple:
-    # an object column of Hermitian2 as its four field columns
-    return tuple(np.array([(h.a, h.d, h.re_b, h.im_b) for h in column]).T)
 
 
 def _sqrt_squares_back_residual(rows: Rows, tol: ToleranceConfig) -> np.ndarray:

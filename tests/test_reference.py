@@ -11,15 +11,14 @@ fail with the public constructor's message, and every result is read-only.
 The row kernels, and the column kernels of the matrix models, are bound
 the same way: each must equal the scalar calls it replaced, row by row,
 refusing a row exactly where the scalar call raises, and every batched
-report must equal its replay one input at a time through the scalar
-draws and residuals kept here, scanned and shrunk by the one-input loop
-the Rows scan replaced.
+report must equal its replay one input at a time: the inputs of the
+property's own row draw, scored by the scalar residuals kept here, and
+scanned and shrunk by the one-input loop the Rows scan replaced.
 """
 
 import itertools
 import math
 import warnings
-from functools import partial
 
 import numpy as np
 import pytest
@@ -96,7 +95,6 @@ from gyrokit.verifier import (
     _commutes_iff_dependent_residual,
     _gyration_orthogonality_residual,
     _gyrocommutativity_residual,
-    _random_posdef,
     _squares,
 )
 
@@ -302,15 +300,20 @@ def test_guard_rows_match_the_constructor(dim):
 
 @pytest.mark.parametrize("dim", DIMS)
 def test_sample_rows_interleave_with_sample(dim):
+    # a block of n points is a Gaussian (n, dim) block and n uniforms, each
+    # row scaled as the plain form scales one point, and sample() between
+    # blocks draws as old_sample does
     for seed in range(20):
-        rows, scalar = BallSampler(seed, dim), BallSampler(seed, dim)
+        rows, plain = BallSampler(seed, dim), BallSampler(seed, dim)
         for n in (3, 0, 1, 17):
             block = rows.sample_rows(n)
             assert block.shape == (n, dim)
-            for row in block:
-                assert row.tobytes() == scalar.sample().coords.tobytes()
-            assert_same_point(rows.sample(), scalar.sample())
-        assert rows.rng.bit_generator.state == scalar.rng.bit_generator.state
+            gaussians, uniforms = plain.rng.standard_normal((n, dim)), plain.rng.random(n)
+            for row, g, u in zip(block, gaussians, uniforms.tolist()):
+                want = (plain.rmax * u ** (1.0 / dim) / _norm(g)) * g
+                assert row.tobytes() == want.tobytes()
+            assert_same_point(rows.sample(), old_sample(plain))
+        assert rows.rng.bit_generator.state == plain.rng.bit_generator.state
 
 
 @pytest.mark.parametrize("dim", MAP_DIMS)
@@ -402,101 +405,43 @@ def test_classifier_sees_matrix_maps_as_black_boxes_do(dim, matrix):
 
 # ------------------------------------------------- scalar replay references
 #
-# The draws and residuals every batched property replaced, one input at a
-# time through the scalar point draw old_sample and the scalar public
-# functions.  A residual that raises GyroError scores inf in the scan, as
-# its row form scores a refused row.
+# The residuals every batched property replaced, one input at a time
+# through the scalar public functions, and the scalar forms of the rules
+# by which the rejection draws refuse a candidate.  A residual that raises
+# GyroError scores inf in the scan, as its row form scores a refused row.
 
 
-def draw_single(s: BallSampler, tol: ToleranceConfig) -> dict:
-    return {"u": old_sample(s)}
+def scalar_items(block: Rows) -> list[dict]:
+    """The inputs of a Rows block as the scalar functions take them: a
+    column of points gives GyroVectors, a record column Hermitian2s, a
+    column of matrices (q) matrices, and a scalar column floats."""
 
+    def values(column: np.ndarray) -> list:
+        if column.dtype.names:
+            return [Hermitian2(*record) for record in column.tolist()]
+        if column.ndim == 2:
+            return [GyroVector(row) for row in column]
+        return list(column) if column.ndim == 3 else column.tolist()
 
-def draw_pair(s: BallSampler, tol: ToleranceConfig) -> dict:
-    return {"u": old_sample(s), "v": old_sample(s)}
-
-
-def draw_triple(s: BallSampler, tol: ToleranceConfig) -> dict:
-    return {"u": old_sample(s), "v": old_sample(s), "w": old_sample(s)}
-
-
-def draw_line_params(s: BallSampler, tol: ToleranceConfig) -> dict:
-    x = old_sample(s)
-    t_max = math.atanh(s.rmax) / math.atanh(x.norm)
-    a, b = s.rng.uniform(-0.5, 0.5, size=2)
-    return {"x": x, "s": float(a * t_max), "t": float(b * t_max)}
-
-
-def draw_line_distance(s: BallSampler, tol: ToleranceConfig) -> dict:
-    x = old_sample(s)
-    t_max = math.atanh(s.rmax) / math.atanh(x.norm)
-    t = float(s.rng.uniform(-1.0, 1.0) * t_max)
-    return {"x": x, "t": t}
-
-
-def draw_orthogonal_pair(s: BallSampler, tol: ToleranceConfig) -> dict:
-    return {"q": random_orthogonal(s.rng, s.dim), "u": old_sample(s), "v": old_sample(s)}
-
-
-def draw_posdef(s: BallSampler, tol: ToleranceConfig) -> dict:
-    return {"h": _random_posdef(s.rng, 4.0)}
-
-
-def draw_posdef_pair(s: BallSampler, tol: ToleranceConfig) -> dict:
-    return {"h1": _random_posdef(s.rng, 2.0), "h2": _random_posdef(s.rng, 2.0)}
-
-
-# The rejection draws, which redraw a candidate that fails evaluability or
-# general position, and give up after 10 000 refusals in a row.
-
-
-def redraw(draw, accept, what: str):
-    for _ in range(10_000):
-        candidate = draw()
-        if accept(candidate):
-            return candidate
-    raise RuntimeError(f"failed to draw {what}")
+    return [dict(zip(block, item)) for item in zip(*map(values, block.values()))]
 
 
 def rapidity(u: GyroVector) -> float:
     return math.atanh(u.norm)
 
 
-def draw_gyration_inputs(s: BallSampler, tol: ToleranceConfig) -> dict:
-    def evaluable(d: dict) -> bool:
-        peak = rapidity(d["u"]) + rapidity(d["v"]) + max(rapidity(d["w1"]), rapidity(d["w2"]))
-        return peak <= _EVALUABILITY_BOUND
-
-    return redraw(
-        lambda: {"u": old_sample(s), "v": old_sample(s), "w1": old_sample(s), "w2": old_sample(s)},
-        evaluable,
-        "an evaluable gyration input",
-    )
+def evaluable_gyration(d: dict, tol: ToleranceConfig) -> bool:
+    peak = rapidity(d["u"]) + rapidity(d["v"]) + max(rapidity(d["w1"]), rapidity(d["w2"]))
+    return peak <= _EVALUABILITY_BOUND
 
 
-def draw_gyrocommutativity_inputs(s: BallSampler, tol: ToleranceConfig) -> dict:
-    return redraw(
-        lambda: draw_pair(s, tol),
-        lambda d: 2.0 * (rapidity(d["u"]) + rapidity(d["v"])) <= _EVALUABILITY_BOUND,
-        "an evaluable pair",
-    )
+def evaluable_pair(d: dict, tol: ToleranceConfig) -> bool:
+    return 2.0 * (rapidity(d["u"]) + rapidity(d["v"])) <= _EVALUABILITY_BOUND
 
 
 def general_position(a: np.ndarray, b: np.ndarray, tol: ToleranceConfig) -> bool:
     det, band = gram_band(a, b, tol)
     return det > 1e3 * band
-
-
-def draw_commutation_inputs(s: BallSampler, tol: ToleranceConfig) -> dict:
-    dep_u = old_sample(s)
-    scale = float(s.rng.uniform(-1.0, 1.0))
-    dep_v = GyroVector(scale * s.rmax / max(dep_u.norm, 1e-12) * dep_u.coords)
-    ind = redraw(
-        lambda: draw_pair(s, tol),
-        lambda d: general_position(d["u"].coords, d["v"].coords, tol),
-        "an independent pair",
-    )
-    return {"dep_u": dep_u, "dep_v": dep_v, "ind_u": ind["u"], "ind_v": ind["v"]}
 
 
 def translated_pair(x: GyroVector, y: GyroVector, z: GyroVector) -> tuple | None:
@@ -519,27 +464,19 @@ def in_general_position(triple: tuple, tol: ToleranceConfig) -> bool:
     return translated is not None and general_position(*(t.coords for t in translated), tol)
 
 
-def draw_collinearity_inputs(s: BallSampler, tol: ToleranceConfig) -> dict:
-    def unit() -> np.ndarray:
-        g = s.rng.standard_normal(s.dim)
-        return g / _norm(g)
-
-    def on_line() -> tuple:
-        p, q = s.rmax * unit(), s.rmax * unit()
-        return tuple(GyroVector(p + w * (q - p)) for w in s.rng.uniform(0.0, 1.0, size=3))
-
-    on_x, on_y, on_z = redraw(
-        on_line, lambda t: translated_pair(*t) is not None, "an evaluable collinear triple"
-    )
-    off_x, off_y, off_z = redraw(
-        lambda: (old_sample(s), old_sample(s), old_sample(s)),
-        lambda t: in_general_position(t, tol),
-        "a general-position triple",
-    )
-    return {
-        "on_x": on_x, "on_y": on_y, "on_z": on_z,
-        "off_x": off_x, "off_y": off_y, "off_z": off_z,
-    }
+# name -> whether the one-input rejection draw took an input, which every
+# row of the property's staged draw must meet
+ACCEPTANCE = {
+    "gyration_orthogonality": evaluable_gyration,
+    "gyrocommutativity": evaluable_pair,
+    "commutes_iff_dependent": lambda d, tol: general_position(
+        d["ind_u"].coords, d["ind_v"].coords, tol
+    ),
+    "collinearity_equivalence": lambda d, tol: (
+        translated_pair(d["on_x"], d["on_y"], d["on_z"]) is not None
+        and in_general_position((d["off_x"], d["off_y"], d["off_z"]), tol)
+    ),
+}
 
 
 def closure(inputs: dict, tol: ToleranceConfig) -> float:
@@ -717,73 +654,35 @@ def indicator(tol: ToleranceConfig) -> float:
     return 0.5
 
 
-CORE_DIMS = (2, 3, 5)
-
-# name -> (item draw, scalar residual, cutoff, dimensions, sampling radius
-# if not the default)
+# name -> (scalar residual, cutoff) of each property scored in rows
 SCALAR_ROW_PROPERTIES = {
-    "closure": (draw_pair, closure, lambda tol: 1.0 - DEFAULT_BOUNDARY_MARGIN, CORE_DIMS, None),
-    "identity": (draw_single, identity, abs_tol, CORE_DIMS, None),
-    "left_inverse": (draw_single, left_inverse, abs_tol, CORE_DIMS, None),
-    "left_cancellation": (draw_pair, left_cancellation, abs_tol, CORE_DIMS, None),
-    "gamma_identity": (draw_pair, gamma_identity, rel_tol, CORE_DIMS, None),
-    "gyration_orthogonality": (
-        draw_gyration_inputs, gyration_orthogonality, rel_tol, CORE_DIMS, None
-    ),
-    "gyrocommutativity": (
-        draw_gyrocommutativity_inputs, gyrocommutativity, abs_tol, CORE_DIMS, None
-    ),
-    "one_parameter_subgroup": (draw_line_params, one_parameter, abs_tol, CORE_DIMS, None),
-    "commutes_iff_dependent": (
-        draw_commutation_inputs, commutes_iff_dependent, indicator, CORE_DIMS, None
-    ),
-    "collinearity_equivalence": (
-        draw_collinearity_inputs, collinearity, indicator, (2, 3), None
-    ),
-    "left_translation_isometry": (
-        draw_triple, isometry, lambda tol: 10.0 * tol.rel_tol, CORE_DIMS, None
-    ),
-    "klein_distance_metric": (draw_pair, metric, abs_tol, CORE_DIMS, None),
-    "line_translation_distance": (draw_line_distance, line_distance, rel_tol, CORE_DIMS, None),
-    "endomorphism_fixes_zero": (draw_orthogonal_pair, fixes_zero, abs_tol, CORE_DIMS, None),
-    "orthogonal_endomorphism": (draw_orthogonal_pair, orthogonal_law, abs_tol, CORE_DIMS, None),
-    "orthogonal_residual_bound": (
-        draw_orthogonal_pair, orthogonal_bound, lambda tol: 1.0, CORE_DIMS, 0.9
-    ),
-    "bloch_homomorphism": (draw_pair, bloch_homomorphism, rel_tol, (3,), 0.99),
-    "det_normalization_homomorphism": (draw_pair, det_normalization, rel_tol, (3,), 0.99),
-    "sqrt_squares_back": (draw_posdef, sqrt_squares_back, rel_tol, (2,), None),
-    "boxdot_det_multiplicative": (draw_posdef_pair, boxdot_det, rel_tol, (2,), None),
-    "transported_automorphism": (
-        draw_orthogonal_pair, transported_automorphism, rel_tol, (3,), 0.99
-    ),
+    "closure": (closure, lambda tol: 1.0 - DEFAULT_BOUNDARY_MARGIN),
+    "identity": (identity, abs_tol),
+    "left_inverse": (left_inverse, abs_tol),
+    "left_cancellation": (left_cancellation, abs_tol),
+    "gamma_identity": (gamma_identity, rel_tol),
+    "gyration_orthogonality": (gyration_orthogonality, rel_tol),
+    "gyrocommutativity": (gyrocommutativity, abs_tol),
+    "one_parameter_subgroup": (one_parameter, abs_tol),
+    "commutes_iff_dependent": (commutes_iff_dependent, indicator),
+    "collinearity_equivalence": (collinearity, indicator),
+    "left_translation_isometry": (isometry, lambda tol: 10.0 * tol.rel_tol),
+    "klein_distance_metric": (metric, abs_tol),
+    "line_translation_distance": (line_distance, rel_tol),
+    "endomorphism_fixes_zero": (fixes_zero, abs_tol),
+    "orthogonal_endomorphism": (orthogonal_law, abs_tol),
+    "orthogonal_residual_bound": (orthogonal_bound, lambda tol: 1.0),
+    "bloch_homomorphism": (bloch_homomorphism, rel_tol),
+    "det_normalization_homomorphism": (det_normalization, rel_tol),
+    "sqrt_squares_back": (sqrt_squares_back, rel_tol),
+    "boxdot_det_multiplicative": (boxdot_det, rel_tol),
+    "transported_automorphism": (transported_automorphism, rel_tol),
 }
 
 
-# the verifier's row residual of each property above
-ROW_RESIDUALS = {
-    "closure": verifier._closure_residual,
-    "identity": verifier._identity_residual,
-    "left_inverse": verifier._left_inverse_residual,
-    "left_cancellation": verifier._left_cancellation_residual,
-    "gamma_identity": verifier._gamma_identity_residual,
-    "gyration_orthogonality": verifier._gyration_orthogonality_residual,
-    "gyrocommutativity": verifier._gyrocommutativity_residual,
-    "one_parameter_subgroup": verifier._one_parameter_residual,
-    "commutes_iff_dependent": verifier._commutes_iff_dependent_residual,
-    "collinearity_equivalence": verifier._collinearity_residual,
-    "left_translation_isometry": verifier._isometry_residual,
-    "klein_distance_metric": verifier._metric_residual,
-    "line_translation_distance": verifier._line_distance_residual,
-    "endomorphism_fixes_zero": verifier._fixes_zero_residual,
-    "orthogonal_endomorphism": verifier._orthogonal_endomorphism_residual,
-    "orthogonal_residual_bound": verifier._orthogonal_residual_bound_residual,
-    "bloch_homomorphism": verifier._bloch_homomorphism_residual,
-    "det_normalization_homomorphism": verifier._det_normalization_residual,
-    "sqrt_squares_back": verifier._sqrt_squares_back_residual,
-    "boxdot_det_multiplicative": verifier._boxdot_det_residual,
-    "transported_automorphism": verifier._transported_automorphism_residual,
-}
+def row_draw(name: str, n_samples: int, seed: int, tol: ToleranceConfig = DEFAULT_TOL):
+    """The Rows blocks the property scans: its own row draw."""
+    return verifier._REGISTRY[name][0](name, n_samples, seed, tol)
 
 
 def scan_score(residual, item: dict, tol: ToleranceConfig = DEFAULT_TOL) -> float:
@@ -831,16 +730,10 @@ def reference_report(name: str, items, score, cutoff: float, seed: int) -> str:
 
 def scalar_replay(name: str, n_samples: int, seed: int, tol: ToleranceConfig) -> str:
     """The report of a batched property replayed one input at a time."""
-    draw, residual, cutoff, dims, rmax = SCALAR_ROW_PROPERTIES[name]
-
-    def inputs():
-        for dim in dims:
-            s = BallSampler(derive_seed(seed, f"{name}/{dim}"), dim, rmax or tol.sample_rmax)
-            for _ in range(n_samples):
-                yield draw(s, tol)
-
+    residual, cutoff = SCALAR_ROW_PROPERTIES[name]
+    items = (item for block in row_draw(name, n_samples, seed, tol) for item in scalar_items(block))
     return reference_report(
-        name, inputs(), lambda item: scan_score(residual, item, tol), cutoff(tol), seed
+        name, items, lambda item: scan_score(residual, item, tol), cutoff(tol), seed
     )
 
 
@@ -863,156 +756,25 @@ def test_batched_property_equals_its_scalar_replay_over_chunks(name):
 @pytest.mark.parametrize("name", SCALAR_ROW_PROPERTIES)
 def test_row_residuals_equal_the_scalar_residuals_row_by_row(name):
     # every row, not only the maximum and the first failure a report shows
-    draw, residual, _, dims, rmax = SCALAR_ROW_PROPERTIES[name]
-    row_residual = ROW_RESIDUALS[name]
-    for dim in dims:
-        s = BallSampler(derive_seed(5, f"{name}/{dim}"), dim, rmax or DEFAULT_TOL.sample_rmax)
-        items = [draw(s, DEFAULT_TOL) for _ in range(SCAN_CHUNK)]
-        rows = Rows(
-            {key: np.array([getattr(item[key], "coords", item[key]) for item in items])
-             for key in items[0]}
-        )
-        want = [scan_score(residual, item) for item in items]
-        assert row_residual(rows, DEFAULT_TOL).tolist() == want
+    residual, row_residual = SCALAR_ROW_PROPERTIES[name][0], verifier._REGISTRY[name][1]
+    for block in row_draw(name, SCAN_CHUNK, 5):
+        want = [scan_score(residual, item) for item in scalar_items(block)]
+        assert row_residual(block, DEFAULT_TOL).tolist() == want
 
 
-# ------------------------------------------------------------- row draws
-#
-# Each row draw must make the one-input draw's RNG calls in its order and
-# give its inputs bit for bit, redrawing every refused candidate, and fail
-# with its error where it failed.  A staged draw reads the generator state
-# only at the start of a round; at a refusal it rewinds there and makes
-# the kept candidates' calls again, so a zero direction before the refusal
-# is met, and redrawn, once more.
-
-# name -> the row draw that replaced the property's one-input draw
-ROW_DRAWS = {
-    "gyration_orthogonality": partial(sampling._staged, (verifier._GYRATION,)),
-    "gyrocommutativity": partial(sampling._staged, (verifier._GYROCOMMUTATIVITY,)),
-    "commutes_iff_dependent": partial(sampling._staged, verifier._COMMUTATION),
-    "collinearity_equivalence": partial(sampling._staged, verifier._COLLINEARITY),
-    "one_parameter_subgroup": verifier._line_rows(-0.5, 0.5, "s", "t"),
-    "line_translation_distance": verifier._line_rows(-1.0, 1.0, "t"),
-    "orthogonal_endomorphism": verifier._draw_orthogonal_rows,
-}
-
-
-def stacked(items: list) -> Rows:
-    """One-input draws as a Rows block, points as their coordinates."""
-    return Rows(
-        {key: np.array([getattr(item[key], "coords", item[key]) for item in items])
-         for key in items[0]}
-    )
-
-
-def blocks_or_error(draw) -> list | str:
-    """draw(), or the type and text of the error it raised."""
-    try:
-        return draw()
-    except (GyroError, RuntimeError) as exc:
-        return f"{type(exc).__name__}: {exc}"
-
-
-def assert_same_draws(row_draw, item_draw, rows: BallSampler, items: BallSampler, n: int, tol):
-    """The row draw's blocks equal the stacked one-input draws, and leave
-    the RNG in the same state, or both raise the same error."""
-
-    def item_rows(s: BallSampler, k: int, tol) -> Rows:
-        return stacked([item_draw(s, tol) for _ in range(k)])
-
-    got = blocks_or_error(lambda: list(_blocks(row_draw, [rows], n, tol)))
-    want = blocks_or_error(lambda: list(_blocks(item_rows, [items], n, tol)))
-    if isinstance(want, str):
-        assert got == want
-        return
-    assert not isinstance(got, str), got
-    for block, expected in zip(got, want):
-        assert list(block) == list(expected)
-        for key, column in expected.items():
-            assert block[key].shape == column.shape
-            assert block[key].tobytes() == column.tobytes()
-    assert rows.rng.bit_generator.state == items.rng.bit_generator.state
-
-
-@pytest.mark.parametrize("name", ROW_DRAWS)
+@pytest.mark.parametrize("name", ACCEPTANCE)
 @pytest.mark.parametrize("rmax", [DEFAULT_SAMPLE_RMAX, 1 - 2e-9], ids=["default", "guard"])
-def test_row_draws_equal_the_one_input_draws(name, rmax):
+def test_every_staged_row_meets_the_one_input_acceptance_rule(name, rmax):
     # at 1 - 2e-9 the translated sums of the collinearity draw can leave the guard
     tol = ToleranceConfig(sample_rmax=rmax)
-    for dim in (2, 3, 5):
-        for seed in (0, 7, 11):
-            rows, items = BallSampler(seed, dim, rmax), BallSampler(seed, dim, rmax)
-            item_draw = SCALAR_ROW_PROPERTIES[name][0]
-            assert_same_draws(ROW_DRAWS[name], item_draw, rows, items, 3 * SCAN_CHUNK + 1, tol)
+    for block in row_draw(name, 3 * SCAN_CHUNK + 1, 7, tol):
+        assert all(ACCEPTANCE[name](item, tol) for item in scalar_items(block))
 
 
-class ZeroAt:
-    """A generator that draws as rng does, except that standard_normal
-    returns zeros, its draws made, whenever it is called in the state
-    `state`: a replay from an earlier state meets the zero again."""
-
-    def __init__(self, rng: np.random.Generator, state: dict):
-        self.rng, self.state, self.hits = rng, state, 0
-
-    def __getattr__(self, name: str):
-        return getattr(self.rng, name)
-
-    def standard_normal(self, size):
-        hit = self.rng.bit_generator.state == self.state
-        out = self.rng.standard_normal(size)
-        self.hits += hit
-        return np.zeros_like(out) if hit else out
-
-
-# name -> (draw of n points or inputs as a Rows block, one-input draw)
-ZERO_CASES = {
-    "sample": (
-        lambda s, n, tol: Rows(u=np.array([s.sample().coords for _ in range(n)])), draw_single
-    ),
-    "sample_rows": (lambda s, n, tol: Rows(u=s.sample_rows(n)), draw_single),
-    **{name: (draw, SCALAR_ROW_PROPERTIES[name][0]) for name, draw in ROW_DRAWS.items()},
-}
-
-
-@pytest.mark.parametrize("name", ZERO_CASES)
-def test_a_zero_direction_is_redrawn_where_the_scalar_draw_redraws_it(name, monkeypatch):
-    row_draw, item_draw = ZERO_CASES[name]
-    n, scalar_sample = SCAN_CHUNK + 40, old_sample
-    # the states in which the one-input draws draw a point's direction
-    directions = []
-
-    def recording(s: BallSampler) -> GyroVector:
-        directions.append(s.rng.bit_generator.state)
-        return scalar_sample(s)
-
-    monkeypatch.setitem(globals(), "old_sample", recording)
-    s = BallSampler(3, 3)
-    for _ in range(n):
-        item_draw(s, DEFAULT_TOL)
-    monkeypatch.setitem(globals(), "old_sample", scalar_sample)
-    for state in (directions[0], directions[len(directions) // 2], directions[-1]):
-        rows, items = BallSampler(3, 3), BallSampler(3, 3)
-        rows.rng, items.rng = ZeroAt(rows.rng, state), ZeroAt(items.rng, state)
-        assert_same_draws(row_draw, item_draw, rows, items, n, DEFAULT_TOL)
-        assert items.rng.hits == 1 and rows.rng.hits >= 1
-
-
-def test_a_refusal_rewinds_over_a_zero_direction_with_redraw():
-    # commutes_iff_dependent at d = 2, seed 7, with a zero dependent direction
-    # in input 20: the independent pair of input 200 is then refused, which
-    # cuts the first round, and the zero lies in the prefix that the cut
-    # rewinds over and draws again; made without redraw, those calls would
-    # leave the generator elsewhere
-    s = BallSampler(7, 2)
-    for _ in range(20):
-        draw_commutation_inputs(s, DEFAULT_TOL)
-    state = s.rng.bit_generator.state  # where input 20 draws its direction
-    rows, items = BallSampler(7, 2), BallSampler(7, 2)
-    rows.rng, items.rng = ZeroAt(rows.rng, state), ZeroAt(items.rng, state)
-    row_draw = ROW_DRAWS["commutes_iff_dependent"]
-    assert_same_draws(row_draw, draw_commutation_inputs, rows, items, SCAN_CHUNK, DEFAULT_TOL)
-    # met by the lean draw, by the block's replay and by the rewind
-    assert items.rng.hits == 1 and rows.rng.hits == 3
+# ------------------------------------------------------------ staged draws
+#
+# A staged draw filters each block of candidates by a mask and draws only
+# the shortfall again, and gives up at the 10 000th refusal in a row.
 
 
 def counting_stage(refused: range) -> tuple:
@@ -1020,8 +782,9 @@ def counting_stage(refused: range) -> tuple:
     those in `refused`, and the counter that numbers them."""
     count = itertools.count()
     stage = sampling._Stage(
-        lambda s, redraw: next(count),
-        lambda s, drawn: Rows(i=np.array(drawn), point=np.zeros((len(drawn), 2))),
+        lambda s, n, tol: Rows(
+            i=np.array([next(count) for _ in range(n)]), point=np.zeros((n, 2))
+        ),
         lambda rows, tol: ~np.isin(rows["i"], np.arange(refused.start, refused.stop)),
         "a counted input",
     )
@@ -1029,7 +792,7 @@ def counting_stage(refused: range) -> tuple:
 
 
 def test_ten_thousand_refusals_in_a_row_give_up_across_rounds():
-    # 6000 inputs wanted: the first round takes 1000 and refuses 5000, and
+    # 6000 inputs wanted: the first block takes 1000 and refuses 5000, and
     # the second draws the 5000 still missing
     s = BallSampler(0, 2)
     stage, count = counting_stage(range(1000, 11_000))
@@ -1037,7 +800,7 @@ def test_ten_thousand_refusals_in_a_row_give_up_across_rounds():
         sampling._staged((stage,), s, 6000, DEFAULT_TOL)
     assert str(exc.value) == "failed to draw a counted input"
     assert next(count) == 11_000
-    # one refusal fewer: the second round takes its last candidate, and the
+    # one refusal fewer: the second block takes its last candidate, and the
     # third draws the 4999 still missing, and nothing past the last taken
     stage, count = counting_stage(range(1000, 10_999))
     rows = sampling._staged((stage,), s, 6000, DEFAULT_TOL)
@@ -1046,30 +809,27 @@ def test_ten_thousand_refusals_in_a_row_give_up_across_rounds():
 
 
 def test_a_staged_draw_restarts_after_a_refusal_and_counts_its_streak(monkeypatch):
-    # two stages of one random() each: the first takes every candidate, the
-    # second refuses those at the stream positions in `refused`; the rounds
-    # after a refusal restart from the state right after it
+    # two stages of one random() per candidate: the first takes every
+    # candidate, the second refuses those at the stream positions in
+    # `refused`.  Each stage draws all its candidates before the next, and
+    # after a refusal only the shortfall, from where the stream stands
     monkeypatch.setattr(sampling, "_TRIES", 4)
     position = {x: j for j, x in enumerate(np.random.default_rng(0).random(100).tolist())}
 
     def stage(key: str, refused: set) -> sampling._Stage:
-        def build(s: BallSampler, drawn: list) -> Rows:
-            return Rows({key: np.array(drawn), key + "_point": np.zeros((len(drawn), 2))})
-
         return sampling._Stage(
-            lambda s, redraw: s.rng.random(),
-            build,
-            lambda rows, tol: [position[x] not in refused for x in rows[key].tolist()],
+            lambda s, n, tol: Rows({key: s.rng.random(n), key + "_point": np.zeros((n, 2))}),
+            lambda rows, tol: np.array([position[x] not in refused for x in rows[key].tolist()]),
             f"a {key}",
         )
 
-    draws = (stage("a", set()), stage("b", {1, 2, 3, 8}))
+    draws = (stage("a", set()), stage("b", {3, 6, 7, 8}))
     rows = sampling._staged(draws, BallSampler(0, 2), 3, None)
-    assert [position[x] for x in rows["a"].tolist()] == [0, 5, 7]
-    assert [position[x] for x in rows["b"].tolist()] == [4, 6, 9]
+    assert [position[x] for x in rows["a"].tolist()] == [0, 1, 2]
+    assert [position[x] for x in rows["b"].tolist()] == [4, 5, 9]
     with pytest.raises(RuntimeError, match="^failed to draw a b$"):
-        draws = (stage("a", set()), stage("b", {1, 2, 3, 4}))
-        sampling._staged(draws, BallSampler(0, 2), 1, None)
+        draws = (stage("a", set()), stage("b", {3, 6, 7, 8, 9}))
+        sampling._staged(draws, BallSampler(0, 2), 3, None)
 
 
 def test_a_translated_sum_the_guard_refuses_is_refused_and_redrawn():
@@ -1089,15 +849,12 @@ def test_a_translated_sum_the_guard_refuses_is_refused_and_redrawn():
     points = [tuple(GyroVector(p) for p in triple) for triple in triples]
     assert [in_general_position(t, DEFAULT_TOL) for t in points] == [True, False, False, True]
     drawn = iter(triples)
-    stage = sampling._Stage(
-        lambda s, redraw: next(drawn),
-        lambda s, block: Rows(
-            {key: np.array([t[k] for t in block], dtype=float)
-             for k, key in enumerate(("off_x", "off_y", "off_z"))}
-        ),
-        verifier._off_line,
-        "a general-position triple",
-    )
+
+    def draw(s: BallSampler, n: int, tol) -> Rows:
+        block = np.array([next(drawn) for _ in range(n)], dtype=float)
+        return Rows({key: block[:, k] for k, key in enumerate(("off_x", "off_y", "off_z"))})
+
+    stage = sampling._Stage(draw, verifier._off_line, "a general-position triple")
     rows = sampling._staged((stage,), BallSampler(0, 2), 2, DEFAULT_TOL)
     assert [rows[key].tolist() for key in ("off_x", "off_y", "off_z")] == [
         [triples[0][k], triples[3][k]] for k in range(3)
@@ -1116,8 +873,9 @@ def test_squares_are_python_float_squares():
 
 @pytest.mark.parametrize("matrix", [np.eye(3), 0.5 * np.eye(3)], ids=["identity", "half"])
 def test_check_endomorphism_equals_its_scalar_replay_over_chunks(matrix):
-    n, s, f = 3 * SCAN_CHUNK + 1, BallSampler(5, 3), matrix_map(matrix)
-    pairs = ({"u": old_sample(s), "v": old_sample(s)} for _ in range(n))
+    n, f = 3 * SCAN_CHUNK + 1, matrix_map(matrix)
+    blocks = _blocks(sampling._point_rows("u", "v"), [BallSampler(5, 3)], n)
+    pairs = (pair for block in blocks for pair in scalar_items(block))
     want = reference_report("endomorphism", pairs, lambda p: scalar_law(f, **p), 1e-6, 5)
     assert check_endomorphism(BallMap.from_matrix(matrix), n, 5).to_json_line() == want
 
@@ -1274,6 +1032,7 @@ def model_inputs(seed: int) -> dict:
     points = [p for p in points if p is not None] + [GyroVector(ROUND_TRIP_ESCAPES)]
     points += [GyroVector([0.5, 0.0, 0.0]), GyroVector([0.0, 0.0, -0.25])]
     densities = [bloch_to_density(p) for p in points]
+    posdef = verifier._posdef_rows(4.0, "h")(BallSampler(seed, 2), 40, None)["h"].tolist()
     det1 = [scalar_or_none(lambda: normalize_det(d)) for d in densities]
     det1 = [m for m in det1 if m is not None]
     fields = [tuple(getattr(m, f) for f in FIELDS) for m in densities + det1]
@@ -1294,7 +1053,7 @@ def model_inputs(seed: int) -> dict:
         "points": points,
         "densities": densities,
         "det1": det1,
-        "posdef": [_random_posdef(rng, 4.0) for _ in range(40)],
+        "posdef": [Hermitian2(*h) for h in posdef],
         "fields": fields,
     }
 

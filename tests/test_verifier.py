@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from gyrokit import (
+    DEFAULT_TOL,
     BallMap,
     BallSampler,
     GyroVector,
@@ -17,14 +18,24 @@ from gyrokit import (
     check_endomorphism,
     classify_endomorphism,
     derive_seed,
+    is_positive_definite,
     registered_names,
     run_suite,
     zero_propagation_check,
 )
 from gyrokit import ball
 from gyrokit.ball import _anchored_sum_rows, _sum_rows
-from gyrokit.sampling import Rows, _blocks, _point_rows, json_ready, scan_report, seeded_scan
-from gyrokit.verifier import _REGISTRY
+from gyrokit.sampling import (
+    Rows,
+    _blocks,
+    _point_rows,
+    _Stage,
+    _staged,
+    json_ready,
+    scan_report,
+    seeded_scan,
+)
+from gyrokit.verifier import _COLLINEARITY, _REGISTRY, _posdef_rows
 
 ALL_NAMES = (
     "closure",
@@ -111,23 +122,19 @@ class TestBallSampler:
             BallSampler(seed=1, dim=2, rmax=1 - 1e-10)
 
     def test_sample_rows_refuses_a_negative_count(self):
-        # and so does the classifier's block_rows
         s = BallSampler(seed=1, dim=3)
         state = s.rng.bit_generator.state
-        for draw in (s.sample_rows, s.block_rows):
-            for n in (-1, -3, np.int64(-2)):
-                with pytest.raises(ValueError, match=f"^n must be >= 0, got {n}$"):
-                    draw(n)
+        for n in (-1, -3, np.int64(-2)):
+            with pytest.raises(ValueError, match=f"^n must be >= 0, got {n}$"):
+                s.sample_rows(n)
         assert s.rng.bit_generator.state == state  # nothing drawn
 
     def test_sample_rows_takes_any_integer_count(self):
-        # and so does the classifier's block_rows
         s = BallSampler(seed=1, dim=3)
-        for draw in (s.sample_rows, s.block_rows):
-            assert draw(0).shape == (0, 3)
-            assert draw(np.int64(2)).shape == (2, 3)
-            with pytest.raises(TypeError):
-                draw(2.0)
+        assert s.sample_rows(0).shape == (0, 3)
+        assert s.sample_rows(np.int64(2)).shape == (2, 3)
+        with pytest.raises(TypeError):
+            s.sample_rows(2.0)
 
 
 def ks_statistic(sample: np.ndarray, cdf) -> float:
@@ -139,8 +146,8 @@ def ks_statistic(sample: np.ndarray, cdf) -> float:
 
 class ZeroRow:
     """A generator that draws as rng does, except that the first
-    standard_normal block comes back with row `row` zeroed; it records the
-    name of every generator call."""
+    standard_normal block comes back with row `row` (an index) zeroed; it
+    records the name of every generator call."""
 
     def __init__(self, rng: np.random.Generator, row: int):
         self.rng, self.row, self.calls = rng, row, []
@@ -157,15 +164,15 @@ class ZeroRow:
         return out
 
 
-class TestBlockRows:
-    # the classifier's draw: a Gaussian block and a uniform block, checked by
-    # its law, since no one-point draw makes the same calls
+class TestSampleRows:
+    # every draw is a block draw, checked by its law: the points of
+    # sample_rows, the rows a staged draw keeps, and the positive matrices
     N = 20_000
 
     @pytest.mark.parametrize("dim", [2, 3, 5])
     def test_radii_follow_the_volume_law(self, dim):
         rmax = 0.999
-        radii = np.linalg.norm(BallSampler(11, dim, rmax).block_rows(self.N), axis=1)
+        radii = np.linalg.norm(BallSampler(11, dim, rmax).sample_rows(self.N), axis=1)
         assert radii.max() <= rmax
         # 1 % critical value of the one-sample statistic
         assert ks_statistic(radii, lambda r: (r / rmax) ** dim) < 1.63 / math.sqrt(self.N)
@@ -173,7 +180,7 @@ class TestBlockRows:
     def test_directions_project_uniformly_in_three_dimensions(self):
         # Archimedes: a uniform direction on the 2-sphere projects uniformly
         # on [-1, 1] along any fixed axis
-        points = BallSampler(12, 3).block_rows(self.N)
+        points = BallSampler(12, 3).sample_rows(self.N)
         axis = np.array([1.0, 2.0, 2.0]) / 3.0
         t = points @ axis / np.linalg.norm(points, axis=1)
         assert ks_statistic(t, lambda x: (x + 1.0) / 2.0) < 1.63 / math.sqrt(self.N)
@@ -182,7 +189,7 @@ class TestBlockRows:
         n, row = 300, 123
         plain, zeroed = BallSampler(3, 3), BallSampler(3, 3)
         zeroed.rng = ZeroRow(zeroed.rng, row)
-        want, got = plain.block_rows(n), zeroed.block_rows(n)
+        want, got = plain.sample_rows(n), zeroed.sample_rows(n)
         # the two blocks, then the zero row's redraw, one call
         assert zeroed.rng.calls == ["standard_normal", "random", "standard_normal"]
         others = np.arange(n) != row
@@ -191,6 +198,44 @@ class TestBlockRows:
         g = plain.rng.standard_normal(3)
         np.testing.assert_allclose(np.linalg.norm(got[row]), np.linalg.norm(want[row]))
         np.testing.assert_allclose(got[row] / np.linalg.norm(got[row]), g / np.linalg.norm(g))
+
+    def test_a_masked_stage_keeps_the_volume_law(self):
+        # a stage that refuses every point with u[0] < 0, about half of each
+        # block, leaves the radii of the points it keeps as they were drawn
+        dim, rmax = 3, 0.999
+        stage = _Stage(_point_rows("u"), lambda rows, tol: rows["u"][:, 0] >= 0.0, "a point")
+        u = _staged((stage,), BallSampler(13, dim, rmax), self.N, None)["u"]
+        assert len(u) == self.N and (u[:, 0] >= 0.0).all()
+        radii = np.linalg.norm(u, axis=1)
+        assert ks_statistic(radii, lambda r: (r / rmax) ** dim) < 1.63 / math.sqrt(self.N)
+
+    def test_a_nan_chord_point_is_refused_and_redrawn(self):
+        # a zero normal puts the chord's points at NaN: the guard refuses the
+        # candidate, with no test of the stage's own, and one more is drawn
+        n, row, chord = 300, 5, _Stage(_COLLINEARITY[0].draw)
+        plain, zeroed = BallSampler(3, 2), BallSampler(3, 2)
+        zeroed.rng = ZeroRow(zeroed.rng, (0, row))
+        block = chord.draw(plain, n, DEFAULT_TOL)
+        got = _staged((chord,), zeroed, n, DEFAULT_TOL)
+        # the first block, then one block of the shortfall
+        assert zeroed.rng.calls == ["standard_normal", "uniform"] * 2
+        for key, column in block.items():
+            assert np.isfinite(got[key]).all()
+            assert got[key][:-1].tolist() == np.delete(column, row, axis=0).tolist()
+
+    @pytest.mark.parametrize("max_log_cond", [2.0, 4.0])
+    def test_positive_matrices_follow_their_law(self, max_log_cond):
+        # eigenvalues 10^U(-2, 2) and that over 10^U(0, c), as records that
+        # Hermitian2 accepts, each positive definite
+        draw = _posdef_rows(max_log_cond, "h")
+        h = draw(BallSampler(14, 2), self.N, None)["h"]
+        assert h.dtype.names == ("a", "d", "re_b", "im_b")
+        b = h["re_b"] + 1j * h["im_b"]
+        m = np.stack([np.stack([h["a"], b], -1), np.stack([b.conj(), h["d"]], -1)], -2)
+        small, big = np.linalg.eigvalsh(m).T
+        assert ks_statistic(np.log10(big), lambda x: (x + 2.0) / 4.0) < 1.63 / math.sqrt(self.N)
+        assert (big / small <= 10.0**max_log_cond * (1.0 + 1e-9)).all()
+        assert all(is_positive_definite(Hermitian2(*record)) for record in h.tolist())
 
 
 class TestGivingUp:
@@ -472,6 +517,13 @@ class TestRunSuite:
             '"seed": 7}',
         ]
 
+    def test_every_property_passes_at_seeds_0_to_39(self):
+        # the verdicts that a change of the draws must keep: every law holds,
+        # so a property that fails at some seed has lost its margin
+        for seed in range(40):
+            for rep in run_suite(ALL_NAMES, 200, seed):
+                assert rep.passed, rep.to_json_line()
+
     def test_samples_run_scales_with_dimension_coverage(self):
         rep = run_suite(["left_cancellation"], n_samples=40, seed=1)[0]
         # core laws run the budget once per ambient dimension
@@ -541,17 +593,35 @@ class TestShrinking:
     )
     def test_counterexample_is_shrunk_toward_the_origin(self, name):
         # impossible tolerance forces a failure on the first draw, then the
-        # shrinker halves every ball point while the inputs keep failing
+        # shrinker halves every ball point while the inputs keep failing: the
+        # input reported is the drawn one halved k times, k >= 1, scored
+        # through the property's row residual it fails, and its half passes
+        # or 60 halvings were made
         tol = ToleranceConfig(abs_tol=1e-30)
+        inputs, residual, cutoff = _REGISTRY[name]
         rep = run_suite([name], n_samples=5, seed=1, tol=tol)[0]
         assert not rep.passed
-        ce = rep.first_counterexample
-        assert ce is not None
-        assert ce["residual"] > 1e-30
-        points = [value for key, value in ce.items() if key != "residual"]
-        assert points
-        for point in points:
-            assert float(np.linalg.norm(np.asarray(point))) < 0.01
+        ce = dict(rep.first_counterexample)
+        reported = json.dumps(json_ready(ce.pop("residual")))
+        _, _, (drawn, _), _ = seeded_scan(
+            inputs(name, 5, 1, tol), lambda rows: residual(rows, tol), cutoff(tol)
+        )
+        assert all(column.ndim == 2 for column in drawn.values())
+
+        def halved(k: int) -> Rows:
+            return Rows({key: 0.5**k * column for key, column in drawn.items()})
+
+        def score(k: int) -> float:
+            return float(residual(halved(k), tol)[0])
+
+        k = next(
+            k for k in range(61)
+            if json_ready({key: column[0] for key, column in halved(k).items()}) == ce
+        )
+        assert k >= 1
+        assert all(score(j) > cutoff(tol) for j in range(k + 1))
+        assert json.dumps(json_ready(score(k))) == reported
+        assert k == 60 or score(k + 1) <= cutoff(tol)
 
     def test_passing_run_has_no_counterexample(self):
         rep = run_suite(["left_cancellation"], n_samples=20, seed=1)[0]

@@ -1,7 +1,11 @@
 """Print every seeded report of a fixed grid, for byte-identity checks.
 
 Run it on two checkouts and compare the outputs with diff: a change that
-keeps the seeded streams and the arithmetic prints the same bytes.
+keeps the seeded streams and the arithmetic prints the same bytes.  Every
+seeded draw became a block draw filtered by mask at one change, on
+purpose, so checkouts before it print other suite, tolerance, radius and
+coarse lines, and other check_endomorphism lines in maps; the
+classify_endomorphism and zero_propagation_check lines stayed.
 
     PYTHONPATH=src python tools/report_grid.py > grid.txt
     PYTHONPATH=src python tools/report_grid.py --small   # seconds, for CI
@@ -16,9 +20,8 @@ Sections, each closed by the sha256 of its lines:
   maps       classify_endomorphism, check_endomorphism and
              zero_propagation_check on a few maps; the lines of
              classify_endomorphism verdicts refuted by the law scan
-             changed on purpose when the classifier's scans moved to
-             block draws (BallSampler.block_rows), so they differ from
-             checkouts before that change
+             changed on purpose at an earlier change, when the
+             classifier's scans moved to block draws
 
 Each property runs alone, so one that raises prints its exception text in
 place of its report and the others still print theirs.
