@@ -19,6 +19,7 @@ scanned and shrunk by the one-input loop the Rows scan replaced.
 import itertools
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -878,6 +879,56 @@ def test_check_endomorphism_equals_its_scalar_replay_over_chunks(matrix):
     pairs = (pair for block in blocks for pair in scalar_items(block))
     want = reference_report("endomorphism", pairs, lambda p: scalar_law(f, **p), 1e-6, 5)
     assert check_endomorphism(BallMap.from_matrix(matrix), n, 5).to_json_line() == want
+
+
+# ------------------------------------------------------- classifier trials
+#
+# The classifier properties replayed map by map: each instance drawn as the
+# trials draw it, each map classified alone by the public classifier on an
+# opaque matrix map, which is called once per point.
+
+
+def classifier_trial_items(reconstruct: bool, name: str, n_samples: int, seed: int, tol):
+    """The scanned rows of a classifier property, one instance at a time."""
+    rng = np.random.default_rng(derive_seed(seed, name))
+    for k in range(max(1, n_samples // 10)):
+        dim = (2, 3, 4, 5)[k % 4]
+        q = random_orthogonal(rng, dim)
+        child = int(rng.integers(2**62))
+        if reconstruct:
+            got = classify_endomorphism(matrix_map(q), 64, child, tol)
+            if got.verdict != "orthogonal":
+                yield {"dim": dim, "expected": "orthogonal", "got": got.verdict}
+            else:
+                error = np.max(np.abs(got.matrix.entries - q))
+                yield {"dim": dim, "matrix": q, "max_entry_error": error}
+            continue
+        m = rng.standard_normal((dim, dim))
+        contraction = m * (float(rng.uniform(0.2, 0.95)) / float(np.linalg.norm(m, 2)))
+        cases = [("orthogonal", q), ("zero", np.zeros((dim, dim)))]
+        cases.append(("not_endomorphism", contraction))
+        for family, (expected, matrix) in zip(("orthogonal", "zero", "contraction"), cases):
+            got = classify_endomorphism(matrix_map(matrix), 64, int(rng.integers(2**62)), tol)
+            yield {"family": family, "dim": dim, "expected": expected, "got": got.verdict}
+
+
+def classifier_score(item: dict, tol: ToleranceConfig) -> float:
+    if "family" in item:
+        return float(item["got"] != item["expected"])
+    return item.get("max_entry_error", math.inf) / (10.0 * tol.abs_tol)
+
+
+@pytest.mark.parametrize("reconstruct", [False, True], ids=["soundness", "reconstruction"])
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, FAILING], ids=["default", "failing"])
+@pytest.mark.parametrize("seed", [0, 7, 11])
+@pytest.mark.parametrize("n", [40, 650], ids=["one_batch", "batches"])
+def test_classifier_property_equals_its_map_by_map_replay(reconstruct, tol, seed, n):
+    # 650 samples are 65 instances, more than one batch of 64
+    name = "classifier_reconstruction" if reconstruct else "classifier_soundness"
+    items = classifier_trial_items(reconstruct, name, n, seed, tol)
+    cutoff = 1.0 if reconstruct else 0.5
+    want = reference_report(name, items, partial(classifier_score, tol=tol), cutoff, seed)
+    assert run_suite([name], n, seed, tol)[0].to_json_line() == want
 
 
 # ------------------------------------------- gyro core and geometry kernels
