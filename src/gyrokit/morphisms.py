@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from itertools import tee
 from typing import Callable
 
 import numpy as np
@@ -35,6 +36,7 @@ from .sampling import (
     Rows,
     _blocks,
     _point_rows,
+    _sample_stack,
     derive_seed,
     scan_report,
     seeded_scan,
@@ -125,7 +127,7 @@ class BallMap:
     inside the guarded ball and reports the offending input otherwise.
     """
 
-    __slots__ = ("_func", "dim", "_rows")
+    __slots__ = ("_func", "dim", "_rows", "_matrix")
 
     def __init__(self, func: Callable, dim: int):
         dim = operator.index(dim)
@@ -133,7 +135,7 @@ class BallMap:
             raise UnsupportedDimensionError("ball maps are supported for dimension >= 2")
         self._func = func
         self.dim = dim
-        self._rows = None  # row evaluation of a matrix or zero map
+        self._rows = self._matrix = None  # row evaluation and matrix of a matrix or zero map
 
     def __call__(self, u: GyroVector) -> GyroVector:
         if u.dim != self.dim:
@@ -176,13 +178,14 @@ class BallMap:
         that escape it, so non-contractive matrices fail loudly."""
         lm = m if isinstance(m, LinearMap) else LinearMap(m)
         f = cls(lambda u: _matvec(lm.entries, u.coords), lm.dim)
-        f._rows = _linear_image(lm.entries)
+        f._rows, f._matrix = _linear_image(lm.entries), lm.entries
         return f
 
     @classmethod
     def zero(cls, dim: int) -> "BallMap":
         f = cls(lambda u: np.zeros_like(u.coords), dim)
         f._rows = lambda w, ok: (np.zeros_like(w), ok)
+        f._matrix = np.broadcast_to(0.0, (f.dim, f.dim))
         return f
 
 
@@ -295,7 +298,7 @@ def classify_endomorphism(
     probe p whose image leaves the ball yields it with witnesses p, p and
     residual inf, since f(p) (+) f(p) cannot be evaluated.  Each scan
     draws its points as check_endomorphism does, from child seeds of its
-    own.
+    own: this is the one-map call of the stacked _classify_stack.
 
     The verdict is a decision at the configured sampling budget: a map
     agreeing with an orthogonal restriction on every sampled point is
@@ -303,44 +306,91 @@ def classify_endomorphism(
     only off-sample (nothing continuous does) can still be reported as
     orthogonal or zero.
     """
-    threshold = decision_threshold(tol)
-    law_sampler = BallSampler(derive_seed(seed, "endo"), f.dim, tol.sample_rmax)
-    max_residual, worst, first, _ = seeded_scan(
-        _blocks(_point_rows("u", "v"), [law_sampler], n_samples),
-        lambda pairs: _law_rows(f._image_rows, pairs["u"], pairs["v"]), threshold,
-    )
+    return _classify_stack([f], [seed], n_samples, tol)[0]
 
-    def refuted() -> MapClassification:
+
+def _stack_image(maps: list, dim: int) -> Callable:
+    """Row evaluation (see BallMap._image_rows) of k maps of dimension dim
+    on k stacked slices of equal length, map j on slice j: several matrix
+    maps by one stacked matvec, else each map by its own rows on its own."""
+    k = len(maps)
+    if k > 1 and all(f._matrix is not None for f in maps):
+        ms = np.stack([f._matrix for f in maps])[:, None]
+        return lambda w, ok: _guarded(_matvec(ms, w.reshape(k, -1, dim)).reshape(w.shape), ok)
+
+    def image(w: np.ndarray, ok: np.ndarray) -> tuple:
+        parts = [f._image_rows(*part) for f, *part in zip(maps, np.split(w, k), np.split(ok, k))]
+        return tuple(map(np.concatenate, zip(*parts)))
+
+    return image
+
+
+def _classify_stack(maps: list, seeds: list, n_samples: int, tol: ToleranceConfig) -> list:
+    """classify_endomorphism of k maps of one dimension, map j with seed
+    seeds[j], as one stack.
+
+    Each map makes its own draws in its own phases: law scan, probes, then
+    agreement scan.  Chunk c of every map's scan is drawn by one
+    _sample_stack and scored as one array, and held until each map's slice
+    is reduced by seeded_scan; the probes run one basis vector at a time,
+    so no map is evaluated past its first escaping probe.
+    """
+    k, dim, threshold = len(maps), maps[0].dim, decision_threshold(tol)
+
+    def scans(js: list, streams, cutoffs, keys: tuple, residual: Callable) -> list:
+        # seeded_scan of each map j in js on points of its child seed streams[j]
+        samplers = [BallSampler(derive_seed(seeds[j], stream), dim, tol.sample_rmax)
+                    for j, stream in zip(js, streams)]
+        image = _stack_image([maps[j] for j in js], dim)
+
+        def chunks():
+            for start in range(0, n_samples, SCAN_CHUNK):
+                m = min(SCAN_CHUNK, n_samples - start)
+                points = _sample_stack(samplers, len(keys) * m).reshape(-1, len(keys), dim)
+                r = residual(image, *points.transpose(1, 0, 2))
+                parts = zip(np.split(points, len(js)), np.split(r, len(js)))
+                yield [Rows(zip(keys, p.transpose(1, 0, 2)), residual=q) for p, q in parts]
+
+        return [seeded_scan((b[i] for b in blocks), operator.itemgetter("residual"), cutoff)
+                for i, (blocks, cutoff) in enumerate(zip(tee(chunks(), len(js)), cutoffs))]
+
+    law = scans(range(k), ["endo"] * k, [threshold] * k, ("u", "v"), _law_rows)
+
+    def refuted(j: int) -> MapClassification:
+        max_residual, worst = law[j][:2]
         u, v = GyroVector(worst["u"][0]), GyroVector(worst["v"][0])
         return MapClassification.not_endomorphism(u, v, max_residual)
-    if first is not None:
-        return refuted()
 
-    basis = np.eye(f.dim)
-    probes = []
-    for i in range(f.dim):
-        point = GyroVector(0.5 * basis[i])
-        try:
-            probes.append(f(point))
-        except GyroError:
+    out = [None if scan[2] is None else refuted(j) for j, scan in enumerate(law)]
+    live = [j for j in range(k) if out[j] is None]
+    if not live:
+        return out
+    half, probes = 0.5 * np.eye(dim), np.empty((len(live), dim, dim))
+    image, ok, passed = _stack_image([maps[j] for j in live], dim), np.ones(len(live), bool), 0
+    for i in range(dim):
+        probes[:, i], ok = image(np.tile(half[i], (len(live), 1)), ok)
+        passed += ok  # each map's probes up to its first escaping one
+    pending = []  # (map, verdict, candidate, agreement stream, cutoff)
+    for p, j in enumerate(live):
+        if passed[p] < dim:
             # f(p) (+) f(p) cannot be evaluated: the law scan's escape rule
-            return MapClassification.not_endomorphism(point, point, math.inf)
-    if all(p.norm <= tol.abs_tol for p in probes):
-        candidate, stream, cutoff = np.zeros((f.dim, f.dim)), "zero", threshold
-        verdict = MapClassification.zero()
-    else:
-        candidate = np.column_stack([2.0 * p.coords for p in probes])
-        if not is_orthogonal(candidate, tol):
-            return refuted()
-        stream, cutoff = "agree", 10.0 * tol.abs_tol
-        verdict = MapClassification.orthogonal(LinearMap(candidate))
-    sampler = BallSampler(derive_seed(seed, stream), f.dim, tol.sample_rmax)
-    _, _, disagreement, _ = seeded_scan(
-        _blocks(_point_rows("w"), [sampler], n_samples),
-        lambda rows: _image_norms(f._image_rows, rows["w"], np.matvec(candidate, rows["w"])),
-        cutoff,
-    )
-    return verdict if disagreement is None else refuted()
+            point = GyroVector(half[passed[p]])
+            out[j] = MapClassification.not_endomorphism(point, point, math.inf)
+        elif (_norm_rows(probes[p]) <= tol.abs_tol).all():
+            pending.append((j, MapClassification.zero(), np.zeros((dim, dim)), "zero", threshold))
+        elif is_orthogonal(candidate := (2.0 * probes[p]).T.copy(), tol):
+            verdict = MapClassification.orthogonal(LinearMap(candidate))
+            pending.append((j, verdict, candidate, "agree", 10.0 * tol.abs_tol))
+        else:
+            out[j] = refuted(j)
+    js, verdicts, centers, streams, cutoffs = zip(*pending) if pending else [()] * 5
+    centers = np.array(centers)[:, None]
+    agreement = scans(js, streams, cutoffs, ("w",), lambda image, w: _image_norms(
+        image, w, np.matvec(centers, w.reshape(len(js), -1, dim)).reshape(w.shape)
+    ))
+    for j, verdict, (_, _, disagreement, _) in zip(js, verdicts, agreement):
+        out[j] = verdict if disagreement is None else refuted(j)
+    return out
 
 
 def zero_propagation_check(
@@ -371,6 +421,7 @@ def zero_propagation_check(
     signs) and 100 uniform draws, all filtered to |t| <= t_max where
     t_max scales the diameter parametrization to the sampling radius.
     """
+    n_samples = operator.index(n_samples)
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     if x.dim != f.dim:

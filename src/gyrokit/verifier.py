@@ -19,7 +19,7 @@ of matrix_models, which hold a Hermitian block as its four field
 columns.  bloch_homomorphism also sums the first formed row of each
 block by the public einstein_add and refuses it unless the two agree, so
 the suite notices a public sum parted from its kernel.  The classifier
-trials compare verdicts.
+trials compare verdicts, each batch classified as one stack per dimension.
 
 Residual normalization.  Raw floating-point residuals of ball operations
 grow with the Lorentz factor of the operands (coordinate noise is
@@ -108,11 +108,11 @@ from .matrix_models import (
 from .morphisms import (
     BallMap,
     MapClassification,
+    _classify_stack,
     _haar,
     _image_norms,
     _law_rows,
     _linear_image,
-    classify_endomorphism,
     random_orthogonal,
 )
 from .sampling import (
@@ -431,43 +431,42 @@ def _classifier_trials(
 ):
     # soundness classifies an orthogonal, the zero and a contraction map per
     # instance; reconstruction classifies the orthogonal map and keeps its
-    # matrix error.  One Rows block per instance
+    # matrix error.  Each batch of 64 instances, which bounds memory at any
+    # n, is drawn in order, then classified as one stack per dimension.  One
+    # Rows block per instance
+    n_samples = operator.index(n_samples)
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    inner = 64
     rng = np.random.default_rng(derive_seed(seed, name))
-    dims = (2, 3, 4, 5)
-    for k in range(max(1, n_samples // 10)):
-        dim = dims[k % len(dims)]
-        q = random_orthogonal(rng, dim)
-        child = int(rng.integers(2**62))
-        if reconstruct:
-            outcome = classify_endomorphism(BallMap.from_matrix(q), inner, child, tol)
-            if outcome.verdict != MapClassification.ORTHOGONAL:
-                trial = {"dim": dim, "expected": "orthogonal", "got": outcome.verdict}
-            else:
-                error = np.max(np.abs(outcome.matrix.entries - q))
-                trial = {"dim": dim, "matrix": q, "max_entry_error": error}
+    dims, count = (2, 3, 4, 5), max(1, n_samples // 10)
+    for start in range(0, count, 64):
+        instances = []  # (q, the maps to classify, their seeds)
+        for k in range(start, min(count, start + 64)):
+            q = random_orthogonal(rng, dims[k % len(dims)])
+            maps, seeds = [BallMap.from_matrix(q)], [int(rng.integers(2**62))]
+            if not reconstruct:  # that seed goes unused
+                contraction = BallMap.from_matrix(_random_contraction(rng, len(q)))
+                maps += [BallMap.zero(len(q)), contraction]
+                seeds = [int(rng.integers(2**62)) for _ in maps]
+            instances.append((q, maps, seeds))
+        verdicts = {}
+        for dim in {len(q) for q, _, _ in instances}:
+            stack = [case for q, *cases in instances if len(q) == dim for case in zip(*cases)]
+            verdicts[dim] = iter(_classify_stack(*zip(*stack), 64, tol))
+        for q, maps, _ in instances:
+            got = [next(verdicts[len(q)]) for _ in maps]
+            if not reconstruct:
+                yield Rows(
+                    family=np.array(["orthogonal", "zero", "contraction"]), dim=np.full(3, len(q)),
+                    expected=np.array(["orthogonal", "zero", "not_endomorphism"]),
+                    got=np.array([outcome.verdict for outcome in got]),
+                )
+                continue
+            trial = {"dim": len(q), "expected": "orthogonal", "got": got[0].verdict}
+            if got[0].verdict == MapClassification.ORTHOGONAL:
+                error = np.max(np.abs(got[0].matrix.entries - q))
+                trial = {"dim": len(q), "matrix": q, "max_entry_error": error}
             yield Rows({key: np.array([value]) for key, value in trial.items()})
-            continue
-        cases = (
-            ("orthogonal", BallMap.from_matrix(q), MapClassification.ORTHOGONAL),
-            ("zero", BallMap.zero(dim), MapClassification.ZERO),
-            (
-                "contraction",
-                BallMap.from_matrix(_random_contraction(rng, dim)),
-                MapClassification.NOT_ENDOMORPHISM,
-            ),
-        )
-        got = [
-            classify_endomorphism(ball_map, inner, int(rng.integers(2**62)), tol).verdict
-            for _, ball_map, _ in cases
-        ]
-        families, _, expected = zip(*cases)
-        yield Rows(
-            family=np.array(families), dim=np.full(len(cases), dim),
-            expected=np.array(expected), got=np.array(got),
-        )
 
 
 def _soundness_residual(trials: Rows, tol: ToleranceConfig) -> np.ndarray:

@@ -448,6 +448,11 @@ class TestZeroPropagation:
         assert [c for c in calls if c in bases] == bases
         assert rep.samples_run == len(calls) - 1 + len(bases) * (20 - 1)
 
+    def test_refuses_a_float_sample_count(self):
+        # 2.5 samples once ran the 617 evaluations of one translate pair
+        with pytest.raises(TypeError):
+            zero_propagation_check(BallMap.zero(2), GyroVector([0.5, 0.0]), 2.5, 1)
+
     def test_rejects_zero_base_point(self):
         with pytest.raises(PreconditionError):
             zero_propagation_check(BallMap.zero(2), GyroVector.zero(2), n_samples=50, seed=1)

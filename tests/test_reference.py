@@ -17,6 +17,7 @@ scanned and shrunk by the one-input loop the Rows scan replaced.
 """
 
 import itertools
+import json
 import math
 import warnings
 from functools import partial
@@ -89,7 +90,7 @@ from gyrokit.matrix_models import (
 )
 from gyrokit.morphisms import _haar, _law_rows
 from gyrokit.sampling import SCAN_CHUNK, Rows, _blocks, json_ready, seeded_scan
-from gyrokit import sampling, verifier
+from gyrokit import morphisms, sampling, verifier
 from gyrokit.verifier import (
     _EVALUABILITY_BOUND,
     _collinearity_residual,
@@ -929,6 +930,79 @@ def test_classifier_property_equals_its_map_by_map_replay(reconstruct, tol, seed
     cutoff = 1.0 if reconstruct else 0.5
     want = reference_report(name, items, partial(classifier_score, tol=tol), cutoff, seed)
     assert run_suite([name], n, seed, tol)[0].to_json_line() == want
+
+
+def stack_maps(dim: int, calls: dict) -> dict:
+    """Maps of one dimension for every path of the classifier; each black
+    box records in calls[name] the points it is called at."""
+    q = random_orthogonal(np.random.default_rng(dim), dim)
+    contraction = np.random.default_rng(dim + 1).standard_normal((dim, dim))
+
+    def black_box(name: str, func) -> BallMap:
+        def recorded(w):
+            calls.setdefault(name, []).append(w.coords.tobytes())
+            return func(w)
+
+        return BallMap(recorded, dim)
+
+    return {
+        "orthogonal": BallMap.from_matrix(q),
+        "zero": BallMap.zero(dim),
+        "contraction": BallMap.from_matrix(0.3 * contraction / np.linalg.norm(contraction, 2)),
+        "half": BallMap.from_matrix(0.5 * np.eye(dim)),  # a non-orthogonal candidate at 0.1
+        "double": BallMap.from_matrix(2.0 * np.eye(dim)),  # leaves the ball
+        "nan": BallMap.from_matrix(q),  # scored NaN on one pair below
+        "squash": black_box("squash", lambda w: w.coords * (0.9 / (1.0 + w.norm))),
+        "probe_escapes": black_box(
+            "probe_escapes", lambda w: 3 * w.coords if abs(w.norm - 0.5) < 1e-12 else w.coords
+        ),
+        "opaque": black_box("opaque", lambda w: q @ w.coords),
+    }
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, ToleranceConfig(abs_tol=0.1)], ids=["default", "0.1"])
+def test_k_maps_equal_k_one_map_calls(monkeypatch, tol):
+    dim, n, calls = 3, 3 * SCAN_CHUNK + 1, {}
+    maps = stack_maps(dim, calls)
+    seeds = dict(zip(maps, range(100, 100 + len(maps))))
+    # the nan map's first law pair scores NaN, wherever it is scored
+    law_sampler = BallSampler(derive_seed(seeds["nan"], "endo"), dim, tol.sample_rmax)
+    marked = law_sampler.sample_rows(2 * SCAN_CHUNK)[0]
+    law_rows = morphisms._law_rows
+
+    def with_nan(image, u, v):
+        residual = law_rows(image, u, v)
+        residual[(u == marked).all(axis=1)] = math.nan
+        return residual
+
+    monkeypatch.setattr(morphisms, "_law_rows", with_nan)
+    # json.dumps tells NaN from NaN and -0.0 from 0.0
+    alone = {
+        name: json.dumps(classify_endomorphism(f, n, seeds[name], tol).to_json_dict())
+        for name, f in maps.items()
+    }
+    alone_calls = {name: list(points) for name, points in calls.items()}
+    # the opaque map's phases: f(u (+) v), f(u), f(v) per law pair, the
+    # probes at half the basis vectors, then f(w) per agreement point
+    assert len(alone_calls["opaque"]) == 4 * n + dim
+    probes = [(0.5 * e).tobytes() for e in np.eye(dim)]
+    assert alone_calls["opaque"][3 * n : 3 * n + dim] == probes
+    assert alone_calls["probe_escapes"][-1] == probes[0]  # no call after it escapes
+    assert '"residual": NaN' in alone["nan"] and '"residual": Infinity' in alone["double"]
+    assert json.loads(alone["probe_escapes"])["witness_u"] == [0.5, 0.0, 0.0]
+    if tol.abs_tol == 0.1:  # half passes the law scan, and its candidate is refused
+        assert json.loads(alone["half"])["residual"] < decision_threshold(tol)
+    assert {json.loads(v)["verdict"] for v in alone.values()} == {
+        "orthogonal", "zero", "not_endomorphism"
+    }
+    matrix_only = [name for name, f in maps.items() if f._matrix is not None]
+    for names in (list(maps), list(maps)[::-1], matrix_only, matrix_only[::-1]):
+        calls.clear()
+        stacked = morphisms._classify_stack(
+            [maps[k] for k in names], [seeds[k] for k in names], n, tol
+        )
+        assert [json.dumps(r.to_json_dict()) for r in stacked] == [alone[k] for k in names]
+        assert calls == {name: alone_calls[name] for name in names if name in alone_calls}
 
 
 # ------------------------------------------- gyro core and geometry kernels

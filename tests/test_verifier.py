@@ -29,6 +29,7 @@ from gyrokit.sampling import (
     Rows,
     _blocks,
     _point_rows,
+    _sample_stack,
     _Stage,
     _staged,
     json_ready,
@@ -198,6 +199,24 @@ class TestSampleRows:
         g = plain.rng.standard_normal(3)
         np.testing.assert_allclose(np.linalg.norm(got[row]), np.linalg.norm(want[row]))
         np.testing.assert_allclose(got[row] / np.linalg.norm(got[row]), g / np.linalg.norm(g))
+
+    def test_a_stack_draws_each_sampler_as_it_draws_alone(self):
+        # sampler by sampler, the same bits, and a zero direction redrawn
+        # from its own sampler's generator
+        n, row, seeds = 300, 123, (3, 4, 5)
+        alone = [BallSampler(seed, 3) for seed in seeds]
+        stack = [BallSampler(seed, 3) for seed in seeds]
+        for samplers in (alone, stack):
+            for s, zero_at in zip(samplers, (None, row, None)):
+                s.rng = ZeroRow(s.rng, zero_at)
+        want = [s.sample_rows(n) for s in alone]
+        got = _sample_stack(stack, n)
+        assert got.tobytes() == np.concatenate(want).tobytes()
+        assert [s.rng.calls for s in stack] == [s.rng.calls for s in alone] == [
+            ["standard_normal", "random"],
+            ["standard_normal", "random", "standard_normal"],
+            ["standard_normal", "random"],
+        ]
 
     def test_a_masked_stage_keeps_the_volume_law(self):
         # a stage that refuses every point with u[0] < 0, about half of each
@@ -418,6 +437,13 @@ class TestIntegerArguments:
         for call in calls:
             with pytest.raises(TypeError):
                 call()
+
+    @pytest.mark.parametrize("name", ["classifier_soundness", "classifier_reconstruction"])
+    def test_the_classifier_trials_refuse_a_float_sample_count(self, name):
+        # as every other property does: 2.5 samples are not rounded to 3
+        with pytest.raises(TypeError):
+            run_suite([name], 2.5, 1)
+        assert run_suite([name], np.int64(30), 1)[0].passed
 
 
 class TestRunSuite:
