@@ -312,7 +312,8 @@ def classify_endomorphism(
 def _stack_image(maps: list, dim: int) -> Callable:
     """Row evaluation (see BallMap._image_rows) of k maps of dimension dim
     on k stacked slices of equal length, map j on slice j: several matrix
-    maps by one stacked matvec, else each map by its own rows on its own."""
+    or zero maps by one stacked matvec, else each map by its own rows (so
+    a lone zero map is no d x d product) on its own slice."""
     k = len(maps)
     if k > 1 and all(f._matrix is not None for f in maps):
         ms = np.stack([f._matrix for f in maps])[:, None]
@@ -349,7 +350,7 @@ def _classify_stack(maps: list, seeds: list, n_samples: int, tol: ToleranceConfi
                 points = _sample_stack(samplers, len(keys) * m).reshape(-1, len(keys), dim)
                 r = residual(image, *points.transpose(1, 0, 2))
                 parts = zip(np.split(points, len(js)), np.split(r, len(js)))
-                yield [Rows(zip(keys, p.transpose(1, 0, 2)), residual=q) for p, q in parts]
+                yield [Rows(zip(keys, pts.transpose(1, 0, 2)), residual=res) for pts, res in parts]
 
         return [seeded_scan((b[i] for b in blocks), operator.itemgetter("residual"), cutoff)
                 for i, (blocks, cutoff) in enumerate(zip(tee(chunks(), len(js)), cutoffs))]

@@ -430,10 +430,9 @@ def _classifier_trials(
     reconstruct: bool, name: str, n_samples: int, seed: int, tol: ToleranceConfig
 ):
     # soundness classifies an orthogonal, the zero and a contraction map per
-    # instance; reconstruction classifies the orthogonal map and keeps its
-    # matrix error.  Each batch of 64 instances, which bounds memory at any
-    # n, is drawn in order, then classified as one stack per dimension.  One
-    # Rows block per instance
+    # instance, reconstruction the orthogonal map, keeping its matrix error.
+    # Batches of 64 instances (bounded memory at any n) are drawn in order,
+    # each classified as one stack per dimension; one Rows block per instance
     n_samples = operator.index(n_samples)
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
@@ -444,14 +443,14 @@ def _classifier_trials(
         for k in range(start, min(count, start + 64)):
             q = random_orthogonal(rng, dims[k % len(dims)])
             maps, seeds = [BallMap.from_matrix(q)], [int(rng.integers(2**62))]
-            if not reconstruct:  # that seed goes unused
+            if not reconstruct:  # that seed goes unused: each map draws its own
                 contraction = BallMap.from_matrix(_random_contraction(rng, len(q)))
                 maps += [BallMap.zero(len(q)), contraction]
                 seeds = [int(rng.integers(2**62)) for _ in maps]
             instances.append((q, maps, seeds))
         verdicts = {}
         for dim in {len(q) for q, _, _ in instances}:
-            stack = [case for q, *cases in instances if len(q) == dim for case in zip(*cases)]
+            stack = [pair for q, fs, ss in instances if len(q) == dim for pair in zip(fs, ss)]
             verdicts[dim] = iter(_classify_stack(*zip(*stack), 64, tol))
         for q, maps, _ in instances:
             got = [next(verdicts[len(q)]) for _ in maps]
