@@ -179,7 +179,7 @@ def einstein_add(u: GyroVector, v: GyroVector) -> GyroVector:
 
 def _each(f, *columns: np.ndarray) -> np.ndarray:
     """f of the elements of the columns in turn, as Python floats: for math's
-    transcendentals and float ** (libm pow), which numpy misses in the last bit."""
+    transcendentals, which numpy's differ from in the last bit."""
     return np.array(list(map(f, *(c.tolist() for c in columns))), dtype=float)
 
 
@@ -259,7 +259,7 @@ def _line_param_rows(x: np.ndarray, t: np.ndarray, ok=True) -> tuple[np.ndarray,
     """line_param of each row of x at its row's t, guarded; a zero row is refused."""
     norm = _norm_rows(x)
     ok = ok & (norm > 0.0)
-    radius = _each(lambda a, r: math.tanh(a * math.atanh(r)), t, norm)
+    radius = _each(math.tanh, t * _each(math.atanh, norm))
     scale = np.divide(radius, norm, out=np.zeros_like(norm), where=ok)
     return _guarded(scale[:, None] * x, ok)
 

@@ -103,7 +103,7 @@ def collinear_direct(
 def _klein_distance_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """klein_distance of the rows of x and y."""
     arg = (1.0 - np.vecdot(x, y)) / np.sqrt((1.0 - np.vecdot(x, x)) * (1.0 - np.vecdot(y, y)))
-    return _each(lambda a: math.acosh(max(a, 1.0)), arg)
+    return _each(math.acosh, np.maximum(arg, 1.0))
 
 
 def _commutes_rows(u: np.ndarray, v: np.ndarray, tol: ToleranceConfig, ok=True) -> tuple:

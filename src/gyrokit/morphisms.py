@@ -36,7 +36,6 @@ from .sampling import (
     Rows,
     _blocks,
     _point_rows,
-    _sample_stack,
     derive_seed,
     scan_report,
     seeded_scan,
@@ -306,7 +305,7 @@ def classify_endomorphism(
     only off-sample (nothing continuous does) can still be reported as
     orthogonal or zero.
     """
-    return _classify_stack([f], [seed], n_samples, tol)[0]
+    return _classify_stack([f], seed, n_samples, tol)[0]
 
 
 def _stack_image(maps: list, dim: int) -> Callable:
@@ -326,28 +325,28 @@ def _stack_image(maps: list, dim: int) -> Callable:
     return image
 
 
-def _classify_stack(maps: list, seeds: list, n_samples: int, tol: ToleranceConfig) -> list:
-    """classify_endomorphism of k maps of one dimension, map j with seed
-    seeds[j], as one stack.
+def _classify_stack(maps: list, seed: int, n_samples: int, tol: ToleranceConfig) -> list:
+    """classify_endomorphism of k maps of one dimension at seed, as one stack.
 
-    Each map makes its own draws in its own phases: law scan, probes, then
-    agreement scan.  Chunk c of every map's scan is drawn by one
-    _sample_stack and scored as one array, and held until each map's slice
-    is reduced by seeded_scan; the probes run one basis vector at a time,
-    so no map is evaluated past its first escaping probe.
+    Every map runs the phases in turn: law scan, probes, then agreement
+    scan.  Each scan draws from one sampler, of a child seed of seed: chunk
+    c of the scan is one block, whose slice j is map j's n points, scored
+    as one array and held until each map's slice is reduced by
+    seeded_scan.  The agreement scan runs over the maps still pending,
+    labelled by the first of them.  The probes run one basis vector at a
+    time, so no map is evaluated past its first escaping probe.
     """
     k, dim, threshold = len(maps), maps[0].dim, decision_threshold(tol)
 
-    def scans(js: list, streams, cutoffs, keys: tuple, residual: Callable) -> list:
-        # seeded_scan of each map j in js on points of its child seed streams[j]
-        samplers = [BallSampler(derive_seed(seeds[j], stream), dim, tol.sample_rmax)
-                    for j, stream in zip(js, streams)]
+    def scans(js: list, stream: str, cutoffs, keys: tuple, residual: Callable) -> list:
+        # seeded_scan of each map j in js on its slice of the stream's chunks
+        sampler = BallSampler(derive_seed(seed, stream), dim, tol.sample_rmax)
         image = _stack_image([maps[j] for j in js], dim)
 
         def chunks():
             for start in range(0, n_samples, SCAN_CHUNK):
                 m = min(SCAN_CHUNK, n_samples - start)
-                points = _sample_stack(samplers, len(keys) * m).reshape(-1, len(keys), dim)
+                points = sampler.sample_rows(len(js) * len(keys) * m).reshape(-1, len(keys), dim)
                 r = residual(image, *points.transpose(1, 0, 2))
                 parts = zip(np.split(points, len(js)), np.split(r, len(js)))
                 yield [Rows(zip(keys, pts.transpose(1, 0, 2)), residual=res) for pts, res in parts]
@@ -355,7 +354,7 @@ def _classify_stack(maps: list, seeds: list, n_samples: int, tol: ToleranceConfi
         return [seeded_scan((b[i] for b in blocks), operator.itemgetter("residual"), cutoff)
                 for i, (blocks, cutoff) in enumerate(zip(tee(chunks(), len(js)), cutoffs))]
 
-    law = scans(range(k), ["endo"] * k, [threshold] * k, ("u", "v"), _law_rows)
+    law = scans(range(k), "endo", [threshold] * k, ("u", "v"), _law_rows)
 
     def refuted(j: int) -> MapClassification:
         max_residual, worst = law[j][:2]
@@ -384,9 +383,11 @@ def _classify_stack(maps: list, seeds: list, n_samples: int, tol: ToleranceConfi
             pending.append((j, verdict, candidate, "agree", 10.0 * tol.abs_tol))
         else:
             out[j] = refuted(j)
-    js, verdicts, centers, streams, cutoffs = zip(*pending) if pending else [()] * 5
+    if not pending:  # nothing to corroborate, so nothing is drawn
+        return out
+    js, verdicts, centers, streams, cutoffs = zip(*pending)
     centers = np.array(centers)[:, None]
-    agreement = scans(js, streams, cutoffs, ("w",), lambda image, w: _image_norms(
+    agreement = scans(js, streams[0], cutoffs, ("w",), lambda image, w: _image_norms(
         image, w, np.matvec(centers, w.reshape(len(js), -1, dim)).reshape(w.shape)
     ))
     for j, verdict, (_, _, disagreement, _) in zip(js, verdicts, agreement):

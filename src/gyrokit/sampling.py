@@ -4,10 +4,10 @@ report builder, and the report type and JSON formatting for property runs.
 Every scan reads Rows blocks (_blocks): inputs held column-wise, each
 block scored by a row residual as one array.  This is the one module that
 draws, and every draw is a block draw: a block of points is one Gaussian
-and one uniform generator call per sampler, scaled once for a stack of
-samplers (_sample_stack).  Inputs that refuse candidates are drawn in
-stages (_staged): a block of candidates is filtered by a mask, and only
-the shortfall is drawn again.
+generator call, scaled by sqrt and division alone, so no point depends on
+libm.  Inputs that refuse candidates are drawn in stages (_staged): a
+block of candidates is filtered by a mask, and only the shortfall is drawn
+again.
 
 Shared by the verifier harness, the morphism checks and the CLI; kept in
 its own module so all of them can import it without cycles.
@@ -47,10 +47,12 @@ def derive_seed(master: int, label: str) -> int:
 class BallSampler:
     """Reproducible source of points with norm <= rmax.
 
-    Directions come from normalized Gaussians, radii from rmax * U^(1/dim),
-    which together are uniform on the ball of radius rmax.  The underlying
-    `rng` is public so callers can draw auxiliary values (angles, scalars)
-    from the same deterministic stream.
+    A point is the first dim coordinates of a standard Gaussian vector in
+    dim + 2 dimensions, divided by that vector's norm and scaled by rmax,
+    which is uniform on the ball of radius rmax (Barthe, Guedon, Mendelson
+    and Naor, Ann. Probab. 33(2), 2005).  The underlying `rng` is public so
+    callers can draw auxiliary values (angles, scalars) from the same
+    deterministic stream.
     """
 
     def __init__(self, seed: int, dim: int, rmax: float = DEFAULT_SAMPLE_RMAX):
@@ -72,27 +74,15 @@ class BallSampler:
         return GyroVector._owned(self.sample_rows(1)[0])
 
     def sample_rows(self, n: int) -> np.ndarray:
-        """n points as the rows of an (n, dim) array: _sample_stack([self], n)."""
-        return _sample_stack([self], n)
-
-
-def _sample_stack(samplers: list, n: int) -> np.ndarray:
-    """n points from each of k samplers of one dimension and radius, as the
-    rows of a (k n, dim) array: each sampler in turn draws one Gaussian and
-    one uniform block, a zero direction redrawn by mask from its sampler;
-    then the scaling, row by row or element by element, runs once."""
-    if operator.index(n) < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    dim, rmax = samplers[0].dim, samplers[0].rmax
-    draws = [(s.rng.standard_normal((n, dim)), s.rng.random(n)) for s in samplers]
-    directions = np.stack([g for g, _ in draws])
-    while not (norm2 := np.vecdot(directions, directions)).all():
-        for s, g, zero in zip(samplers, directions, norm2 == 0.0):
-            if zero.any():
-                g[zero] = s.rng.standard_normal((np.count_nonzero(zero), dim))
-    # a Python float's power, which np.power does not match
-    radii = rmax * np.array([u ** (1.0 / dim) for _, block in draws for u in block.tolist()])
-    return _checked_rows((radii / np.sqrt(norm2.ravel()))[:, None] * directions.reshape(-1, dim))
+        """n points as the rows of an (n, dim) array: one standard_normal((n,
+        dim + 2)) block, an all-zero row redrawn by mask."""
+        if operator.index(n) < 0:
+            raise ValueError(f"n must be >= 0, got {n}")
+        g = self.rng.standard_normal((n, self.dim + 2))
+        while not (norm2 := np.vecdot(g, g)).all():
+            zero = norm2 == 0.0
+            g[zero] = self.rng.standard_normal((np.count_nonzero(zero), self.dim + 2))
+        return _checked_rows((self.rmax / np.sqrt(norm2))[:, None] * g[:, : self.dim])
 
 
 class Rows(dict):

@@ -113,7 +113,6 @@ from .morphisms import (
     _image_norms,
     _law_rows,
     _linear_image,
-    random_orthogonal,
 )
 from .sampling import (
     BallSampler,
@@ -157,11 +156,6 @@ def _rapidity_rows(x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------- gyro core
 
 
-def _squares(x: np.ndarray) -> np.ndarray:
-    # x ** 2 the way the scalar residuals square a Python float: libm pow
-    return _each(lambda e: e ** 2, x)
-
-
 def _closure_residual(rows: Rows, tol: ToleranceConfig) -> np.ndarray:
     w, ok = _sum_rows(rows["u"], rows["v"])
     return np.where(ok, _norm_rows(w), math.inf)
@@ -182,7 +176,7 @@ def _left_cancellation_residual(rows: Rows, tol: ToleranceConfig) -> np.ndarray:
     u, v = rows["u"], rows["v"]
     w, ok = _sum_rows(u, v)
     recovered, ok = _sum_rows(-u, w, ok)
-    return np.where(ok, _norm_rows(recovered - v) / _squares(_gamma_rows(u)), math.inf)
+    return np.where(ok, _norm_rows(recovered - v) / np.square(_gamma_rows(u)), math.inf)
 
 
 def _gamma_identity_residual(rows: Rows, tol: ToleranceConfig) -> np.ndarray:
@@ -190,7 +184,7 @@ def _gamma_identity_residual(rows: Rows, tol: ToleranceConfig) -> np.ndarray:
     w, ok = _sum_rows(u, v)
     lhs = _gamma_rows(w)
     rhs = _gamma_rows(u) * _gamma_rows(v) * (1.0 + np.vecdot(u, v))
-    return np.where(ok, np.abs(lhs - rhs) / (rhs * _squares(lhs)), math.inf)
+    return np.where(ok, np.abs(lhs - rhs) / (rhs * np.square(lhs)), math.inf)
 
 
 # largest rapidity any intermediate of a composed expression may reach
@@ -221,7 +215,7 @@ def _gyration_orthogonality_residual(rows: Rows, tol: ToleranceConfig) -> np.nda
     g2, ok = _gyration_rows(u, v, w2, ok)
     pairing = np.abs(np.vecdot(g1, g2) - np.vecdot(w1, w2))
     length = np.abs(np.vecdot(g1, g1) - np.vecdot(w1, w1))
-    scale = _squares(_gamma_rows(u) * _gamma_rows(v))
+    scale = np.square(_gamma_rows(u) * _gamma_rows(v))
     return np.where(ok, np.maximum(pairing, length) / scale, math.inf)
 
 
@@ -230,7 +224,7 @@ def _gyrocommutativity_residual(rows: Rows, tol: ToleranceConfig) -> np.ndarray:
     lhs, ok = _sum_rows(u, v)
     vu, ok = _sum_rows(v, u, ok)
     rhs, ok = _gyration_rows(u, v, vu, ok)
-    scale = _squares(_gamma_rows(u) * _gamma_rows(v))
+    scale = np.square(_gamma_rows(u) * _gamma_rows(v))
     return np.where(ok, _norm_rows(lhs - rhs) / scale, math.inf)
 
 
@@ -251,7 +245,7 @@ def _one_parameter_residual(rows: Rows, tol: ToleranceConfig) -> np.ndarray:
     xt, ok = _line_param_rows(x, t_par, ok)
     combined, ok = _sum_rows(xs, xt, ok)
     direct, ok = _line_param_rows(x, s_par + t_par, ok)
-    residual = _norm_rows(combined - direct) / _squares(_gamma_rows(combined))
+    residual = _norm_rows(combined - direct) / np.square(_gamma_rows(combined))
     return np.where(ok, residual, math.inf)
 
 
@@ -377,7 +371,7 @@ def _metric_residual(rows: Rows, tol: ToleranceConfig) -> np.ndarray:
     x, y = rows["u"], rows["v"]
     d_xy = _klein_distance_rows(x, y)
     symmetry = np.abs(d_xy - _klein_distance_rows(y, x))
-    coincidence = _squares(_klein_distance_rows(x, x))
+    coincidence = np.square(_klein_distance_rows(x, x))
     positivity = np.where(d_xy > 0.0, 0.0, 1.0)
     return np.maximum(np.maximum(symmetry, coincidence), positivity)
 
@@ -411,7 +405,7 @@ def _fixes_zero_residual(rows: Rows, tol: ToleranceConfig) -> np.ndarray:
 def _orthogonal_endomorphism_residual(rows: Rows, tol: ToleranceConfig) -> np.ndarray:
     q, u, v = rows["q"], rows["u"], rows["v"]
     raw = _law_rows(_linear_image(q), u, v)
-    return raw / _squares(_gamma_rows(u) * _gamma_rows(v))
+    return raw / np.square(_gamma_rows(u) * _gamma_rows(v))
 
 
 def _orthogonal_residual_bound_residual(rows: Rows, tol: ToleranceConfig) -> np.ndarray:
@@ -420,40 +414,45 @@ def _orthogonal_residual_bound_residual(rows: Rows, tol: ToleranceConfig) -> np.
     return raw / (10.0 * _EPS * _gamma_rows(u) * _gamma_rows(v))
 
 
-def _random_contraction(rng: np.random.Generator, dim: int) -> np.ndarray:
-    m = rng.standard_normal((dim, dim))
-    target = float(rng.uniform(0.2, 0.95))
-    return m * (target / float(np.linalg.norm(m, 2)))
-
-
 def _classifier_trials(
     reconstruct: bool, name: str, n_samples: int, seed: int, tol: ToleranceConfig
 ):
     # soundness classifies an orthogonal, the zero and a contraction map per
     # instance, reconstruction the orthogonal map, keeping its matrix error.
     # Batches of 64 instances (bounded memory at any n) are drawn in order,
-    # each classified as one stack per dimension; one Rows block per instance
+    # each classified as one stack per dimension, at the seed of its first
+    # map; one Rows block per instance
     n_samples = operator.index(n_samples)
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     rng = np.random.default_rng(derive_seed(seed, name))
     dims, count = (2, 3, 4, 5), max(1, n_samples // 10)
     for start in range(0, count, 64):
-        instances = []  # (q, the maps to classify, their seeds)
-        for k in range(start, min(count, start + 64)):
-            q = random_orthogonal(rng, dims[k % len(dims)])
-            maps, seeds = [BallMap.from_matrix(q)], [int(rng.integers(2**62))]
-            if not reconstruct:  # that seed goes unused: each map draws its own
-                contraction = BallMap.from_matrix(_random_contraction(rng, len(q)))
-                maps += [BallMap.zero(len(q)), contraction]
-                seeds = [int(rng.integers(2**62)) for _ in maps]
-            instances.append((q, maps, seeds))
-        verdicts = {}
-        for dim in {len(q) for q, _, _ in instances}:
-            stack = [pair for q, fs, ss in instances if len(q) == dim for pair in zip(fs, ss)]
-            verdicts[dim] = iter(_classify_stack(*zip(*stack), 64, tol))
-        for q, maps, _ in instances:
-            got = [next(verdicts[len(q)]) for _ in maps]
+        batch = [dims[k % len(dims)] for k in range(start, min(count, start + 64))]
+        draws = []  # per instance: q's Gaussian, the contraction's and its target, a seed
+        for dim in batch:
+            g, child = rng.standard_normal((dim, dim)), int(rng.integers(2**62))
+            if reconstruct:
+                draws.append((g, None, None, child))
+                continue
+            # that seed goes unused: the instance's maps draw three, the first kept
+            m, target = rng.standard_normal((dim, dim)), float(rng.uniform(0.2, 0.95))
+            child, _, _ = (int(rng.integers(2**62)) for _ in range(3))
+            draws.append((g, m, target, child))
+        trials = [None] * len(batch)  # (q, verdicts) per instance
+        for dim in set(batch):
+            ks = [k for k, d in enumerate(batch) if d == dim]
+            gs, ms, targets, children = zip(*(draws[k] for k in ks))
+            qs = _haar(np.array(gs))
+            maps = [[BallMap.from_matrix(q)] for q in qs]
+            if not reconstruct:
+                ms = np.array(ms)
+                cs = ms * (np.array(targets) / np.linalg.norm(ms, 2, axis=(1, 2)))[:, None, None]
+                maps = [[f, BallMap.zero(dim), BallMap.from_matrix(c)] for (f,), c in zip(maps, cs)]
+            verdicts = iter(_classify_stack([f for fs in maps for f in fs], children[0], 64, tol))
+            for k, q, fs in zip(ks, qs, maps):
+                trials[k] = q, [next(verdicts) for _ in fs]
+        for q, got in trials:
             if not reconstruct:
                 yield Rows(
                     family=np.array(["orthogonal", "zero", "contraction"]), dim=np.full(3, len(q)),
@@ -491,7 +490,7 @@ def _model_pair(rows: Rows) -> tuple:
     u, v = rows["u"], rows["v"]
     da, ok = _bloch_to_density_rows(u)
     db, ok = _bloch_to_density_rows(v, ok)
-    return da, db, ok, _squares(_gamma_rows(u) * _gamma_rows(v))
+    return da, db, ok, np.square(_gamma_rows(u) * _gamma_rows(v))
 
 
 def _bloch_homomorphism_residual(rows: Rows, tol: ToleranceConfig) -> np.ndarray:

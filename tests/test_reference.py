@@ -3,7 +3,7 @@
 Each reference below is the straightforward expression the package used
 before its results skipped re-validation and numpy dispatch: the textbook
 addition on one line, negation through the public constructor, the norm
-through np.linalg.norm, and the sampler's uniform() draw.  The arithmetic
+through np.linalg.norm, and the sampler's one-point Gaussian draw.  The arithmetic
 is unchanged, so the results must agree exactly, bytes included, up to
 points 1e-8 from the unit sphere.  A result outside the guarded ball must
 fail with the public constructor's message, and every result is read-only.
@@ -21,6 +21,7 @@ import json
 import math
 import warnings
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -97,7 +98,6 @@ from gyrokit.verifier import (
     _commutes_iff_dependent_residual,
     _gyration_orthogonality_residual,
     _gyrocommutativity_residual,
-    _squares,
 )
 
 DIMS = (1, 2, 3, 5, 64)
@@ -128,14 +128,19 @@ def textbook_add(u: GyroVector, v: GyroVector) -> np.ndarray:
     return (u.coords + s * v.coords + (duv / (1.0 + s)) * u.coords) / (1.0 + duv)
 
 
-def old_sample(s: BallSampler) -> GyroVector:
-    direction = s.rng.standard_normal(s.dim)
-    length = float(np.linalg.norm(direction))
-    while length == 0.0:
-        direction = s.rng.standard_normal(s.dim)
-        length = float(np.linalg.norm(direction))
-    radius = s.rmax * float(s.rng.uniform()) ** (1.0 / s.dim)
-    return GyroVector((radius / length) * direction)
+def plain_sample(s: BallSampler) -> GyroVector:
+    """One point as the plain form draws it: the first dim coordinates of a
+    Gaussian (dim + 2)-vector over its norm, scaled by rmax, an all-zero
+    vector drawn again."""
+    g = s.rng.standard_normal(s.dim + 2)
+    while (length := _norm(g)) == 0.0:
+        g = s.rng.standard_normal(s.dim + 2)
+    return GyroVector((s.rmax / length) * g[: s.dim])
+
+
+def sq(x: float) -> float:
+    """x squared by multiplication, as the row residuals square."""
+    return x * x
 
 
 def assert_same_point(got: GyroVector, want: GyroVector) -> None:
@@ -191,7 +196,7 @@ def test_sampler_matches_the_uniform_draw(dim):
     for seed in range(50):
         new, old = BallSampler(seed, dim), BallSampler(seed, dim)
         for _ in range(10):
-            assert_same_point(new.sample(), old_sample(old))
+            assert_same_point(new.sample(), plain_sample(old))
         assert new.rng.bit_generator.state == old.rng.bit_generator.state
 
 
@@ -302,19 +307,17 @@ def test_guard_rows_match_the_constructor(dim):
 
 @pytest.mark.parametrize("dim", DIMS)
 def test_sample_rows_interleave_with_sample(dim):
-    # a block of n points is a Gaussian (n, dim) block and n uniforms, each
-    # row scaled as the plain form scales one point, and sample() between
-    # blocks draws as old_sample does
+    # a block of n points is one Gaussian (n, dim + 2) block, each row
+    # scaled as the plain form scales one point, and sample() between
+    # blocks draws as plain_sample does
     for seed in range(20):
         rows, plain = BallSampler(seed, dim), BallSampler(seed, dim)
         for n in (3, 0, 1, 17):
             block = rows.sample_rows(n)
             assert block.shape == (n, dim)
-            gaussians, uniforms = plain.rng.standard_normal((n, dim)), plain.rng.random(n)
-            for row, g, u in zip(block, gaussians, uniforms.tolist()):
-                want = (plain.rmax * u ** (1.0 / dim) / _norm(g)) * g
-                assert row.tobytes() == want.tobytes()
-            assert_same_point(rows.sample(), old_sample(plain))
+            for row, g in zip(block, plain.rng.standard_normal((n, dim + 2))):
+                assert row.tobytes() == ((plain.rmax / _norm(g)) * g[:dim]).tobytes()
+            assert_same_point(rows.sample(), plain_sample(plain))
         assert rows.rng.bit_generator.state == plain.rng.bit_generator.state
 
 
@@ -501,7 +504,7 @@ def left_inverse(inputs: dict, tol: ToleranceConfig) -> float:
 def left_cancellation(inputs: dict, tol: ToleranceConfig) -> float:
     u, v = inputs["u"], inputs["v"]
     recovered = einstein_add(neg(u), einstein_add(u, v))
-    return _norm(recovered.coords - v.coords) / gamma(u) ** 2
+    return _norm(recovered.coords - v.coords) / sq(gamma(u))
 
 
 def gamma_identity(inputs: dict, tol: ToleranceConfig) -> float:
@@ -509,14 +512,14 @@ def gamma_identity(inputs: dict, tol: ToleranceConfig) -> float:
     w = einstein_add(u, v)
     lhs = gamma(w)
     rhs = gamma(u) * gamma(v) * (1.0 + float(u.coords.dot(v.coords)))
-    return abs(lhs - rhs) / (rhs * gamma(w) ** 2)
+    return abs(lhs - rhs) / (rhs * sq(gamma(w)))
 
 
 def gyration_orthogonality(inputs: dict, tol: ToleranceConfig) -> float:
     u, v, w1, w2 = inputs["u"], inputs["v"], inputs["w1"], inputs["w2"]
     g1 = gyration(u, v, w1)
     g2 = gyration(u, v, w2)
-    scale = (gamma(u) * gamma(v)) ** 2
+    scale = sq(gamma(u) * gamma(v))
     pairing = abs(float(g1.coords.dot(g2.coords)) - float(w1.coords.dot(w2.coords)))
     length = abs(g1.norm2 - w1.norm2)
     return max(pairing, length) / scale
@@ -526,7 +529,7 @@ def gyrocommutativity(inputs: dict, tol: ToleranceConfig) -> float:
     u, v = inputs["u"], inputs["v"]
     lhs = einstein_add(u, v)
     rhs = gyration(u, v, einstein_add(v, u))
-    scale = (gamma(u) * gamma(v)) ** 2
+    scale = sq(gamma(u) * gamma(v))
     return _norm(lhs.coords - rhs.coords) / scale
 
 
@@ -534,7 +537,7 @@ def one_parameter(inputs: dict, tol: ToleranceConfig) -> float:
     x, s_par, t_par = inputs["x"], inputs["s"], inputs["t"]
     combined = einstein_add(line_param(x, s_par), line_param(x, t_par))
     direct = line_param(x, s_par + t_par)
-    return _norm(combined.coords - direct.coords) / gamma(combined) ** 2
+    return _norm(combined.coords - direct.coords) / sq(gamma(combined))
 
 
 def commutes_iff_dependent(inputs: dict, tol: ToleranceConfig) -> float:
@@ -567,7 +570,7 @@ def metric(inputs: dict, tol: ToleranceConfig) -> float:
     x, y = inputs["u"], inputs["v"]
     d_xy = klein_distance(x, y)
     symmetry = abs(d_xy - klein_distance(y, x))
-    coincidence = klein_distance(x, x) ** 2
+    coincidence = sq(klein_distance(x, x))
     positivity = 0.0 if d_xy > 0.0 else 1.0
     return max(symmetry, coincidence, positivity)
 
@@ -587,7 +590,7 @@ def fixes_zero(inputs: dict, tol: ToleranceConfig) -> float:
 
 def orthogonal_law(inputs: dict, tol: ToleranceConfig) -> float:
     q, u, v = inputs["q"], inputs["u"], inputs["v"]
-    return scalar_law(matrix_map(q), u, v) / (gamma(u) * gamma(v)) ** 2
+    return scalar_law(matrix_map(q), u, v) / sq(gamma(u) * gamma(v))
 
 
 def orthogonal_bound(inputs: dict, tol: ToleranceConfig) -> float:
@@ -603,7 +606,7 @@ def bloch_homomorphism(inputs: dict, tol: ToleranceConfig) -> float:
     u, v = inputs["u"], inputs["v"]
     lhs = bloch_to_density(einstein_add(u, v))
     rhs = odot(bloch_to_density(u), bloch_to_density(v))
-    return hermitian_maxdiff(lhs, rhs) / (gamma(u) * gamma(v)) ** 2
+    return hermitian_maxdiff(lhs, rhs) / sq(gamma(u) * gamma(v))
 
 
 def det_normalization(inputs: dict, tol: ToleranceConfig) -> float:
@@ -612,7 +615,7 @@ def det_normalization(inputs: dict, tol: ToleranceConfig) -> float:
     lhs = normalize_det(odot(da, db))
     rhs = boxdot(normalize_det(da), normalize_det(db))
     scale = 1.0 + max(abs(lhs.a), abs(lhs.d), abs(lhs.re_b), abs(lhs.im_b))
-    return hermitian_maxdiff(lhs, rhs) / (scale * (gamma(u) * gamma(v)) ** 2)
+    return hermitian_maxdiff(lhs, rhs) / (scale * sq(gamma(u) * gamma(v)))
 
 
 def transported_automorphism(inputs: dict, tol: ToleranceConfig) -> float:
@@ -624,7 +627,7 @@ def transported_automorphism(inputs: dict, tol: ToleranceConfig) -> float:
     da, db = bloch_to_density(u), bloch_to_density(v)
     lhs = transported(odot(da, db))
     rhs = odot(transported(da), transported(db))
-    return hermitian_maxdiff(lhs, rhs) / (gamma(u) * gamma(v)) ** 2
+    return hermitian_maxdiff(lhs, rhs) / sq(gamma(u) * gamma(v))
 
 
 def sqrt_squares_back(inputs: dict, tol: ToleranceConfig) -> float:
@@ -863,16 +866,6 @@ def test_a_translated_sum_the_guard_refuses_is_refused_and_redrawn():
     ]
 
 
-def test_squares_are_python_float_squares():
-    # a Python float's ** 2 is libm pow, which x * x misses in the last bit
-    # on some products of Lorentz factors
-    s = BallSampler(1234, 3)
-    g = _gamma_rows(s.sample_rows(20_000)) * _gamma_rows(s.sample_rows(20_000))
-    want = [x**2 for x in g.tolist()]
-    assert (np.array(want) != g * g).any()
-    assert _squares(g).tolist() == want
-
-
 @pytest.mark.parametrize("matrix", [np.eye(3), 0.5 * np.eye(3)], ids=["identity", "half"])
 def test_check_endomorphism_equals_its_scalar_replay_over_chunks(matrix):
     n, f = 3 * SCAN_CHUNK + 1, matrix_map(matrix)
@@ -884,33 +877,98 @@ def test_check_endomorphism_equals_its_scalar_replay_over_chunks(matrix):
 
 # ------------------------------------------------------- classifier trials
 #
-# The classifier properties replayed map by map: each instance drawn as the
-# trials draw it, each map classified alone by the public classifier on an
-# opaque matrix map, which is called once per point.
+# A stack of k maps draws each scan from one sampler, and map j takes slice
+# j of each block.  The reference classifies each map alone, by the public
+# classifier, on its slice: the law scan's blocks split among all k maps,
+# the agreement scan's among the maps still pending after the probes, drawn
+# from the stream of the first of them.
+
+
+class SliceSampler(BallSampler):
+    """Slice j of k of every block a sampler of its seed draws."""
+
+    def __init__(self, seed: int, dim: int, rmax: float, j: int, k: int):
+        super().__init__(seed, dim, rmax)
+        self.j, self.k = j, k
+
+    def sample_rows(self, n: int) -> np.ndarray:
+        return super().sample_rows(self.k * n)[self.j * n : (self.j + 1) * n]
+
+
+class Pending(Exception):
+    """A lone classification asked for its agreement sampler, of this seed."""
+
+
+def classify_on_slices(maps: dict, seed: int, n: int, tol: ToleranceConfig, calls: dict) -> dict:
+    """Each map of the stack (name -> map, in stack order) classified alone
+    by classify_endomorphism on its slice of the stack's draws.  A map is
+    classified twice if it is pending, first up to its agreement scan;
+    calls[name], where its black box records, keeps the second run."""
+    names, endo = list(maps), derive_seed(seed, "endo")
+
+    def classify(name: str, agreement: tuple | None = None):
+        def sampler(s: int, dim: int, rmax: float) -> BallSampler:
+            if s == endo:
+                return SliceSampler(s, dim, rmax, names.index(name), len(names))
+            if agreement is None:
+                raise Pending(s)
+            stream, pending = agreement
+            return SliceSampler(stream, dim, rmax, pending.index(name), len(pending))
+
+        with mock.patch.object(morphisms, "BallSampler", sampler):
+            return classify_endomorphism(maps[name], n, seed, tol)
+
+    out, streams = {}, {}
+    for name in names:
+        try:
+            out[name] = classify(name)
+        except Pending as asked:
+            streams[name] = asked.args[0]
+    pending = list(streams)
+    for name in pending:
+        calls.pop(name, None)
+        out[name] = classify(name, (streams[pending[0]], pending))
+    return {name: out[name] for name in names}
 
 
 def classifier_trial_items(reconstruct: bool, name: str, n_samples: int, seed: int, tol):
-    """The scanned rows of a classifier property, one instance at a time."""
+    """The scanned rows of a classifier property, one instance at a time:
+    each batch of 64 instances drawn in order, each map an opaque matrix
+    map, classified on its slice of its dimension's stack, whose seed is
+    that of the stack's first map."""
     rng = np.random.default_rng(derive_seed(seed, name))
-    for k in range(max(1, n_samples // 10)):
-        dim = (2, 3, 4, 5)[k % 4]
-        q = random_orthogonal(rng, dim)
-        child = int(rng.integers(2**62))
-        if reconstruct:
-            got = classify_endomorphism(matrix_map(q), 64, child, tol)
-            if got.verdict != "orthogonal":
-                yield {"dim": dim, "expected": "orthogonal", "got": got.verdict}
-            else:
-                error = np.max(np.abs(got.matrix.entries - q))
-                yield {"dim": dim, "matrix": q, "max_entry_error": error}
-            continue
-        m = rng.standard_normal((dim, dim))
-        contraction = m * (float(rng.uniform(0.2, 0.95)) / float(np.linalg.norm(m, 2)))
-        cases = [("orthogonal", q), ("zero", np.zeros((dim, dim)))]
-        cases.append(("not_endomorphism", contraction))
-        for family, (expected, matrix) in zip(("orthogonal", "zero", "contraction"), cases):
-            got = classify_endomorphism(matrix_map(matrix), 64, int(rng.integers(2**62)), tol)
-            yield {"family": family, "dim": dim, "expected": expected, "got": got.verdict}
+    count = max(1, n_samples // 10)
+    for start in range(0, count, 64):
+        instances = []  # (q, [(family, expected, matrix)], the seed of the first map)
+        for k in range(start, min(count, start + 64)):
+            dim = (2, 3, 4, 5)[k % 4]
+            q = random_orthogonal(rng, dim)
+            cases, child = [("orthogonal", "orthogonal", q)], int(rng.integers(2**62))
+            if not reconstruct:
+                m = rng.standard_normal((dim, dim))
+                contraction = m * (float(rng.uniform(0.2, 0.95)) / float(np.linalg.norm(m, 2)))
+                cases += [("zero", "zero", np.zeros((dim, dim)))]
+                cases += [("contraction", "not_endomorphism", contraction)]
+                child = [int(rng.integers(2**62)) for _ in cases][0]
+            instances.append((q, cases, child))
+        got = {}
+        for dim in (2, 3, 4, 5):
+            ours = [(k, x) for k, x in enumerate(instances) if len(x[0]) == dim]
+            stack = {(k, i): matrix_map(case[2]) for k, x in ours for i, case in enumerate(x[1])}
+            if stack:
+                got.update(classify_on_slices(stack, ours[0][1][2], 64, tol, {}))
+        for k, (q, cases, _) in enumerate(instances):
+            if reconstruct:
+                verdict = got[k, 0]
+                if verdict.verdict != "orthogonal":
+                    yield {"dim": len(q), "expected": "orthogonal", "got": verdict.verdict}
+                else:
+                    error = np.max(np.abs(verdict.matrix.entries - q))
+                    yield {"dim": len(q), "matrix": q, "max_entry_error": error}
+                continue
+            for i, (family, expected, _) in enumerate(cases):
+                verdict = got[k, i].verdict
+                yield {"family": family, "dim": len(q), "expected": expected, "got": verdict}
 
 
 def classifier_score(item: dict, tol: ToleranceConfig) -> float:
@@ -961,48 +1019,65 @@ def stack_maps(dim: int, calls: dict) -> dict:
 
 
 @pytest.mark.parametrize("tol", [DEFAULT_TOL, ToleranceConfig(abs_tol=0.1)], ids=["default", "0.1"])
-def test_k_maps_equal_k_one_map_calls(monkeypatch, tol):
-    dim, n, calls = 3, 3 * SCAN_CHUNK + 1, {}
+def test_a_stack_classifies_each_map_on_its_slice(monkeypatch, tol):
+    dim, n, seed, calls = 3, 3 * SCAN_CHUNK + 1, 100, {}
     maps = stack_maps(dim, calls)
-    seeds = dict(zip(maps, range(100, 100 + len(maps))))
-    # the nan map's first law pair scores NaN, wherever it is scored
-    law_sampler = BallSampler(derive_seed(seeds["nan"], "endo"), dim, tol.sample_rmax)
-    marked = law_sampler.sample_rows(2 * SCAN_CHUNK)[0]
-    law_rows = morphisms._law_rows
+    law_rows, marked = morphisms._law_rows, [None]
 
     def with_nan(image, u, v):
+        # the nan map's first law pair scores NaN, wherever it is scored
         residual = law_rows(image, u, v)
-        residual[(u == marked).all(axis=1)] = math.nan
+        residual[(u == marked[0]).all(axis=1)] = math.nan
         return residual
 
     monkeypatch.setattr(morphisms, "_law_rows", with_nan)
-    # json.dumps tells NaN from NaN and -0.0 from 0.0
-    alone = {
-        name: json.dumps(classify_endomorphism(f, n, seeds[name], tol).to_json_dict())
-        for name, f in maps.items()
-    }
-    alone_calls = {name: list(points) for name, points in calls.items()}
-    # the opaque map's phases: f(u (+) v), f(u), f(v) per law pair, the
-    # probes at half the basis vectors, then f(w) per agreement point
-    assert len(alone_calls["opaque"]) == 4 * n + dim
-    probes = [(0.5 * e).tobytes() for e in np.eye(dim)]
-    assert alone_calls["opaque"][3 * n : 3 * n + dim] == probes
-    assert alone_calls["probe_escapes"][-1] == probes[0]  # no call after it escapes
-    assert '"residual": NaN' in alone["nan"] and '"residual": Infinity' in alone["double"]
-    assert json.loads(alone["probe_escapes"])["witness_u"] == [0.5, 0.0, 0.0]
-    if tol.abs_tol == 0.1:  # half passes the law scan, and its candidate is refused
-        assert json.loads(alone["half"])["residual"] < decision_threshold(tol)
-    assert {json.loads(v)["verdict"] for v in alone.values()} == {
-        "orthogonal", "zero", "not_endomorphism"
-    }
     matrix_only = [name for name, f in maps.items() if f._matrix is not None]
     for names in (list(maps), list(maps)[::-1], matrix_only, matrix_only[::-1]):
+        law = BallSampler(derive_seed(seed, "endo"), dim, tol.sample_rmax)
+        first_chunk = law.sample_rows(2 * SCAN_CHUNK * len(names))
+        marked[0] = first_chunk[2 * SCAN_CHUNK * names.index("nan")]
         calls.clear()
-        stacked = morphisms._classify_stack(
-            [maps[k] for k in names], [seeds[k] for k in names], n, tol
-        )
+        # json.dumps tells NaN from NaN and -0.0 from 0.0
+        alone = {
+            name: json.dumps(verdict.to_json_dict())
+            for name, verdict in classify_on_slices(
+                {name: maps[name] for name in names}, seed, n, tol, calls
+            ).items()
+        }
+        alone_calls = {name: list(points) for name, points in calls.items()}
+        assert '"residual": NaN' in alone["nan"] and '"residual": Infinity' in alone["double"]
+        assert {json.loads(v)["verdict"] for v in alone.values()} == {
+            "orthogonal", "zero", "not_endomorphism"
+        }
+        if "opaque" in names:
+            # the opaque map's phases: f(u (+) v), f(u), f(v) per law pair,
+            # the probes at half the basis vectors, then f(w) per agreement point
+            assert len(alone_calls["opaque"]) == 4 * n + dim
+            probes = [(0.5 * e).tobytes() for e in np.eye(dim)]
+            assert alone_calls["opaque"][3 * n : 3 * n + dim] == probes
+            assert alone_calls["probe_escapes"][-1] == probes[0]  # no call after it escapes
+            assert json.loads(alone["probe_escapes"])["witness_u"] == [0.5, 0.0, 0.0]
+        if tol.abs_tol == 0.1:  # half passes the law scan, and its candidate is refused
+            assert json.loads(alone["half"])["residual"] < decision_threshold(tol)
+        calls.clear()
+        stacked = morphisms._classify_stack([maps[k] for k in names], seed, n, tol)
         assert [json.dumps(r.to_json_dict()) for r in stacked] == [alone[k] for k in names]
-        assert calls == {name: alone_calls[name] for name in names if name in alone_calls}
+        # each black box is called at the same points, in the same order
+        assert calls == alone_calls
+
+
+def test_a_lone_map_draws_as_check_endomorphism_draws():
+    # a one-map stack is classify_endomorphism: its law scan draws the pairs
+    # check_endomorphism draws from the "endo" child seed
+    f, n, seed = matrix_map(random_orthogonal(np.random.default_rng(3), 3)), 300, 21
+    law = check_endomorphism(f, n, derive_seed(seed, "endo"), FAILING)
+    got = classify_endomorphism(f, n, seed, FAILING)
+    assert got.verdict == "not_endomorphism"
+    assert got.residual == law.max_residual
+    # the pair reported is the law scan's worst, drawn as check_endomorphism drew it
+    blocks = _blocks(sampling._point_rows("u", "v"), [BallSampler(derive_seed(seed, "endo"), 3)], n)
+    pairs = [(p["u"].tolist(), p["v"].tolist()) for b in blocks for p in scalar_items(b)]
+    assert (got.witness_u.tolist(), got.witness_v.tolist()) in pairs
 
 
 # ------------------------------------------- gyro core and geometry kernels
@@ -1451,7 +1526,7 @@ def reference_zero_propagation(
         point_sampler = BallSampler(derive_seed(seed, "zero_prop_base"), x.dim, tol.sample_rmax)
         for _ in range(max(1, n_samples // 20)):
             for part in ("chord", "half_ellipse"):
-                base = old_sample(point_sampler).tolist()
+                base = plain_sample(point_sampler).tolist()
                 for t in rng.uniform(-t_max, t_max, size=20):
                     yield {"part": part, "t": float(t), "base": base}
 

@@ -29,7 +29,6 @@ from gyrokit.sampling import (
     Rows,
     _blocks,
     _point_rows,
-    _sample_stack,
     _Stage,
     _staged,
     json_ready,
@@ -170,8 +169,9 @@ class TestSampleRows:
     # sample_rows, the rows a staged draw keeps, and the positive matrices
     N = 20_000
 
-    @pytest.mark.parametrize("dim", [2, 3, 5])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 64])
     def test_radii_follow_the_volume_law(self, dim):
+        # (r / rmax)^dim is uniform on [0, 1]
         rmax = 0.999
         radii = np.linalg.norm(BallSampler(11, dim, rmax).sample_rows(self.N), axis=1)
         assert radii.max() <= rmax
@@ -186,37 +186,46 @@ class TestSampleRows:
         t = points @ axis / np.linalg.norm(points, axis=1)
         assert ks_statistic(t, lambda x: (x + 1.0) / 2.0) < 1.63 / math.sqrt(self.N)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 64])
+    def test_directions_are_symmetric(self, dim):
+        # each coordinate of a uniform direction is as often positive as
+        # negative, with mean 0 and variance 1 / dim: both within 4 sigma
+        points = BallSampler(15, dim).sample_rows(self.N)
+        directions = points / np.linalg.norm(points, axis=1)[:, None]
+        positive = np.count_nonzero(directions > 0.0, axis=0)
+        assert (np.abs(positive - self.N / 2) <= 4.0 * math.sqrt(self.N / 4)).all()
+        assert (np.abs(directions.mean(axis=0)) <= 4.0 / math.sqrt(dim * self.N)).all()
+
+    def test_sample_is_the_row_of_a_one_point_block(self):
+        for dim in (1, 3, 64):
+            one, block = BallSampler(16, dim), BallSampler(16, dim)
+            for _ in range(20):
+                point = one.sample()
+                assert point.coords.tobytes() == block.sample_rows(1)[0].tobytes()
+            assert one.rng.bit_generator.state == block.rng.bit_generator.state
+
     def test_a_zero_direction_is_redrawn_on_its_row_alone(self):
-        n, row = 300, 123
-        plain, zeroed = BallSampler(3, 3), BallSampler(3, 3)
+        # an all-zero (dim + 2)-row is drawn again, by one more Gaussian call
+        n, row, dim, rmax = 300, 123, 3, 0.999
+        plain, zeroed = BallSampler(3, dim, rmax), BallSampler(3, dim, rmax)
         zeroed.rng = ZeroRow(zeroed.rng, row)
         want, got = plain.sample_rows(n), zeroed.sample_rows(n)
-        # the two blocks, then the zero row's redraw, one call
-        assert zeroed.rng.calls == ["standard_normal", "random", "standard_normal"]
+        # the block, then the zero row's redraw
+        assert zeroed.rng.calls == ["standard_normal", "standard_normal"]
         others = np.arange(n) != row
-        assert got[others].tolist() == want[others].tolist()
-        # the redrawn row keeps its radius and takes the next Gaussian's direction
-        g = plain.rng.standard_normal(3)
-        np.testing.assert_allclose(np.linalg.norm(got[row]), np.linalg.norm(want[row]))
-        np.testing.assert_allclose(got[row] / np.linalg.norm(got[row]), g / np.linalg.norm(g))
+        assert got[others].tobytes() == want[others].tobytes()
+        # the redrawn row is the next Gaussian's point
+        g = plain.rng.standard_normal((1, dim + 2))
+        assert got[row].tobytes() == ((rmax / np.linalg.norm(g)) * g[0, :dim]).tobytes()
 
-    def test_a_stack_draws_each_sampler_as_it_draws_alone(self):
-        # sampler by sampler, the same bits, and a zero direction redrawn
-        # from its own sampler's generator
-        n, row, seeds = 300, 123, (3, 4, 5)
-        alone = [BallSampler(seed, 3) for seed in seeds]
-        stack = [BallSampler(seed, 3) for seed in seeds]
-        for samplers in (alone, stack):
-            for s, zero_at in zip(samplers, (None, row, None)):
-                s.rng = ZeroRow(s.rng, zero_at)
-        want = [s.sample_rows(n) for s in alone]
-        got = _sample_stack(stack, n)
-        assert got.tobytes() == np.concatenate(want).tobytes()
-        assert [s.rng.calls for s in stack] == [s.rng.calls for s in alone] == [
-            ["standard_normal", "random"],
-            ["standard_normal", "random", "standard_normal"],
-            ["standard_normal", "random"],
-        ]
+    def test_a_stack_block_splits_into_the_blocks_drawn_in_turn(self):
+        # a classifier stack takes slice j of one block of k n rows: the
+        # points the j-th of k blocks of n, drawn in turn, would hold
+        n, k = 300, 4
+        stack, turns = BallSampler(3, 3), BallSampler(3, 3)
+        got = stack.sample_rows(k * n)
+        assert got.tobytes() == np.concatenate([turns.sample_rows(n) for _ in range(k)]).tobytes()
+        assert stack.rng.bit_generator.state == turns.rng.bit_generator.state
 
     def test_a_masked_stage_keeps_the_volume_law(self):
         # a stage that refuses every point with u[0] < 0, about half of each

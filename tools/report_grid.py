@@ -5,7 +5,10 @@ keeps the seeded streams and the arithmetic prints the same bytes.  Every
 seeded draw became a block draw filtered by mask at one change, on
 purpose, so checkouts before it print other suite, tolerance, radius and
 coarse lines, and other check_endomorphism lines in maps; the
-classify_endomorphism and zero_propagation_check lines stayed.
+classify_endomorphism and zero_propagation_check lines stayed.  A later
+change drew every point by the pow-free sampler (a Gaussian in d + 2
+dimensions) and gave each classifier stack one stream per phase, also on
+purpose, so every section changed again.
 
     PYTHONPATH=src python tools/report_grid.py > grid.txt
     PYTHONPATH=src python tools/report_grid.py --small   # seconds, for CI
