@@ -2,9 +2,9 @@
 
 The carrier is the set of vectors of Euclidean norm < 1 (speed of light
 normalized to 1).  The addition law is noncommutative and nonassociative;
-its failure of associativity is measured by the gyration operator, which
-the verifier module checks is always a rotation.  Everything here is pure
-and dimension-agnostic.
+its failure of associativity is measured by the gyration operator,
+evaluated in Ungar's closed form, which the verifier module checks is
+always a rotation.  Everything here is pure and dimension-agnostic.
 """
 
 from __future__ import annotations
@@ -246,13 +246,23 @@ def _anchored_sum_rows(u: np.ndarray, v: np.ndarray, ok=True) -> tuple[np.ndarra
     return w, ok
 
 
+def _gyration_terms(gu, gv, uv, uw, vw):
+    """(A / D, B / D) of gyration's closed form, from gamma(u), gamma(v), u.v,
+    u.w and v.w by + - * / alone: floats and float64 arrays round alike."""
+    gu1, gv1 = gu + 1.0, gv + 1.0
+    big_a = (-gu * gu / gu1 * (gv - 1.0) * uw + gu * gv * vw
+             + 2.0 * gu * gu * gv * gv / (gu1 * gv1) * uv * vw)
+    big_b = -gv / gv1 * (gu * gv1 * uw + (gu - 1.0) * gv * vw)
+    big_d = gu * gv * (1.0 + uv) + 1.0
+    return big_a / big_d, big_b / big_d
+
+
 def _gyration_rows(u: np.ndarray, v: np.ndarray, w: np.ndarray, ok=True) -> tuple:
-    """gyration of the rows of u, v and w by its definition: four guarded
-    sums, refused where any of them leaves the ball."""
-    uv, ok = _sum_rows(u, v, ok)
-    vw, ok = _sum_rows(v, w, ok)
-    uvw, ok = _sum_rows(u, vw, ok)
-    return _sum_rows(-uv, uvw, ok)
+    """gyration of the rows of u, v and w, guarded."""
+    a, b = _gyration_terms(
+        _gamma_rows(u), _gamma_rows(v), np.vecdot(u, v), np.vecdot(u, w), np.vecdot(v, w)
+    )
+    return _guarded(a[:, None] * u + b[:, None] * v + w, ok)
 
 
 def _line_param_rows(x: np.ndarray, t: np.ndarray, ok=True) -> tuple[np.ndarray, np.ndarray]:
@@ -289,13 +299,19 @@ def neg(u: GyroVector) -> GyroVector:
 def gyration(u: GyroVector, v: GyroVector, w: GyroVector) -> GyroVector:
     """Apply the gyration gyr[u, v] to w.
 
-    Defined as the associativity defect -(u (+) v) (+) (u (+) (v (+) w)).
-    That this acts on w as an orthogonal map is a verified property
-    (see the gyration_orthogonality check), never an assumption.
+    The associativity defect -(u (+) v) (+) (u (+) (v (+) w)), evaluated in
+    the closed form of A. A. Ungar (Analytic Hyperbolic Geometry, 2008)
+    w + (A u + B v) / D, where D = gamma(u) gamma(v) (1 + u.v) + 1 >= 2.
+    No sum is formed, so every input in the ball is accepted; only a
+    result that rounds past the guard raises.  That it is orthogonal and
+    equals the definition are verified properties (gyration_orthogonality,
+    gyrocommutativity), never assumptions.
     """
     _check_same_dim(u, v)
     _check_same_dim(u, w)
-    return einstein_add(neg(einstein_add(u, v)), einstein_add(u, einstein_add(v, w)))
+    x, y, z = u.coords, v.coords, w.coords
+    a, b = _gyration_terms(gamma(u), gamma(v), float(x.dot(y)), float(x.dot(z)), float(y.dot(z)))
+    return GyroVector._owned(a * x + b * y + z)
 
 
 def line_param(x: GyroVector, t: float) -> GyroVector:

@@ -46,12 +46,13 @@ The scale used by each property:
   transported_automorphism     (gamma(u) gamma(v))^2
   indicator properties         none (residual is 0 or 1)
 
-Evaluability note: the gyration properties evaluate compositions whose
-intermediates reach rapidity |u| + |v| + |w| (and 2(|u| + |v|) for the
-gyrocommutativity form).  Pairs so close to the boundary that an
-intermediate would leave the guarded ball are rejected at draw time and
-redrawn: strict construction makes such inputs non-evaluable, which is a
-domain condition of the composed expression, not a weakening of the law.
+Evaluability note: gyration is evaluated in closed form and composes no
+sums, so gyration_orthogonality draws plain points.  gyrocommutativity
+forms u (+) v and v (+) u, whose rapidity reaches |u| + |v|.  Pairs so
+close to the boundary that a sum would leave the guarded ball are
+rejected at draw time and redrawn: strict construction makes such inputs
+non-evaluable, which is a domain condition of the composed expression,
+not a weakening of the law.
 The collinearity draws apply the same rule to the translated pair
 (-x) (+) y, (-x) (+) z, whose commutation test adds the two: a triple is
 redrawn where either sum leaves the guard or their sum could.
@@ -192,20 +193,11 @@ def _gamma_identity_residual(rows: Rows, tol: ToleranceConfig) -> np.ndarray:
 _EVALUABILITY_BOUND = math.atanh(1.0 - 100.0 * DEFAULT_BOUNDARY_MARGIN)
 
 
-def _gyration_evaluable(rows: Rows, tol: ToleranceConfig) -> np.ndarray:
-    # the gyration chain peaks at rapidity |u| + |v| + |w|
-    u, v, w1, w2 = (_rapidity_rows(rows[key]) for key in ("u", "v", "w1", "w2"))
-    return u + v + np.maximum(w1, w2) <= _EVALUABILITY_BOUND
-
-
 def _pair_evaluable(rows: Rows, tol: ToleranceConfig) -> np.ndarray:
-    # the gyrocommutativity composition peaks at rapidity 2(|u| + |v|)
-    return 2.0 * (_rapidity_rows(rows["u"]) + _rapidity_rows(rows["v"])) <= _EVALUABILITY_BOUND
+    # gyrocommutativity forms u (+) v and v (+) u, of rapidity at most |u| + |v|
+    return _rapidity_rows(rows["u"]) + _rapidity_rows(rows["v"]) <= _EVALUABILITY_BOUND
 
 
-_GYRATION = _Stage(
-    _point_rows("u", "v", "w1", "w2"), _gyration_evaluable, "an evaluable gyration input"
-)
 _GYROCOMMUTATIVITY = _Stage(_point_rows("u", "v"), _pair_evaluable, "an evaluable pair")
 
 
@@ -593,7 +585,7 @@ _REGISTRY = {
     "left_cancellation": (_pairs, _left_cancellation_residual, _abs_tol),
     "gamma_identity": (_pairs, _gamma_identity_residual, _rel_tol),
     "gyration_orthogonality": (
-        partial(_sampled, partial(_staged, (_GYRATION,))), _gyration_orthogonality_residual,
+        partial(_sampled, _point_rows("u", "v", "w1", "w2")), _gyration_orthogonality_residual,
         _rel_tol,
     ),
     "gyrocommutativity": (

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from gyrokit import (
     BallDomainError,
+    BallSampler,
     DimensionMismatchError,
     GyroVector,
     ToleranceConfig,
@@ -201,6 +202,71 @@ class TestGyration:
         lhs = float(g1.coords @ g2.coords)
         rhs = float(w1.coords @ w2.coords)
         assert lhs == pytest.approx(rhs, abs=1e-13)
+
+    def test_accepts_inputs_whose_sums_leave_the_ball(self):
+        # u (+) v and v (+) w round past the guard, so the definition
+        # -(u (+) v) (+) (u (+) (v (+) w)) raises; gyr of collinear u, v is the
+        # identity
+        fast = GyroVector([0.99999, 0.0])
+        with pytest.raises(BallDomainError):
+            einstein_add(fast, fast)
+        g = gyration(fast, fast, fast)
+        assert isinstance(g, GyroVector)
+        assert approx_eq(g, fast)
+
+    def test_result_past_the_guard_raises_the_guard_error(self):
+        # |w| is one ulp under the guard, and the rotated w rounds onto it
+        u = GyroVector([-0.36, 0.53])
+        v = GyroVector([-0.16, -0.47])
+        w = GyroVector([0.7862063928173941, -0.6179640004830874])
+        with pytest.raises(BallDomainError, match="is not strictly inside the unit ball"):
+            gyration(u, v, w)
+
+
+class TestGyrationAxioms:
+    """The gyrogroup axioms about gyrations as maps (Ungar 2008, ch. 2),
+    which bind the closed-form gyration to einstein_add.  Each residual is
+    divided by (gamma(u) gamma(v))^2, times gamma(a) gamma(b) for the
+    automorphism law, over 1000 seeded quadruples (u, v, a, b).  The worst
+    measured, over d = 2, 3, 5, rmax 0.99 and 0.999 and seeds 11-13, was
+    2.0e-16, so the bound of 10 machine epsilons leaves a margin of 11x."""
+
+    BOUND = 10 * np.finfo(float).eps
+
+    @staticmethod
+    def quadruples(dim: int, rmax: float):
+        rows = BallSampler(11, dim, rmax).sample_rows(4000).reshape(1000, 4, dim)
+        for row in rows:
+            u, v, a, b = map(GyroVector, row)
+            yield u, v, a, b, (gamma(u) * gamma(v)) ** 2
+
+    @staticmethod
+    def gap(x: GyroVector, y: GyroVector) -> float:
+        return float(np.linalg.norm(x.coords - y.coords))
+
+    @pytest.mark.parametrize("rmax", [0.99, 0.999])
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_left_loop_property(self, dim, rmax):
+        # gyr[u (+) v, v] = gyr[u, v]
+        for u, v, a, _, scale in self.quadruples(dim, rmax):
+            got = gyration(einstein_add(u, v), v, a)
+            assert self.gap(got, gyration(u, v, a)) <= self.BOUND * scale
+
+    @pytest.mark.parametrize("rmax", [0.99, 0.999])
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_gyroautomorphism(self, dim, rmax):
+        # gyr[u, v](a (+) b) = gyr[u, v]a (+) gyr[u, v]b
+        for u, v, a, b, scale in self.quadruples(dim, rmax):
+            got = gyration(u, v, einstein_add(a, b))
+            want = einstein_add(gyration(u, v, a), gyration(u, v, b))
+            assert self.gap(got, want) <= self.BOUND * scale * gamma(a) * gamma(b)
+
+    @pytest.mark.parametrize("rmax", [0.99, 0.999])
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_gyration_inversion(self, dim, rmax):
+        # gyr[v, u] = gyr[u, v]^-1
+        for u, v, a, _, scale in self.quadruples(dim, rmax):
+            assert self.gap(gyration(v, u, gyration(u, v, a)), a) <= self.BOUND * scale
 
 
 class TestLineParam:

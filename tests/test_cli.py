@@ -111,6 +111,13 @@ class TestScalars:
         assert code == 0
         assert out == "0.3,0.1\n"
 
+    def test_gyr_accepts_inputs_whose_sums_leave_the_ball(self, capsys):
+        # u (+) v rounds past the guard; gyr of collinear u, v is the identity
+        code, out, err = run_cli(
+            capsys, "gyr", "--u", "0.99999,0", "--v", "0.99999,0", "--w", "0.99999,0"
+        )
+        assert (code, out, err) == (0, "0.99999,0\n", "")
+
 
 class TestCollinear:
     def test_on_a_diagonal_line(self, capsys):

@@ -8,7 +8,11 @@ coarse lines, and other check_endomorphism lines in maps; the
 classify_endomorphism and zero_propagation_check lines stayed.  A later
 change drew every point by the pow-free sampler (a Gaussian in d + 2
 dimensions) and gave each classifier stack one stream per phase, also on
-purpose, so every section changed again.
+purpose, so every section changed again.  The next evaluated gyration in
+closed form and drew gyration_orthogonality's points without the
+evaluability stage: only the gyration_orthogonality and gyrocommutativity
+lines of the suite, tolerance, radius and coarse sections changed, and
+maps stayed byte-identical.
 
     PYTHONPATH=src python tools/report_grid.py > grid.txt
     PYTHONPATH=src python tools/report_grid.py --small   # seconds, for CI
