@@ -195,7 +195,9 @@ _COMMANDS = {
 def _cmd_table(args: argparse.Namespace) -> int:
     command = _COMMANDS[args.command]
     values = [command.read(getattr(args, option)) for option in command.options]
-    return command.show(command.run(*values))
+    # looked up by name now, as the other commands do: a wrapper set on this
+    # module's attribute (a tracer, a mock) sees the call
+    return command.show(globals()[command.run.__name__](*values))
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:

@@ -612,6 +612,22 @@ HELP_SCREENS = {
 }
 
 
+class TestTableCommands:
+    @pytest.mark.parametrize("name", list(gyrokit.cli._COMMANDS))
+    def test_runs_the_operation_the_module_holds_at_call_time(self, monkeypatch, name):
+        # a wrapper set on the module attribute, as a tracer or a mock sets
+        # it, must see the call, not the function bound when the table was built
+        command = gyrokit.cli._COMMANDS[name]
+        seen = []
+        monkeypatch.setattr(gyrokit.cli, command.run.__name__, lambda *values: seen.append(values))
+        monkeypatch.setitem(
+            gyrokit.cli._COMMANDS, name, command._replace(read=str, show=lambda result: 0)
+        )
+        args = [arg for option in command.options for arg in (f"--{option}", option)]
+        assert main([name, *args]) == 0
+        assert seen == [tuple(command.options)]
+
+
 class TestHelpScreens:
     @pytest.mark.parametrize("command", list(HELP_SCREENS), ids=lambda c: c[0] if c else "top")
     def test_lists_the_pinned_commands_and_options(self, capsys, monkeypatch, command):

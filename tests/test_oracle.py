@@ -26,7 +26,8 @@ import math
 import numpy as np
 import pytest
 
-from gyrokit import GyroError, GyroVector, einstein_add, gyration, neg
+from gyrokit import GyroError, GyroVector, gyration
+from test_reference import definition_gyration
 
 mp = pytest.importorskip("mpmath")
 
@@ -57,10 +58,6 @@ def relative_error(got: np.ndarray, want: list) -> float:
     with mp.workdps(50):
         err = mp.sqrt(mp.fsum((mp.mpf(float(g)) - x) ** 2 for g, x in zip(got, want)))
         return float(err / mp.sqrt(mp.fsum(x**2 for x in want)))
-
-
-def definition(u: GyroVector, v: GyroVector, w: GyroVector) -> GyroVector:
-    return einstein_add(neg(einstein_add(u, v)), einstein_add(u, einstein_add(v, w)))
 
 
 def _unit(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -102,7 +99,7 @@ def cell(gap: float, dim: int) -> dict:
         worst["closed"] = max(worst["closed"], closed)
         worst["closed_per_slack"] = max(worst["closed_per_slack"], closed * slack / EPS)
         try:
-            got = definition(u, v, w).coords
+            got = definition_gyration(u, v, w).coords
         except GyroError:
             worst["refused"] += 1
             continue
