@@ -138,8 +138,7 @@ class GyroVector:
         return self.coords.tolist()
 
     def __repr__(self) -> str:
-        inside = ", ".join(repr(c) for c in self.coords)
-        return f"GyroVector([{inside}])"
+        return f"GyroVector({self.coords.tolist()!r})"
 
 
 def _check_same_dim(u: GyroVector, v: GyroVector) -> None:
@@ -159,22 +158,30 @@ def einstein_add(u: GyroVector, v: GyroVector) -> GyroVector:
     identity, so implementation and check cannot share a bug.
     """
     _check_same_dim(u, v)
-    duv = float(u.coords.dot(v.coords))
-    s = math.sqrt(1.0 - u.norm2)
-    # the textbook expression term by term in one buffer: IEEE addition is
-    # commutative, so every step rounds as the one-line form does
-    out = s * v.coords
-    out += u.coords
-    out += (duv / (1.0 + s)) * u.coords
+    x, y = u.coords, v.coords
+    return GyroVector._owned(_add_terms(x, y, float(x.dot(y)), math.sqrt(1.0 - u.norm2)))
+
+
+def _add_terms(u, v, duv, s):
+    """einstein_add's textbook form from u.v and s = sqrt(1 - |u|^2), term by term in
+    one buffer: IEEE addition is commutative, so each step rounds as the one-line form."""
+    out = s * v
+    out += u
+    out += (duv / (1.0 + s)) * u
     out /= 1.0 + duv
-    return GyroVector._owned(out)
+    return out
 
 
-# Row kernels.  Each takes points as the rows of an (n, d) array and equals
-# its scalar twin bit for bit: np.vecdot is the same ddot as ndarray.dot,
-# np.sqrt is correctly rounded like math.sqrt, and the rest is elementwise
-# IEEE arithmetic in the scalar term order.  A guarded kernel passes on ok:
-# a row where the scalar call raises GyroError leaves ok and is zeroed.
+def _close(a, b, tol: ToleranceConfig):
+    """approx_eq componentwise, of 1-D coords or of (n, d) rows."""
+    return np.abs(a - b) <= tol.abs_tol + tol.rel_tol * np.maximum(np.abs(a), np.abs(b))
+
+
+# Row kernels.  Each takes points as the rows of an (n, d) array and passes
+# a formula's helper the columns where its scalar twin passes floats, so the
+# two agree bit for bit: np.vecdot is the same ddot as ndarray.dot, np.sqrt
+# is correctly rounded like math.sqrt.  A guarded kernel passes on ok: a row
+# where the scalar call raises GyroError leaves ok and is zeroed.
 
 
 def _each(f, *columns: np.ndarray) -> np.ndarray:
@@ -203,13 +210,7 @@ def _checked_rows(w: np.ndarray) -> np.ndarray:
 
 def _add_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """einstein_add of the rows of u and v, unguarded."""
-    duv = np.vecdot(u, v)
-    s = np.sqrt(1.0 - np.vecdot(u, u))
-    out = s[:, None] * v
-    out += u
-    out += (duv / (1.0 + s))[:, None] * u
-    out /= (1.0 + duv)[:, None]
-    return out
+    return _add_terms(u, v, np.vecdot(u, v)[:, None], np.sqrt(1.0 - np.vecdot(u, u))[:, None])
 
 
 def _gamma_rows(u: np.ndarray) -> np.ndarray:
@@ -237,9 +238,9 @@ def _sum_rows(u: np.ndarray, v: np.ndarray, ok=True) -> tuple[np.ndarray, np.nda
 
 
 def _anchored_sum_rows(u: np.ndarray, v: np.ndarray, ok=True) -> tuple[np.ndarray, np.ndarray]:
-    """_sum_rows, whose first formed row einstein_add also sums: that row is
-    refused unless the two agree, so a property scored on it notices an
-    einstein_add that has parted from the kernel standing in for it."""
+    """_sum_rows, whose first formed row einstein_add also sums, refused unless
+    the two agree: the one path by which a wrapper set on the public
+    einstein_add (perfbench's --corrupt) reaches a verifier property."""
     w, ok = _sum_rows(u, v, ok)
     for i in np.flatnonzero(ok)[:1]:
         ok[i] = np.array_equal(einstein_add(GyroVector(u[i]), GyroVector(v[i])).coords, w[i])
@@ -321,7 +322,10 @@ def line_param(x: GyroVector, t: float) -> GyroVector:
     sends 0 to the origin, 1 to x, and parameter sums to ball sums, making
     the open diameter a subgroup isomorphic to (R, +).
     """
-    t = float(t)
+    try:
+        t = float(t)
+    except OverflowError:  # an int past the float range
+        t = math.inf if t > 0 else -math.inf
     if not math.isfinite(t):
         raise BallDomainError(f"parameter must be finite, got {t!r}")
     if x.norm == 0.0:
@@ -333,5 +337,4 @@ def line_param(x: GyroVector, t: float) -> GyroVector:
 def approx_eq(a: GyroVector, b: GyroVector, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Componentwise |a_i - b_i| <= abs_tol + rel_tol * max(|a_i|, |b_i|)."""
     _check_same_dim(a, b)
-    bound = tol.abs_tol + tol.rel_tol * np.maximum(np.abs(a.coords), np.abs(b.coords))
-    return bool(np.all(np.abs(a.coords - b.coords) <= bound))
+    return bool(_close(a.coords, b.coords, tol).all())

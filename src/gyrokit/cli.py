@@ -21,6 +21,7 @@ import numpy as np
 from .ball import BallDomainError, GyroError, GyroVector, einstein_add, gamma, gyration
 from .geometry import collinear_gyro, klein_distance
 from .matrix_models import (
+    _HERMITIAN_FIELDS,
     DensityMatrix2,
     PosDef2Det1,
     bloch_to_density,
@@ -36,7 +37,6 @@ DEFAULT_SEED = 7
 DEFAULT_SAMPLES = 1000
 # classify holds d x d arrays, each 8 MB at this bound
 MAX_DIM = 1024
-_HERMITIAN_FIELDS = ("a", "d", "re_b", "im_b")
 
 
 def _fmt(x: float) -> str:
@@ -183,7 +183,7 @@ _COMMANDS = {
     "bloch": _Command("density matrix of a 3-dimensional point", dict.fromkeys("v"),
                       _parse_vector, bloch_to_density, _show_json),
     "odot": _Command("density-matrix product (JSON files)",
-                     {"a": "JSON file with fields a, d, re_b, im_b", "b": None},
+                     {"a": f"JSON file with fields {', '.join(_HERMITIAN_FIELDS)}", "b": None},
                      _density, odot, _show_json),
     "boxdot": _Command("det-1 congruence product (JSON files)", dict.fromkeys("ab"),
                        _det1, boxdot, _show_json),

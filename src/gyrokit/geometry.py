@@ -16,6 +16,7 @@ from .ball import (
     GyroVector,
     ToleranceConfig,
     _check_same_dim,
+    _close,
     _each,
     _sum_rows,
     approx_eq,
@@ -51,9 +52,10 @@ def gram_band(
     The band is scale-aware: exact dependence gives a determinant that is
     pure rounding noise relative to 1 + |a|^2 |b|^2.
     """
-    a2 = float(a.dot(a))
-    b2 = float(b.dot(b))
-    ab = float(a.dot(b))
+    return _gram_terms(float(a.dot(a)), float(b.dot(b)), float(a.dot(b)), tol)
+
+
+def _gram_terms(a2, b2, ab, tol: ToleranceConfig) -> tuple:  # from floats or columns
     return a2 * b2 - ab * ab, tol.abs_tol * (1.0 + a2 * b2)
 
 
@@ -111,11 +113,9 @@ def _commutes_rows(u: np.ndarray, v: np.ndarray, tol: ToleranceConfig, ok=True) 
     two sums the guard accepts."""
     uv, ok = _sum_rows(u, v, ok)
     vu, ok = _sum_rows(v, u, ok)
-    bound = tol.abs_tol + tol.rel_tol * np.maximum(np.abs(uv), np.abs(vu))
-    return (np.abs(uv - vu) <= bound).all(axis=1), ok
+    return _close(uv, vu, tol).all(axis=1), ok
 
 
 def _gram_band_rows(a: np.ndarray, b: np.ndarray, tol: ToleranceConfig) -> tuple:
     """gram_band of the rows of a and b."""
-    a2, b2, ab = np.vecdot(a, a), np.vecdot(b, b), np.vecdot(a, b)
-    return a2 * b2 - ab * ab, tol.abs_tol * (1.0 + a2 * b2)
+    return _gram_terms(np.vecdot(a, a), np.vecdot(b, b), np.vecdot(a, b), tol)

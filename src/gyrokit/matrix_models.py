@@ -29,6 +29,9 @@ class PositivityError(GyroError):
     """A matrix fails a positivity, trace, or determinant requirement."""
 
 
+_HERMITIAN_FIELDS = ("a", "d", "re_b", "im_b")  # a Hermitian2's fields, in order
+
+
 @dataclass(frozen=True)
 class Hermitian2:
     """Hermitian 2x2 matrix [[a, b], [conj(b), d]] stored as four reals.
@@ -43,7 +46,7 @@ class Hermitian2:
     im_b: float
 
     def __post_init__(self) -> None:
-        for field in ("a", "d", "re_b", "im_b"):
+        for field in _HERMITIAN_FIELDS:
             value = float(getattr(self, field))
             if not math.isfinite(value):
                 raise ValueError(f"{field} must be finite, got {value!r}")
@@ -56,15 +59,20 @@ class Hermitian2:
 
     @property
     def det(self) -> float:
-        return self.a * self.d - (self.re_b * self.re_b + self.im_b * self.im_b)
+        return _det(self.a, self.d, self.re_b, self.im_b)
 
     def to_json_dict(self) -> dict:
-        return {"a": self.a, "d": self.d, "re_b": self.re_b, "im_b": self.im_b}
+        return {field: getattr(self, field) for field in _HERMITIAN_FIELDS}
 
 
 def is_positive_definite(h: Hermitian2) -> bool:
     """Sylvester test for 2x2: positive corner and positive determinant."""
-    return h.a > 0.0 and h.det > 0.0
+    return _positive(h.a, h.d, h.re_b, h.im_b)
+
+
+def _require_positive(h: Hermitian2) -> None:
+    if not is_positive_definite(h):
+        raise PositivityError(f"matrix is not positive definite (a={h.a!r}, det={h.det!r})")
 
 
 class DensityMatrix2(Hermitian2):
@@ -74,10 +82,7 @@ class DensityMatrix2(Hermitian2):
         super().__post_init__()
         if abs(self.trace - 1.0) > DEFAULT_ABS_TOL:
             raise PositivityError(f"trace must be 1, got {self.trace!r}")
-        if not is_positive_definite(self):
-            raise PositivityError(
-                f"matrix is not positive definite (a={self.a!r}, det={self.det!r})"
-            )
+        _require_positive(self)
 
 
 class PosDef2Det1(Hermitian2):
@@ -87,12 +92,8 @@ class PosDef2Det1(Hermitian2):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if not is_positive_definite(self):
-            raise PositivityError(
-                f"matrix is not positive definite (a={self.a!r}, det={self.det!r})"
-            )
-        scale = abs(self.a * self.d) + self.re_b * self.re_b + self.im_b * self.im_b
-        if abs(self.det - 1.0) > DEFAULT_REL_TOL + 4.0 * sys.float_info.epsilon * scale:
+        _require_positive(self)
+        if not _in_det1_band(self.a, self.d, self.re_b, self.im_b):
             raise PositivityError(f"determinant must be 1, got {self.det!r}")
 
 
@@ -104,9 +105,7 @@ def sqrt_posdef2(h: Hermitian2) -> Hermitian2:
     """
     if not is_positive_definite(h):
         raise PositivityError(f"square root needs a positive definite matrix, got det={h.det!r}")
-    s = math.sqrt(h.det)
-    n = math.sqrt(h.trace + 2.0 * s)
-    return Hermitian2((h.a + s) / n, (h.d + s) / n, h.re_b / n, h.im_b / n)
+    return Hermitian2(*_root(math.sqrt, h.a, h.d, h.re_b, h.im_b))
 
 
 def sqrt_congruence(a: Hermitian2, b: Hermitian2) -> Hermitian2:
@@ -118,19 +117,7 @@ def sqrt_congruence(a: Hermitian2, b: Hermitian2) -> Hermitian2:
     evaluated here in real arithmetic.
     """
     r = sqrt_posdef2(a)
-    p, q, wr, wi = r.a, r.d, r.re_b, r.im_b
-    x, y, zr, zi = b.a, b.d, b.re_b, b.im_b
-    cross = wr * zr + wi * zi  # Re(w conj(z))
-    w_abs2 = wr * wr + wi * wi
-    w_sq_re, w_sq_im = wr * wr - wi * wi, 2.0 * wr * wi  # w^2
-    diag = p * x + q * y
-    pq = p * q
-    return Hermitian2(
-        p * p * x + 2.0 * p * cross + w_abs2 * y,
-        w_abs2 * x + 2.0 * q * cross + q * q * y,
-        wr * diag + pq * zr + w_sq_re * zr + w_sq_im * zi,
-        wi * diag + pq * zi + w_sq_im * zr - w_sq_re * zi,
-    )
+    return Hermitian2(*_congruence(r.a, r.d, r.re_b, r.im_b, b.a, b.d, b.re_b, b.im_b))
 
 
 def odot(a: DensityMatrix2, b: DensityMatrix2) -> DensityMatrix2:
@@ -156,7 +143,7 @@ def bloch_to_density(v: GyroVector) -> DensityMatrix2:
     """Ball point to density matrix: (I + v . sigma) / 2, dimension 3 only."""
     if v.dim != 3:
         raise DimensionMismatchError(f"Bloch correspondence needs dimension 3, got {v.dim}")
-    x, y, z = v.coords
+    x, y, z = v.coords.tolist()
     return DensityMatrix2((1.0 + z) / 2.0, (1.0 - z) / 2.0, x / 2.0, -y / 2.0)
 
 
@@ -179,12 +166,47 @@ def normalize_det(m: DensityMatrix2) -> PosDef2Det1:
     return PosDef2Det1(m.a / s, m.d / s, m.re_b / s, m.im_b / s)
 
 
-# Column kernels.  A Hermitian block is the tuple of its four field columns
-# (a, d, re_b, im_b).  Each kernel makes the operations of the scalar function
-# it is named after, in their order, so it equals it bit for bit, and folds
-# -0.0 by + 0.0 where the scalar builds a matrix.  A row where the scalar call
-# raises GyroError leaves ok; a kernel that takes a root or divides first sets
-# the rows out of ok to the identity, so that no arithmetic on them warns.
+# Each formula is written once, as a helper of the fields (_det to
+# _congruence) that the functions above call with floats and the column
+# kernels below with a Hermitian block's four field columns: + - * / and a
+# correctly rounded sqrt round both alike.  A kernel folds -0.0 by + 0.0
+# where the scalar builds a matrix.  A row where the scalar call raises
+# GyroError leaves ok; a kernel that takes a root or divides first sets the
+# rows out of ok to the identity, so that no arithmetic on them warns.
+
+
+def _det(a, d, re_b, im_b):
+    return a * d - (re_b * re_b + im_b * im_b)
+
+
+def _positive(a, d, re_b, im_b):
+    return (a > 0.0) & (_det(a, d, re_b, im_b) > 0.0)
+
+
+def _in_det1_band(a, d, re_b, im_b):
+    band = DEFAULT_REL_TOL + 4.0 * sys.float_info.epsilon * (abs(a * d) + re_b * re_b + im_b * im_b)
+    return abs(_det(a, d, re_b, im_b) - 1.0) <= band
+
+
+def _root(sqrt, a, d, re_b, im_b):
+    """The fields of sqrt_posdef2's closed form."""
+    s = sqrt(_det(a, d, re_b, im_b))
+    n = sqrt(a + d + 2.0 * s)
+    return (a + s) / n, (d + s) / n, re_b / n, im_b / n
+
+
+def _congruence(p, q, wr, wi, x, y, zr, zi) -> tuple:
+    """The fields of r b r, from those of r = sqrt(a) and of b: see sqrt_congruence."""
+    cross, w_abs2 = wr * zr + wi * zi, wr * wr + wi * wi  # Re(w conj(z)), |w|^2
+    w_sq_re, w_sq_im = wr * wr - wi * wi, 2.0 * wr * wi  # w^2
+    diag, pq = p * x + q * y, p * q
+    return (
+        p * p * x + 2.0 * p * cross + w_abs2 * y,
+        w_abs2 * x + 2.0 * q * cross + q * q * y,
+        wr * diag + pq * zr + w_sq_re * zr + w_sq_im * zi,
+        wi * diag + pq * zi + w_sq_im * zr - w_sq_re * zi,
+    )
+
 
 _IDENTITY = (1.0, 1.0, 0.0, 0.0)
 
@@ -193,45 +215,24 @@ def _blanked(h: tuple, ok) -> tuple:
     return tuple(np.where(ok, x, e) for x, e in zip(h, _IDENTITY)), ok
 
 
-def _det_rows(h: tuple) -> np.ndarray:
-    return h[0] * h[1] - (h[2] * h[2] + h[3] * h[3])
-
-
-def _positive_rows(h: tuple) -> np.ndarray:
-    return (h[0] > 0.0) & (_det_rows(h) > 0.0)
-
-
 def _density_rows(h: tuple, ok=True) -> tuple:
     h = tuple(x + 0.0 for x in h)
-    return h, ok & (abs(h[0] + h[1] - 1.0) <= DEFAULT_ABS_TOL) & _positive_rows(h)
+    return h, ok & (abs(h[0] + h[1] - 1.0) <= DEFAULT_ABS_TOL) & _positive(*h)
 
 
 def _det1_rows(h: tuple, ok=True) -> tuple:
-    a, d, re_b, im_b = h = tuple(x + 0.0 for x in h)
-    band = DEFAULT_REL_TOL + 4.0 * sys.float_info.epsilon * (abs(a * d) + re_b * re_b + im_b * im_b)
-    return h, ok & _positive_rows(h) & (abs(_det_rows(h) - 1.0) <= band)
+    h = tuple(x + 0.0 for x in h)
+    return h, ok & _positive(*h) & _in_det1_band(*h)
 
 
 def _sqrt_posdef_rows(h: tuple, ok=True) -> tuple:
-    h, ok = _blanked(h, ok & _positive_rows(h))
-    s = np.sqrt(_det_rows(h))
-    n = np.sqrt(h[0] + h[1] + 2.0 * s)
-    return tuple(x + 0.0 for x in ((h[0] + s) / n, (h[1] + s) / n, h[2] / n, h[3] / n)), ok
+    h, ok = _blanked(h, ok & _positive(*h))
+    return tuple(x + 0.0 for x in _root(np.sqrt, *h)), ok
 
 
 def _sqrt_congruence_rows(a: tuple, b: tuple, ok=True) -> tuple:
-    (p, q, wr, wi), ok = _sqrt_posdef_rows(a, ok)
-    x, y, zr, zi = b
-    cross, w_abs2 = wr * zr + wi * zi, wr * wr + wi * wi
-    w_sq_re, w_sq_im = wr * wr - wi * wi, 2.0 * wr * wi
-    diag, pq = p * x + q * y, p * q
-    s = (
-        p * p * x + 2.0 * p * cross + w_abs2 * y,
-        w_abs2 * x + 2.0 * q * cross + q * q * y,
-        wr * diag + pq * zr + w_sq_re * zr + w_sq_im * zi,
-        wi * diag + pq * zi + w_sq_im * zr - w_sq_re * zi,
-    )
-    return tuple(t + 0.0 for t in s), ok
+    r, ok = _sqrt_posdef_rows(a, ok)
+    return tuple(t + 0.0 for t in _congruence(*r, *b)), ok
 
 
 def _odot_rows(a: tuple, b: tuple, ok=True) -> tuple:
@@ -246,8 +247,8 @@ def _boxdot_rows(a: tuple, b: tuple, ok=True) -> tuple:
 
 
 def _normalize_det_rows(m: tuple, ok=True) -> tuple:
-    m, ok = _blanked(m, ok & (_det_rows(m) > 0.0))
-    s = np.sqrt(_det_rows(m))
+    m, ok = _blanked(m, ok & (_det(*m) > 0.0))
+    s = np.sqrt(_det(*m))
     return _det1_rows(tuple(x / s for x in m), ok)
 
 

@@ -198,18 +198,14 @@ def _law_rows(image: Callable, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     fu, ok = image(u, ok)
     fv, ok = image(v, ok)
     rhs, ok = _sum_rows(fu, fv, ok)
-    residual = _norm_rows(fw - rhs)
-    residual[~ok] = math.inf
-    return residual
+    return np.where(ok, _norm_rows(fw - rhs), math.inf)
 
 
 def _image_norms(image: Callable, w: np.ndarray, center, ok=None) -> np.ndarray:
     # |f(w) - center| per row of w that ok marks (all by default), inf where
     # f(w) is not a ball point or the row is not marked
     out, ok = image(w, np.ones(len(w), dtype=bool) if ok is None else ok)
-    residual = _norm_rows(out - center)
-    residual[~ok] = math.inf
-    return residual
+    return np.where(ok, _norm_rows(out - center), math.inf)
 
 
 def endomorphism_residual(f: BallMap, u: GyroVector, v: GyroVector) -> float:

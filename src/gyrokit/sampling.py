@@ -76,7 +76,7 @@ class BallSampler:
     def sample_rows(self, n: int) -> np.ndarray:
         """n points as the rows of an (n, dim) array: one standard_normal((n,
         dim + 2)) block, an all-zero row redrawn by mask."""
-        if operator.index(n) < 0:
+        if (n := operator.index(n)) < 0:
             raise ValueError(f"n must be >= 0, got {n}")
         g = self.rng.standard_normal((n, self.dim + 2))
         while not (norm2 := np.vecdot(g, g)).all():

@@ -12,13 +12,12 @@ through the sampling module, each column one generator call on the
 block, and positive matrices as record columns with the fields of
 Hermitian2; a refused candidate is refused by mask and only the
 shortfall is drawn again (sampling._staged, given the stages defined
-here).  Each block is scored as one residual array by kernels that equal
-the scalar path bit for bit: the row kernels of ball, geometry and
-morphisms, and for the five matrix-model properties the column kernels
-of matrix_models, which hold a Hermitian block as its four field
-columns.  bloch_homomorphism also sums the first formed row of each
-block by the public einstein_add and refuses it unless the two agree, so
-the suite notices a public sum parted from its kernel.  The classifier
+here).  Each block is scored as one residual array by the row kernels of
+ball, geometry and morphisms and the column kernels of matrix_models,
+each sharing its formula with the scalar function.  bloch_homomorphism
+also sums the first formed row of each block by the public einstein_add
+and refuses it unless the two agree (ball._anchored_sum_rows), the one
+path by which perfbench's --corrupt reaches a property.  The classifier
 trials compare verdicts, each batch classified as one stack per dimension.
 
 Residual normalization.  Raw floating-point residuals of ball operations
@@ -95,14 +94,15 @@ from .ball import (
 )
 from .geometry import _commutes_rows, _gram_band_rows, _klein_distance_rows
 from .matrix_models import (
+    _HERMITIAN_FIELDS,
     _IDENTITY,
     _bloch_to_density_rows,
     _boxdot_rows,
     _density_to_bloch_rows,
-    _det_rows,
+    _det,
     _normalize_det_rows,
     _odot_rows,
-    _positive_rows,
+    _positive,
     _sqrt_congruence_rows,
     _sqrt_posdef_rows,
 )
@@ -518,7 +518,7 @@ def _transported_automorphism_residual(rows: Rows, tol: ToleranceConfig) -> np.n
 
 # a column of 2x2 Hermitian matrices: one record per row, with the fields of
 # Hermitian2; and a column's four field columns, as the kernels take them
-_HERMITIAN = np.dtype([(field, float) for field in ("a", "d", "re_b", "im_b")])
+_HERMITIAN = np.dtype([(field, float) for field in _HERMITIAN_FIELDS])
 _fields = operator.itemgetter(*_HERMITIAN.names)
 
 
@@ -547,15 +547,15 @@ def _posdef_rows(max_log_cond: float, *keys: str) -> Callable:
 def _sqrt_squares_back_residual(rows: Rows, tol: ToleranceConfig) -> np.ndarray:
     h = _fields(rows["h"])
     root, ok = _sqrt_posdef_rows(h)
-    squared, ok = _sqrt_congruence_rows(h, _IDENTITY, ok & _positive_rows(root))
+    squared, ok = _sqrt_congruence_rows(h, _IDENTITY, ok & _positive(*root))
     return np.where(ok, _maxdiff(squared, h) / (1.0 + _maxdiff(h)), math.inf)
 
 
 def _boxdot_det_residual(rows: Rows, tol: ToleranceConfig) -> np.ndarray:
     h1, h2 = _fields(rows["h1"]), _fields(rows["h2"])
     product, ok = _sqrt_congruence_rows(h1, h2)
-    expected = _det_rows(h1) * _det_rows(h2)
-    return np.where(ok, np.abs(_det_rows(product) - expected) / expected, math.inf)
+    expected = _det(*h1) * _det(*h2)
+    return np.where(ok, np.abs(_det(*product) - expected) / expected, math.inf)
 
 
 # ----------------------------------------------------------------- registry

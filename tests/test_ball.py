@@ -80,6 +80,18 @@ class TestGyroVector:
         with pytest.raises(BallDomainError, match="^coords must be finite$"):
             GyroVector(bad)
 
+    @pytest.mark.parametrize(
+        "point, text",
+        [
+            (GyroVector([0.5, 0.0]), "GyroVector([0.5, 0.0])"),
+            (neg(GyroVector([0.5, 0.0])), "GyroVector([-0.5, -0.0])"),
+        ],
+    )
+    def test_repr_prints_plain_floats_that_evaluate_back(self, point, text):
+        # numpy >= 2 would print each coordinate as np.float64(...)
+        assert repr(point) == text
+        assert eval(text, {"GyroVector": GyroVector}).coords.tobytes() == point.coords.tobytes()
+
 
 class TestEinsteinAdd:
     def test_collinear_golden(self):
@@ -306,6 +318,14 @@ class TestLineParam:
         # tanh saturates toward 1, which the strict constructor refuses
         with pytest.raises(BallDomainError):
             line_param(GyroVector([0.5, 0.0]), 50.0)
+
+    @pytest.mark.parametrize(
+        "t", [10**400, -(10**400), Fraction(10**400, 3)], ids=["int", "negative", "fraction"]
+    )
+    def test_parameter_past_the_float_range_is_not_finite(self, t):
+        # float(t) overflows; it is refused as an infinite parameter is
+        with pytest.raises(BallDomainError, match="^parameter must be finite, got -?inf$"):
+            line_param(GyroVector([0.5, 0.0]), t)
 
 
 class TestToleranceConfig:

@@ -192,6 +192,19 @@ class TestMatrixCommands:
         assert code == 2
         assert err != ""
 
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            ({"a": 0.5, "d": 0.5, "re_b": 0.0}, "missing fields ['im_b']"),
+            ([0.5, 0.5, 0.0, 0.0], "expected a JSON object with fields ('a', 'd', 're_b', 'im_b')"),
+        ],
+    )
+    def test_malformed_document_names_the_fields(self, capsys, herm_file, document, message):
+        path = herm_file("bad.json", document)
+        code, out, err = run_cli(capsys, "normdet", "--a", path)
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: {message}\n"
+
     @pytest.mark.parametrize("command", ["odot", "boxdot", "normdet"])
     def test_oversized_integer_field_exits_2(self, capsys, herm_file, command):
         # float() of a 400-digit integer raises OverflowError, not ValueError

@@ -136,6 +136,11 @@ class TestBallSampler:
         with pytest.raises(TypeError):
             s.sample_rows(2.0)
 
+    def test_sample_rows_draws_the_count_it_checked(self):
+        # operator.index(True) is 1, but numpy refuses a bool as a shape
+        got = BallSampler(seed=0, dim=2).sample_rows(True)
+        assert got.tobytes() == BallSampler(seed=0, dim=2).sample_rows(1).tobytes()
+
 
 def ks_statistic(sample: np.ndarray, cdf) -> float:
     """Kolmogorov-Smirnov distance between a sample's empirical CDF and cdf."""
