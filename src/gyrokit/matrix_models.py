@@ -103,9 +103,7 @@ def sqrt_posdef2(h: Hermitian2) -> Hermitian2:
     sqrt(A) = (A + sqrt(det A) I) / sqrt(tr A + 2 sqrt(det A)); no
     eigendecomposition, hence exactly Hermitian and cheap.
     """
-    if not is_positive_definite(h):
-        raise PositivityError(f"square root needs a positive definite matrix, got det={h.det!r}")
-    return Hermitian2(*_root(math.sqrt, h.a, h.d, h.re_b, h.im_b))
+    return Hermitian2(*_root_fields(h))
 
 
 def sqrt_congruence(a: Hermitian2, b: Hermitian2) -> Hermitian2:
@@ -120,13 +118,28 @@ def sqrt_congruence(a: Hermitian2, b: Hermitian2) -> Hermitian2:
     return Hermitian2(*_congruence(r.a, r.d, r.re_b, r.im_b, b.a, b.d, b.re_b, b.im_b))
 
 
+def _root_fields(h: Hermitian2) -> tuple:
+    # sqrt_posdef2's fields, -0.0 folded, its matrix not built
+    if not is_positive_definite(h):
+        raise PositivityError(f"square root needs a positive definite matrix, got det={h.det!r}")
+    return tuple(x + 0.0 for x in _root(math.sqrt, h.a, h.d, h.re_b, h.im_b))
+
+
+def _congruence_fields(a: Hermitian2, b: Hermitian2) -> tuple:
+    # sqrt_congruence's fields, -0.0 folded, with neither its matrix nor the
+    # root's built.  They are finite for densities.  A root that is not finite
+    # has NaN as its first field, and so does the congruence, so the det-1
+    # product's constructor raises as sqrt_posdef2's did
+    return tuple(x + 0.0 for x in _congruence(*_root_fields(a), b.a, b.d, b.re_b, b.im_b))
+
+
 def odot(a: DensityMatrix2, b: DensityMatrix2) -> DensityMatrix2:
     """Density product: sqrt(a) b sqrt(a), renormalized to unit trace."""
-    s = sqrt_congruence(a, b)
-    t = s.trace
+    s = _congruence_fields(a, b)
+    t = s[0] + s[1]
     if t <= 0.0:
         raise PositivityError(f"congruence trace must be positive, got {t!r}")
-    return DensityMatrix2(s.a / t, s.d / t, s.re_b / t, s.im_b / t)
+    return DensityMatrix2(s[0] / t, s[1] / t, s[2] / t, s[3] / t)
 
 
 def boxdot(a: PosDef2Det1, b: PosDef2Det1) -> PosDef2Det1:
@@ -135,8 +148,7 @@ def boxdot(a: PosDef2Det1, b: PosDef2Det1) -> PosDef2Det1:
     Determinants multiply under the congruence, so no normalization is
     needed; closure is re-validated by construction.
     """
-    s = sqrt_congruence(a, b)
-    return PosDef2Det1(s.a, s.d, s.re_b, s.im_b)
+    return PosDef2Det1(*_congruence_fields(a, b))
 
 
 def bloch_to_density(v: GyroVector) -> DensityMatrix2:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import tee
 from typing import Callable
 
 import numpy as np
@@ -77,6 +76,15 @@ class LinearMap:
         m.flags.writeable = False
         self.entries = m
 
+    @classmethod
+    def _owned(cls, m: np.ndarray) -> "LinearMap":
+        """Map of m, a finite square float64 array of dimension >= 2 that no
+        caller writes to: neither checked nor copied."""
+        out = cls.__new__(cls)
+        m.flags.writeable = False
+        out.entries = m
+        return out
+
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
@@ -87,8 +95,13 @@ def is_orthogonal(q, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     m = q.entries if isinstance(q, LinearMap) else np.asarray(q, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
         raise ValueError(f"entries must be a square matrix, got shape {m.shape}")
-    deviation = m.T @ m - np.eye(m.shape[0])
-    return float(np.max(np.abs(deviation))) <= tol.abs_tol
+    return float(_deviation(m)) <= tol.abs_tol
+
+
+def _deviation(m: np.ndarray) -> np.ndarray:
+    # the largest |Q^T Q - I| entry of a matrix, or of each of a stack: a
+    # stacked matmul runs the one-matrix product on every matrix
+    return np.abs(np.swapaxes(m, -1, -2) @ m - np.eye(m.shape[-1])).max(axis=(-2, -1))
 
 
 def _haar(g: np.ndarray) -> np.ndarray:
@@ -315,8 +328,8 @@ def _stack_image(maps: list, dim: int) -> Callable:
         return lambda w, ok: _guarded(_matvec(ms, w.reshape(k, -1, dim)).reshape(w.shape), ok)
 
     def image(w: np.ndarray, ok: np.ndarray) -> tuple:
-        parts = [f._image_rows(*part) for f, *part in zip(maps, np.split(w, k), np.split(ok, k))]
-        return tuple(map(np.concatenate, zip(*parts)))
+        slices = zip(maps, w.reshape(k, -1, dim), ok.reshape(k, -1))
+        return tuple(map(np.concatenate, zip(*(f._image_rows(*part) for f, *part in slices))))
 
     return image
 
@@ -327,37 +340,39 @@ def _classify_stack(maps: list, seed: int, n_samples: int, tol: ToleranceConfig)
     Every map runs the phases in turn: law scan, probes, then agreement
     scan.  Each scan draws from one sampler, of a child seed of seed: chunk
     c of the scan is one block, whose slice j is map j's n points, scored
-    as one array and held until each map's slice is reduced by
-    seeded_scan.  The agreement scan runs over the maps still pending,
-    labelled by the first of them.  The probes run one basis vector at a
-    time, so no map is evaluated past its first escaping probe.
+    as one (k, m) array and reduced by one stacked seeded_scan, map j's
+    row against its own cutoff.  The agreement scan runs over the maps
+    still pending, labelled by the first of them.  The probes run one
+    basis vector at a time, so no map is evaluated past its first escaping
+    probe, and are judged for all maps at once.
     """
     k, dim, threshold = len(maps), maps[0].dim, decision_threshold(tol)
 
-    def scans(js: list, stream: str, cutoffs, keys: tuple, residual: Callable) -> list:
-        # seeded_scan of each map j in js on its slice of the stream's chunks
+    def scan(js: list, stream: str, cutoffs, keys: tuple, residual: Callable) -> tuple:
+        # the stacked seeded_scan of the maps js on their slices of the stream's chunks
         sampler = BallSampler(derive_seed(seed, stream), dim, tol.sample_rmax)
         image = _stack_image([maps[j] for j in js], dim)
 
         def chunks():
             for start in range(0, n_samples, SCAN_CHUNK):
                 m = min(SCAN_CHUNK, n_samples - start)
-                points = sampler.sample_rows(len(js) * len(keys) * m).reshape(-1, len(keys), dim)
-                r = residual(image, *points.transpose(1, 0, 2))
-                parts = zip(np.split(points, len(js)), np.split(r, len(js)))
-                yield [Rows(zip(keys, pts.transpose(1, 0, 2)), residual=res) for pts, res in parts]
+                points = sampler.sample_rows(len(js) * len(keys) * m)
+                points = points.reshape(len(js), m, len(keys), dim)
+                yield Rows(zip(keys, np.moveaxis(points, 2, 0)))  # key -> (k, m, dim)
 
-        return [seeded_scan((b[i] for b in blocks), operator.itemgetter("residual"), cutoff)
-                for i, (blocks, cutoff) in enumerate(zip(tee(chunks(), len(js)), cutoffs))]
+        def scored(rows: Rows) -> np.ndarray:
+            points = (rows[key].reshape(-1, dim) for key in keys)
+            return residual(image, *points).reshape(len(js), -1)
 
-    law = scans(range(k), "endo", [threshold] * k, ("u", "v"), _law_rows)
+        return seeded_scan(chunks(), scored, cutoffs)
+
+    law, worst, (_, first), _ = scan(range(k), "endo", threshold, ("u", "v"), _law_rows)
 
     def refuted(j: int) -> MapClassification:
-        max_residual, worst = law[j][:2]
-        u, v = GyroVector(worst["u"][0]), GyroVector(worst["v"][0])
-        return MapClassification.not_endomorphism(u, v, max_residual)
+        u, v = (GyroVector._owned(worst[key][j, 0].copy()) for key in ("u", "v"))
+        return MapClassification.not_endomorphism(u, v, law[j])
 
-    out = [None if scan[2] is None else refuted(j) for j, scan in enumerate(law)]
+    out = [None if r is None else refuted(j) for j, r in enumerate(first)]
     live = [j for j in range(k) if out[j] is None]
     if not live:
         return out
@@ -366,28 +381,31 @@ def _classify_stack(maps: list, seed: int, n_samples: int, tol: ToleranceConfig)
     for i in range(dim):
         probes[:, i], ok = image(np.tile(half[i], (len(live), 1)), ok)
         passed += ok  # each map's probes up to its first escaping one
+    candidates = np.ascontiguousarray(np.swapaxes(2.0 * probes, 1, 2))
+    zero = (_norm_rows(probes) <= tol.abs_tol).all(axis=1).tolist()
+    orthogonal = (_deviation(candidates) <= tol.abs_tol).tolist()
     pending = []  # (map, verdict, candidate, agreement stream, cutoff)
     for p, j in enumerate(live):
         if passed[p] < dim:
             # f(p) (+) f(p) cannot be evaluated: the law scan's escape rule
             point = GyroVector(half[passed[p]])
             out[j] = MapClassification.not_endomorphism(point, point, math.inf)
-        elif (_norm_rows(probes[p]) <= tol.abs_tol).all():
+        elif zero[p]:
             pending.append((j, MapClassification.zero(), np.zeros((dim, dim)), "zero", threshold))
-        elif is_orthogonal(candidate := (2.0 * probes[p]).T.copy(), tol):
-            verdict = MapClassification.orthogonal(LinearMap(candidate))
-            pending.append((j, verdict, candidate, "agree", 10.0 * tol.abs_tol))
+        elif orthogonal[p]:
+            verdict = MapClassification.orthogonal(LinearMap._owned(candidates[p]))
+            pending.append((j, verdict, candidates[p], "agree", 10.0 * tol.abs_tol))
         else:
             out[j] = refuted(j)
     if not pending:  # nothing to corroborate, so nothing is drawn
         return out
     js, verdicts, centers, streams, cutoffs = zip(*pending)
     centers = np.array(centers)[:, None]
-    agreement = scans(js, streams[0], cutoffs, ("w",), lambda image, w: _image_norms(
+    _, _, (_, first), _ = scan(js, streams[0], cutoffs, ("w",), lambda image, w: _image_norms(
         image, w, np.matvec(centers, w.reshape(len(js), -1, dim)).reshape(w.shape)
     ))
-    for j, verdict, (_, _, disagreement, _) in zip(js, verdicts, agreement):
-        out[j] = verdict if disagreement is None else refuted(j)
+    for j, verdict, r in zip(js, verdicts, first):
+        out[j] = verdict if r is None else refuted(j)
     return out
 
 

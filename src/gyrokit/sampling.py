@@ -90,10 +90,6 @@ class Rows(dict):
     axis runs over the inputs.  A column of vectors (a 2-D array) holds
     ball points, the inputs that shrinking halves."""
 
-    def row(self, i: int) -> "Rows":
-        """Input i, as a one-row block."""
-        return Rows({key: value[i : i + 1] for key, value in self.items()})
-
 
 def _point_rows(*keys: str) -> Callable:
     """Row draw: n inputs as a Rows block, one point per key in turn, the
@@ -153,9 +149,9 @@ def _staged(stages: tuple, s: BallSampler, n: int, tol) -> Rows:
 def seeded_scan(
     blocks: Iterable[Rows],
     residual: Callable[[Rows], np.ndarray],
-    cutoff: float,
-) -> tuple[float, Rows, tuple[Rows, float] | None, int]:
-    """Evaluate the residual of each input, in order.
+    cutoff: float | np.ndarray,
+) -> tuple:
+    """Evaluate the residual of each input, in order, for one map or a stack of k.
 
     Inputs come in Rows blocks of at most SCAN_CHUNK rows, each scored by
     residual(block) as one array, which scores inf where an input leaves
@@ -167,26 +163,72 @@ def seeded_scan(
     one seen stays the maximum, as does the first of equal maxima.  Errors,
     whether raised while drawing or while scoring a block, propagate.  An
     empty scan would pass vacuously, so it is rejected.
+
+    A stack of k maps scores each block as a (k, m) array, its row j map
+    j's residuals, and holds in each column of a block the (k, m, ...)
+    inputs of the k maps.  Each row is reduced by the rules above, against
+    cutoff, one float or one per map, and the result holds the k maps'
+    values at once: the list of their maxima; the worst inputs as Rows
+    whose columns hold map j's one-row block at j; the first inputs over
+    the cutoff, likewise (None while no map has one), with the list of
+    their residuals, None for a map with none over; and the count per
+    map.  A 1-D residual is the stack of k = 1, returned unstacked.  Only
+    the inputs returned are copied out of a block, so a scan holds one
+    block at a time.
     """
-    max_residual = -math.inf
-    worst = first = None
-    scanned = 0
+    scanned, worst, first = 0, None, None
     for block in blocks:
         residuals = residual(block)
-        # argmax returns the first NaN if there is one, else the first maximum
-        i = int(np.argmax(residuals))
-        r = float(residuals[i])
-        if r > max_residual or (math.isnan(r) and not math.isnan(max_residual)):
-            max_residual, worst = r, block.row(i)
-        if first is None:
-            over = ~(residuals <= cutoff)
-            if over.any():
-                i = int(np.argmax(over))
-                first = (block.row(i), float(residuals[i]))
-        scanned += len(residuals)
+        if flat := residuals.ndim == 1:
+            residuals = residuals[None]
+        if not scanned:
+            stack = np.arange(len(residuals))
+            cutoffs = (np.zeros(len(stack)) + cutoff).tolist()
+            maxima, firsts, largest = [-math.inf] * len(stack), [None] * len(stack), -math.inf
+        scanned += residuals.shape[1]
+        # NaN is the maximum of a row that holds one, and a map's largest
+        # residual is at or under its cutoff until one input is over it: a
+        # block whose rows' maxima stay at or under the largest changes nothing
+        top = residuals.max(axis=1)
+        if np.count_nonzero(top <= largest) == len(stack):
+            continue
+        top = top.tolist()
+        better = [r > m or r != r and m == m for r, m in zip(top, maxima)]
+        new = [f is None and not r <= c for r, c, f in zip(top, cutoffs, firsts)]
+        if flat:
+            block = Rows({key: value[None] for key, value in block.items()})
+        if any(better):
+            # argmax returns each row's first NaN if there is one, else its first maximum
+            i = np.argmax(residuals, axis=1)
+            values = residuals[stack, i].tolist()
+            maxima = [r if b else m for r, b, m in zip(values, better, maxima)]
+            largest = np.array(maxima)
+            worst = _inputs_at(block, stack, i, better, worst)
+        if any(new):
+            i = np.argmax(~(residuals <= np.array(cutoffs)[:, None]), axis=1)
+            values = residuals[stack, i].tolist()
+            firsts = [r if b else f for r, b, f in zip(values, new, firsts)]
+            first = _inputs_at(block, stack, i, new, first)
     if not scanned:
         raise ValueError("n_samples must be >= 1: nothing to scan")
-    return max_residual, worst, first, scanned
+    if not flat:
+        return maxima, worst, (first, firsts), scanned
+    if worst is not None:
+        worst = Rows({key: value[0] for key, value in worst.items()})
+    if first is not None:
+        first = Rows({key: value[0] for key, value in first.items()}), firsts[0]
+    return maxima[0], worst, first, scanned
+
+
+def _inputs_at(block: Rows, stack: np.ndarray, i, take: list, held: Rows | None) -> Rows:
+    # per map j, its input i[j] of block as a one-row block where take holds,
+    # else its input in held: copies, so that no block outlives its scan step
+    picked = Rows({key: value[stack, i, None] for key, value in block.items()})
+    if held is None or all(take):
+        return picked
+    for key, value in held.items():
+        value[take] = picked[key][take]
+    return held
 
 
 def scan_report(

@@ -108,6 +108,7 @@ from .matrix_models import (
 )
 from .morphisms import (
     BallMap,
+    LinearMap,
     MapClassification,
     _classify_stack,
     _haar,
@@ -413,7 +414,8 @@ def _classifier_trials(
     # instance, reconstruction the orthogonal map, keeping its matrix error.
     # Batches of 64 instances (bounded memory at any n) are drawn in order,
     # each classified as one stack per dimension, at the seed of its first
-    # map; one Rows block per instance
+    # map; soundness yields one Rows block per batch, reconstruction one
+    # per instance
     n_samples = operator.index(n_samples)
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
@@ -436,25 +438,29 @@ def _classifier_trials(
             ks = [k for k, d in enumerate(batch) if d == dim]
             gs, ms, targets, children = zip(*(draws[k] for k in ks))
             qs = _haar(np.array(gs))
-            maps = [[BallMap.from_matrix(q)] for q in qs]
+            # finite square matrices of this draw: their maps skip LinearMap's checks
+            families = [[BallMap.from_matrix(LinearMap._owned(q)) for q in qs]]
             if not reconstruct:
                 ms = np.array(ms)
                 cs = ms * (np.array(targets) / np.linalg.norm(ms, 2, axis=(1, 2)))[:, None, None]
-                maps = [[f, BallMap.zero(dim), BallMap.from_matrix(c)] for (f,), c in zip(maps, cs)]
+                families.append([BallMap.zero(dim)] * len(ks))
+                families.append([BallMap.from_matrix(LinearMap._owned(c)) for c in cs])
+            maps = list(zip(*families))  # per instance, its maps
             verdicts = iter(_classify_stack([f for fs in maps for f in fs], children[0], 64, tol))
             for k, q, fs in zip(ks, qs, maps):
                 trials[k] = q, [next(verdicts) for _ in fs]
-        for q, got in trials:
-            if not reconstruct:
-                yield Rows(
-                    family=np.array(["orthogonal", "zero", "contraction"]), dim=np.full(3, len(q)),
-                    expected=np.array(["orthogonal", "zero", "not_endomorphism"]),
-                    got=np.array([outcome.verdict for outcome in got]),
-                )
-                continue
-            trial = {"dim": len(q), "expected": "orthogonal", "got": got[0].verdict}
-            if got[0].verdict == MapClassification.ORTHOGONAL:
-                error = np.max(np.abs(got[0].matrix.entries - q))
+        if not reconstruct:
+            yield Rows(
+                family=np.tile(["orthogonal", "zero", "contraction"], len(batch)),
+                dim=np.repeat(batch, 3),
+                expected=np.tile(["orthogonal", "zero", "not_endomorphism"], len(batch)),
+                got=np.array([outcome.verdict for _, got in trials for outcome in got]),
+            )
+            continue
+        for q, (got,) in trials:
+            trial = {"dim": len(q), "expected": "orthogonal", "got": got.verdict}
+            if got.verdict == MapClassification.ORTHOGONAL:
+                error = np.max(np.abs(got.matrix.entries - q))
                 trial = {"dim": len(q), "matrix": q, "max_entry_error": error}
             yield Rows({key: np.array([value]) for key, value in trial.items()})
 

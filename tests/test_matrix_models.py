@@ -281,6 +281,48 @@ class TestBoxdot:
         assert out.det == pytest.approx(1.0, rel=1e-12)
 
 
+
+def chain(product, a, b):
+    """The product as built through Hermitian2 intermediates, sqrt_congruence's
+    chain: its result, or the type and message of what it raises."""
+    try:
+        s = sqrt_congruence(a, b)
+        if product is odot:
+            t = s.trace
+            if t <= 0.0:
+                raise PositivityError(f"congruence trace must be positive, got {t!r}")
+            return DensityMatrix2(s.a / t, s.d / t, s.re_b / t, s.im_b / t)
+        return PosDef2Det1(s.a, s.d, s.re_b, s.im_b)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def outcome(product, a, b):
+    try:
+        return product(a, b)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_products_equal_their_hermitian_chain_to_the_guard():
+    # pairs with 1 - |u| log-uniform from 1e-9 to 0.98, directions random;
+    # repr tells -0.0 from 0.0
+    rng = np.random.default_rng(27)
+    for _ in range(400):
+        g = rng.standard_normal((2, 3))
+        radii = 1.0 - 10.0 ** rng.uniform(-9.0, math.log10(0.98), 2)
+        a, b = (bloch_to_density(GyroVector(r * x / np.linalg.norm(x))) for x, r in zip(g, radii))
+        assert repr(outcome(odot, a, b)) == repr(chain(odot, a, b))
+        a, b = normalize_det(a), normalize_det(b)
+        assert repr(outcome(boxdot, a, b)) == repr(chain(boxdot, a, b))
+
+
+def test_boxdot_whose_congruence_overflows_raises_as_the_chain_did():
+    p = PosDef2Det1(1e160, 1e-160, 0.0, 0.0)
+    assert chain(boxdot, p, p) == (ValueError, "a must be finite, got inf")
+    with pytest.raises(ValueError, match="^a must be finite, got inf$"):
+        boxdot(p, p)
+
 class TestNormalizeDet:
     def test_diagonal_golden(self):
         rho = DensityMatrix2(0.8, 0.2, 0.0, 0.0)

@@ -1,6 +1,7 @@
 """Tests for linear maps on the ball, the endomorphism check, and the classifier."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from gyrokit import (
     random_orthogonal,
     zero_propagation_check,
 )
+from gyrokit import morphisms
 from gyrokit.ball import ToleranceConfig
 from gyrokit.sampling import SCAN_CHUNK
 
@@ -344,6 +346,23 @@ class TestClassifier:
         res = classify_endomorphism(BallMap.from_matrix(q), 2 * SCAN_CHUNK + 1, seed=5)
         assert res.verdict == MapClassification.ORTHOGONAL
         assert calls == ["standard_normal"] * 6
+
+    def test_a_stack_holds_one_chunk_at_a_time(self):
+        # each scan reduces the stack's chunk c before it draws chunk c + 1,
+        # so the peak does not grow with n: 16 chunks held at once would
+        # take about four times the memory of one
+        rng = np.random.default_rng(8)
+        maps = [BallMap.from_matrix(random_orthogonal(rng, 3)) for _ in range(8)]
+        peaks = {}
+        for n in (SCAN_CHUNK, 16 * SCAN_CHUNK):
+            tracemalloc.start()
+            try:
+                verdicts = morphisms._classify_stack(maps, 3, n, ToleranceConfig())
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert {v.verdict for v in verdicts} == {MapClassification.ORTHOGONAL}
+        assert peaks[16 * SCAN_CHUNK] < 1.5 * peaks[SCAN_CHUNK]
 
     def test_probe_that_escapes_the_ball_is_not_an_endomorphism(self):
         # the identity except at radius 0.5, where the probes sit: the law

@@ -1523,6 +1523,51 @@ def test_scan_of_rows_and_of_items_equals_the_loop(special):
         assert got[3] == want[3]
 
 
+
+def stacked_residuals() -> tuple:
+    """Residuals of five maps over 3 * SCAN_CHUNK + 1 inputs, and a cutoff
+    per map, as the agreement scan mixes them: map 0 has a NaN in its
+    last chunk after a finite maximum, map 1 equal maxima in three chunks,
+    map 2 an inf, map 3 its first residual over the cutoff in chunk 2, and
+    map 4 none over its cutoff."""
+    n = 3 * SCAN_CHUNK + 1
+    residuals = np.random.default_rng(9).random((5, n))
+    residuals[0, [7, 2 * SCAN_CHUNK + 3]] = 1.9, math.nan
+    residuals[1, [3, SCAN_CHUNK + 1, 2 * SCAN_CHUNK + 5]] = 1.7
+    residuals[2, SCAN_CHUNK + 9] = math.inf
+    residuals[3, : 2 * SCAN_CHUNK] *= 0.5
+    residuals[3, 2 * SCAN_CHUNK + 11] = 0.75
+    return residuals, np.array([1.5, 1.5, 1.5, 0.6, 1.0])
+
+
+@pytest.mark.parametrize("k", [1, 5])
+def test_stacked_scan_equals_a_loop_per_map(k):
+    # each row of a (k, m) scan reduces as the one-input loop reduces that
+    # map alone: worst (first NaN, else first maximum), first over its own
+    # cutoff, and the count; k = 1 scans each map as a stack of one
+    residuals, cutoffs = stacked_residuals()
+    index = np.arange(residuals.shape[1])
+    for maps in np.arange(5).reshape(-1, k):
+        blocks = (
+            Rows(i=np.tile(index[start : start + SCAN_CHUNK], (k, 1)))
+            for start in range(0, len(index), SCAN_CHUNK)
+        )
+        top, worst, (first, first_residual), scanned = seeded_scan(
+            blocks, lambda rows: residuals[maps[:, None], rows["i"]], cutoffs[maps]
+        )
+        assert len(top) == len(first_residual) == k
+        for j, map_j in enumerate(maps):
+            want = loop_scan(residuals[map_j], cutoffs[map_j])
+            assert top[j] == want[0] or math.isnan(top[j]) and math.isnan(want[0])
+            assert worst["i"][j].tolist() == [want[1]]
+            if want[2] is None:
+                assert first_residual[j] is None
+            else:
+                assert first["i"][j].tolist() == [want[2][0]]
+                r = first_residual[j]
+                assert r == want[2][1] or math.isnan(r) and math.isnan(want[2][1])
+            assert scanned == want[3]
+
 # ------------------------------------------------- zero propagation replay
 
 
