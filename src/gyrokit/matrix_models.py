@@ -88,7 +88,8 @@ class DensityMatrix2(Hermitian2):
 class PosDef2Det1(Hermitian2):
     """Positive definite Hermitian 2x2 with determinant 1, to within
     DEFAULT_REL_TOL plus 4 eps (|a d| + |b|^2), the forward error of a d - |b|^2:
-    entries grow like 1/sqrt(1 - |u|) near the ball's boundary, and it cancels."""
+    entries grow like 1/sqrt(1 - |u|) near the ball's boundary, and it cancels.
+    A matrix whose band overflows is refused."""
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -196,8 +197,9 @@ def _positive(a, d, re_b, im_b):
 
 
 def _in_det1_band(a, d, re_b, im_b):
+    # a band that overflowed to inf would hold any determinant, inf included
     band = DEFAULT_REL_TOL + 4.0 * sys.float_info.epsilon * (abs(a * d) + re_b * re_b + im_b * im_b)
-    return abs(_det(a, d, re_b, im_b) - 1.0) <= band
+    return (abs(_det(a, d, re_b, im_b) - 1.0) <= band) & (band < math.inf)
 
 
 def _root(sqrt, a, d, re_b, im_b):
@@ -234,7 +236,9 @@ def _density_rows(h: tuple, ok=True) -> tuple:
 
 def _det1_rows(h: tuple, ok=True) -> tuple:
     h = tuple(x + 0.0 for x in h)
-    return h, ok & _positive(*h) & _in_det1_band(*h)
+    # a row whose products overflow is refused by the band, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        return h, ok & _positive(*h) & _in_det1_band(*h)
 
 
 def _sqrt_posdef_rows(h: tuple, ok=True) -> tuple:

@@ -34,8 +34,10 @@ from .ball import (
 )
 
 # inputs held and scored per residual array, which bounds a scan's memory at any
-# budget; also the largest Rows block a row producer yields
-SCAN_CHUNK = 256
+# budget; also the largest Rows block a row producer yields.  1024 makes each
+# property one block at the default budget of 1000 samples, so numpy's per-call
+# cost is paid once per dimension, not four times
+SCAN_CHUNK = 1024
 
 
 def derive_seed(master: int, label: str) -> int:

@@ -174,6 +174,11 @@ class TestMatrixCommands:
         assert d["a"] == pytest.approx(6.0, rel=1e-14)
         assert d["d"] == pytest.approx(1.0 / 6.0, rel=1e-12)
 
+    def test_boxdot_of_an_overflowing_determinant_exits_2_naming_it(self, capsys, herm_file):
+        huge = herm_file("huge.json", {"a": 1e200, "d": 1e200, "re_b": 0.0, "im_b": 0.0})
+        code, out, err = run_cli(capsys, "boxdot", "--a", huge, "--b", huge)
+        assert (code, out, err) == (2, "", "error: determinant must be 1, got inf\n")
+
     def test_trace_violation_exits_2(self, capsys, herm_file):
         bad = herm_file("bad.json", {"a": 0.8, "d": 0.3, "re_b": 0.0, "im_b": 0.0})
         half = herm_file("half.json", {"a": 0.5, "d": 0.5, "re_b": 0.0, "im_b": 0.0})

@@ -113,6 +113,21 @@ class TestConstrainedTypes:
         p = PosDef2Det1(2.0, 0.5, 0.0, 0.0)
         assert p.det == pytest.approx(1.0, rel=1e-15)
 
+    @pytest.mark.parametrize(
+        "fields, det",
+        [
+            ((1e200, 1e200, 0.0, 0.0), math.inf),
+            ((1.3e154, 1.3e154, 1e154, 0.0), 6.899999999999998e307),
+        ],
+        ids=["det", "band"],
+    )
+    def test_det_one_refuses_a_band_that_overflows(self, fields, det):
+        # a d overflows, so that |det - 1| <= band = inf would hold; or a d
+        # and |b|^2 are finite, and only their sum in the band overflows
+        with pytest.raises(PositivityError) as exc:
+            PosDef2Det1(*fields)
+        assert str(exc.value) == f"determinant must be 1, got {det!r}"
+
 
 class TestSqrt:
     def test_identity(self):

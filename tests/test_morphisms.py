@@ -30,7 +30,6 @@ from gyrokit import (
 )
 from gyrokit import morphisms
 from gyrokit.ball import ToleranceConfig
-from gyrokit.sampling import SCAN_CHUNK
 
 
 def add_1d(a, b):
@@ -329,7 +328,7 @@ class TestClassifier:
         assert res.verdict == MapClassification.NOT_ENDOMORPHISM
         assert res.residual == math.inf
 
-    def test_each_scan_chunk_is_one_generator_call(self, monkeypatch):
+    def test_each_scan_chunk_is_one_generator_call(self, monkeypatch, scan_chunk):
         # the law scan and the agreement scan draw three chunks each
         calls, default_rng = [], np.random.default_rng
 
@@ -343,18 +342,18 @@ class TestClassifier:
 
         monkeypatch.setattr(np.random, "default_rng", Counting)
         q = random_orthogonal(default_rng(4), 3)
-        res = classify_endomorphism(BallMap.from_matrix(q), 2 * SCAN_CHUNK + 1, seed=5)
+        res = classify_endomorphism(BallMap.from_matrix(q), 2 * scan_chunk(256) + 1, seed=5)
         assert res.verdict == MapClassification.ORTHOGONAL
         assert calls == ["standard_normal"] * 6
 
-    def test_a_stack_holds_one_chunk_at_a_time(self):
+    def test_a_stack_holds_one_chunk_at_a_time(self, scan_chunk):
         # each scan reduces the stack's chunk c before it draws chunk c + 1,
         # so the peak does not grow with n: 16 chunks held at once would
         # take about four times the memory of one
         rng = np.random.default_rng(8)
         maps = [BallMap.from_matrix(random_orthogonal(rng, 3)) for _ in range(8)]
-        peaks = {}
-        for n in (SCAN_CHUNK, 16 * SCAN_CHUNK):
+        peaks, chunk = {}, scan_chunk(256)
+        for n in (chunk, 16 * chunk):
             tracemalloc.start()
             try:
                 verdicts = morphisms._classify_stack(maps, 3, n, ToleranceConfig())
@@ -362,7 +361,7 @@ class TestClassifier:
             finally:
                 tracemalloc.stop()
             assert {v.verdict for v in verdicts} == {MapClassification.ORTHOGONAL}
-        assert peaks[16 * SCAN_CHUNK] < 1.5 * peaks[SCAN_CHUNK]
+        assert peaks[16 * chunk] < 1.5 * peaks[chunk]
 
     def test_probe_that_escapes_the_ball_is_not_an_endomorphism(self):
         # the identity except at radius 0.5, where the probes sit: the law

@@ -750,26 +750,48 @@ def test_batched_property_equals_its_scalar_replay(name, tol, seed):
 
 
 @pytest.mark.parametrize("name", SCALAR_ROW_PROPERTIES)
-def test_batched_property_equals_its_scalar_replay_over_chunks(name):
-    n = 3 * SCAN_CHUNK + 1
+def test_batched_property_equals_its_scalar_replay_over_chunks(name, scan_chunk):
+    n = 3 * scan_chunk(256) + 1
     assert run_suite([name], n, 7)[0].to_json_line() == scalar_replay(name, n, 7, DEFAULT_TOL)
 
 
+# the properties whose draw is ball points alone: a block of k n points is
+# the Gaussian stream of its sub-blocks, so their reports do not depend on
+# where the blocks split.  The others draw matrices, line parameters, scales
+# or chord weights per block, after its points
+POINT_ONLY = (
+    "closure", "identity", "left_inverse", "left_cancellation", "gamma_identity",
+    "gyration_orthogonality", "gyrocommutativity", "left_translation_isometry",
+    "klein_distance_metric", "bloch_homomorphism", "det_normalization_homomorphism",
+)
+
+
+@pytest.mark.parametrize("name", POINT_ONLY)
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, FAILING], ids=["default", "failing"])
+def test_a_point_only_property_ignores_the_block_size(name, tol, scan_chunk):
+    n, lines = 3 * 256 + 1, []
+    for size in (256, 1024):
+        scan_chunk(size)
+        assert max(len(block["u"]) for block in row_draw(name, n, 7, tol)) == min(size, n)
+        lines.append(run_suite([name], n, 7, tol)[0].to_json_line())
+    assert lines[0] == lines[1]
+
+
 @pytest.mark.parametrize("name", SCALAR_ROW_PROPERTIES)
-def test_row_residuals_equal_the_scalar_residuals_row_by_row(name):
+def test_row_residuals_equal_the_scalar_residuals_row_by_row(name, scan_chunk):
     # every row, not only the maximum and the first failure a report shows
     residual, row_residual = SCALAR_ROW_PROPERTIES[name][0], verifier._REGISTRY[name][1]
-    for block in row_draw(name, SCAN_CHUNK, 5):
+    for block in row_draw(name, scan_chunk(256), 5):
         want = [scan_score(residual, item) for item in scalar_items(block)]
         assert row_residual(block, DEFAULT_TOL).tolist() == want
 
 
 @pytest.mark.parametrize("name", ACCEPTANCE)
 @pytest.mark.parametrize("rmax", [DEFAULT_SAMPLE_RMAX, 1 - 2e-9], ids=["default", "guard"])
-def test_every_staged_row_meets_the_one_input_acceptance_rule(name, rmax):
+def test_every_staged_row_meets_the_one_input_acceptance_rule(name, rmax, scan_chunk):
     # at 1 - 2e-9 the translated sums of the collinearity draw can leave the guard
     tol = ToleranceConfig(sample_rmax=rmax)
-    for block in row_draw(name, 3 * SCAN_CHUNK + 1, 7, tol):
+    for block in row_draw(name, 3 * scan_chunk(256) + 1, 7, tol):
         assert all(ACCEPTANCE[name](item, tol) for item in scalar_items(block))
 
 
@@ -864,8 +886,8 @@ def test_a_translated_sum_the_guard_refuses_is_refused_and_redrawn():
 
 
 @pytest.mark.parametrize("matrix", [np.eye(3), 0.5 * np.eye(3)], ids=["identity", "half"])
-def test_check_endomorphism_equals_its_scalar_replay_over_chunks(matrix):
-    n, f = 3 * SCAN_CHUNK + 1, matrix_map(matrix)
+def test_check_endomorphism_equals_its_scalar_replay_over_chunks(matrix, scan_chunk):
+    n, f = 3 * scan_chunk(256) + 1, matrix_map(matrix)
     blocks = _blocks(sampling._point_rows("u", "v"), [BallSampler(5, 3)], n)
     pairs = (pair for block in blocks for pair in scalar_items(block))
     want = reference_report("endomorphism", pairs, lambda p: scalar_law(f, **p), 1e-6, 5)
@@ -1016,8 +1038,9 @@ def stack_maps(dim: int, calls: dict) -> dict:
 
 
 @pytest.mark.parametrize("tol", [DEFAULT_TOL, ToleranceConfig(abs_tol=0.1)], ids=["default", "0.1"])
-def test_a_stack_classifies_each_map_on_its_slice(monkeypatch, tol):
-    dim, n, seed, calls = 3, 3 * SCAN_CHUNK + 1, 100, {}
+def test_a_stack_classifies_each_map_on_its_slice(monkeypatch, tol, scan_chunk):
+    chunk = scan_chunk(256)
+    dim, n, seed, calls = 3, 3 * chunk + 1, 100, {}
     maps = stack_maps(dim, calls)
     law_rows, marked = morphisms._law_rows, [None]
 
@@ -1031,8 +1054,8 @@ def test_a_stack_classifies_each_map_on_its_slice(monkeypatch, tol):
     matrix_only = [name for name, f in maps.items() if f._matrix is not None]
     for names in (list(maps), list(maps)[::-1], matrix_only, matrix_only[::-1]):
         law = BallSampler(derive_seed(seed, "endo"), dim, tol.sample_rmax)
-        first_chunk = law.sample_rows(2 * SCAN_CHUNK * len(names))
-        marked[0] = first_chunk[2 * SCAN_CHUNK * names.index("nan")]
+        first_chunk = law.sample_rows(2 * chunk * len(names))
+        marked[0] = first_chunk[2 * chunk * names.index("nan")]
         calls.clear()
         # json.dumps tells NaN from NaN and -0.0 from 0.0
         alone = {
@@ -1327,6 +1350,17 @@ def kernel_cases(seed: int) -> dict:
         "normalize_det": (_normalize_det_rows, normalize_det, [matrices], True),
         "boxdot": (_boxdot_rows, boxdot, [det1, det1[1:] + det1[:1]], True),
     }
+
+
+def test_det1_kernel_refuses_an_overflowing_band_without_a_warning():
+    # det inf, then det finite with the band's sum inf, then a valid matrix
+    # with entries 1e200 and 1e-200, which the kernel takes as the scalar does
+    fields = [(1e200, 1e200, 0.0, 0.0), (1.3e154, 1.3e154, 1e154, 0.0), (1e200, 1e-200, 0.0, 0.0)]
+    wants = [scalar_or_none(lambda: PosDef2Det1(*f)) is not None for f in fields]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, ok = _det1_rows(tuple(np.array(column) for column in zip(*fields)))
+    assert ok.tolist() == wants == [False, False, True]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

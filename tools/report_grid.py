@@ -12,14 +12,25 @@ purpose, so every section changed again.  The next evaluated gyration in
 closed form and drew gyration_orthogonality's points without the
 evaluability stage: only the gyration_orthogonality and gyrocommutativity
 lines of the suite, tolerance, radius and coarse sections changed, and
-maps stayed byte-identical.
+maps stayed byte-identical.  The next raised the scan's block size,
+sampling.SCAN_CHUNK, from 256 to 1024, on purpose: the seven properties
+that draw matrices, line parameters or scales per block
+(one_parameter_subgroup, line_translation_distance,
+orthogonal_endomorphism, orthogonal_residual_bound, sqrt_squares_back,
+boxdot_det_multiplicative and transported_automorphism) changed their
+suite lines at n = 1000 and their tolerance lines at n = 769, as did the
+staged commutes_iff_dependent and collinearity_equivalence lines at n =
+769 and tol=1e-30; radius, coarse, maps and every --small line stayed.
+The same change added the suite rows that cross a block boundary.
 
     PYTHONPATH=src python tools/report_grid.py > grid.txt
     PYTHONPATH=src python tools/report_grid.py --small   # seconds, for CI
 
 Sections, each closed by the sha256 of its lines:
 
-  suite      every property at n = 1000 for seeds 0-9 and n = 200 for 10-39
+  suite      every property at n = 1000 for seeds 0-9 and n = 200 for 10-39,
+             and at n = 2 SCAN_CHUNK + 1 for seed 0, which crosses two
+             block boundaries (SCAN_CHUNK + 1 under --small)
   tolerance  n in {1, 40, 769} at seeds 0, 7, 11 under abs_tol = rel_tol
              = 1e-30 and = 1e-13
   radius     sampling radii 1 - 2e-9 to 0.3 at n = 150, seeds 0-2
@@ -53,7 +64,7 @@ from gyrokit import (
     run_suite,
     zero_propagation_check,
 )
-from gyrokit.sampling import json_ready
+from gyrokit.sampling import SCAN_CHUNK, json_ready
 
 RADII = (1 - 2e-9, 1 - 1e-8, 0.9999999, 0.99999, 0.3)
 
@@ -102,10 +113,11 @@ def _map_lines(small: bool):
 def sections(small: bool) -> dict:
     default = ToleranceConfig()
     if small:
-        suite = [(40, 0), (20, 10)]
+        suite = [(40, 0), (20, 10), (SCAN_CHUNK + 1, 0)]
         counts, seeds, radius_seeds = (1, 40), (7,), (0,)
     else:
         suite = [(1000, s) for s in range(10)] + [(200, s) for s in range(10, 40)]
+        suite += [(2 * SCAN_CHUNK + 1, 0)]
         counts, seeds, radius_seeds = (1, 40, 769), (0, 7, 11), (0, 1, 2)
     grid = [(n, s) for n in counts for s in seeds]
     tight = [(f"tol={t:g}", ToleranceConfig(abs_tol=t, rel_tol=t)) for t in (1e-30, 1e-13)]
