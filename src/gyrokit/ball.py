@@ -177,11 +177,13 @@ def _close(a, b, tol: ToleranceConfig):
     return np.abs(a - b) <= tol.abs_tol + tol.rel_tol * np.maximum(np.abs(a), np.abs(b))
 
 
-# Row kernels.  Each takes points as the rows of an (n, d) array and passes
-# a formula's helper the columns where its scalar twin passes floats, so the
-# two agree bit for bit: np.vecdot is the same ddot as ndarray.dot, np.sqrt
-# is correctly rounded like math.sqrt.  A guarded kernel passes on ok: a row
-# where the scalar call raises GyroError leaves ok and is zeroed.
+# Row kernels.  Each takes points as the rows of a (..., d) array, such as
+# an (n, d) block or a (k, m, d) stack, and passes a formula's helper the
+# columns where its scalar twin passes floats, so the two agree bit for bit:
+# np.vecdot is the same ddot as ndarray.dot, np.sqrt is correctly rounded
+# like math.sqrt.  A guarded kernel passes on ok: a row where the scalar
+# call raises GyroError leaves ok and is zeroed.  _checked_rows and
+# _line_param_rows, whose _each walks a list, take (n, d) rows alone.
 
 
 def _each(f, *columns: np.ndarray) -> np.ndarray:
@@ -210,7 +212,7 @@ def _checked_rows(w: np.ndarray) -> np.ndarray:
 
 def _add_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """einstein_add of the rows of u and v, unguarded."""
-    return _add_terms(u, v, np.vecdot(u, v)[:, None], np.sqrt(1.0 - np.vecdot(u, u))[:, None])
+    return _add_terms(u, v, np.vecdot(u, v)[..., None], np.sqrt(1.0 - np.vecdot(u, u))[..., None])
 
 
 def _gamma_rows(u: np.ndarray) -> np.ndarray:
@@ -263,7 +265,7 @@ def _gyration_rows(u: np.ndarray, v: np.ndarray, w: np.ndarray, ok=True) -> tupl
     a, b = _gyration_terms(
         _gamma_rows(u), _gamma_rows(v), np.vecdot(u, v), np.vecdot(u, w), np.vecdot(v, w)
     )
-    return _guarded(a[:, None] * u + b[:, None] * v + w, ok)
+    return _guarded(a[..., None] * u + b[..., None] * v + w, ok)
 
 
 def _line_param_rows(x: np.ndarray, t: np.ndarray, ok=True) -> tuple[np.ndarray, np.ndarray]:

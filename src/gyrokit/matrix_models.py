@@ -115,22 +115,21 @@ def sqrt_congruence(a: Hermitian2, b: Hermitian2) -> Hermitian2:
     pq z + w^2 conj(z)], [.., |w|^2 x + 2q Re(w conj(z)) + q^2 y]],
     evaluated here in real arithmetic.
     """
-    r = sqrt_posdef2(a)
-    return Hermitian2(*_congruence(r.a, r.d, r.re_b, r.im_b, b.a, b.d, b.re_b, b.im_b))
+    return Hermitian2(*_congruence_fields(a, b))
 
 
 def _root_fields(h: Hermitian2) -> tuple:
     # sqrt_posdef2's fields, -0.0 folded, its matrix not built
-    if not is_positive_definite(h):
-        raise PositivityError(f"square root needs a positive definite matrix, got det={h.det!r}")
+    if not _rootable(h.a, h.d, h.re_b, h.im_b):
+        raise PositivityError(
+            f"square root needs a positive definite matrix of finite determinant, got det={h.det!r}"
+        )
     return tuple(x + 0.0 for x in _root(math.sqrt, h.a, h.d, h.re_b, h.im_b))
 
 
 def _congruence_fields(a: Hermitian2, b: Hermitian2) -> tuple:
     # sqrt_congruence's fields, -0.0 folded, with neither its matrix nor the
-    # root's built.  They are finite for densities.  A root that is not finite
-    # has NaN as its first field, and so does the congruence, so the det-1
-    # product's constructor raises as sqrt_posdef2's did
+    # root's built; they are finite for densities
     return tuple(x + 0.0 for x in _congruence(*_root_fields(a), b.a, b.d, b.re_b, b.im_b))
 
 
@@ -196,6 +195,12 @@ def _positive(a, d, re_b, im_b):
     return (a > 0.0) & (_det(a, d, re_b, im_b) > 0.0)
 
 
+def _rootable(a, d, re_b, im_b):
+    # positive, of finite determinant: the closed form takes inf / inf at det inf
+    det = _det(a, d, re_b, im_b)
+    return (a > 0.0) & (det > 0.0) & (det < math.inf)
+
+
 def _in_det1_band(a, d, re_b, im_b):
     # a band that overflowed to inf would hold any determinant, inf included
     band = DEFAULT_REL_TOL + 4.0 * sys.float_info.epsilon * (abs(a * d) + re_b * re_b + im_b * im_b)
@@ -242,7 +247,9 @@ def _det1_rows(h: tuple, ok=True) -> tuple:
 
 
 def _sqrt_posdef_rows(h: tuple, ok=True) -> tuple:
-    h, ok = _blanked(h, ok & _positive(*h))
+    # a row whose determinant overflows is refused, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        h, ok = _blanked(h, ok & _rootable(*h))
     return tuple(x + 0.0 for x in _root(np.sqrt, *h)), ok
 
 

@@ -29,7 +29,6 @@ from .ball import (
     _sum_rows,
 )
 from .sampling import (
-    SCAN_CHUNK,
     BallSampler,
     PropertyReport,
     Rows,
@@ -127,7 +126,8 @@ def _matvec(m: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def _linear_image(m: np.ndarray) -> Callable:
     """Row evaluation (see BallMap._image_rows) of the matrix m, or of a
-    stack of matrices, one per row."""
+    stack of matrices broadcast against the rows: (n, d, d) on (n, d)
+    rows, one per row, or (k, 1, d, d) on a (k, m, d) stack, one per slice."""
     return lambda w, ok: _guarded(_matvec(m, w), ok)
 
 
@@ -217,7 +217,7 @@ def _law_rows(image: Callable, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _image_norms(image: Callable, w: np.ndarray, center, ok=None) -> np.ndarray:
     # |f(w) - center| per row of w that ok marks (all by default), inf where
     # f(w) is not a ball point or the row is not marked
-    out, ok = image(w, np.ones(len(w), dtype=bool) if ok is None else ok)
+    out, ok = image(w, np.ones(w.shape[:-1], dtype=bool) if ok is None else ok)
     return np.where(ok, _norm_rows(out - center), math.inf)
 
 
@@ -317,54 +317,42 @@ def classify_endomorphism(
     return _classify_stack([f], seed, n_samples, tol)[0]
 
 
-def _stack_image(maps: list, dim: int) -> Callable:
-    """Row evaluation (see BallMap._image_rows) of k maps of dimension dim
-    on k stacked slices of equal length, map j on slice j: several matrix
-    or zero maps by one stacked matvec, else each map by its own rows (so
-    a lone zero map is no d x d product) on its own slice."""
-    k = len(maps)
-    if k > 1 and all(f._matrix is not None for f in maps):
-        ms = np.stack([f._matrix for f in maps])[:, None]
-        return lambda w, ok: _guarded(_matvec(ms, w.reshape(k, -1, dim)).reshape(w.shape), ok)
-
-    def image(w: np.ndarray, ok: np.ndarray) -> tuple:
-        slices = zip(maps, w.reshape(k, -1, dim), ok.reshape(k, -1))
-        return tuple(map(np.concatenate, zip(*(f._image_rows(*part) for f, *part in slices))))
-
-    return image
+def _stack_image(maps: list) -> Callable:
+    """Row evaluation (see BallMap._image_rows) of k maps on a (k, m, d)
+    stack, map j on slice j, with a (k, m) ok: several matrix or zero maps
+    by one stacked matvec, else each map by its own rows (so a lone zero
+    map is no d x d product) on its own slice."""
+    if len(maps) > 1 and all(f._matrix is not None for f in maps):
+        return _linear_image(np.stack([f._matrix for f in maps])[:, None])
+    return lambda w, ok: tuple(map(np.stack, zip(*map(BallMap._image_rows, maps, w, ok))))
 
 
 def _classify_stack(maps: list, seed: int, n_samples: int, tol: ToleranceConfig) -> list:
     """classify_endomorphism of k maps of one dimension at seed, as one stack.
 
     Every map runs the phases in turn: law scan, probes, then agreement
-    scan.  Each scan draws from one sampler, of a child seed of seed: chunk
-    c of the scan is one block, whose slice j is map j's n points, scored
-    as one (k, m) array and reduced by one stacked seeded_scan, map j's
-    row against its own cutoff.  The agreement scan runs over the maps
-    still pending, labelled by the first of them.  The probes run one
-    basis vector at a time, so no map is evaluated past its first escaping
-    probe, and are judged for all maps at once.
+    scan.  Each scan draws its _blocks from one sampler, of a child seed of
+    seed: a block of m inputs for k maps is one _point_rows draw of k m
+    rows, each column reshaped to a (k, m, d) stack, so that row j m + i
+    is map j's input i.  The row kernels score the stack as one (k, m)
+    array, and one stacked seeded_scan reduces it, map j's row against its
+    own cutoff.  The agreement scan runs over the maps still pending,
+    labelled by the first of them.  The probes run one basis vector at a
+    time, as a (k, 1, d) stack, so no map is evaluated past its first
+    escaping probe, and are judged for all maps at once.
     """
     k, dim, threshold = len(maps), maps[0].dim, decision_threshold(tol)
 
     def scan(js: list, stream: str, cutoffs, keys: tuple, residual: Callable) -> tuple:
-        # the stacked seeded_scan of the maps js on their slices of the stream's chunks
+        # the stacked seeded_scan of the maps js, map j on slice j of each block
+        image, rows = _stack_image([maps[j] for j in js]), _point_rows(*keys)
+
+        def draw(s: BallSampler, m: int, _) -> Rows:
+            return Rows({key: v.reshape(-1, m, dim) for key, v in rows(s, len(js) * m).items()})
+
         sampler = BallSampler(derive_seed(seed, stream), dim, tol.sample_rmax)
-        image = _stack_image([maps[j] for j in js], dim)
-
-        def chunks():
-            for start in range(0, n_samples, SCAN_CHUNK):
-                m = min(SCAN_CHUNK, n_samples - start)
-                points = sampler.sample_rows(len(js) * len(keys) * m)
-                points = points.reshape(len(js), m, len(keys), dim)
-                yield Rows(zip(keys, np.moveaxis(points, 2, 0)))  # key -> (k, m, dim)
-
-        def scored(rows: Rows) -> np.ndarray:
-            points = (rows[key].reshape(-1, dim) for key in keys)
-            return residual(image, *points).reshape(len(js), -1)
-
-        return seeded_scan(chunks(), scored, cutoffs)
+        blocks = _blocks(draw, [sampler], n_samples)
+        return seeded_scan(blocks, lambda block: residual(image, *block.values()), cutoffs)
 
     law, worst, (_, first), _ = scan(range(k), "endo", threshold, ("u", "v"), _law_rows)
 
@@ -377,10 +365,10 @@ def _classify_stack(maps: list, seed: int, n_samples: int, tol: ToleranceConfig)
     if not live:
         return out
     half, probes = 0.5 * np.eye(dim), np.empty((len(live), dim, dim))
-    image, ok, passed = _stack_image([maps[j] for j in live], dim), np.ones(len(live), bool), 0
+    image, ok, passed = _stack_image([maps[j] for j in live]), np.ones((len(live), 1), bool), 0
     for i in range(dim):
-        probes[:, i], ok = image(np.tile(half[i], (len(live), 1)), ok)
-        passed += ok  # each map's probes up to its first escaping one
+        probes[:, i : i + 1], ok = image(np.tile(half[i], (len(live), 1, 1)), ok)
+        passed += ok[:, 0]  # each map's probes up to its first escaping one
     candidates = np.ascontiguousarray(np.swapaxes(2.0 * probes, 1, 2))
     zero = (_norm_rows(probes) <= tol.abs_tol).all(axis=1).tolist()
     orthogonal = (_deviation(candidates) <= tol.abs_tol).tolist()
@@ -402,7 +390,7 @@ def _classify_stack(maps: list, seed: int, n_samples: int, tol: ToleranceConfig)
     js, verdicts, centers, streams, cutoffs = zip(*pending)
     centers = np.array(centers)[:, None]
     _, _, (_, first), _ = scan(js, streams[0], cutoffs, ("w",), lambda image, w: _image_norms(
-        image, w, np.matvec(centers, w.reshape(len(js), -1, dim)).reshape(w.shape)
+        image, w, np.matvec(centers, w)
     ))
     for j, verdict, r in zip(js, verdicts, first):
         out[j] = verdict if r is None else refuted(j)
@@ -472,9 +460,9 @@ def zero_propagation_check(
         return Rows(part=np.full(len(t), part), t=t, base=bases)
 
     def evaluations():
-        diameter = np.array(params)
-        for start in range(0, len(diameter), SCAN_CHUNK):
-            yield block("diameter", diameter[start : start + SCAN_CHUNK], None)
+        # one block: the diameter has at most 1 + 2 * 255 + 100 = 611 parameters
+        # (255 distinct p/q with p, q <= 20), whatever n_samples is
+        yield block("diameter", np.array(params), None)
         point_sampler = BallSampler(derive_seed(seed, "zero_prop_base"), x.dim, tol.sample_rmax)
         for _ in range(n_translates):
             for part in ("chord", "half_ellipse"):

@@ -168,6 +168,13 @@ class TestSqrt:
         with pytest.raises(PositivityError):
             sqrt_posdef2(Hermitian2(-1.0, -1.0, 0.0, 0.0))
 
+    def test_rejects_an_overflowing_determinant(self):
+        # det = 1e400 is inf, where the closed form would take inf / inf
+        h = Hermitian2(1e200, 1e200, 0.0, 0.0)
+        for root in (lambda: sqrt_posdef2(h), lambda: sqrt_congruence(h, h)):
+            with pytest.raises(PositivityError, match="finite determinant, got det=inf"):
+                root()
+
 
 class TestSqrtCongruence:
     def test_identity_left_factor_is_plain_product(self):

@@ -248,7 +248,7 @@ class TestClassifier:
     def test_nan_law_residual_is_not_an_endomorphism(self, monkeypatch):
         # the law scan scores its pairs with the row kernel
         monkeypatch.setattr(
-            gyrokit.morphisms, "_law_rows", lambda image, u, v: np.full(len(u), math.nan)
+            gyrokit.morphisms, "_law_rows", lambda image, u, v: np.full(u.shape[:-1], math.nan)
         )
         res = classify_endomorphism(BallMap.from_matrix(np.eye(2)), n_samples=20, seed=7)
         assert res.verdict == MapClassification.NOT_ENDOMORPHISM

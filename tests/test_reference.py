@@ -91,7 +91,7 @@ from gyrokit.matrix_models import (
     _sqrt_congruence_rows,
     _sqrt_posdef_rows,
 )
-from gyrokit.morphisms import _haar, _law_rows
+from gyrokit.morphisms import _haar, _image_norms, _law_rows, _linear_image
 from gyrokit.sampling import SCAN_CHUNK, Rows, _blocks, json_ready, seeded_scan
 from gyrokit import morphisms, sampling, verifier
 from gyrokit.verifier import (
@@ -394,6 +394,30 @@ def test_black_box_is_called_where_the_scalar_path_calls_it(dim):
     # the rows evaluate every f(u (+) v), then every f(u), then every f(v)
     assert row_calls == [c[k] for k in range(3) for c in scalar_calls if len(c) > k]
     assert math.inf in want and min(want) < math.inf
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5])
+def test_row_kernels_score_a_stack_as_its_flat_rows(dim):
+    # a (k, m, d) stack, as the classifier scores it with one map per slice,
+    # gives the bits of the flat (m, d) call on each of its k slices
+    _, _, u_rows, v_rows = pair_rows(points(dim, seed=700 + dim))
+    matrices = [f._matrix for f in maps(dim).values() if f._matrix is not None]
+    k = len(matrices)
+    u, v = u_rows.reshape(k, -1, dim), v_rows.reshape(k, -1, dim)
+    center = np.matvec(np.stack(matrices[::-1])[:, None], u)
+    w, ok = _sum_rows(u, v)
+    gyr, gyr_ok = _gyration_rows(u, v, u[::-1])
+    law = _law_rows(_linear_image(np.stack(matrices)[:, None]), u, v)
+    norms = _image_norms(_linear_image(np.stack(matrices)[:, None]), u, center)
+    # sums that round onto the guard, and images that leave the ball, are covered
+    assert not ok.all() and np.isinf(law).any() and np.isinf(norms).any()
+    for j, m in enumerate(matrices):
+        flat, flat_ok = _sum_rows(u[j], v[j])
+        assert w[j].tobytes() == flat.tobytes() and ok[j].tolist() == flat_ok.tolist()
+        flat, flat_ok = _gyration_rows(u[j], v[j], u[k - 1 - j])
+        assert gyr[j].tobytes() == flat.tobytes() and gyr_ok[j].tolist() == flat_ok.tolist()
+        assert law[j].tobytes() == _law_rows(_linear_image(m), u[j], v[j]).tobytes()
+        assert norms[j].tobytes() == _image_norms(_linear_image(m), u[j], center[j]).tobytes()
 
 
 @pytest.mark.parametrize("dim", MAP_DIMS)
@@ -1047,7 +1071,7 @@ def test_a_stack_classifies_each_map_on_its_slice(monkeypatch, tol, scan_chunk):
     def with_nan(image, u, v):
         # the nan map's first law pair scores NaN, wherever it is scored
         residual = law_rows(image, u, v)
-        residual[(u == marked[0]).all(axis=1)] = math.nan
+        residual[(u == marked[0]).all(axis=-1)] = math.nan
         return residual
 
     monkeypatch.setattr(morphisms, "_law_rows", with_nan)
@@ -1361,6 +1385,18 @@ def test_det1_kernel_refuses_an_overflowing_band_without_a_warning():
         warnings.simplefilter("error")
         _, ok = _det1_rows(tuple(np.array(column) for column in zip(*fields)))
     assert ok.tolist() == wants == [False, False, True]
+
+
+def test_root_kernel_refuses_an_overflowing_determinant_without_a_warning():
+    # det inf, det NaN from inf - inf, then a valid matrix with entries 1e200
+    # and 1e-200, whose root the kernel takes as the scalar does
+    fields = [(1e200, 1e200, 0.0, 0.0), (1e200, 1e200, 1e200, 0.0), (1e200, 1e-200, 0.0, 0.0)]
+    wants = [scalar_or_none(lambda: sqrt_posdef2(Hermitian2(*f))) for f in fields]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        root, ok = _sqrt_posdef_rows(tuple(np.array(column) for column in zip(*fields)))
+    assert ok.tolist() == [want is not None for want in wants] == [False, False, True]
+    assert [column[2] for column in root] == [getattr(wants[2], field) for field in FIELDS]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
