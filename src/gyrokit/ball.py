@@ -5,6 +5,8 @@ normalized to 1).  The addition law is noncommutative and nonassociative;
 its failure of associativity is measured by the gyration operator,
 evaluated in Ungar's closed form, which the verifier module checks is
 always a rotation.  Everything here is pure and dimension-agnostic.
+json_ready, the one JSON number formatter, lives here too, so that a
+command printing JSON loads no other layer to format it.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
@@ -340,3 +343,28 @@ def approx_eq(a: GyroVector, b: GyroVector, tol: ToleranceConfig = DEFAULT_TOL) 
     """Componentwise |a_i - b_i| <= abs_tol + rel_tol * max(|a_i|, |b_i|)."""
     _check_same_dim(a, b)
     return bool(_close(a.coords, b.coords, tol).all())
+
+
+def json_ready(value: Any) -> Any:
+    """Copy of value that json.dumps accepts, with numbers fixed for output.
+
+    Vectors and arrays become lists, objects with to_json_dict and records
+    become dicts, and numpy scalars Python scalars.  Floats keep 15 significant digits
+    with negative zero folded to 0.0; JSON has no inf/nan, so non-finite
+    floats are spelled out by repr rather than crash the report.
+    """
+    if isinstance(value, (GyroVector, np.ndarray)):
+        value = value.tolist()
+    elif hasattr(value, "to_json_dict"):
+        value = value.to_json_dict()
+    elif isinstance(value, np.void):
+        value = dict(zip(value.dtype.names, value.item()))
+    elif isinstance(value, np.generic):
+        value = value.item()
+    if isinstance(value, float):
+        return float(f"{value:.15g}") + 0.0 if math.isfinite(value) else repr(value)
+    if isinstance(value, dict):
+        return {k: json_ready(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [json_ready(v) for v in value]
+    return value

@@ -14,24 +14,12 @@ import os
 import re
 import sys
 from functools import partial
+from importlib import import_module
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .ball import BallDomainError, GyroError, GyroVector, einstein_add, gamma, gyration
-from .geometry import collinear_gyro, klein_distance
-from .matrix_models import (
-    _HERMITIAN_FIELDS,
-    DensityMatrix2,
-    PosDef2Det1,
-    bloch_to_density,
-    boxdot,
-    normalize_det,
-    odot,
-)
-from .morphisms import BallMap, MapClassification, classify_endomorphism
-from .sampling import json_ready
-from .verifier import registered_names, run_suite
+from .ball import BallDomainError, GyroError, GyroVector, json_ready
 
 DEFAULT_SEED = 7
 DEFAULT_SAMPLES = 1000
@@ -108,7 +96,16 @@ def _load_json(path: str):
     return data
 
 
-def _load_hermitian(cls, path: str):
+def _fetch(where: str):
+    """The object at "layer.name" in this package, read now: the layer runs on
+    first use, and a wrapper set on its attribute since (a tracer, a mock) is seen."""
+    layer, _, name = where.rpartition(".")
+    return getattr(import_module(f"{__package__}.{layer}"), name)
+
+
+def _load_hermitian(where: str, path: str):
+    from .matrix_models import _HERMITIAN_FIELDS
+
     data = _load_json(path)
     if not isinstance(data, dict):
         raise GyroError(f"{path}: expected a JSON object with fields {_HERMITIAN_FIELDS}")
@@ -121,10 +118,12 @@ def _load_hermitian(cls, path: str):
         raise GyroError(f"{path}: fields must be numbers, not arrays or objects") from exc
     except OverflowError as exc:  # or be a huge int
         raise GyroError(f"{path}: fields must be numbers: {exc}") from exc
-    return cls(**fields)
+    return _fetch(where)(**fields)
 
 
-def _load_map(args: argparse.Namespace) -> BallMap:
+def _load_map(args: argparse.Namespace):
+    from .morphisms import BallMap
+
     dim = None if args.dim is None else _parse_int("--dim", args.dim)
     if dim is not None and dim > MAX_DIM:
         raise GyroError(f"--dim must be at most {MAX_DIM}, got {dim}")
@@ -161,52 +160,60 @@ class _Command(NamedTuple):
     help: str
     options: dict[str, str | None]  # option name -> help line
     read: Callable[[str], object]
-    run: Callable[..., object]
+    run: str  # "layer.name" of the operation, fetched when the command runs
     show: Callable[[object], int]
 
 
 _VECTOR_HELP = "comma-separated vector, e.g. 0.5,0"
-_density = partial(_load_hermitian, DensityMatrix2)
-_det1 = partial(_load_hermitian, PosDef2Det1)
+_density = partial(_load_hermitian, "matrix_models.DensityMatrix2")
+_det1 = partial(_load_hermitian, "matrix_models.PosDef2Det1")
+
+# matrix_models._HERMITIAN_FIELDS in order, spelled out so that building the
+# parser loads no matrix layer; a test binds the two
+_HERMITIAN_HELP = "JSON file with fields a, d, re_b, im_b"
 
 _COMMANDS = {
     "add": _Command("compose two velocities", {"u": _VECTOR_HELP, "v": None},
-                    _parse_vector, einstein_add, _show_vector),
+                    _parse_vector, "ball.einstein_add", _show_vector),
     "gamma": _Command("Lorentz factor of a velocity", dict.fromkeys("u"),
-                      _parse_vector, gamma, _show_number),
+                      _parse_vector, "ball.gamma", _show_number),
     "gyr": _Command("apply the gyration of a pair to a vector", dict.fromkeys("uvw"),
-                    _parse_vector, gyration, _show_vector),
+                    _parse_vector, "ball.gyration", _show_vector),
     "dist": _Command("hyperbolic distance between two points", dict.fromkeys("xy"),
-                     _parse_vector, klein_distance, _show_number),
+                     _parse_vector, "geometry.klein_distance", _show_number),
     "collinear": _Command("test whether three points share a line", dict.fromkeys("xyz"),
-                          _parse_vector, collinear_gyro, _show_verdict),
+                          _parse_vector, "geometry.collinear_gyro", _show_verdict),
     "bloch": _Command("density matrix of a 3-dimensional point", dict.fromkeys("v"),
-                      _parse_vector, bloch_to_density, _show_json),
-    "odot": _Command("density-matrix product (JSON files)",
-                     {"a": f"JSON file with fields {', '.join(_HERMITIAN_FIELDS)}", "b": None},
-                     _density, odot, _show_json),
+                      _parse_vector, "matrix_models.bloch_to_density", _show_json),
+    "odot": _Command("density-matrix product (JSON files)", {"a": _HERMITIAN_HELP, "b": None},
+                     _density, "matrix_models.odot", _show_json),
     "boxdot": _Command("det-1 congruence product (JSON files)", dict.fromkeys("ab"),
-                       _det1, boxdot, _show_json),
+                       _det1, "matrix_models.boxdot", _show_json),
     "normdet": _Command("scale a density matrix to determinant 1", dict.fromkeys("a"),
-                        _density, normalize_det, _show_json),
+                        _density, "matrix_models.normalize_det", _show_json),
 }
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
     command = _COMMANDS[args.command]
     values = [command.read(getattr(args, option)) for option in command.options]
-    # looked up by name now, as the other commands do: a wrapper set on this
-    # module's attribute (a tracer, a mock) sees the call
-    return command.show(globals()[command.run.__name__](*values))
+    # fetched from its layer now, not when the table was built: only this
+    # command's layer loads, and a wrapper set on the layer's attribute (a
+    # tracer, a mock) sees the call
+    return command.show(_fetch(command.run)(*values))
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
+    from .morphisms import MapClassification, classify_endomorphism
+
     outcome = classify_endomorphism(_load_map(args), *_seeded(args))
     _show_json(outcome)
     return 0 if outcome.verdict != MapClassification.NOT_ENDOMORPHISM else 1
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .verifier import registered_names, run_suite
+
     if args.all:
         names = list(registered_names())
     else:

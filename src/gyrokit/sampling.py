@@ -1,5 +1,5 @@
 """Seeded sampling inside the ball, the one residual scan loop, the one
-report builder, and the report type and JSON formatting for property runs.
+report builder, and the report type for property runs.
 
 Every scan reads Rows blocks (_blocks): inputs held column-wise, each
 block scored by a row residual as one array.  This is the one module that
@@ -9,8 +9,8 @@ libm.  Inputs that refuse candidates are drawn in stages (_staged): a
 block of candidates is filtered by a mask, and only the shortfall is drawn
 again.
 
-Shared by the verifier harness, the morphism checks and the CLI; kept in
-its own module so all of them can import it without cycles.
+Shared by the verifier harness and the morphism checks; kept in its own
+module so both can import it without cycles.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import math
 import operator
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .ball import (
     GyroVector,
     _checked_rows,
     _guard_rows,
+    json_ready,
 )
 
 # inputs held and scored per residual array, which bounds a scan's memory at any
@@ -262,31 +263,6 @@ def scan_report(
         first_counterexample=first,
         seed=operator.index(seed),
     )
-
-
-def json_ready(value: Any) -> Any:
-    """Copy of value that json.dumps accepts, with numbers fixed for output.
-
-    Vectors and arrays become lists, objects with to_json_dict and records
-    become dicts, and numpy scalars Python scalars.  Floats keep 15 significant digits
-    with negative zero folded to 0.0; JSON has no inf/nan, so non-finite
-    floats are spelled out by repr rather than crash the report.
-    """
-    if isinstance(value, (GyroVector, np.ndarray)):
-        value = value.tolist()
-    elif hasattr(value, "to_json_dict"):
-        value = value.to_json_dict()
-    elif isinstance(value, np.void):
-        value = dict(zip(value.dtype.names, value.item()))
-    elif isinstance(value, np.generic):
-        value = value.item()
-    if isinstance(value, float):
-        return float(f"{value:.15g}") + 0.0 if math.isfinite(value) else repr(value)
-    if isinstance(value, dict):
-        return {k: json_ready(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [json_ready(v) for v in value]
-    return value
 
 
 @dataclass(frozen=True)

@@ -4,17 +4,20 @@ Most cases drive main() in process and assert on exact printed output; one
 subprocess test exercises the installed entry point for real.
 """
 
+import importlib
 import json
 import math
 import os
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
 import gyrokit.cli
 from gyrokit import BallMap
 from gyrokit.cli import main
+from gyrokit.matrix_models import _HERMITIAN_FIELDS
 
 
 def run_cli(capsys, *args):
@@ -633,11 +636,13 @@ HELP_SCREENS = {
 class TestTableCommands:
     @pytest.mark.parametrize("name", list(gyrokit.cli._COMMANDS))
     def test_runs_the_operation_the_module_holds_at_call_time(self, monkeypatch, name):
-        # a wrapper set on the module attribute, as a tracer or a mock sets
-        # it, must see the call, not the function bound when the table was built
+        # a wrapper set on the defining module's attribute, as a tracer or a
+        # mock sets it, must see the call, not the function of the table's build
         command = gyrokit.cli._COMMANDS[name]
+        layer, _, attr = command.run.rpartition(".")
+        module = importlib.import_module(f"gyrokit.{layer}")
         seen = []
-        monkeypatch.setattr(gyrokit.cli, command.run.__name__, lambda *values: seen.append(values))
+        monkeypatch.setattr(module, attr, lambda *values: seen.append(values))
         monkeypatch.setitem(
             gyrokit.cli._COMMANDS, name, command._replace(read=str, show=lambda result: 0)
         )
@@ -650,6 +655,73 @@ class TestHelpScreens:
     @pytest.mark.parametrize("command", list(HELP_SCREENS), ids=lambda c: c[0] if c else "top")
     def test_lists_the_pinned_commands_and_options(self, capsys, monkeypatch, command):
         assert help_entries(capsys, monkeypatch, *command) == HELP_SCREENS[command]
+
+    def test_matrix_file_help_names_the_fields_in_their_order(self):
+        # spelled out in cli so that building the parser loads no matrix layer
+        fields = ", ".join(_HERMITIAN_FIELDS)
+        assert gyrokit.cli._HERMITIAN_HELP == f"JSON file with fields {fields}"
+
+
+_COLD = {"gyrokit", "gyrokit.ball", "gyrokit.cli"}
+_LAYERS = {"geometry", "matrix_models", "morphisms", "sampling", "verifier"}
+_FOOTPRINT = textwrap.dedent(
+    """
+    import json, sys, types
+    import gyrokit.cli
+    code = gyrokit.cli.main(sys.argv[1:])
+    # a layer registered but not yet run is not of type ModuleType, and
+    # type() runs nothing
+    executed = sorted(
+        name for name, module in sys.modules.items()
+        if name.split(".")[0] == "gyrokit" and type(module) is types.ModuleType
+    )
+    print(json.dumps({"code": code, "executed": executed, "hashlib": "hashlib" in sys.modules}),
+          file=sys.stderr)
+    """
+)
+
+
+# each command group, and the layers beyond ball and cli that it runs
+_FOOTPRINTS = [
+    (["add", "--u", "0.5,0", "--v", "0.3,0"], set()),
+    (["gamma", "--u", "0.5,0"], set()),
+    (["gyr", "--u", "0.5,0", "--v", "0,0.3", "--w", "0.1,0"], set()),
+    (["dist", "--x", "0.5,0", "--y", "0.3,0"], {"geometry"}),
+    (["collinear", "--x", "0.5,0", "--y", "0.3,0", "--z", "0.1,0"], {"geometry"}),
+    (["bloch", "--v", "0,0,0.6"], {"matrix_models"}),
+    (["odot", "--a", "{rho}", "--b", "{rho}"], {"matrix_models"}),
+    (["normdet", "--a", "{rho}"], {"matrix_models"}),
+    (["boxdot", "--a", "{det1}", "--b", "{det1}"], {"matrix_models"}),
+    (["classify", "--map", "zero", "--dim", "2", "--samples", "20"], {"morphisms", "sampling"}),
+    (["verify", "--only", "closure", "--samples", "10"], _LAYERS),
+]
+
+
+class TestColdFootprint:
+    """A cold command runs only the layers its operation needs."""
+
+    @pytest.mark.parametrize(
+        "command, layers", _FOOTPRINTS, ids=[command[0] for command, _ in _FOOTPRINTS]
+    )
+    def test_executes_only_its_own_layers(self, herm_file, command, layers):
+        files = {
+            "rho": herm_file("rho.json", {"a": 0.6, "d": 0.4, "re_b": 0.1, "im_b": 0.05}),
+            "det1": herm_file("det1.json", {"a": 2.0, "d": 0.5, "re_b": 0.0, "im_b": 0.0}),
+        }
+        argv = [arg.format(**files) for arg in command]
+        proc = subprocess.run(
+            [sys.executable, "-c", _FOOTPRINT, *argv], capture_output=True, text=True
+        )
+        seen = json.loads(proc.stderr.splitlines()[-1])
+        assert seen["code"] == 0, proc.stderr
+        assert set(seen["executed"]) == _COLD | {f"gyrokit.{layer}" for layer in layers}
+        # only sampling's seed derivation needs hashlib
+        assert seen["hashlib"] is ("sampling" in layers)
+
+    def test_the_layers_are_every_other_module(self):
+        here = os.path.dirname(gyrokit.cli.__file__)
+        modules = {name[:-3] for name in os.listdir(here) if name.endswith(".py")}
+        assert modules - {"__init__", "__main__", "ball", "cli"} == _LAYERS
 
 
 class TestSubprocess:
