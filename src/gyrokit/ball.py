@@ -7,6 +7,13 @@ evaluated in Ungar's closed form, which the verifier module checks is
 always a rotation.  Everything here is pure and dimension-agnostic.
 json_ready, the one JSON number formatter, lives here too, so that a
 command printing JSON loads no other layer to format it.
+
+A point holds its coordinates as Python floats.  Below _FLOAT_DIM
+coordinates the scalar functions run on those floats and load no numpy;
+at or above it on the float64 array of the coordinates.  Both pass a
+formula's helper what the row kernels pass it, and every inner product,
+on floats or on arrays, is _dot's: one summation order, so the scalar
+paths and the kernels, on every machine, round alike.
 """
 
 from __future__ import annotations
@@ -14,15 +21,28 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Any
-
-import numpy as np
 
 DEFAULT_ABS_TOL = 1e-9
 DEFAULT_REL_TOL = 1e-9
 DEFAULT_BOUNDARY_MARGIN = 1e-9
 DEFAULT_SAMPLE_RMAX = 0.999
+
+# scalar functions run on the Python floats of points of fewer coordinates,
+# on the array of longer ones: past it a float loop costs more than numpy's
+# per-call overhead
+_FLOAT_DIM = 16
+# _dot sums arrays of fewer columns column by column, across the rows at
+# once, and longer ones row by row; both sum left to right, so they round alike
+_COLUMN_DIM = 16
+# products a longer _dot holds at once
+_DOT_BLOCK = 1 << 15
+# below this 1 - |x|^2, line_param takes atanh(|x|) from 1 - |x|^2 summed
+# exactly (_slack): atanh of the rounded norm would lose about
+# d eps / (1 - |x|^2) of its digits to the rounding of |x|^2 and of |x|
+_SLACK_CUTOFF = 2.0**-26
 
 
 class GyroError(ValueError):
@@ -72,11 +92,67 @@ class ToleranceConfig:
 DEFAULT_TOL = ToleranceConfig()
 
 
+def _dot(x, y):
+    """x . y, the rounded products summed left to right from +0.0, as the
+    reference BLAS ddot sums: of two tuples of floats or two 1-D arrays a
+    float, of arrays over the last axis.  A sum of zeros is +0.0.  Floats
+    run in a loop, not sum(), which compensates from Python 3.12.  Rows of
+    fewer than _COLUMN_DIM columns are summed column by column, across the
+    rows at once; one row, or longer rows, by np.add.accumulate."""
+    if type(x) is tuple:
+        total = 0.0
+        for a, b in zip(x, y):
+            total += a * b
+        return total
+    import numpy as np
+
+    if x.ndim == 1:
+        return float(np.add.accumulate(x * y)[-1]) + 0.0
+    if x.shape[-1] < _COLUMN_DIM:
+        total = np.zeros(np.broadcast_shapes(x.shape, y.shape)[:-1])
+        for i in range(x.shape[-1]):
+            total += x[..., i] * y[..., i]
+        return total
+    # row blocks of about _DOT_BLOCK products, so that the one temporary
+    # stays in cache and small, however many rows there are
+    d = x.shape[-1]
+    rows = np.broadcast_shapes(x.shape, y.shape)[:-1]
+    x, y = (np.broadcast_to(a, rows + (d,)).reshape(-1, d) for a in (x, y))
+    total, step = np.empty(len(x)), max(1, _DOT_BLOCK // d)
+    products = np.empty((min(step, len(x)), d))
+    for start in range(0, len(x), step):
+        stop = min(start + step, len(x))
+        block = np.multiply(x[start:stop], y[start:stop], out=products[: stop - start])
+        total[start:stop] = np.add.accumulate(block, axis=-1, out=block)[:, -1]
+    total += 0.0
+    return total.reshape(rows)
+
+
+def _slack(squares) -> float:
+    """1 - x . x from the rounded squares of x's coordinates, correctly
+    rounded: math.fsum adds them exactly and rounds once, so the floats and
+    the arrays of one point give the same bits.  Only the rounding of the
+    squares themselves, at most eps/2 of x . x in all, is left."""
+    return -math.fsum([-1.0, *squares])
+
+
+def _rapidity(norm: float, slack: float) -> float:
+    """atanh(norm), of a point whose 1 - norm^2 is slack: below _SLACK_CUTOFF,
+    log1p(norm) - log(slack) / 2, which reads 1 - norm from slack alone."""
+    if slack >= _SLACK_CUTOFF:
+        return math.atanh(norm)
+    return math.log1p(norm) - 0.5 * math.log(slack)
+
+
 def _outside_ball(norm: float) -> BallDomainError:
     return BallDomainError(
         f"|v| = {norm!r} is not strictly inside the unit ball "
         f"(boundary margin {DEFAULT_BOUNDARY_MARGIN:g})"
     )
+
+
+# the coordinate types read without numpy; any other input is numpy's to parse
+_PLAIN = {float, int, bool}
 
 
 class GyroVector:
@@ -86,67 +162,111 @@ class GyroVector:
     is rejected rather than clamped, so no operation can silently leave the
     domain.  The squared norm and norm are computed once and cached since
     every operation needs them.
+
+    What a coordinate is, np.array(coords, dtype=float) decides; a list or
+    tuple of floats, ints and bools is read by float() alone, which agrees.
+    A point of fewer than _FLOAT_DIM coordinates holds them as a tuple of
+    Python floats, and coords, a read-only float64 array of them, is built
+    on first use.  A longer point may hold the array alone, as the results
+    of the scalar functions do.
     """
 
-    __slots__ = ("coords", "norm2", "norm")
+    __slots__ = ("_floats", "_coords", "dim", "norm2", "norm")
 
     def __init__(self, coords):
-        try:
-            # always a fresh copy, so no caller can write to a guarded point
-            v = np.array(coords, dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise BallDomainError(f"coords are not real numbers: {exc}") from exc
-        if v.ndim != 1 or v.size == 0:
+        array = None
+        if type(coords) in (list, tuple) and set(map(type, coords)) <= _PLAIN:
+            try:
+                floats = tuple(map(float, coords))
+            except OverflowError as exc:  # an int past the float range
+                raise BallDomainError(f"coords are not real numbers: {exc}") from exc
+        else:
+            import numpy as np
+
+            try:
+                array = np.asarray(coords, dtype=float)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise BallDomainError(f"coords are not real numbers: {exc}") from exc
+            floats = array.tolist() if array.ndim == 1 else []
+        if not floats:
             raise BallDomainError("coords must be a non-empty 1-D sequence")
-        # outside input may be finite yet too long to square: v.dot(v) would
-        # overflow with a numpy warning, where hypot cannot; below 1e150 it is safe
-        length = math.hypot(*v.tolist())
+        # outside input may be finite yet too long to square: its dot would
+        # overflow to inf, where hypot cannot; below 1e150 it is safe
+        length = math.hypot(*floats)
         if not length < 1e150:
-            if not np.isfinite(v).all():
+            if not all(map(math.isfinite, floats)):
                 raise BallDomainError("coords must be finite")
             raise _outside_ball(length)
-        self._guard(v)
+        if array is None or len(floats) < _FLOAT_DIM:
+            self._guard(tuple(floats), None)
+        else:
+            # a long point holds a copy of the array, which no caller can write to
+            self._guard(None, array.copy())
 
     @classmethod
-    def _owned(cls, v: np.ndarray) -> "GyroVector":
-        """Point with coords v, a fresh 1-D float64 array that no caller
-        holds: guarded like outside input, but neither parsed nor copied."""
+    def _owned(cls, coords) -> "GyroVector":
+        """Point with coords, a tuple of floats or a fresh 1-D float64 array
+        that no caller holds: guarded like outside input, but neither parsed
+        nor copied."""
         out = cls.__new__(cls)
-        out._guard(v)
+        if type(coords) is tuple:
+            out._guard(coords, None)
+        elif len(coords) < _FLOAT_DIM:
+            out._guard(tuple(coords.tolist()), coords)
+        else:
+            out._guard(None, coords)
         return out
 
-    def _guard(self, v: np.ndarray) -> None:
-        # v.dot(v) is the same ddot as v @ v, without the matmul dispatch;
+    def _guard(self, floats, array) -> None:
+        # the same coordinates as a tuple and as an array, either one None
+        # but the tuple of a short point: a long point's array is summed
+        x = floats if array is None or len(array) < _FLOAT_DIM else array
         # norm2 finite implies every component is finite, NaN/inf both fail
-        norm2 = float(v.dot(v))
+        norm2 = _dot(x, x)
         if not math.isfinite(norm2):
             raise BallDomainError("coords must be finite")
         norm = math.sqrt(norm2)
         if norm >= 1.0 - DEFAULT_BOUNDARY_MARGIN:
             raise _outside_ball(norm)
-        v.setflags(write=False)
-        self.coords = v
+        if array is not None:
+            array.setflags(write=False)
+        self._floats, self._coords, self.dim = floats, array, len(x)
         self.norm2 = norm2
         self.norm = norm
 
     @property
-    def dim(self) -> int:
-        return self.coords.shape[0]
+    def coords(self):
+        """The coordinates as a read-only float64 array."""
+        if self._coords is None:
+            import numpy as np
+
+            array = np.array(self._floats)
+            array.setflags(write=False)
+            self._coords = array
+        return self._coords
 
     @classmethod
     def zero(cls, dim: int) -> "GyroVector":
-        return cls(np.zeros(operator.index(dim)))
+        return cls((0.0,) * operator.index(dim))
 
     def tolist(self) -> list[float]:
-        return self.coords.tolist()
+        return self.coords.tolist() if self._floats is None else list(self._floats)
 
     def __repr__(self) -> str:
-        return f"GyroVector({self.coords.tolist()!r})"
+        return f"GyroVector({self.tolist()!r})"
 
 
 def _check_same_dim(u: GyroVector, v: GyroVector) -> None:
-    if len(u.coords) != len(v.coords):
+    if u.dim != v.dim:
         raise DimensionMismatchError(f"dimension mismatch: {u.dim} vs {v.dim}")
+
+
+def _coords(*points: GyroVector) -> list:
+    """The coordinates of points of one dimension, as the scalar functions
+    take them: tuples of floats below _FLOAT_DIM, float64 arrays from it."""
+    if points[0].dim < _FLOAT_DIM:
+        return [p._floats for p in points]
+    return [p.coords for p in points]
 
 
 def einstein_add(u: GyroVector, v: GyroVector) -> GyroVector:
@@ -161,13 +281,17 @@ def einstein_add(u: GyroVector, v: GyroVector) -> GyroVector:
     identity, so implementation and check cannot share a bug.
     """
     _check_same_dim(u, v)
-    x, y = u.coords, v.coords
-    return GyroVector._owned(_add_terms(x, y, float(x.dot(y)), math.sqrt(1.0 - u.norm2)))
+    x, y = _coords(u, v)
+    duv, s = _dot(x, y), math.sqrt(1.0 - u.norm2)
+    if type(x) is tuple:
+        return GyroVector._owned(tuple([_add_terms(a, b, duv, s) for a, b in zip(x, y)]))
+    return GyroVector._owned(_add_terms(x, y, duv, s))
 
 
 def _add_terms(u, v, duv, s):
-    """einstein_add's textbook form from u.v and s = sqrt(1 - |u|^2), term by term in
-    one buffer: IEEE addition is commutative, so each step rounds as the one-line form."""
+    """einstein_add's textbook form from u.v and s = sqrt(1 - |u|^2), of
+    floats or term by term in one buffer: IEEE addition is commutative, so
+    each step rounds as the one-line form."""
     out = s * v
     out += u
     out += (duv / (1.0 + s)) * u
@@ -175,61 +299,73 @@ def _add_terms(u, v, duv, s):
     return out
 
 
-def _close(a, b, tol: ToleranceConfig):
-    """approx_eq componentwise, of 1-D coords or of (n, d) rows."""
-    return np.abs(a - b) <= tol.abs_tol + tol.rel_tol * np.maximum(np.abs(a), np.abs(b))
+def _close(maximum, a, b, tol: ToleranceConfig):
+    """approx_eq of coordinates, compared by maximum: max of two floats,
+    np.maximum componentwise of arrays."""
+    return abs(a - b) <= tol.abs_tol + tol.rel_tol * maximum(abs(a), abs(b))
 
 
 # Row kernels.  Each takes points as the rows of a (..., d) array, such as
 # an (n, d) block or a (k, m, d) stack, and passes a formula's helper the
 # columns where its scalar twin passes floats, so the two agree bit for bit:
-# np.vecdot is the same ddot as ndarray.dot, np.sqrt is correctly rounded
-# like math.sqrt.  A guarded kernel passes on ok: a row where the scalar
-# call raises GyroError leaves ok and is zeroed.  _checked_rows and
+# _dot sums in one order on both, and np.sqrt is correctly rounded like
+# math.sqrt.  A guarded kernel passes on ok: a row where the scalar call
+# raises GyroError leaves ok and is zeroed.  _checked_rows and
 # _line_param_rows, whose _each walks a list, take (n, d) rows alone.
 
 
-def _each(f, *columns: np.ndarray) -> np.ndarray:
+def _each(f, *columns):
     """f of the elements of the columns in turn, as Python floats: for math's
     transcendentals, which numpy's differ from in the last bit."""
+    import numpy as np
+
     return np.array(list(map(f, *(c.tolist() for c in columns))), dtype=float)
 
 
-def _guard_rows(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _guard_rows(w) -> tuple:
     """Squared norms of the rows of w, and which rows the GyroVector guard
     accepts: finite, with norm below 1 - DEFAULT_BOUNDARY_MARGIN.  A row
     too long to square has norm2 inf and is refused without a warning."""
+    import numpy as np
+
     with np.errstate(over="ignore"):
-        norm2 = np.vecdot(w, w)
+        norm2 = _dot(w, w)
     return norm2, np.sqrt(norm2) < 1.0 - DEFAULT_BOUNDARY_MARGIN
 
 
-def _checked_rows(w: np.ndarray) -> np.ndarray:
+def _checked_rows(w):
     """w, once the guard accepts every row; otherwise the constructor's
     error for the first row it refuses."""
+    import numpy as np
+
     ok = _guard_rows(w)[1]
     if not ok.all():
         GyroVector._owned(w[np.argmin(ok)].copy())
     return w
 
 
-def _add_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _add_rows(u, v):
     """einstein_add of the rows of u and v, unguarded."""
-    return _add_terms(u, v, np.vecdot(u, v)[..., None], np.sqrt(1.0 - np.vecdot(u, u))[..., None])
+    import numpy as np
+
+    return _add_terms(u, v, _dot(u, v)[..., None], np.sqrt(1.0 - _dot(u, u))[..., None])
 
 
-def _gamma_rows(u: np.ndarray) -> np.ndarray:
+def _gamma_rows(u):
     """gamma of each row of u."""
-    return 1.0 / np.sqrt(1.0 - np.vecdot(u, u))
+    import numpy as np
+
+    return 1.0 / np.sqrt(1.0 - _dot(u, u))
 
 
-def _norm_rows(x: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of x: sqrt(x . x) row by row, as
-    np.linalg.norm evaluates it for one row, bit for bit."""
-    return np.sqrt(np.vecdot(x, x))
+def _norm_rows(x):
+    """Euclidean norm of each row of x: sqrt(x . x) row by row."""
+    import numpy as np
+
+    return np.sqrt(_dot(x, x))
 
 
-def _guarded(w: np.ndarray, ok) -> tuple[np.ndarray, np.ndarray]:
+def _guarded(w, ok) -> tuple:
     """w with every row outside ok or refused by the guard zeroed, so that
     later arithmetic on it stays finite and warning-free; and ok narrowed."""
     ok = ok & _guard_rows(w)[1]
@@ -237,15 +373,17 @@ def _guarded(w: np.ndarray, ok) -> tuple[np.ndarray, np.ndarray]:
     return w, ok
 
 
-def _sum_rows(u: np.ndarray, v: np.ndarray, ok=True) -> tuple[np.ndarray, np.ndarray]:
+def _sum_rows(u, v, ok=True) -> tuple:
     """einstein_add of the rows of u and v, guarded (see the row kernels)."""
     return _guarded(_add_rows(u, v), ok)
 
 
-def _anchored_sum_rows(u: np.ndarray, v: np.ndarray, ok=True) -> tuple[np.ndarray, np.ndarray]:
+def _anchored_sum_rows(u, v, ok=True) -> tuple:
     """_sum_rows, whose first formed row einstein_add also sums, refused unless
     the two agree: the one path by which a wrapper set on the public
     einstein_add (perfbench's --corrupt) reaches a verifier property."""
+    import numpy as np
+
     w, ok = _sum_rows(u, v, ok)
     for i in np.flatnonzero(ok)[:1]:
         ok[i] = np.array_equal(einstein_add(GyroVector(u[i]), GyroVector(v[i])).coords, w[i])
@@ -263,19 +401,29 @@ def _gyration_terms(gu, gv, uv, uw, vw):
     return big_a / big_d, big_b / big_d
 
 
-def _gyration_rows(u: np.ndarray, v: np.ndarray, w: np.ndarray, ok=True) -> tuple:
+def _gyrated(a, b, u, v, w):
+    """w + (A u + B v) / D from _gyration_terms' (A / D, B / D)."""
+    return a * u + b * v + w
+
+
+def _gyration_rows(u, v, w, ok=True) -> tuple:
     """gyration of the rows of u, v and w, guarded."""
-    a, b = _gyration_terms(
-        _gamma_rows(u), _gamma_rows(v), np.vecdot(u, v), np.vecdot(u, w), np.vecdot(v, w)
-    )
-    return _guarded(a[..., None] * u + b[..., None] * v + w, ok)
+    a, b = _gyration_terms(_gamma_rows(u), _gamma_rows(v), _dot(u, v), _dot(u, w), _dot(v, w))
+    return _guarded(_gyrated(a[..., None], b[..., None], u, v, w), ok)
 
 
-def _line_param_rows(x: np.ndarray, t: np.ndarray, ok=True) -> tuple[np.ndarray, np.ndarray]:
+def _line_param_rows(x, t, ok=True) -> tuple:
     """line_param of each row of x at its row's t, guarded; a zero row is refused."""
-    norm = _norm_rows(x)
+    import numpy as np
+
+    norm2 = _dot(x, x)
+    norm, slack = np.sqrt(norm2), 1.0 - norm2
     ok = ok & (norm > 0.0)
-    radius = _each(math.tanh, t * _each(math.atanh, norm))
+    near = slack < _SLACK_CUTOFF
+    if near.any():
+        rows = x[near]
+        slack[near] = list(map(_slack, (rows * rows).tolist()))
+    radius = _each(math.tanh, t * _each(_rapidity, norm, slack))
     scale = np.divide(radius, norm, out=np.zeros_like(norm), where=ok)
     return _guarded(scale[:, None] * x, ok)
 
@@ -295,10 +443,13 @@ def neg(u: GyroVector) -> GyroVector:
     Negation is exact, so -u keeps the norms of u, and with them its place
     inside the guarded ball.
     """
-    coords = -u.coords
-    coords.setflags(write=False)
     out = GyroVector.__new__(GyroVector)
-    out.coords, out.norm2, out.norm = coords, u.norm2, u.norm
+    out._floats = None if u._floats is None else tuple(map(operator.neg, u._floats))
+    out._coords = None
+    if u._floats is None:
+        out._coords = -u._coords
+        out._coords.setflags(write=False)
+    out.dim, out.norm2, out.norm = u.dim, u.norm2, u.norm
     return out
 
 
@@ -315,9 +466,11 @@ def gyration(u: GyroVector, v: GyroVector, w: GyroVector) -> GyroVector:
     """
     _check_same_dim(u, v)
     _check_same_dim(u, w)
-    x, y, z = u.coords, v.coords, w.coords
-    a, b = _gyration_terms(gamma(u), gamma(v), float(x.dot(y)), float(x.dot(z)), float(y.dot(z)))
-    return GyroVector._owned(a * x + b * y + z)
+    x, y, z = _coords(u, v, w)
+    a, b = _gyration_terms(gamma(u), gamma(v), _dot(x, y), _dot(x, z), _dot(y, z))
+    if type(x) is tuple:
+        return GyroVector._owned(tuple([_gyrated(a, b, p, q, r) for p, q, r in zip(x, y, z)]))
+    return GyroVector._owned(_gyrated(a, b, x, y, z))
 
 
 def line_param(x: GyroVector, t: float) -> GyroVector:
@@ -335,14 +488,23 @@ def line_param(x: GyroVector, t: float) -> GyroVector:
         raise BallDomainError(f"parameter must be finite, got {t!r}")
     if x.norm == 0.0:
         raise BallDomainError("line_param requires a nonzero direction")
-    radius = math.tanh(t * math.atanh(x.norm))
-    return GyroVector._owned((radius / x.norm) * x.coords)
+    (c,) = _coords(x)
+    slack = 1.0 - x.norm2
+    if slack < _SLACK_CUTOFF:
+        slack = _slack(map(operator.mul, c, c) if type(c) is tuple else (c * c).tolist())
+    scale = math.tanh(t * _rapidity(x.norm, slack)) / x.norm
+    return GyroVector._owned(tuple([scale * a for a in c]) if type(c) is tuple else scale * c)
 
 
 def approx_eq(a: GyroVector, b: GyroVector, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Componentwise |a_i - b_i| <= abs_tol + rel_tol * max(|a_i|, |b_i|)."""
     _check_same_dim(a, b)
-    return bool(_close(a.coords, b.coords, tol).all())
+    x, y = _coords(a, b)
+    if type(x) is tuple:
+        return all(_close(max, p, q, tol) for p, q in zip(x, y))
+    import numpy as np
+
+    return bool(_close(np.maximum, x, y, tol).all())
 
 
 def json_ready(value: Any) -> Any:
@@ -351,16 +513,19 @@ def json_ready(value: Any) -> Any:
     Vectors and arrays become lists, objects with to_json_dict and records
     become dicts, and numpy scalars Python scalars.  Floats keep 15 significant digits
     with negative zero folded to 0.0; JSON has no inf/nan, so non-finite
-    floats are spelled out by repr rather than crash the report.
+    floats are spelled out by repr rather than crash the report.  A numpy
+    value can only exist once numpy is loaded, so it is looked up, not loaded.
     """
-    if isinstance(value, (GyroVector, np.ndarray)):
-        value = value.tolist()
-    elif hasattr(value, "to_json_dict"):
-        value = value.to_json_dict()
-    elif isinstance(value, np.void):
-        value = dict(zip(value.dtype.names, value.item()))
-    elif isinstance(value, np.generic):
-        value = value.item()
+    if type(value) is not float:  # a float, the commonest leaf, needs no lookup
+        np = sys.modules.get("numpy")
+        if isinstance(value, GyroVector) or np and isinstance(value, np.ndarray):
+            value = value.tolist()
+        elif hasattr(value, "to_json_dict"):
+            value = value.to_json_dict()
+        elif np and isinstance(value, np.void):
+            value = dict(zip(value.dtype.names, value.item()))
+        elif np and isinstance(value, np.generic):
+            value = value.item()
     if isinstance(value, float):
         return float(f"{value:.15g}") + 0.0 if math.isfinite(value) else repr(value)
     if isinstance(value, dict):

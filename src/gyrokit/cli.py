@@ -17,8 +17,6 @@ from functools import partial
 from importlib import import_module
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from .ball import BallDomainError, GyroError, GyroVector, json_ready
 
 DEFAULT_SEED = 7
@@ -35,7 +33,7 @@ def _fmt(x: float) -> str:
 
 
 def _show_vector(result: GyroVector) -> int:
-    print(",".join(_fmt(c) for c in result.coords))
+    print(",".join(_fmt(c) for c in result.tolist()))
     return 0
 
 
@@ -122,6 +120,8 @@ def _load_hermitian(where: str, path: str):
 
 
 def _load_map(args: argparse.Namespace):
+    import numpy as np
+
     from .morphisms import BallMap
 
     dim = None if args.dim is None else _parse_int("--dim", args.dim)

@@ -8,8 +8,7 @@ algebraic ones (Gram determinants, translated commutation).
 from __future__ import annotations
 
 import math
-
-import numpy as np
+import operator
 
 from .ball import (
     DEFAULT_TOL,
@@ -17,6 +16,8 @@ from .ball import (
     ToleranceConfig,
     _check_same_dim,
     _close,
+    _coords,
+    _dot,
     _each,
     _sum_rows,
     approx_eq,
@@ -33,7 +34,7 @@ def klein_distance(x: GyroVector, y: GyroVector) -> float:
     below 1 for nearly equal points, so it is clamped from below at 1.
     """
     _check_same_dim(x, y)
-    arg = (1.0 - float(x.coords.dot(y.coords))) / math.sqrt((1.0 - x.norm2) * (1.0 - y.norm2))
+    arg = (1.0 - _dot(*_coords(x, y))) / math.sqrt((1.0 - x.norm2) * (1.0 - y.norm2))
     return math.acosh(max(arg, 1.0))
 
 
@@ -42,17 +43,16 @@ def commutes(u: GyroVector, v: GyroVector, tol: ToleranceConfig = DEFAULT_TOL) -
     return approx_eq(einstein_add(u, v), einstein_add(v, u), tol)
 
 
-def gram_band(
-    a: np.ndarray, b: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL
-) -> tuple[float, float]:
+def gram_band(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[float, float]:
     """Gram determinant |a|^2 |b|^2 - (a, b)^2 of two coordinate vectors,
     the squared area they span, and the band abs_tol * (1 + |a|^2 |b|^2)
     at or below which it counts as zero.
 
     The band is scale-aware: exact dependence gives a determinant that is
-    pure rounding noise relative to 1 + |a|^2 |b|^2.
+    pure rounding noise relative to 1 + |a|^2 |b|^2.  a and b are 1-D
+    float64 arrays, or tuples of floats.
     """
-    return _gram_terms(float(a.dot(a)), float(b.dot(b)), float(a.dot(b)), tol)
+    return _gram_terms(_dot(a, a), _dot(b, b), _dot(a, b), tol)
 
 
 def _gram_terms(a2, b2, ab, tol: ToleranceConfig) -> tuple:  # from floats or columns
@@ -66,7 +66,7 @@ def linearly_dependent(u: GyroVector, v: GyroVector, tol: ToleranceConfig = DEFA
     the operands, so this is the oracle side of the commutes check.
     """
     _check_same_dim(u, v)
-    det, band = gram_band(u.coords, v.coords, tol)
+    det, band = gram_band(*_coords(u, v), tol)
     return det <= band
 
 
@@ -95,27 +95,36 @@ def collinear_direct(
     """
     _check_same_dim(x, y)
     _check_same_dim(x, z)
-    det, band = gram_band(y.coords - x.coords, z.coords - x.coords, tol)
+    p, q, r = _coords(x, y, z)
+    if type(p) is tuple:
+        q, r = tuple(map(operator.sub, q, p)), tuple(map(operator.sub, r, p))
+    else:
+        q, r = q - p, r - p
+    det, band = gram_band(q, r, tol)
     return det <= band
 
 
 # Row kernels (see ball): the functions above over the rows of (n, d) arrays.
 
 
-def _klein_distance_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _klein_distance_rows(x, y):
     """klein_distance of the rows of x and y."""
-    arg = (1.0 - np.vecdot(x, y)) / np.sqrt((1.0 - np.vecdot(x, x)) * (1.0 - np.vecdot(y, y)))
+    import numpy as np
+
+    arg = (1.0 - _dot(x, y)) / np.sqrt((1.0 - _dot(x, x)) * (1.0 - _dot(y, y)))
     return _each(math.acosh, np.maximum(arg, 1.0))
 
 
-def _commutes_rows(u: np.ndarray, v: np.ndarray, tol: ToleranceConfig, ok=True) -> tuple:
+def _commutes_rows(u, v, tol: ToleranceConfig, ok=True) -> tuple:
     """commutes of the rows of u and v, and ok narrowed to the rows whose
     two sums the guard accepts."""
+    import numpy as np
+
     uv, ok = _sum_rows(u, v, ok)
     vu, ok = _sum_rows(v, u, ok)
-    return _close(uv, vu, tol).all(axis=1), ok
+    return _close(np.maximum, uv, vu, tol).all(axis=1), ok
 
 
-def _gram_band_rows(a: np.ndarray, b: np.ndarray, tol: ToleranceConfig) -> tuple:
+def _gram_band_rows(a, b, tol: ToleranceConfig) -> tuple:
     """gram_band of the rows of a and b."""
-    return _gram_terms(np.vecdot(a, a), np.vecdot(b, b), np.vecdot(a, b), tol)
+    return _gram_terms(_dot(a, a), _dot(b, b), _dot(a, b), tol)

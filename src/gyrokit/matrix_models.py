@@ -13,8 +13,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .ball import (
     DEFAULT_ABS_TOL,
     DEFAULT_REL_TOL,
@@ -155,7 +153,7 @@ def bloch_to_density(v: GyroVector) -> DensityMatrix2:
     """Ball point to density matrix: (I + v . sigma) / 2, dimension 3 only."""
     if v.dim != 3:
         raise DimensionMismatchError(f"Bloch correspondence needs dimension 3, got {v.dim}")
-    x, y, z = v.coords.tolist()
+    x, y, z = v._floats
     return DensityMatrix2((1.0 + z) / 2.0, (1.0 - z) / 2.0, x / 2.0, -y / 2.0)
 
 
@@ -181,10 +179,11 @@ def normalize_det(m: DensityMatrix2) -> PosDef2Det1:
 # Each formula is written once, as a helper of the fields (_det to
 # _congruence) that the functions above call with floats and the column
 # kernels below with a Hermitian block's four field columns: + - * / and a
-# correctly rounded sqrt round both alike.  A kernel folds -0.0 by + 0.0
-# where the scalar builds a matrix.  A row where the scalar call raises
-# GyroError leaves ok; a kernel that takes a root or divides first sets the
-# rows out of ok to the identity, so that no arithmetic on them warns.
+# correctly rounded sqrt round both alike.  Only the kernels load numpy.  A
+# kernel folds -0.0 by + 0.0 where the scalar builds a matrix.  A row where
+# the scalar call raises GyroError leaves ok; a kernel that takes a root or
+# divides first sets the rows out of ok to the identity, so that no
+# arithmetic on them warns.
 
 
 def _det(a, d, re_b, im_b):
@@ -231,6 +230,8 @@ _IDENTITY = (1.0, 1.0, 0.0, 0.0)
 
 
 def _blanked(h: tuple, ok) -> tuple:
+    import numpy as np
+
     return tuple(np.where(ok, x, e) for x, e in zip(h, _IDENTITY)), ok
 
 
@@ -240,6 +241,8 @@ def _density_rows(h: tuple, ok=True) -> tuple:
 
 
 def _det1_rows(h: tuple, ok=True) -> tuple:
+    import numpy as np
+
     h = tuple(x + 0.0 for x in h)
     # a row whose products overflow is refused by the band, so numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
@@ -247,6 +250,8 @@ def _det1_rows(h: tuple, ok=True) -> tuple:
 
 
 def _sqrt_posdef_rows(h: tuple, ok=True) -> tuple:
+    import numpy as np
+
     # a row whose determinant overflows is refused, so numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
         h, ok = _blanked(h, ok & _rootable(*h))
@@ -270,15 +275,19 @@ def _boxdot_rows(a: tuple, b: tuple, ok=True) -> tuple:
 
 
 def _normalize_det_rows(m: tuple, ok=True) -> tuple:
+    import numpy as np
+
     m, ok = _blanked(m, ok & (_det(*m) > 0.0))
     s = np.sqrt(_det(*m))
     return _det1_rows(tuple(x / s for x in m), ok)
 
 
-def _bloch_to_density_rows(v: np.ndarray, ok=True) -> tuple:
+def _bloch_to_density_rows(v, ok=True) -> tuple:
     x, y, z = v.T
     return _density_rows(((1.0 + z) / 2.0, (1.0 - z) / 2.0, x / 2.0, -y / 2.0), ok)
 
 
 def _density_to_bloch_rows(m: tuple, ok=True) -> tuple:
+    import numpy as np
+
     return _guarded(np.stack([2.0 * m[2], -2.0 * m[3], m[0] - m[1]], axis=1), ok)

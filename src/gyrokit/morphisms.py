@@ -324,6 +324,8 @@ def _stack_image(maps: list) -> Callable:
     map is no d x d product) on its own slice."""
     if len(maps) > 1 and all(f._matrix is not None for f in maps):
         return _linear_image(np.stack([f._matrix for f in maps])[:, None])
+    if len(maps) == 1:  # its one slice, with no stack built per call
+        return lambda w, ok: tuple(x[None] for x in maps[0]._image_rows(w[0], ok[0]))
     return lambda w, ok: tuple(map(np.stack, zip(*map(BallMap._image_rows, maps, w, ok))))
 
 

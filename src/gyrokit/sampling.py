@@ -30,6 +30,7 @@ from .ball import (
     DEFAULT_SAMPLE_RMAX,
     GyroVector,
     _checked_rows,
+    _dot,
     _guard_rows,
     json_ready,
 )
@@ -82,7 +83,7 @@ class BallSampler:
         if (n := operator.index(n)) < 0:
             raise ValueError(f"n must be >= 0, got {n}")
         g = self.rng.standard_normal((n, self.dim + 2))
-        while not (norm2 := np.vecdot(g, g)).all():
+        while not (norm2 := _dot(g, g)).all():
             zero = norm2 == 0.0
             g[zero] = self.rng.standard_normal((np.count_nonzero(zero), self.dim + 2))
         return _checked_rows((self.rmax / np.sqrt(norm2))[:, None] * g[:, : self.dim])

@@ -84,6 +84,7 @@ from .ball import (
     ToleranceConfig,
     _add_rows,
     _anchored_sum_rows,
+    _dot,
     _each,
     _gamma_rows,
     _guarded,
@@ -185,7 +186,7 @@ def _gamma_identity_residual(rows: Rows, tol: ToleranceConfig) -> np.ndarray:
     u, v = rows["u"], rows["v"]
     w, ok = _sum_rows(u, v)
     lhs = _gamma_rows(w)
-    rhs = _gamma_rows(u) * _gamma_rows(v) * (1.0 + np.vecdot(u, v))
+    rhs = _gamma_rows(u) * _gamma_rows(v) * (1.0 + _dot(u, v))
     return np.where(ok, np.abs(lhs - rhs) / (rhs * np.square(lhs)), math.inf)
 
 
@@ -206,8 +207,8 @@ def _gyration_orthogonality_residual(rows: Rows, tol: ToleranceConfig) -> np.nda
     u, v, w1, w2 = rows["u"], rows["v"], rows["w1"], rows["w2"]
     g1, ok = _gyration_rows(u, v, w1)
     g2, ok = _gyration_rows(u, v, w2, ok)
-    pairing = np.abs(np.vecdot(g1, g2) - np.vecdot(w1, w2))
-    length = np.abs(np.vecdot(g1, g1) - np.vecdot(w1, w1))
+    pairing = np.abs(_dot(g1, g2) - _dot(w1, w2))
+    length = np.abs(_dot(g1, g1) - _dot(w1, w1))
     scale = np.square(_gamma_rows(u) * _gamma_rows(v))
     return np.where(ok, np.maximum(pairing, length) / scale, math.inf)
 

@@ -1,4 +1,8 @@
 import math
+import subprocess
+import sys
+import textwrap
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -91,6 +95,95 @@ class TestGyroVector:
         # numpy >= 2 would print each coordinate as np.float64(...)
         assert repr(point) == text
         assert eval(text, {"GyroVector": GyroVector}).coords.tobytes() == point.coords.tobytes()
+
+
+def numpy_parse(coords):
+    """What np.array(coords, dtype=float) makes of coords, the parse that
+    decided what a coordinate is: the array, or the constructor's message
+    for the error it raises."""
+    try:
+        return np.array(coords, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        return f"coords are not real numbers: {exc}"
+
+
+def outcome(coords):
+    """The coordinate bytes GyroVector(coords) holds, or the message it raises."""
+    try:
+        return GyroVector(coords).coords.tobytes()
+    except BallDomainError as exc:
+        return str(exc)
+
+
+_INF, _NAN = float("inf"), float("nan")
+PARSE_CASES = [
+    # lists and tuples of ints and floats
+    [0.5, -0.25], (0.1, 0.2, 0.3), [1, 0], (0, 0, 0), [0, 1e-300], (1, 0.5), [-1, 0],
+    [2**53 + 1, 0], [2**64 + 1], [10**400], (0.5, -(10**400)), [0.999999999, 0.0],
+    # ndarrays and numpy scalars
+    np.array([0.1, 0.2]), np.array([0, 1]), np.array([0.25], dtype=np.float32),
+    np.array(0.5), np.array([]), np.array([[0.1, 0.2]]), np.float64(0.5),
+    [np.float64(0.1), np.float32(0.2)], [np.int64(0), 0.5], (np.float64(0.5),),
+    # strings, bools, Fraction and Decimal
+    ["0.5", "0.25"], ["x"], "0.5", ["1_0"], [" 0.5 "], ["inf"], ["nan"], [0.5, "0.5"],
+    [True, False], [False, False], (False, True, False), [True],
+    [Fraction(1, 3), Fraction(1, 4)], [Fraction(10**400, 3)], [Decimal("0.1"), Decimal("0.2")],
+    [Decimal("1e400")], [0.5, Fraction(1, 8)],
+    # nested, 0-d and empty
+    [[0.1, 0.2], [0.3, 0.4]], [[0.1]], [[]], [0.1, [0.2]], ([0.1],), 0.5, 3, None, [None],
+    [], (), "",
+    # inf, nan, huge and complex
+    [_INF, 0.0], [_NAN], [_NAN, 1e200], [_INF, -1e200], [1e200, 0.0], [1e200, 1e200],
+    [1.7e308, 1.7e308], [-1e300], [1e150, 0.0], [1e149, 0.0], [1j], [0.5 + 0j], 0.5j,
+]
+
+
+class TestConstructorParity:
+    """GyroVector accepts and refuses exactly what numpy's parse decided,
+    with the same messages: a list or tuple of floats, ints and bools is
+    read without numpy, and must agree with the array numpy makes of it."""
+
+    @pytest.mark.parametrize("coords", PARSE_CASES, ids=repr)
+    def test_agrees_with_the_numpy_parse(self, coords):
+        parsed = numpy_parse(coords)
+        if isinstance(parsed, str):
+            assert outcome(coords) == parsed
+        else:
+            # the array is numpy's own path; a list or tuple must land where it does
+            assert outcome(coords) == outcome(parsed)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(allow_nan=True, allow_infinity=True, width=64),
+                st.integers(min_value=-(2**1100), max_value=2**1100),
+                st.booleans(),
+            ),
+            max_size=6,
+        ),
+        st.booleans(),
+    )
+    def test_agrees_on_random_plain_numbers(self, coords, as_tuple):
+        coords = tuple(coords) if as_tuple else coords
+        parsed = numpy_parse(coords)
+        assert outcome(coords) == (parsed if isinstance(parsed, str) else outcome(parsed))
+
+    def test_lists_and_tuples_are_read_without_numpy(self):
+        script = textwrap.dedent(
+            """
+            import sys
+            from gyrokit import BallDomainError, GyroVector, einstein_add
+            einstein_add(GyroVector([0.5, 1e-3, False]), GyroVector((0, -0.25, 0)))
+            for bad in ([], (1.0, 0.0), [float("nan")], [10**400], [1e200, 0.0]):
+                try:
+                    GyroVector(bad)
+                except BallDomainError:
+                    pass
+            assert "numpy" not in sys.modules
+            """
+        )
+        subprocess.run([sys.executable, "-c", script], check=True)
 
 
 class TestEinsteinAdd:

@@ -675,8 +675,8 @@ _FOOTPRINT = textwrap.dedent(
         name for name, module in sys.modules.items()
         if name.split(".")[0] == "gyrokit" and type(module) is types.ModuleType
     )
-    print(json.dumps({"code": code, "executed": executed, "hashlib": "hashlib" in sys.modules}),
-          file=sys.stderr)
+    loaded = {"hashlib": "hashlib" in sys.modules, "numpy": "numpy" in sys.modules}
+    print(json.dumps({"code": code, "executed": executed, **loaded}), file=sys.stderr)
     """
 )
 
@@ -717,6 +717,8 @@ class TestColdFootprint:
         assert set(seen["executed"]) == _COLD | {f"gyrokit.{layer}" for layer in layers}
         # only sampling's seed derivation needs hashlib
         assert seen["hashlib"] is ("sampling" in layers)
+        # and only the array layers numpy: a table command runs on Python floats
+        assert seen["numpy"] is ("sampling" in layers)
 
     def test_the_layers_are_every_other_module(self):
         here = os.path.dirname(gyrokit.cli.__file__)

@@ -18,6 +18,9 @@ In d >= 2 the closed form is at least 4e3x more accurate wherever
 only 5x to 220x more accurate: both forms are limited there by the rounding
 of 1 - |u|^2 inside gamma, which bounds the closed form's error by
 eps / (1 - |u|) at every level.
+
+line_param is scored the same way next to the guard, by the cutoff of the
+benchmark's ops-stream oracle.
 """
 
 import functools
@@ -26,7 +29,7 @@ import math
 import numpy as np
 import pytest
 
-from gyrokit import GyroError, GyroVector, gyration
+from gyrokit import GyroError, GyroVector, gyration, line_param
 from test_reference import definition_gyration
 
 mp = pytest.importorskip("mpmath")
@@ -142,6 +145,31 @@ def test_the_definition_refuses_pairs_the_closed_form_takes():
     # every pair above was evaluated by the closed form; next to the guard
     # the definition's sums leave the ball for some of them
     assert sum(cell(gap, dim)["refused"] for gap in GAPS for dim in DIMS) > 0
+
+
+def line_param_score(x: GyroVector, t: float) -> float:
+    """|line_param(x, t) - exact| (1 - |exact|^2) over 1e-9, the benchmark's
+    cutoff for line_param, the exact point taken at 50 digits."""
+    got = line_param(x, t).coords.tolist()
+    with mp.workdps(50):
+        coords = [mp.mpf(c) for c in x.coords.tolist()]
+        norm = mp.sqrt(_dot(coords, coords))
+        want = [mp.tanh(t * mp.atanh(norm)) / norm * c for c in coords]
+        err = mp.sqrt(mp.fsum((mp.mpf(g) - c) ** 2 for g, c in zip(got, want)))
+        return float(err * (1 - _dot(want, want)) / mp.mpf("1e-9"))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5, 64])
+def test_line_param_meets_the_benchmark_cutoff_at_the_guard(dim):
+    # atanh of the rounded norm lost about d eps / (1 - |x|^2) of its digits,
+    # and these points scored up to 1.0 against the cutoff of 1; with
+    # 1 - |x|^2 summed exactly they score at most 0.35
+    rng = np.random.default_rng([dim, 9])
+    points = [
+        (GyroVector((1.0 - rng.uniform(1.05e-9, 2e-9)) * _unit(rng, dim)), rng.uniform(0.02, 0.1))
+        for _ in range(40)
+    ]
+    assert max(line_param_score(x, float(t)) for x, t in points) <= 0.5
 
 
 if __name__ == "__main__":

@@ -3,7 +3,9 @@
 Each reference below is the straightforward expression the package used
 before its results skipped re-validation and numpy dispatch: the textbook
 addition on one line, negation through the public constructor, the norm
-through np.linalg.norm, and the sampler's one-point Gaussian draw.  The arithmetic
+as sqrt(x . x), and the sampler's one-point Gaussian draw.  Every inner
+product sums its products left to right from +0.0, the package's one order,
+written out here (ordered_dot) rather than taken from the package.  The arithmetic
 is unchanged, so the results must agree exactly, bytes included, up to
 points 1e-8 from the unit sphere.  A result outside the guarded ball must
 fail with the public constructor's message, and every result is read-only.
@@ -118,14 +120,22 @@ def points(dim: int, seed: int) -> list[GyroVector]:
     return out
 
 
+def ordered_dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b of two real 1-D arrays: the rounded products summed left to
+    right, starting from +0.0."""
+    total = 0.0
+    for p, q in zip(a.tolist(), b.tolist()):
+        total += p * q
+    return total
+
+
 def _norm(x: np.ndarray) -> float:
-    """Euclidean norm of a real 1-D array: the sqrt(x . x) that
-    np.linalg.norm evaluates for it, bit for bit, without its dispatch."""
-    return math.sqrt(x.dot(x))
+    """Euclidean norm of a real 1-D array: sqrt(x . x), the dot ordered."""
+    return math.sqrt(ordered_dot(x, x))
 
 
 def textbook_add(u: GyroVector, v: GyroVector) -> np.ndarray:
-    duv = float(u.coords @ v.coords)
+    duv = ordered_dot(u.coords, v.coords)
     s = math.sqrt(1.0 - u.norm2)
     return (u.coords + s * v.coords + (duv / (1.0 + s)) * u.coords) / (1.0 + duv)
 
@@ -184,13 +194,14 @@ def test_norm_matches_numpy(dim):
     arrays = [p.coords for p in pts] + [p.coords - q.coords for p in pts for q in pts[:4]]
     arrays += [rng.standard_normal(dim) * 10.0 ** rng.uniform(-8, 3) for _ in range(50)]
     for x in arrays:
-        assert _norm(x) == float(np.linalg.norm(x))
+        # numpy's norm sums in its BLAS's order, within a few ulp of the ordered one
+        assert _norm(x) == pytest.approx(float(np.linalg.norm(x)), rel=4e-16 * dim)
         assert type(_norm(x)) is float
-        # the guard's dot is the same ddot as the matmul form
-        assert float(x.dot(x)) == float(x @ x)
-    # so is every inner product of two distinct points or differences
+        # numpy's cumulative sum runs in the same order as the ordered dot
+        assert _norm(x) == math.sqrt(np.cumsum(x * x)[-1] + 0.0)
+    # so does every inner product of two distinct points or differences
     for a, b in zip(arrays, arrays[1:]):
-        assert float(a.dot(b)) == float(a @ b)
+        assert ordered_dot(a, b) == np.cumsum(a * b)[-1] + 0.0
 
 
 @pytest.mark.parametrize("dim", DIMS)
@@ -532,7 +543,7 @@ def gamma_identity(inputs: dict, tol: ToleranceConfig) -> float:
     u, v = inputs["u"], inputs["v"]
     w = einstein_add(u, v)
     lhs = gamma(w)
-    rhs = gamma(u) * gamma(v) * (1.0 + float(u.coords.dot(v.coords)))
+    rhs = gamma(u) * gamma(v) * (1.0 + ordered_dot(u.coords, v.coords))
     return abs(lhs - rhs) / (rhs * sq(gamma(w)))
 
 
@@ -541,7 +552,7 @@ def gyration_orthogonality(inputs: dict, tol: ToleranceConfig) -> float:
     g1 = gyration(u, v, w1)
     g2 = gyration(u, v, w2)
     scale = sq(gamma(u) * gamma(v))
-    pairing = abs(float(g1.coords.dot(g2.coords)) - float(w1.coords.dot(w2.coords)))
+    pairing = abs(ordered_dot(g1.coords, g2.coords) - ordered_dot(w1.coords, w2.coords))
     length = abs(g1.norm2 - w1.norm2)
     return max(pairing, length) / scale
 

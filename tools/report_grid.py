@@ -22,6 +22,15 @@ suite lines at n = 1000 and their tolerance lines at n = 769, as did the
 staged commutes_iff_dependent and collinearity_equivalence lines at n =
 769 and tol=1e-30; radius, coarse, maps and every --small line stayed.
 The same change added the suite rows that cross a block boundary.
+The next summed every inner product left to right (ball._dot) where
+BLAS's ddot had summed in its own order, on purpose: max_residual
+changed in 544 lines, and first_counterexample in 44, of twelve
+properties that draw points alone, of the three that draw Haar
+matrices, and of check_endomorphism on orthogonal maps; at seeds 0-39
+no verdict changed.  The one verdict that changed is line_translation_distance at
+rmax = 1 - 1e-8, n = 150, seed 0, which now passes: its residual sits
+at the cutoff.  From this change on, only the lines that draw Haar
+matrices or apply a matrix differ between OpenBLAS kernels.
 
     PYTHONPATH=src python tools/report_grid.py > grid.txt
     PYTHONPATH=src python tools/report_grid.py --small   # seconds, for CI
