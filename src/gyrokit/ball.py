@@ -8,10 +8,10 @@ always a rotation.  Everything here is pure and dimension-agnostic.
 json_ready, the one JSON number formatter, lives here too, so that a
 command printing JSON loads no other layer to format it.
 
-A point holds its coordinates as Python floats.  Below _FLOAT_DIM
-coordinates the scalar functions run on those floats and load no numpy;
-at or above it on the float64 array of the coordinates.  Both pass a
-formula's helper what the row kernels pass it, and every inner product,
+A point of fewer than _FLOAT_DIM coordinates holds them as Python
+floats, and the scalar functions run on those floats and load no numpy;
+a longer point holds, and they run on, the float64 array of them.  Both
+pass a formula's helper what the row kernels pass it, and every inner product,
 on floats or on arrays, is _dot's: one summation order, so the scalar
 paths and the kernels, on every machine, round alike.
 """
@@ -104,7 +104,7 @@ def _dot(x, y):
         for a, b in zip(x, y):
             total += a * b
         return total
-    import numpy as np
+    np = sys.modules["numpy"]  # loaded, as x is an array: a lookup, not an import
 
     if x.ndim == 1:
         return float(np.add.accumulate(x * y)[-1]) + 0.0
@@ -167,11 +167,11 @@ class GyroVector:
     tuple of floats, ints and bools is read by float() alone, which agrees.
     A point of fewer than _FLOAT_DIM coordinates holds them as a tuple of
     Python floats, and coords, a read-only float64 array of them, is built
-    on first use.  A longer point may hold the array alone, as the results
-    of the scalar functions do.
+    on first use; a longer point holds that array.  The scalar functions
+    run on what the point holds (_x).
     """
 
-    __slots__ = ("_floats", "_coords", "dim", "norm2", "norm")
+    __slots__ = ("_x", "_array", "dim", "norm2", "norm")
 
     def __init__(self, coords):
         array = None
@@ -197,30 +197,28 @@ class GyroVector:
             if not all(map(math.isfinite, floats)):
                 raise BallDomainError("coords must be finite")
             raise _outside_ball(length)
-        if array is None or len(floats) < _FLOAT_DIM:
-            self._guard(tuple(floats), None)
+        if len(floats) < _FLOAT_DIM:
+            self._guard(tuple(floats))
         else:
-            # a long point holds a copy of the array, which no caller can write to
-            self._guard(None, array.copy())
+            import numpy as np
+
+            # a fresh array, which no caller can write to
+            self._guard(np.array(floats) if array is None else array.copy())
 
     @classmethod
     def _owned(cls, coords) -> "GyroVector":
-        """Point with coords, a tuple of floats or a fresh 1-D float64 array
-        that no caller holds: guarded like outside input, but neither parsed
-        nor copied."""
+        """Point with coords, the tuple of floats of a short point or a fresh
+        1-D float64 array that no caller holds: guarded like outside input,
+        but neither parsed nor copied."""
         out = cls.__new__(cls)
-        if type(coords) is tuple:
-            out._guard(coords, None)
-        elif len(coords) < _FLOAT_DIM:
-            out._guard(tuple(coords.tolist()), coords)
+        if type(coords) is tuple or len(coords) >= _FLOAT_DIM:
+            out._guard(coords)
         else:
-            out._guard(None, coords)
+            out._guard(tuple(coords.tolist()), coords)
         return out
 
-    def _guard(self, floats, array) -> None:
-        # the same coordinates as a tuple and as an array, either one None
-        # but the tuple of a short point: a long point's array is summed
-        x = floats if array is None or len(array) < _FLOAT_DIM else array
+    def _guard(self, x, array=None) -> None:
+        # x as the point holds it; array, the array of a short point's tuple
         # norm2 finite implies every component is finite, NaN/inf both fail
         norm2 = _dot(x, x)
         if not math.isfinite(norm2):
@@ -228,29 +226,31 @@ class GyroVector:
         norm = math.sqrt(norm2)
         if norm >= 1.0 - DEFAULT_BOUNDARY_MARGIN:
             raise _outside_ball(norm)
+        if type(x) is not tuple:
+            array = x
         if array is not None:
             array.setflags(write=False)
-        self._floats, self._coords, self.dim = floats, array, len(x)
+        self._x, self._array, self.dim = x, array, len(x)
         self.norm2 = norm2
         self.norm = norm
 
     @property
     def coords(self):
         """The coordinates as a read-only float64 array."""
-        if self._coords is None:
+        if self._array is None:
             import numpy as np
 
-            array = np.array(self._floats)
+            array = np.array(self._x)
             array.setflags(write=False)
-            self._coords = array
-        return self._coords
+            self._array = array
+        return self._array
 
     @classmethod
     def zero(cls, dim: int) -> "GyroVector":
         return cls((0.0,) * operator.index(dim))
 
     def tolist(self) -> list[float]:
-        return self.coords.tolist() if self._floats is None else list(self._floats)
+        return list(self._x) if type(self._x) is tuple else self._x.tolist()
 
     def __repr__(self) -> str:
         return f"GyroVector({self.tolist()!r})"
@@ -259,14 +259,6 @@ class GyroVector:
 def _check_same_dim(u: GyroVector, v: GyroVector) -> None:
     if u.dim != v.dim:
         raise DimensionMismatchError(f"dimension mismatch: {u.dim} vs {v.dim}")
-
-
-def _coords(*points: GyroVector) -> list:
-    """The coordinates of points of one dimension, as the scalar functions
-    take them: tuples of floats below _FLOAT_DIM, float64 arrays from it."""
-    if points[0].dim < _FLOAT_DIM:
-        return [p._floats for p in points]
-    return [p.coords for p in points]
 
 
 def einstein_add(u: GyroVector, v: GyroVector) -> GyroVector:
@@ -281,7 +273,7 @@ def einstein_add(u: GyroVector, v: GyroVector) -> GyroVector:
     identity, so implementation and check cannot share a bug.
     """
     _check_same_dim(u, v)
-    x, y = _coords(u, v)
+    x, y = u._x, v._x
     duv, s = _dot(x, y), math.sqrt(1.0 - u.norm2)
     if type(x) is tuple:
         return GyroVector._owned(tuple([_add_terms(a, b, duv, s) for a, b in zip(x, y)]))
@@ -444,11 +436,12 @@ def neg(u: GyroVector) -> GyroVector:
     inside the guarded ball.
     """
     out = GyroVector.__new__(GyroVector)
-    out._floats = None if u._floats is None else tuple(map(operator.neg, u._floats))
-    out._coords = None
-    if u._floats is None:
-        out._coords = -u._coords
-        out._coords.setflags(write=False)
+    x = u._x
+    if type(x) is tuple:
+        out._x, out._array = tuple(map(operator.neg, x)), None
+    else:
+        out._x = out._array = -x
+        out._x.setflags(write=False)
     out.dim, out.norm2, out.norm = u.dim, u.norm2, u.norm
     return out
 
@@ -466,7 +459,7 @@ def gyration(u: GyroVector, v: GyroVector, w: GyroVector) -> GyroVector:
     """
     _check_same_dim(u, v)
     _check_same_dim(u, w)
-    x, y, z = _coords(u, v, w)
+    x, y, z = u._x, v._x, w._x
     a, b = _gyration_terms(gamma(u), gamma(v), _dot(x, y), _dot(x, z), _dot(y, z))
     if type(x) is tuple:
         return GyroVector._owned(tuple([_gyrated(a, b, p, q, r) for p, q, r in zip(x, y, z)]))
@@ -488,7 +481,7 @@ def line_param(x: GyroVector, t: float) -> GyroVector:
         raise BallDomainError(f"parameter must be finite, got {t!r}")
     if x.norm == 0.0:
         raise BallDomainError("line_param requires a nonzero direction")
-    (c,) = _coords(x)
+    c = x._x
     slack = 1.0 - x.norm2
     if slack < _SLACK_CUTOFF:
         slack = _slack(map(operator.mul, c, c) if type(c) is tuple else (c * c).tolist())
@@ -499,7 +492,7 @@ def line_param(x: GyroVector, t: float) -> GyroVector:
 def approx_eq(a: GyroVector, b: GyroVector, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Componentwise |a_i - b_i| <= abs_tol + rel_tol * max(|a_i|, |b_i|)."""
     _check_same_dim(a, b)
-    x, y = _coords(a, b)
+    x, y = a._x, b._x
     if type(x) is tuple:
         return all(_close(max, p, q, tol) for p, q in zip(x, y))
     import numpy as np

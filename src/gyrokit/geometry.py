@@ -16,7 +16,6 @@ from .ball import (
     ToleranceConfig,
     _check_same_dim,
     _close,
-    _coords,
     _dot,
     _each,
     _sum_rows,
@@ -34,7 +33,7 @@ def klein_distance(x: GyroVector, y: GyroVector) -> float:
     below 1 for nearly equal points, so it is clamped from below at 1.
     """
     _check_same_dim(x, y)
-    arg = (1.0 - _dot(*_coords(x, y))) / math.sqrt((1.0 - x.norm2) * (1.0 - y.norm2))
+    arg = (1.0 - _dot(x._x, y._x)) / math.sqrt((1.0 - x.norm2) * (1.0 - y.norm2))
     return math.acosh(max(arg, 1.0))
 
 
@@ -66,7 +65,7 @@ def linearly_dependent(u: GyroVector, v: GyroVector, tol: ToleranceConfig = DEFA
     the operands, so this is the oracle side of the commutes check.
     """
     _check_same_dim(u, v)
-    det, band = gram_band(*_coords(u, v), tol)
+    det, band = gram_band(u._x, v._x, tol)
     return det <= band
 
 
@@ -95,7 +94,7 @@ def collinear_direct(
     """
     _check_same_dim(x, y)
     _check_same_dim(x, z)
-    p, q, r = _coords(x, y, z)
+    p, q, r = x._x, y._x, z._x
     if type(p) is tuple:
         q, r = tuple(map(operator.sub, q, p)), tuple(map(operator.sub, r, p))
     else:

@@ -153,7 +153,7 @@ def bloch_to_density(v: GyroVector) -> DensityMatrix2:
     """Ball point to density matrix: (I + v . sigma) / 2, dimension 3 only."""
     if v.dim != 3:
         raise DimensionMismatchError(f"Bloch correspondence needs dimension 3, got {v.dim}")
-    x, y, z = v._floats
+    x, y, z = v._x
     return DensityMatrix2((1.0 + z) / 2.0, (1.0 - z) / 2.0, x / 2.0, -y / 2.0)
 
 
