@@ -392,10 +392,12 @@ def _classify_stack(maps: list, seed: int, n_samples: int, tol: ToleranceConfig)
     js, verdicts, centers, streams, cutoffs = zip(*pending)
     # a zero verdict's centre is the zero matrix, whose product is 0: a stack
     # of zero verdicts alone forms no d x d product per row
-    moved = any(verdict.matrix is not None for verdict in verdicts)
-    centers = np.array(centers)[:, None] if moved else None
+    if all(verdict.matrix is None for verdict in verdicts):
+        centers = None
+    else:
+        centers = np.array(centers)[:, None]
     _, _, (_, first), _ = scan(js, streams[0], cutoffs, ("w",), lambda image, w: _image_norms(
-        image, w, np.matvec(centers, w) if moved else 0.0
+        image, w, 0.0 if centers is None else np.matvec(centers, w)
     ))
     for j, verdict, r in zip(js, verdicts, first):
         out[j] = verdict if r is None else refuted(j)
