@@ -19,11 +19,8 @@ paths and the kernels, on every machine, round alike.
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 import sys
-from dataclasses import dataclass
-from typing import Any
 
 DEFAULT_ABS_TOL = 1e-9
 DEFAULT_REL_TOL = 1e-9
@@ -57,8 +54,71 @@ class DimensionMismatchError(GyroError):
     """Operands live in different dimensions."""
 
 
-@dataclass(frozen=True)
-class ToleranceConfig:
+class _Record:
+    """Base of the package's frozen value types, a frozen dataclass's
+    behaviour without loading dataclasses: a subclass names its fields in
+    _fields and __slots__ and sets them once in its __init__, by _set;
+    assignment and deletion then raise AttributeError.
+    Records of one class compare and hash by their fields' tuple, print as
+    Name(field=value, ...), and pickle and copy through __init__, whose
+    checks rerun."""
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.__match_args__ = cls._fields
+
+    def _set(self, *values) -> None:
+        """Set the fields, in order, to values: once, from __init__."""
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
+def _positive_real(field: str, value) -> float:
+    """value as a float, if a finite positive real but a bool; else the
+    ToleranceConfig error.  A float or an int is read without numbers."""
+    if type(value) is float or type(value) is int:
+        real = True
+    else:
+        import numbers
+
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool)  # True is no 1
+    try:
+        number = float(value) if real else math.nan
+    except OverflowError:  # an int or a fraction past the float range
+        number = math.inf
+    if not (math.isfinite(number) and number > 0.0):
+        raise ValueError(f"{field} must be a finite positive number, got {value!r}")
+    return number
+
+
+class ToleranceConfig(_Record):
     """Numeric policy shared across the package.
 
     abs_tol and rel_tol drive approximate comparisons and sample_rmax caps
@@ -69,21 +129,15 @@ class ToleranceConfig:
     DEFAULT_BOUNDARY_MARGIN.
     """
 
-    abs_tol: float = DEFAULT_ABS_TOL
-    rel_tol: float = DEFAULT_REL_TOL
-    sample_rmax: float = DEFAULT_SAMPLE_RMAX
+    __slots__ = _fields = ("abs_tol", "rel_tol", "sample_rmax")
 
-    def __post_init__(self) -> None:
-        for field in ("abs_tol", "rel_tol", "sample_rmax"):
-            value = getattr(self, field)
-            real = isinstance(value, numbers.Real) and not isinstance(value, bool)  # True is no 1
-            try:
-                number = float(value) if real else math.nan
-            except OverflowError:  # an int or a fraction past the float range
-                number = math.inf
-            if not (math.isfinite(number) and number > 0.0):
-                raise ValueError(f"{field} must be a finite positive number, got {value!r}")
-            object.__setattr__(self, field, number)
+    def __init__(
+        self,
+        abs_tol: float = DEFAULT_ABS_TOL,
+        rel_tol: float = DEFAULT_REL_TOL,
+        sample_rmax: float = DEFAULT_SAMPLE_RMAX,
+    ) -> None:
+        self._set(*map(_positive_real, self._fields, (abs_tol, rel_tol, sample_rmax)))
         if not self.sample_rmax < 1.0 - DEFAULT_BOUNDARY_MARGIN:
             guard = f"1 - {DEFAULT_BOUNDARY_MARGIN:g}"
             raise ValueError(f"sample_rmax must be < {guard}, got {self.sample_rmax!r}")
@@ -254,6 +308,12 @@ class GyroVector:
 
     def __repr__(self) -> str:
         return f"GyroVector({self.tolist()!r})"
+
+    def __reduce__(self) -> tuple:
+        # a copy or an unpickled point is built again through the guard, so
+        # its coords are read-only like the original's, never a writable
+        # array that a slot copy would carry
+        return type(self), (self._x,)
 
 
 def _check_same_dim(u: GyroVector, v: GyroVector) -> None:
@@ -500,7 +560,7 @@ def approx_eq(a: GyroVector, b: GyroVector, tol: ToleranceConfig = DEFAULT_TOL) 
     return bool(_close(np.maximum, x, y, tol).all())
 
 
-def json_ready(value: Any) -> Any:
+def json_ready(value: object) -> object:
     """Copy of value that json.dumps accepts, with numbers fixed for output.
 
     Vectors and arrays become lists, objects with to_json_dict and records

@@ -13,9 +13,9 @@ import json
 import os
 import re
 import sys
+from collections import namedtuple
 from functools import partial
 from importlib import import_module
-from typing import Callable, NamedTuple
 
 from .ball import BallDomainError, GyroError, GyroVector, json_ready
 
@@ -153,15 +153,11 @@ def _seeded(args: argparse.Namespace) -> tuple[int, int]:
     return samples, DEFAULT_SEED
 
 
-class _Command(NamedTuple):
-    """A command that reads each option's value, runs one library operation
-    on the values in option order, and prints the result."""
-
-    help: str
-    options: dict[str, str | None]  # option name -> help line
-    read: Callable[[str], object]
-    run: str  # "layer.name" of the operation, fetched when the command runs
-    show: Callable[[object], int]
+# A command that reads each option's value, runs one library operation on
+# the values in option order, and prints the result: help, its help line;
+# options, option name -> help line; read, str -> value; run, the "layer.name"
+# of the operation, fetched when the command runs; show, result -> exit code
+_Command = namedtuple("_Command", "help options read run show")
 
 
 _VECTOR_HELP = "comma-separated vector, e.g. 0.5,0"

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 from .ball import (
     DEFAULT_ABS_TOL,
@@ -20,6 +19,7 @@ from .ball import (
     GyroError,
     GyroVector,
     _guarded,
+    _Record,
 )
 
 
@@ -30,26 +30,35 @@ class PositivityError(GyroError):
 _HERMITIAN_FIELDS = ("a", "d", "re_b", "im_b")  # a Hermitian2's fields, in order
 
 
-@dataclass(frozen=True)
-class Hermitian2:
+class Hermitian2(_Record):
     """Hermitian 2x2 matrix [[a, b], [conj(b), d]] stored as four reals.
 
     The four-real layout keeps construction, JSON round-trips, and equality
     exact; products are written out over the fields, in real arithmetic.
+    Each field is read by float() and must be finite; a subclass's _check
+    then tests the four floats, before any is set.
     """
 
-    a: float
-    d: float
-    re_b: float
-    im_b: float
+    __slots__ = _fields = _HERMITIAN_FIELDS
+    _check = None  # a subclass's constraint on the four fields
 
-    def __post_init__(self) -> None:
-        for field in _HERMITIAN_FIELDS:
-            value = float(getattr(self, field))
-            if not math.isfinite(value):
-                raise ValueError(f"{field} must be finite, got {value!r}")
-            # + 0.0 folds negative zero so JSON and repr stay tidy
-            object.__setattr__(self, field, value + 0.0)
+    def __init__(self, a: float, d: float, re_b: float, im_b: float) -> None:
+        # + 0.0 folds negative zero so JSON and repr stay tidy
+        a, d, re_b, im_b = fields = (
+            float(a) + 0.0, float(d) + 0.0, float(re_b) + 0.0, float(im_b) + 0.0
+        )
+        finite = math.isfinite
+        if not (finite(a) and finite(d) and finite(re_b) and finite(im_b)):
+            for field, value in zip(_HERMITIAN_FIELDS, fields):
+                if not finite(value):
+                    raise ValueError(f"{field} must be finite, got {value!r}")
+        if self._check is not None:
+            self._check(*fields)
+        # set one by one, not by _set's loop: a product builds a matrix per call
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "re_b", re_b)
+        object.__setattr__(self, "im_b", im_b)
 
     @property
     def trace(self) -> float:
@@ -68,19 +77,24 @@ def is_positive_definite(h: Hermitian2) -> bool:
     return _positive(h.a, h.d, h.re_b, h.im_b)
 
 
-def _require_positive(h: Hermitian2) -> None:
-    if not is_positive_definite(h):
-        raise PositivityError(f"matrix is not positive definite (a={h.a!r}, det={h.det!r})")
+def _require_positive(a, d, re_b, im_b) -> None:
+    if not _positive(a, d, re_b, im_b):
+        raise PositivityError(
+            f"matrix is not positive definite (a={a!r}, det={_det(a, d, re_b, im_b)!r})"
+        )
 
 
 class DensityMatrix2(Hermitian2):
     """Regular density matrix: Hermitian, positive definite, trace 1."""
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if abs(self.trace - 1.0) > DEFAULT_ABS_TOL:
-            raise PositivityError(f"trace must be 1, got {self.trace!r}")
-        _require_positive(self)
+    __slots__ = ()
+
+    @staticmethod
+    def _check(a, d, re_b, im_b) -> None:
+        trace = a + d
+        if abs(trace - 1.0) > DEFAULT_ABS_TOL:
+            raise PositivityError(f"trace must be 1, got {trace!r}")
+        _require_positive(a, d, re_b, im_b)
 
 
 class PosDef2Det1(Hermitian2):
@@ -89,11 +103,13 @@ class PosDef2Det1(Hermitian2):
     entries grow like 1/sqrt(1 - |u|) near the ball's boundary, and it cancels.
     A matrix whose band overflows is refused."""
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        _require_positive(self)
-        if not _in_det1_band(self.a, self.d, self.re_b, self.im_b):
-            raise PositivityError(f"determinant must be 1, got {self.det!r}")
+    __slots__ = ()
+
+    @staticmethod
+    def _check(a, d, re_b, im_b) -> None:
+        _require_positive(a, d, re_b, im_b)
+        if not _in_det1_band(a, d, re_b, im_b):
+            raise PositivityError(f"determinant must be 1, got {_det(a, d, re_b, im_b)!r}")
 
 
 def sqrt_posdef2(h: Hermitian2) -> Hermitian2:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -26,6 +25,7 @@ from .ball import (
     _guarded,
     _line_param_rows,
     _norm_rows,
+    _Record,
     _sum_rows,
 )
 from .sampling import (
@@ -246,8 +246,7 @@ def check_endomorphism(
     )
 
 
-@dataclass(frozen=True)
-class MapClassification:
+class MapClassification(_Record):
     """Classifier verdict plus its payload.
 
     verdict is one of the class constants; `matrix` accompanies ORTHOGONAL,
@@ -258,11 +257,17 @@ class MapClassification:
     ZERO = "zero"
     NOT_ENDOMORPHISM = "not_endomorphism"
 
-    verdict: str
-    matrix: LinearMap | None = None
-    witness_u: GyroVector | None = None
-    witness_v: GyroVector | None = None
-    residual: float | None = None
+    __slots__ = _fields = ("verdict", "matrix", "witness_u", "witness_v", "residual")
+
+    def __init__(
+        self,
+        verdict: str,
+        matrix: LinearMap | None = None,
+        witness_u: GyroVector | None = None,
+        witness_v: GyroVector | None = None,
+        residual: float | None = None,
+    ) -> None:
+        self._set(verdict, matrix, witness_u, witness_v, residual)
 
     @classmethod
     def orthogonal(cls, matrix: LinearMap) -> "MapClassification":

@@ -20,7 +20,6 @@ import json
 import math
 import operator
 from collections import namedtuple
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
@@ -32,6 +31,7 @@ from .ball import (
     _checked_rows,
     _dot,
     _guard_rows,
+    _Record,
     json_ready,
 )
 
@@ -266,8 +266,7 @@ def scan_report(
     )
 
 
-@dataclass(frozen=True)
-class PropertyReport:
+class PropertyReport(_Record):
     """Outcome of one seeded randomized property run.
 
     `seed` is the master seed the caller passed in, i.e. what you need to
@@ -276,12 +275,20 @@ class PropertyReport:
     of the (shrunk) failing inputs plus their residual.
     """
 
-    name: str
-    samples_run: int
-    passed: bool
-    max_residual: float
-    first_counterexample: dict | None
-    seed: int
+    __slots__ = _fields = (
+        "name", "samples_run", "passed", "max_residual", "first_counterexample", "seed"
+    )
+
+    def __init__(
+        self,
+        name: str,
+        samples_run: int,
+        passed: bool,
+        max_residual: float,
+        first_counterexample: dict | None,
+        seed: int,
+    ) -> None:
+        self._set(name, samples_run, passed, max_residual, first_counterexample, seed)
 
     def to_json_dict(self) -> dict:
         return {

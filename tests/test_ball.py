@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import subprocess
 import sys
 import textwrap
@@ -46,6 +48,21 @@ class TestGyroVector:
         u = GyroVector([0.1, 0.2])
         with pytest.raises(ValueError):
             u.coords[0] = 0.9
+
+    @pytest.mark.parametrize("dim", [3, 20])
+    @pytest.mark.parametrize(
+        "copier",
+        [lambda u: pickle.loads(pickle.dumps(u)), copy.copy, copy.deepcopy],
+        ids=["pickle", "copy", "deepcopy"],
+    )
+    def test_copies_keep_coords_frozen(self, dim, copier):
+        u = GyroVector(np.linspace(-0.2, 0.2, dim))
+        u.coords  # built, so that a slot copy would carry the array
+        v = copier(u)
+        assert not v.coords.flags.writeable
+        with pytest.raises(ValueError):
+            v.coords[0] = 5.0
+        assert (v.dim, v.norm2, v.norm, v.tolist()) == (u.dim, u.norm2, u.norm, u.tolist())
 
     def test_does_not_alias_input_array(self):
         raw = np.array([0.1, 0.2])
@@ -458,6 +475,33 @@ class TestToleranceConfig:
         assert tol.abs_tol == float(np.float32(1e-9))
         assert (tol.rel_tol, tol.sample_rmax) == (1.0, 0.5)
         assert all(type(t) is float for t in (tol.abs_tol, tol.rel_tol, tol.sample_rmax))
+        tol = ToleranceConfig(abs_tol=Fraction(1, 10), rel_tol=np.int64(2))
+        assert (tol.abs_tol, tol.rel_tol) == (0.1, 2.0)
+        assert type(tol.abs_tol) is float and type(tol.rel_tol) is float
+
+    @pytest.mark.parametrize(
+        "value, shown",
+        [
+            (Decimal("0.1"), "Decimal('0.1')"),
+            (True, "True"),
+            (10**400, repr(10**400)),
+            (float("nan"), "nan"),
+            ("0.1", "'0.1'"),
+            (None, "None"),
+            (-1, "-1"),
+            (Fraction(1, 10**400), f"Fraction(1, {10**400!r})"),
+        ],
+        ids=["Decimal", "True", "10**400", "nan", "str", "None", "negative", "tiny Fraction"],
+    )
+    def test_a_refusal_names_the_field_and_the_value(self, value, shown):
+        with pytest.raises(ValueError) as exc:
+            ToleranceConfig(rel_tol=value)
+        assert str(exc.value) == f"rel_tol must be a finite positive number, got {shown}"
+
+    def test_a_sample_radius_past_the_guard_is_refused_as_a_float(self):
+        with pytest.raises(ValueError) as exc:
+            ToleranceConfig(sample_rmax=Fraction(1))
+        assert str(exc.value) == "sample_rmax must be < 1 - 1e-09, got 1.0"
 
     def test_approx_eq_uses_config(self):
         a = GyroVector([0.1, 0.0])

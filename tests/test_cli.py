@@ -664,8 +664,12 @@ class TestHelpScreens:
 
 _COLD = {"gyrokit", "gyrokit.ball", "gyrokit.cli"}
 _LAYERS = {"geometry", "matrix_models", "morphisms", "sampling", "verifier"}
+# modules a table command must not load: dataclasses would pull in inspect,
+# and the records check their arguments without numbers
+_RECORD_MACHINERY = ("dataclasses", "inspect", "numbers")
+_WATCHED = ("hashlib", "numpy", *_RECORD_MACHINERY, "typing")
 _FOOTPRINT = textwrap.dedent(
-    """
+    f"""
     import json, sys, types
     import gyrokit.cli
     code = gyrokit.cli.main(sys.argv[1:])
@@ -675,10 +679,20 @@ _FOOTPRINT = textwrap.dedent(
         name for name, module in sys.modules.items()
         if name.split(".")[0] == "gyrokit" and type(module) is types.ModuleType
     )
-    loaded = {"hashlib": "hashlib" in sys.modules, "numpy": "numpy" in sys.modules}
-    print(json.dumps({"code": code, "executed": executed, **loaded}), file=sys.stderr)
+    loaded = {{name: name in sys.modules for name in {_WATCHED!r}}}
+    print(json.dumps({{"code": code, "executed": executed, **loaded}}), file=sys.stderr)
     """
 )
+_SRC = os.path.dirname(os.path.dirname(gyrokit.cli.__file__))
+
+
+def _footprint(*argv, flags=()) -> dict:
+    """What _FOOTPRINT reports of main(argv), run in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", _FOOTPRINT, *argv], capture_output=True, text=True, env=env
+    )
+    return json.loads(proc.stderr.splitlines()[-1])
 
 
 # each command group, and the layers beyond ball and cli that it runs
@@ -708,17 +722,31 @@ class TestColdFootprint:
             "rho": herm_file("rho.json", {"a": 0.6, "d": 0.4, "re_b": 0.1, "im_b": 0.05}),
             "det1": herm_file("det1.json", {"a": 2.0, "d": 0.5, "re_b": 0.0, "im_b": 0.0}),
         }
-        argv = [arg.format(**files) for arg in command]
-        proc = subprocess.run(
-            [sys.executable, "-c", _FOOTPRINT, *argv], capture_output=True, text=True
-        )
-        seen = json.loads(proc.stderr.splitlines()[-1])
-        assert seen["code"] == 0, proc.stderr
+        seen = _footprint(*(arg.format(**files) for arg in command))
+        assert seen["code"] == 0, seen
         assert set(seen["executed"]) == _COLD | {f"gyrokit.{layer}" for layer in layers}
         # only sampling's seed derivation needs hashlib
         assert seen["hashlib"] is ("sampling" in layers)
         # and only the array layers numpy: a table command runs on Python floats
         assert seen["numpy"] is ("sampling" in layers)
+        # no layer loads dataclasses; numpy itself loads inspect and numbers
+        assert not seen["dataclasses"]
+        if "sampling" not in layers:
+            assert not any(seen[name] for name in _RECORD_MACHINERY), seen
+
+    def test_a_cold_add_loads_no_typing_without_site(self):
+        # site may load typing itself (a .pth file can), so look without it
+        seen = _footprint("add", "--u", "0.5,0", "--v", "0.3,0", flags=["-S"])
+        assert seen["code"] == 0, seen
+        assert not any(seen[name] for name in _WATCHED), seen
+
+    def test_import_loads_no_record_machinery(self):
+        code = f"import sys, gyrokit; print([m for m in {_WATCHED!r} if m in sys.modules])"
+        env = dict(os.environ, PYTHONPATH=_SRC)
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env
+        )
+        assert proc.stdout == "[]\n", proc.stderr
 
     def test_the_layers_are_every_other_module(self):
         here = os.path.dirname(gyrokit.cli.__file__)
