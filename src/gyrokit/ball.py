@@ -310,9 +310,8 @@ class GyroVector:
         return f"GyroVector({self.tolist()!r})"
 
     def __reduce__(self) -> tuple:
-        # a copy or an unpickled point is built again through the guard, so
-        # its coords are read-only like the original's, never a writable
-        # array that a slot copy would carry
+        # a copy or an unpickled point is built again through the guard: a
+        # slot copy would carry the coords array without its read-only flag
         return type(self), (self._x,)
 
 

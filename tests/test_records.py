@@ -82,7 +82,10 @@ def test_match_args_are_the_fields_in_order():
     )
     match DensityMatrix2(0.6, 0.4, 0.1, 0.05):
         case Hermitian2(a, d, re_b, im_b):
-            assert (a, d, re_b, im_b) == (0.6, 0.4, 0.1, 0.05)
+            fields = (a, d, re_b, im_b)
+        case _:
+            fields = None
+    assert fields == (0.6, 0.4, 0.1, 0.05)
 
 
 class TestEquality:
