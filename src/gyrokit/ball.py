@@ -207,6 +207,26 @@ def _outside_ball(norm: float) -> BallDomainError:
 
 # the coordinate types read without numpy; any other input is numpy's to parse
 _PLAIN = {float, int, bool}
+# _quiet_norm2's context, built on first use, as ball loads without numpy
+_QUIET = None
+
+
+def _quiet_norm2(x):
+    """_dot(x, x) of an array, over its last axis, overflowing to inf without
+    numpy's warning.  It runs in a copy of a context whose numpy error state
+    is the default but for overflow: the same as np.errstate(over="ignore")
+    unless the caller changed the defaults, at a tenth of its cost.  A copy
+    per call, as one context cannot be entered by two threads at once."""
+    global _QUIET
+    if _QUIET is None:
+        import contextvars
+
+        import numpy as np
+
+        quiet = contextvars.Context()
+        quiet.run(np.seterr, over="ignore")
+        _QUIET = quiet
+    return _QUIET.copy().run(_dot, x, x)
 
 
 class GyroVector:
@@ -223,17 +243,24 @@ class GyroVector:
     Python floats, and coords, a read-only float64 array of them, is built
     on first use; a longer point holds that array.  The scalar functions
     run on what the point holds (_x).
+
+    A point is accepted by one ordered dot of what it will hold, the norm2
+    it keeps.  math.hypot, which cannot overflow where a square can, runs
+    only on a refused point, to word the refusal.
     """
 
     __slots__ = ("_x", "_array", "dim", "norm2", "norm")
 
     def __init__(self, coords):
-        array = None
         if type(coords) in (list, tuple) and set(map(type, coords)) <= _PLAIN:
             try:
-                floats = tuple(map(float, coords))
+                x = tuple(map(float, coords))
             except OverflowError as exc:  # an int past the float range
                 raise BallDomainError(f"coords are not real numbers: {exc}") from exc
+            if len(x) >= _FLOAT_DIM:
+                import numpy as np
+
+                x = np.array(x)
         else:
             import numpy as np
 
@@ -241,23 +268,26 @@ class GyroVector:
                 array = np.asarray(coords, dtype=float)
             except (TypeError, ValueError, OverflowError) as exc:
                 raise BallDomainError(f"coords are not real numbers: {exc}") from exc
-            floats = array.tolist() if array.ndim == 1 else []
-        if not floats:
+            if array.ndim != 1:
+                x = ()
+            elif len(array) < _FLOAT_DIM:
+                x = tuple(array.tolist())
+            else:
+                x = array.copy()  # a fresh array, which no caller can write to
+        if not len(x):
             raise BallDomainError("coords must be a non-empty 1-D sequence")
-        # outside input may be finite yet too long to square: its dot would
-        # overflow to inf, where hypot cannot; below 1e150 it is safe
-        length = math.hypot(*floats)
-        if not length < 1e150:
+        try:
+            self._guard(x, _dot(x, x) if type(x) is tuple else _quiet_norm2(x))
+        except BallDomainError:
+            # a point too long to square has norm2 inf: hypot, which cannot
+            # overflow, words its refusal; below 1e150 norm2 is finite
+            floats = x if type(x) is tuple else x.tolist()
+            length = math.hypot(*floats)
+            if length < 1e150:
+                raise
             if not all(map(math.isfinite, floats)):
-                raise BallDomainError("coords must be finite")
-            raise _outside_ball(length)
-        if len(floats) < _FLOAT_DIM:
-            self._guard(tuple(floats))
-        else:
-            import numpy as np
-
-            # a fresh array, which no caller can write to
-            self._guard(np.array(floats) if array is None else array.copy())
+                raise BallDomainError("coords must be finite") from None
+            raise _outside_ball(length) from None
 
     @classmethod
     def _owned(cls, coords) -> "GyroVector":
@@ -266,15 +296,16 @@ class GyroVector:
         but neither parsed nor copied."""
         out = cls.__new__(cls)
         if type(coords) is tuple or len(coords) >= _FLOAT_DIM:
-            out._guard(coords)
+            out._guard(coords, _dot(coords, coords))
         else:
-            out._guard(tuple(coords.tolist()), coords)
+            x = tuple(coords.tolist())
+            out._guard(x, _dot(x, x), coords)
         return out
 
-    def _guard(self, x, array=None) -> None:
-        # x as the point holds it; array, the array of a short point's tuple
+    def _guard(self, x, norm2: float, array=None) -> None:
+        # x as the point holds it, norm2 its _dot(x, x); array, the array of
+        # a short point's tuple
         # norm2 finite implies every component is finite, NaN/inf both fail
-        norm2 = _dot(x, x)
         if not math.isfinite(norm2):
             raise BallDomainError("coords must be finite")
         norm = math.sqrt(norm2)
@@ -379,8 +410,7 @@ def _guard_rows(w) -> tuple:
     too long to square has norm2 inf and is refused without a warning."""
     import numpy as np
 
-    with np.errstate(over="ignore"):
-        norm2 = _dot(w, w)
+    norm2 = _quiet_norm2(w)
     return norm2, np.sqrt(norm2) < 1.0 - DEFAULT_BOUNDARY_MARGIN
 
 

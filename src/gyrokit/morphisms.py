@@ -88,6 +88,11 @@ class LinearMap:
     def dim(self) -> int:
         return self.entries.shape[0]
 
+    def __reduce__(self) -> tuple:
+        # a copy or an unpickled map is built again through __init__: a slot
+        # copy would carry the entries without their read-only flag
+        return type(self), (self.entries,)
+
 
 def is_orthogonal(q, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Max-entry test of Q^T Q = I, for a non-empty square matrix."""

@@ -25,6 +25,7 @@ from gyrokit import (
     line_param,
     neg,
 )
+from gyrokit.ball import _dot
 
 
 def add_1d(u: float, v: float) -> float:
@@ -155,6 +156,37 @@ PARSE_CASES = [
 ]
 
 
+PLAIN_NUMBERS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, width=64),
+    st.integers(min_value=-(2**1100), max_value=2**1100),
+    st.booleans(),
+)
+
+
+def padded(head, dim: int) -> list:
+    return list(head) + [0.0] * (dim - len(head))
+
+
+# a point given as a list, a tuple or an array
+FORMS = pytest.mark.parametrize("form", [list, tuple, np.array], ids=["list", "tuple", "array"])
+# the 1-D lists and tuples of PARSE_CASES, to pad to a long point
+LONG_HEADS = [
+    c for c in PARSE_CASES
+    if type(c) in (list, tuple) and not any(isinstance(a, (list, tuple)) for a in c)
+]
+_OUTSIDE = "is not strictly inside the unit ball (boundary margin 1e-09)"
+REFUSALS = [
+    ([1e150, 0.0], f"|v| = 1e+150 {_OUTSIDE}"),
+    ([1e149, 0.0], f"|v| = 1e+149 {_OUTSIDE}"),
+    ([1e200, 1e200], f"|v| = 1.414213562373095e+200 {_OUTSIDE}"),
+    ([1.7e308, 1.7e308], f"|v| = inf {_OUTSIDE}"),
+    ([0.999999999, 0.0], f"|v| = 0.999999999 {_OUTSIDE}"),
+    ([_NAN, 1e200], "coords must be finite"),
+    ([_INF, -1e200], "coords must be finite"),
+    ([_NAN, 0.5], "coords must be finite"),
+]
+
+
 class TestConstructorParity:
     """GyroVector accepts and refuses exactly what numpy's parse decided,
     with the same messages: a list or tuple of floats, ints and bools is
@@ -171,13 +203,9 @@ class TestConstructorParity:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        st.lists(
-            st.one_of(
-                st.floats(allow_nan=True, allow_infinity=True, width=64),
-                st.integers(min_value=-(2**1100), max_value=2**1100),
-                st.booleans(),
-            ),
-            max_size=6,
+        # short points hold floats; from 16 coordinates a point holds an array
+        st.one_of(
+            st.lists(PLAIN_NUMBERS, max_size=6), st.lists(PLAIN_NUMBERS, min_size=16, max_size=64)
         ),
         st.booleans(),
     )
@@ -185,6 +213,52 @@ class TestConstructorParity:
         coords = tuple(coords) if as_tuple else coords
         parsed = numpy_parse(coords)
         assert outcome(coords) == (parsed if isinstance(parsed, str) else outcome(parsed))
+
+    @pytest.mark.parametrize("dim", [16, 64])
+    @pytest.mark.parametrize("coords", LONG_HEADS, ids=repr)
+    def test_long_points_agree_with_the_numpy_parse(self, coords, dim):
+        # from 16 coordinates a point holds an array: a list, a tuple and
+        # numpy's array of them must still land alike
+        coords = padded(coords, dim)
+        parsed = numpy_parse(coords)
+        expected = parsed if isinstance(parsed, str) else outcome(parsed)
+        assert outcome(coords) == outcome(tuple(coords)) == expected
+
+    @pytest.mark.parametrize("dim", [2, 16, 64])
+    @FORMS
+    @pytest.mark.parametrize("head, message", REFUSALS, ids=repr)
+    def test_refusals_keep_their_messages(self, head, message, form, dim):
+        # fixed strings, not a comparison of two parses, which could drift together
+        with pytest.raises(BallDomainError) as exc:
+            GyroVector(form(padded(head, dim)))
+        assert str(exc.value) == message
+
+    @FORMS
+    def test_a_long_point_on_the_guard_is_refused_and_one_just_inside_accepted(self, form):
+        # 64 equal coordinates: the last accepted one and the next float up
+        inside, on = 0.12499999987500005, 0.12499999987500006
+        assert GyroVector(form([inside] * 64)).norm == 0.9999999989999999
+        with pytest.raises(BallDomainError) as exc:
+            GyroVector(form([on] * 64))
+        assert str(exc.value) == f"|v| = 0.999999999 {_OUTSIDE}"
+
+    def test_a_long_point_sums_outside_the_callers_numpy_error_state(self):
+        # its dot runs in numpy's default error state, overflow aside, and
+        # leaves the caller's as it was
+        with np.errstate(all="raise"):
+            assert GyroVector(np.full(64, 1e-200)).norm2 == 0.0  # squares underflow
+            with pytest.raises(BallDomainError, match="^coords must be finite$"):
+                GyroVector(np.array([_NAN] + [1e200] * 63))
+            assert set(np.geterr().values()) == {"raise"}
+
+    @pytest.mark.parametrize("dim", [1, 3, 15, 16, 64])
+    @FORMS
+    def test_norm2_is_the_ordered_dot(self, dim, form):
+        x = np.random.default_rng(dim).uniform(-1.0, 1.0, dim)
+        x *= 0.9 / math.sqrt(_dot(x, x))
+        u = GyroVector(form(x.tolist()))
+        assert u.norm2.hex() == _dot(x, x).hex()
+        assert u.norm.hex() == math.sqrt(u.norm2).hex()
 
     def test_lists_and_tuples_are_read_without_numpy(self):
         script = textwrap.dedent(

@@ -1,6 +1,8 @@
 """Tests for linear maps on the ball, the endomorphism check, and the classifier."""
 
+import copy
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -43,6 +45,7 @@ def rotation(theta):
 
 ROT90 = np.array([[0.0, -1.0], [1.0, 0.0]])
 HALVING = np.array([[0.5, 0.0], [0.0, 0.5]])
+COPIERS = [lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy]
 
 
 def test_no_public_name_is_collected_as_a_test():
@@ -66,6 +69,22 @@ class TestLinearMap:
         m = LinearMap(np.eye(2))
         with pytest.raises(ValueError):
             m.entries[0, 0] = 5.0
+
+    @pytest.mark.parametrize("copier", COPIERS, ids=["pickle", "copy", "deepcopy"])
+    def test_copies_keep_entries_frozen(self, copier):
+        m = LinearMap(np.eye(3))
+        c = copier(m)
+        assert not c.entries.flags.writeable
+        with pytest.raises(ValueError):
+            c.entries[0, 0] = 5.0
+        assert np.array_equal(c.entries, m.entries)
+
+    @pytest.mark.parametrize("copier", COPIERS, ids=["pickle", "copy", "deepcopy"])
+    def test_copied_orthogonal_verdict_keeps_its_matrix_frozen(self, copier):
+        verdict = copier(MapClassification.orthogonal(LinearMap(ROT90)))
+        assert verdict.verdict == MapClassification.ORTHOGONAL
+        assert not verdict.matrix.entries.flags.writeable
+        assert np.array_equal(verdict.matrix.entries, ROT90)
 
 
 class TestIsOrthogonal:
@@ -173,11 +192,12 @@ class TestEndomorphismResidual:
         with pytest.raises(BallDomainError, match="map output is not a ball point"):
             f(u)
 
-    def test_image_overflowing_to_nan_is_inf_without_warning(self):
-        # a row of alternating +-1.7e308: numpy sums the even and the odd
-        # terms apart, each overflows, and inf - inf is NaN
+    def test_long_row_overflowing_in_every_order_is_inf_without_warning(self):
+        # a row of eight like-signed 1.7e308: the exact image coordinate,
+        # 4.76e308, is past the float range, so it overflows in whatever
+        # order a matrix-vector kernel sums the row
         m = np.eye(8)
-        m[0] = np.tile([1.7e308, -1.7e308], 4)
+        m[0] = 1.7e308
         f = BallMap.from_matrix(m)
         u = GyroVector(np.full(8, 0.35))
         assert endomorphism_residual(f, u, GyroVector.zero(8)) == math.inf
