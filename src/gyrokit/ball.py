@@ -152,7 +152,11 @@ def _dot(x, y):
     float, of arrays over the last axis.  A sum of zeros is +0.0.  Floats
     run in a loop, not sum(), which compensates from Python 3.12.  Rows of
     fewer than _COLUMN_DIM columns are summed column by column, across the
-    rows at once; one row, or longer rows, by np.add.accumulate."""
+    rows at once, from the first column's products plus 0.0: p + 0.0 is
+    0.0 + p for every float, -0.0 included, and needs no shape of its own.
+    A column at a time, as the rows are often a strided view, whose
+    products numpy would form a short row at a time.  One row, or longer
+    rows, are summed by np.add.accumulate."""
     if type(x) is tuple:
         total = 0.0
         for a, b in zip(x, y):
@@ -162,14 +166,16 @@ def _dot(x, y):
 
     if x.ndim == 1:
         return float(np.add.accumulate(x * y)[-1]) + 0.0
-    if x.shape[-1] < _COLUMN_DIM:
-        total = np.zeros(np.broadcast_shapes(x.shape, y.shape)[:-1])
-        for i in range(x.shape[-1]):
+    d = x.shape[-1]
+    if d < _COLUMN_DIM:
+        if not d:  # rows of no columns: a sum of no products
+            return np.zeros(np.broadcast_shapes(x.shape, y.shape)[:-1])
+        total = x[..., 0] * y[..., 0] + 0.0
+        for i in range(1, d):
             total += x[..., i] * y[..., i]
         return total
     # row blocks of about _DOT_BLOCK products, so that the one temporary
     # stays in cache and small, however many rows there are
-    d = x.shape[-1]
     rows = np.broadcast_shapes(x.shape, y.shape)[:-1]
     x, y = (np.broadcast_to(a, rows + (d,)).reshape(-1, d) for a in (x, y))
     total, step = np.empty(len(x)), max(1, _DOT_BLOCK // d)
@@ -192,10 +198,17 @@ def _slack(squares) -> float:
 
 def _rapidity(norm: float, slack: float) -> float:
     """atanh(norm), of a point whose 1 - norm^2 is slack: below _SLACK_CUTOFF,
-    log1p(norm) - log(slack) / 2, which reads 1 - norm from slack alone."""
+    by _log_rapidity, which reads 1 - norm from slack alone."""
     if slack >= _SLACK_CUTOFF:
         return math.atanh(norm)
-    return math.log1p(norm) - 0.5 * math.log(slack)
+    return _log_rapidity(math.log1p, math.log, norm, slack)
+
+
+def _log_rapidity(log1p, log, norm, slack):
+    """atanh(norm) as log1p(norm) - log(slack) / 2, slack being 1 - norm^2:
+    of floats by math's log1p and log, or of arrays by the same two
+    functions mapped over them."""
+    return log1p(norm) - 0.5 * log(slack)
 
 
 def _outside_ball(norm: float) -> BallDomainError:
@@ -337,6 +350,17 @@ class GyroVector:
     def tolist(self) -> list[float]:
         return list(self._x) if type(self._x) is tuple else self._x.tolist()
 
+    def __eq__(self, other):
+        # equal coordinates, 0.0 equal to -0.0; one dim means one form
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        x, y = self._x, other._x
+        return self.dim == other.dim and (x == y if type(x) is tuple else bool((x == y).all()))
+
+    def __hash__(self) -> int:
+        # Python hashes -0.0 as 0.0, so equal points hash alike unfolded
+        return hash(self._x if type(self._x) is tuple else tuple(self._x.tolist()))
+
     def __repr__(self) -> str:
         return f"GyroVector({self.tolist()!r})"
 
@@ -393,15 +417,17 @@ def _close(maximum, a, b, tol: ToleranceConfig):
 # _dot sums in one order on both, and np.sqrt is correctly rounded like
 # math.sqrt.  A guarded kernel passes on ok: a row where the scalar call
 # raises GyroError leaves ok and is zeroed.  _checked_rows and
-# _line_param_rows, whose _each walks a list, take (n, d) rows alone.
+# _line_param_rows take (n, d) rows alone.
 
 
-def _each(f, *columns):
-    """f of the elements of the columns in turn, as Python floats: for math's
-    transcendentals, which numpy's differ from in the last bit."""
+def _each(f, column):
+    """f of each element of column, as Python floats, in an array of
+    column's shape: for math's transcendentals, which numpy's differ from in
+    the last bit.  f is a libm function, which map calls from C with no
+    Python frame per element."""
     import numpy as np
 
-    return np.array(list(map(f, *(c.tolist() for c in columns))), dtype=float)
+    return np.fromiter(map(f, column.ravel().tolist()), float, column.size).reshape(column.shape)
 
 
 def _guard_rows(w) -> tuple:
@@ -494,7 +520,16 @@ def _gyration_rows(u, v, w, ok=True) -> tuple:
 
 
 def _line_param_rows(x, t, ok=True) -> tuple:
-    """line_param of each row of x at its row's t, guarded; a zero row is refused."""
+    """line_param of each row of x at its row's t, guarded; a zero row is refused.
+
+    t holds one parameter per row, or k per row as a (k, n) array, whose
+    points come as (k, n, d) from one rapidity per row: each point is the
+    one-parameter call's, and a row leaves ok when the guard refuses any of
+    them.  As in line_param, the rows whose 1 - |x|^2 is, summed exactly,
+    at least _SLACK_CUTOFF take math.atanh of their norm, and only the
+    others _log_rapidity, each by libm mapped over the rows."""
+    from functools import partial
+
     import numpy as np
 
     norm2 = _dot(x, x)
@@ -504,9 +539,17 @@ def _line_param_rows(x, t, ok=True) -> tuple:
     if near.any():
         rows = x[near]
         slack[near] = list(map(_slack, (rows * rows).tolist()))
-    radius = _each(math.tanh, t * _each(_rapidity, norm, slack))
-    scale = np.divide(radius, norm, out=np.zeros_like(norm), where=ok)
-    return _guarded(scale[:, None] * x, ok)
+    far = slack >= _SLACK_CUTOFF  # the exact slack decides, as in _rapidity
+    near = ~far
+    rapidity = np.empty_like(norm)
+    rapidity[far] = _each(math.atanh, norm[far])
+    rapidity[near] = _log_rapidity(
+        partial(_each, math.log1p), partial(_each, math.log), norm[near], slack[near]
+    )
+    radius = _each(math.tanh, t * rapidity)
+    scale = np.divide(radius, norm, out=np.zeros_like(radius), where=ok)
+    points, accepted = _guarded(scale[..., None] * x, ok)
+    return points, accepted if t.ndim == 1 else accepted.all(axis=0)
 
 
 def gamma(u: GyroVector) -> float:

@@ -93,6 +93,18 @@ class LinearMap:
         # copy would carry the entries without their read-only flag
         return type(self), (self.entries,)
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return bool(np.array_equal(self.entries, other.entries))
+
+    def __hash__(self) -> int:
+        # Python hashes -0.0 as 0.0, so equal maps hash alike unfolded
+        return hash(tuple(map(tuple, self.entries.tolist())))
+
+    def __repr__(self) -> str:
+        return f"LinearMap({self.entries.tolist()!r})"
+
 
 def is_orthogonal(q, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Max-entry test of Q^T Q = I, for a non-empty square matrix."""

@@ -234,11 +234,10 @@ def _line_rows(low: float, high: float, *keys: str) -> Callable:
 
 
 def _one_parameter_residual(rows: Rows, tol: ToleranceConfig) -> np.ndarray:
-    x, s_par, t_par = rows["x"], rows["s"], rows["t"]
-    xs, ok = _line_param_rows(x, s_par)
-    xt, ok = _line_param_rows(x, t_par, ok)
+    # the points at s, t and s + t of each row, from one rapidity per row
+    s_par, t_par = rows["s"], rows["t"]
+    (xs, xt, direct), ok = _line_param_rows(rows["x"], np.stack([s_par, t_par, s_par + t_par]))
     combined, ok = _sum_rows(xs, xt, ok)
-    direct, ok = _line_param_rows(x, s_par + t_par, ok)
     residual = _norm_rows(combined - direct) / np.square(_gamma_rows(combined))
     return np.where(ok, residual, math.inf)
 

@@ -10,6 +10,7 @@ from gyrokit import (
     DensityMatrix2,
     GyroVector,
     Hermitian2,
+    LinearMap,
     MapClassification,
     PosDef2Det1,
     PropertyReport,
@@ -108,6 +109,54 @@ class TestEquality:
         assert hash(ToleranceConfig()) == hash((1e-9, 1e-9, 0.999))
         assert hash(Hermitian2(1, 2, 0, -0.0)) == hash((1.0, 2.0, 0.0, 0.0))
         assert len({DensityMatrix2(0.5, 0.5, 0, 0), DensityMatrix2(0.5, 0.5, 0.0, 0.0)}) == 1
+
+    @pytest.mark.parametrize(
+        "make, text",
+        [
+            (
+                lambda: MapClassification.orthogonal(LinearMap(np.eye(2))),
+                "MapClassification(verdict='orthogonal', matrix=LinearMap([[1.0, 0.0], "
+                "[0.0, 1.0]]), witness_u=None, witness_v=None, residual=None)",
+            ),
+            (
+                lambda: MapClassification.not_endomorphism(
+                    GyroVector([0.5, -0.0]), GyroVector([0.0, 0.25]), 0.125
+                ),
+                "MapClassification(verdict='not_endomorphism', matrix=None, "
+                "witness_u=GyroVector([0.5, -0.0]), witness_v=GyroVector([0.0, 0.25]), "
+                "residual=0.125)",
+            ),
+        ],
+        ids=["orthogonal", "not_endomorphism"],
+    )
+    def test_verdicts_with_payloads_compare_hash_and_print_by_value(self, make, text):
+        verdict = make()
+        twin = pickle.loads(pickle.dumps(verdict))
+        for other in (make(), twin):
+            assert other == verdict and hash(other) == hash(verdict)
+            assert repr(other) == text
+        assert len({verdict, make(), twin}) == 1
+
+    def test_points_and_maps_compare_and_hash_by_their_values(self):
+        assert GyroVector([0.5, -0.0]) == GyroVector([0.5, 0.0])
+        assert hash(GyroVector([0.5, -0.0])) == hash(GyroVector([0.5, 0.0]))
+        assert GyroVector([0.5, 0.0]) != GyroVector([0.5, 0.0, 0.0])
+        assert GyroVector([0.5, 0.0]) != GyroVector([0.5, 1e-300])
+        assert GyroVector([0.5, 0.0]).__eq__((0.5, 0.0)) is NotImplemented
+        long = np.full(20, 0.01)
+        long_negated = long.copy()
+        long_negated[3] = -0.0
+        long[3] = 0.0
+        assert GyroVector(long) == GyroVector(long_negated)
+        assert hash(GyroVector(long)) == hash(GyroVector(long_negated))
+        assert GyroVector(long) != GyroVector(np.full(20, 0.02))
+        flipped = np.eye(3)
+        flipped[0, 1] = -0.0
+        assert LinearMap(np.eye(3)) == LinearMap(flipped)
+        assert hash(LinearMap(np.eye(3))) == hash(LinearMap(flipped))
+        assert LinearMap(np.eye(3)) != LinearMap(np.eye(2))
+        assert LinearMap(np.eye(2)) != LinearMap(2.0 * np.eye(2))
+        assert LinearMap(np.eye(2)).__eq__(np.eye(2)) is NotImplemented
 
     def test_a_report_holding_a_dict_is_unhashable(self):
         with pytest.raises(TypeError):
