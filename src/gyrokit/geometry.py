@@ -42,19 +42,18 @@ def commutes(u: GyroVector, v: GyroVector, tol: ToleranceConfig = DEFAULT_TOL) -
     return approx_eq(einstein_add(u, v), einstein_add(v, u), tol)
 
 
-def gram_band(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[float, float]:
+def gram_band(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> tuple:
     """Gram determinant |a|^2 |b|^2 - (a, b)^2 of two coordinate vectors,
     the squared area they span, and the band abs_tol * (1 + |a|^2 |b|^2)
     at or below which it counts as zero.
 
     The band is scale-aware: exact dependence gives a determinant that is
-    pure rounding noise relative to 1 + |a|^2 |b|^2.  a and b are 1-D
-    float64 arrays, or tuples of floats.
+    pure rounding noise relative to 1 + |a|^2 |b|^2.  a and b are tuples of
+    floats or 1-D float64 arrays, giving two floats, or the rows of (n, d)
+    arrays, giving a determinant and a band per row: _dot sums all three
+    alike, so the row form is also the verifier's kernel.
     """
-    return _gram_terms(_dot(a, a), _dot(b, b), _dot(a, b), tol)
-
-
-def _gram_terms(a2, b2, ab, tol: ToleranceConfig) -> tuple:  # from floats or columns
+    a2, b2, ab = _dot(a, a), _dot(b, b), _dot(a, b)
     return a2 * b2 - ab * ab, tol.abs_tol * (1.0 + a2 * b2)
 
 
@@ -122,8 +121,3 @@ def _commutes_rows(u, v, tol: ToleranceConfig, ok=True) -> tuple:
     uv, ok = _sum_rows(u, v, ok)
     vu, ok = _sum_rows(v, u, ok)
     return _close(np.maximum, uv, vu, tol).all(axis=1), ok
-
-
-def _gram_band_rows(a, b, tol: ToleranceConfig) -> tuple:
-    """gram_band of the rows of a and b."""
-    return _gram_terms(_dot(a, a), _dot(b, b), _dot(a, b), tol)

@@ -19,6 +19,7 @@ from .ball import (
     GyroError,
     GyroVector,
     _guarded,
+    _quiet,
     _Record,
 )
 
@@ -257,20 +258,16 @@ def _density_rows(h: tuple, ok=True) -> tuple:
 
 
 def _det1_rows(h: tuple, ok=True) -> tuple:
-    import numpy as np
-
     h = tuple(x + 0.0 for x in h)
     # a row whose products overflow is refused by the band, so numpy need not warn
-    with np.errstate(over="ignore", invalid="ignore"):
-        return h, ok & _positive(*h) & _in_det1_band(*h)
+    return h, ok & _quiet(_positive, *h) & _quiet(_in_det1_band, *h)
 
 
 def _sqrt_posdef_rows(h: tuple, ok=True) -> tuple:
     import numpy as np
 
     # a row whose determinant overflows is refused, so numpy need not warn
-    with np.errstate(over="ignore", invalid="ignore"):
-        h, ok = _blanked(h, ok & _rootable(*h))
+    h, ok = _blanked(h, ok & _quiet(_rootable, *h))
     return tuple(x + 0.0 for x in _root(np.sqrt, *h)), ok
 
 

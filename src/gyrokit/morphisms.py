@@ -25,6 +25,7 @@ from .ball import (
     _guarded,
     _line_param_rows,
     _norm_rows,
+    _quiet,
     _Record,
     _sum_rows,
 )
@@ -135,10 +136,12 @@ def random_orthogonal(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 
 def _matvec(m: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # an image far outside the ball may overflow to inf, or to NaN from
-    # inf - inf; the guard refuses both, so numpy need not warn of them
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.matvec(m, w)
+    """m applied to the rows of w, a matrix or a stack broadcast against
+    them: the package's one matrix product, so that its summation order is
+    chosen here alone.  An image far outside the ball may overflow to inf,
+    or to NaN from inf - inf; the guard refuses both, so it runs quiet
+    (ball._quiet)."""
+    return _quiet(np.matvec, m, w)
 
 
 def _linear_image(m: np.ndarray) -> Callable:
@@ -419,7 +422,7 @@ def _classify_stack(maps: list, seed: int, n_samples: int, tol: ToleranceConfig)
     else:
         centers = np.array(centers)[:, None]
     _, _, (_, first), _ = scan(js, streams[0], cutoffs, ("w",), lambda image, w: _image_norms(
-        image, w, 0.0 if centers is None else np.matvec(centers, w)
+        image, w, 0.0 if centers is None else _matvec(centers, w)
     ))
     for j, verdict, r in zip(js, verdicts, first):
         out[j] = verdict if r is None else refuted(j)

@@ -87,13 +87,13 @@ from .ball import (
     _dot,
     _each,
     _gamma_rows,
-    _guarded,
     _gyration_rows,
     _line_param_rows,
     _norm_rows,
+    _quiet,
     _sum_rows,
 )
-from .geometry import _commutes_rows, _gram_band_rows, _klein_distance_rows
+from .geometry import _commutes_rows, _klein_distance_rows, gram_band
 from .matrix_models import (
     _HERMITIAN_FIELDS,
     _IDENTITY,
@@ -247,7 +247,7 @@ def _one_parameter_residual(rows: Rows, tol: ToleranceConfig) -> np.ndarray:
 
 def _general_position_rows(a: np.ndarray, b: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     # three orders of magnitude clear of the dependence band, row by row
-    det, band = _gram_band_rows(a, b, tol)
+    det, band = gram_band(a, b, tol)
     return det > 1e3 * band
 
 
@@ -289,9 +289,9 @@ def _commutes_iff_dependent_residual(rows: Rows, tol: ToleranceConfig) -> np.nda
     ind_commutes, ind_ok = _commutes_rows(*ind, tol)
     return _and_chain(
         (dep_commutes, dep_ok),
-        (np.less_equal(*_gram_band_rows(*dep, tol)), True),
+        (np.less_equal(*gram_band(*dep, tol)), True),
         (~ind_commutes, ind_ok),
-        (~np.less_equal(*_gram_band_rows(*ind, tol)), True),
+        (~np.less_equal(*gram_band(*ind, tol)), True),
     )
 
 
@@ -299,11 +299,10 @@ def _chord_rows(s: BallSampler, n: int, tol: ToleranceConfig) -> Rows:
     # three points p + w (q - p) on the chord between two points p, q of
     # the sphere of radius rmax; a zero normal gives NaN, which the guard
     # refuses, so that the candidate is drawn again
-    g, h = s.rng.standard_normal((2, n, s.dim))
+    g = s.rng.standard_normal((2, n, s.dim))
     w = s.rng.uniform(0.0, 1.0, (n, 3))
-    with np.errstate(invalid="ignore"):
-        p = s.rmax * (g / _norm_rows(g)[:, None])
-        chord = s.rmax * (h / _norm_rows(h)[:, None]) - p
+    p, q = s.rmax * _quiet(np.divide, g, _norm_rows(g)[..., None])
+    chord = q - p
     return Rows({key: p + w[:, k, None] * chord for k, key in enumerate(("on_x", "on_y", "on_z"))})
 
 
@@ -345,9 +344,9 @@ def _collinearity_residual(rows: Rows, tol: ToleranceConfig) -> np.ndarray:
     off_gyro, off_ok = _collinear_gyro_rows(*off, tol)
     return _and_chain(
         _collinear_gyro_rows(*on, tol),
-        (np.less_equal(*_gram_band_rows(on[1] - on[0], on[2] - on[0], tol)), True),
+        (np.less_equal(*gram_band(on[1] - on[0], on[2] - on[0], tol)), True),
         (~off_gyro, off_ok),
-        (~np.less_equal(*_gram_band_rows(off[1] - off[0], off[2] - off[0], tol)), True),
+        (~np.less_equal(*gram_band(off[1] - off[0], off[2] - off[0], tol)), True),
     )
 
 
@@ -508,11 +507,10 @@ def _det_normalization_residual(rows: Rows, tol: ToleranceConfig) -> np.ndarray:
 
 
 def _transported_automorphism_residual(rows: Rows, tol: ToleranceConfig) -> np.ndarray:
-    q = rows["q"]
+    rotated = _linear_image(rows["q"])
 
     def transported(m: tuple, ok) -> tuple:
-        w, ok = _density_to_bloch_rows(m, ok)
-        return _bloch_to_density_rows(*_guarded(np.matvec(q, w), ok))
+        return _bloch_to_density_rows(*rotated(*_density_to_bloch_rows(m, ok)))
 
     da, db, ok, scale = _model_pair(rows)
     lhs, ok = transported(*_odot_rows(da, db, ok))

@@ -252,6 +252,17 @@ class TestConstructorParity:
             assert set(np.geterr().values()) == {"raise"}
 
     @pytest.mark.parametrize("dim", [1, 3, 15, 16, 64])
+    def test_neg_keeps_the_norms_bit_for_bit(self, dim):
+        # negation is exact, so -u's ordered dot is u's, here 2e-9 from the guard
+        x = np.random.default_rng(dim).uniform(-1.0, 1.0, dim)
+        u = GyroVector(x * ((1.0 - 2e-9) / math.sqrt(_dot(x, x))))
+        minus = neg(u)
+        assert (minus.norm2.hex(), minus.norm.hex()) == (u.norm2.hex(), u.norm.hex())
+        assert minus.tolist() == [-c for c in u.tolist()]
+        with pytest.raises(ValueError):
+            minus.coords[0] = 0.0
+
+    @pytest.mark.parametrize("dim", [1, 3, 15, 16, 64])
     @FORMS
     def test_norm2_is_the_ordered_dot(self, dim, form):
         x = np.random.default_rng(dim).uniform(-1.0, 1.0, dim)

@@ -9,9 +9,11 @@ sampling stream can hide a defect.
 
 import math
 
+import numpy as np
 import pytest
 
 from gyrokit import (
+    DEFAULT_TOL,
     GyroVector,
     PositivityError,
     bloch_to_density,
@@ -19,6 +21,8 @@ from gyrokit import (
     klein_distance,
     normalize_det,
 )
+from gyrokit.sampling import Rows
+from gyrokit.verifier import _line_distance_residual
 
 mp = pytest.importorskip("mpmath")
 
@@ -35,6 +39,18 @@ def test_d2_boxdot_accepts_two_near_guard_det1_matrices():
     a, b = (normalize_det(bloch_to_density(GyroVector(p))) for p in (u, v))
     product = boxdot(a, b)
     assert math.isclose(product.a * product.d - product.re_b**2 - product.im_b**2, 1.0)
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="D3: line_translation_distance's cutoff ignores the conditioning of atanh by the guard",
+)
+def test_d3_line_distance_scores_a_near_guard_line_point_within_rel_tol():
+    # the printed counterexample of seed 0 at sample_rmax = 1 - 2e-9: t x
+    # lands by the guard, and the residual reads 2.33e-9
+    rows = Rows(x=np.array([[-0.135311927776347, -0.962334305194598]]),
+                t=np.array([-4.86661839792732]))
+    assert _line_distance_residual(rows, DEFAULT_TOL)[0] <= DEFAULT_TOL.rel_tol
 
 
 def exact_klein_distance(x: list, y: list):

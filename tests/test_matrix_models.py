@@ -25,6 +25,7 @@ from gyrokit import (
     sqrt_congruence,
     sqrt_posdef2,
 )
+from gyrokit.matrix_models import _det1_rows, _sqrt_posdef_rows
 
 
 def add_1d(a, b):
@@ -344,6 +345,19 @@ def test_boxdot_whose_congruence_overflows_raises_as_the_chain_did():
     assert chain(boxdot, p, p) == (ValueError, "a must be finite, got inf")
     with pytest.raises(ValueError, match="^a must be finite, got inf$"):
         boxdot(p, p)
+
+
+@pytest.mark.parametrize("kernel", [_det1_rows, _sqrt_posdef_rows])
+def test_kernel_mask_runs_outside_the_callers_numpy_error_state(kernel):
+    # the identity and a row of 1e-200 fields, whose determinant underflows
+    # and is refused: the mask runs in numpy's default state, so the kernel
+    # returns, and leaves the caller's state as it was
+    h = tuple(np.array([identity, 1e-200]) for identity in (1.0, 1.0, 0.0, 0.0))
+    with np.errstate(all="raise"):
+        _, ok = kernel(h)
+        assert set(np.geterr().values()) == {"raise"}
+    assert ok.tolist() == [True, False]
+
 
 class TestNormalizeDet:
     def test_diagonal_golden(self):

@@ -204,6 +204,13 @@ class TestEndomorphismResidual:
         with pytest.raises(BallDomainError, match="map output is not a ball point"):
             f(u)
 
+    def test_matvec_runs_outside_the_callers_numpy_error_state(self):
+        # its products underflow: it returns, and leaves the caller's state as it was
+        with np.errstate(all="raise"):
+            image = morphisms._matvec(np.full((3, 3), 1e-200), np.full((2, 3), 1e-200))
+            assert set(np.geterr().values()) == {"raise"}
+        assert image.tolist() == [[0.0] * 3] * 2
+
     def test_halving_golden_value(self):
         # u = v = (0.5, 0): image of u+u is 0.4, sum of images is 0.25+0.25
         f = BallMap.from_matrix(HALVING)

@@ -52,7 +52,7 @@ from gyrokit.ball import (
     _gyration_rows,
     _line_param_rows,
 )
-from gyrokit.geometry import _commutes_rows, _gram_band_rows, _klein_distance_rows
+from gyrokit.geometry import _commutes_rows, _klein_distance_rows
 
 
 def left_to_right(a, b) -> float:
@@ -166,12 +166,12 @@ def test_scalar_functions_equal_their_kernels_at_the_cutoff(dim):
         assert_kernel_row(lambda: line_param(u, 0.3), _line_param_rows(*row(u), np.array([0.3])))
         assert neg(u).coords.tobytes() == (-u.coords).tobytes()
         assert approx_eq(u, v) is bool(_close(np.maximum, u.coords, v.coords, DEFAULT_TOL).all())
-        det, band = _gram_band_rows(*row(u, v), DEFAULT_TOL)
+        det, band = gram_band(*row(u, v), DEFAULT_TOL)
         floats = tuple(u.tolist()), tuple(v.tolist())
         assert gram_band(u.coords, v.coords) == gram_band(*floats) == (det[0], band[0])
         assert linearly_dependent(u, v) is bool(det[0] <= band[0])
         y, z = (p.coords[None] - u.coords for p in (v, w))
-        det, band = _gram_band_rows(y, z, DEFAULT_TOL)
+        det, band = gram_band(y, z, DEFAULT_TOL)
         assert collinear_direct(u, v, w) is bool(det[0] <= band[0])
         verdict, ok = _commutes_rows(*row(u, v), DEFAULT_TOL)
         try:

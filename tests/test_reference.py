@@ -81,7 +81,7 @@ from gyrokit.ball import (
     _norm_rows,
     _sum_rows,
 )
-from gyrokit.geometry import _commutes_rows, _gram_band_rows, _klein_distance_rows
+from gyrokit.geometry import _commutes_rows, _klein_distance_rows
 from gyrokit.matrix_models import (
     _bloch_to_density_rows,
     _boxdot_rows,
@@ -1254,7 +1254,7 @@ def test_gram_band_rows_match_gram_band(dim):
     us, vs, _, _ = pair_rows(points(dim, seed=1200 + dim))
     a = [u.coords for u in us] + [u.coords - v.coords for u, v in zip(us, vs)]
     b = [v.coords for v in vs] + [v.coords - w.coords for v, w in zip(vs, us[3:] + us[:3])]
-    det, band = _gram_band_rows(np.array(a), np.array(b), DEFAULT_TOL)
+    det, band = gram_band(np.array(a), np.array(b), DEFAULT_TOL)
     want = [gram_band(x, y, DEFAULT_TOL) for x, y in zip(a, b)]
     assert list(zip(det.tolist(), band.tolist())) == want
 

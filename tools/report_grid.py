@@ -73,7 +73,8 @@ from gyrokit import (
     run_suite,
     zero_propagation_check,
 )
-from gyrokit.sampling import SCAN_CHUNK, json_ready
+from gyrokit.ball import json_ready
+from gyrokit.sampling import SCAN_CHUNK
 
 RADII = (1 - 2e-9, 1 - 1e-8, 0.9999999, 0.99999, 0.3)
 
